@@ -21,8 +21,9 @@ use std::sync::Arc;
 ///   in-memory queues;
 /// * [`Endpoint`](crate::threaded::Endpoint) — one *per-thread* view of
 ///   the machine used by the threaded backend, where each processor runs
-///   on its own OS thread and messages travel over real
-///   [`std::sync::mpsc`] channels.
+///   on its own OS thread and messages travel over preallocated lock-free
+///   SPSC word rings ([`ring`](crate::ring)), one per ordered processor
+///   pair.
 ///
 /// Because message *content* visible to a process depends only on FIFO
 /// order within `(src, dst, tag)` channels — never on global interleaving

@@ -28,8 +28,9 @@
 //! [`Endpoint`](crate::threaded::Endpoint), or a test double — so every
 //! unmodified [`Process`](crate::Process) composes with it. Fault plans are
 //! normally paired with the reliable-delivery layer (see
-//! [`reliable`](crate::reliable)); a lossy plan without reliability simply
-//! loses data, exactly like a real datagram network.
+//! [`Scheduler::run_recoverable`](crate::Scheduler::run_recoverable)); a
+//! lossy plan without reliability simply loses data, exactly like a real
+//! datagram network.
 
 use crate::fabric::Fabric;
 use crate::message::{ProcId, Tag, Word};
@@ -489,8 +490,8 @@ impl FaultState {
     /// Transmit `frame` over `fabric`, applying the plan. Dropped and
     /// delayed frames still charge the sender (the words left the CPU);
     /// duplicates and released held frames are transport-manufactured and
-    /// charge nobody. The frame is borrowed so the retransmission window
-    /// can dispatch straight out of its [`Pending`](crate::reliable::Pending)
+    /// charge nobody. The frame is borrowed so the reliable layer's
+    /// retransmission window can dispatch straight out of its pending
     /// entries without cloning.
     pub fn dispatch<F: Fabric + ?Sized>(
         &mut self,

@@ -49,7 +49,7 @@ mod fabric;
 pub mod fault;
 mod message;
 mod network;
-pub mod reliable;
+mod reliable;
 pub mod ring;
 mod sched;
 mod stats;

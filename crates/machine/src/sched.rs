@@ -1,17 +1,15 @@
 //! The deterministic scheduler.
 
-use crate::checkpoint::{Checkpoint, CheckpointCfg, RecoveryReport};
+use crate::checkpoint::{CheckpointCfg, RecoveryReport};
 use crate::cost::CostModel;
 use crate::error::MachineError;
 use crate::fabric::{Fabric, Machine};
 use crate::fault::{FaultPlan, FaultState};
 use crate::message::{ProcId, Tag, Time, Word};
-use crate::reliable::{
-    ack_tag, frame_arc, is_ack_tag, unframe, Pending, RecvChan, RelConfig, SenderChan, ACK_TAG_BIT,
-};
+use crate::reliable::{is_ack_tag, pending_triples, RelConfig, RelEndpoint, Wire};
 use crate::stats::{FaultReport, MachineStats};
 use crate::trace::{EventKind, Trace};
-use pdc_metrics::{Ctr, FlightKind, MetricsRegistry, NO_PEER};
+use pdc_metrics::MetricsRegistry;
 use std::collections::BTreeMap;
 
 /// What a process did on one scheduling step.
@@ -265,7 +263,7 @@ impl Scheduler {
     /// until acknowledged; every program receive is deduplicated and
     /// reordered back into sequence. The `plan` decides which frames the
     /// transport mistreats (acks included — they travel through the same
-    /// faulty fabric under [`ack_tag`]).
+    /// faulty fabric under [`ack_tag`](crate::ack_tag)).
     ///
     /// Everything stays deterministic: fault decisions are pure functions
     /// of the plan, and retransmission timers fire in logical time, so
@@ -295,9 +293,10 @@ impl Scheduler {
     /// `ckpt` is set, every processor's complete state (process image,
     /// reliable-delivery windows, logical counters) is checkpointed at
     /// the configured charged-op interval, and a processor the `plan`
-    /// crashes is restarted from its last [`Checkpoint`] — the reliable
-    /// layer's retransmissions replay the lost suffix and the peers'
-    /// duplicate suppression makes the recovery transparent.
+    /// crashes is restarted from its last
+    /// [`Checkpoint`](crate::Checkpoint) — the reliable layer's
+    /// retransmissions replay the lost suffix and the peers' duplicate
+    /// suppression makes the recovery transparent.
     ///
     /// In independent mode (the default) only the crashed processor rolls
     /// back: receivers advertise *lagged* acks (the position of their
@@ -336,69 +335,49 @@ impl Scheduler {
         let n = processes.len();
         // In reliable mode every wire frame — data, retransmission, ack,
         // keepalive — goes through `Machine::send` via `FaultState::
-        // dispatch`. Logical sends are recorded at the `ReliableView`
-        // boundary instead, so tell the machine its send path is raw
-        // transport only.
+        // dispatch`. Logical sends are recorded by the protocol core
+        // instead, so tell the machine its send path is raw transport
+        // only.
         machine.set_raw_transport(true);
         let mut fault = FaultState::new(plan.clone());
-        let mut rel = RelState::new(n, cfg);
+        let ack_cost = machine.cost_model().recv_cost(1);
+        let mut eps: Vec<RelEndpoint<Time>> = (0..n)
+            .map(|p| RelEndpoint::new(ProcId(p), cfg, ack_cost, ckpt))
+            .collect();
+        let independent = ckpt.is_some_and(|c| !c.coordinated);
         let mut done = vec![false; n];
         let mut dead = vec![false; n];
         let mut first_crash: Option<(ProcId, u64)> = None;
         let mut last_block: Vec<Option<(ProcId, Tag)>> = vec![None; n];
         let mut steps: u64 = 0;
         let mut solicit_attempts: u32 = 0;
-        let mut recovery = ckpt.map(|cfg| RecoveryCtl::new(cfg, n));
-        if let Some(rc) = &mut recovery {
-            if !rc.cfg.coordinated {
-                // Independent mode lags acknowledgements behind the last
-                // checkpoint from the very start.
-                for st in rel.stable.iter_mut() {
-                    *st = Some(BTreeMap::new());
-                }
-            }
+        // Minimum op counter at the last global snapshot (coordinated mode).
+        let mut global_last_op: u64 = 0;
+        if ckpt.is_some() {
             // Initial checkpoint of every processor, so a restore target
             // exists whatever the crash point. Free: the launch image
             // exists before the clocks start.
-            for p in 0..n {
-                rc.ckpts[p] = snapshot_proc(
-                    machine,
-                    &rel,
-                    &fault,
-                    processes,
-                    ProcId(p),
-                    &rc.cfg,
-                    &mut rc.report,
-                    false,
-                )?;
-                rc.mark_taken(p, machine.clock(ProcId(p)));
+            for (p, ep) in eps.iter_mut().enumerate() {
+                let mut w = SimWire::new(machine, &mut fault, &done, p);
+                ep.checkpoint(&mut w, &*processes[p], 0, false)?;
             }
         }
         loop {
             // Coordinated snapshots happen between rounds: every
             // processor is at a step boundary, so the cut is barrier
             // aligned by construction.
-            if let Some(rc) = &mut recovery {
-                if rc.cfg.coordinated {
-                    let min_ops = (0..n).map(|q| fault.ops(ProcId(q))).min().unwrap_or(0);
-                    if min_ops >= rc.global_last_op + rc.cfg.interval_ops {
-                        for q in 0..n {
-                            rc.ckpts[q] = snapshot_proc(
-                                machine,
-                                &rel,
-                                &fault,
-                                processes,
-                                ProcId(q),
-                                &rc.cfg,
-                                &mut rc.report,
-                                true,
-                            )?;
-                        }
-                        rc.global_last_op = min_ops;
+            if let Some(c) = ckpt.filter(|c| c.coordinated) {
+                let min_ops = (0..n).map(|q| fault.ops(ProcId(q))).min().unwrap_or(0);
+                if min_ops >= global_last_op + c.interval_ops {
+                    for (q, ep) in eps.iter_mut().enumerate() {
+                        let at_op = fault.ops(ProcId(q));
+                        let mut w = SimWire::new(machine, &mut fault, &done, q);
+                        ep.checkpoint(&mut w, &*processes[q], at_op, true)?;
                     }
+                    global_last_op = min_ops;
                 }
             }
-            let round_activity = rel.activity;
+            let round_activity = activity(&eps);
             let mut progressed = false;
             let mut global_rollback: Option<(ProcId, u64)> = None;
             'round: for p in 0..n {
@@ -410,10 +389,11 @@ impl Scheduler {
                     // A finished process still owes the protocol: ingest
                     // late frames, re-ack retransmissions, retire acks,
                     // and service its own retransmission timers.
-                    rel.pump_acks(machine, me);
-                    rel.pump_all_data(machine, &mut fault, me);
-                    rel.service_timers(machine, &mut fault, me);
-                    if let Some(e) = rel.fatal.take() {
+                    let mut w = SimWire::new(machine, &mut fault, &done, p);
+                    eps[p].pump_acks(&mut w);
+                    eps[p].pump_all_data(&mut w);
+                    eps[p].service_timers(&mut w);
+                    if let Some(e) = eps[p].take_fatal() {
                         return Err(e);
                     }
                     continue;
@@ -430,14 +410,15 @@ impl Scheduler {
                         let mut view = ReliableView {
                             m: &mut *machine,
                             fault: &mut fault,
-                            rel: &mut rel,
+                            eps: &mut eps,
+                            done: &done,
                         };
                         processes[p].step(&mut view, me)?
                     };
                     if let Some(sp) = machine.take_self_send() {
                         return Err(MachineError::SelfSend { proc: sp });
                     }
-                    if let Some(e) = rel.fatal.take() {
+                    if let Some(e) = eps[p].take_fatal() {
                         return Err(e);
                     }
                     match step {
@@ -447,71 +428,52 @@ impl Scheduler {
                             // Step boundary: checkpoint first (so a crash
                             // landing on the same boundary restores with a
                             // zero-op replay), then roll the crash dice.
-                            if let Some(rc) = &mut recovery {
-                                if !rc.cfg.coordinated
-                                    && fault.ops(me) >= rc.last_ckpt_op[p] + rc.cfg.interval_ops
-                                    && rc.cfg.amortized(
-                                        rc.last_ckpt_at[p],
-                                        rc.last_ckpt_cost[p],
-                                        machine.clock(me),
-                                    )
-                                {
-                                    rc.ckpts[p] = snapshot_proc(
-                                        machine,
-                                        &rel,
-                                        &fault,
-                                        processes,
-                                        me,
-                                        &rc.cfg,
-                                        &mut rc.report,
-                                        true,
-                                    )?;
-                                    rc.last_ckpt_op[p] = fault.ops(me);
-                                    rc.mark_taken(p, machine.clock(me));
-                                    advance_stable_floors(&mut rel, me);
+                            if independent {
+                                let ops = fault.ops(me);
+                                if eps[p].checkpoint_due(ops, machine.clock(me)) {
+                                    let mut w = SimWire::new(machine, &mut fault, &done, p);
+                                    eps[p].checkpoint(&mut w, &*processes[p], ops, true)?;
                                 }
                             }
                             if let Some(crash_op) = fault.take_crash(me) {
-                                match &mut recovery {
-                                    Some(rc) if rc.cfg.coordinated => {
+                                let at = machine.clock(me);
+                                machine.trace_mut().record(
+                                    me,
+                                    at,
+                                    EventKind::Crash { at_op: crash_op },
+                                );
+                                match ckpt {
+                                    Some(c) if c.coordinated => {
                                         global_rollback = Some((me, crash_op));
                                         break 'round;
                                     }
-                                    Some(rc) => {
-                                        restore_proc(
-                                            machine,
-                                            &mut rel,
-                                            &mut fault,
-                                            processes,
-                                            me,
+                                    Some(c) => {
+                                        // Independent mode: roll `me` — and
+                                        // only `me` — back. Frames in flight
+                                        // toward the dead incarnation are
+                                        // stale; the reliable layer
+                                        // regenerates anything that matters.
+                                        machine.discard_incoming(me);
+                                        machine.advance_clock_to(me, at.plus(c.reboot_cycles));
+                                        let mut w = SimWire::new(machine, &mut fault, &done, p);
+                                        eps[p].restore(
+                                            &mut w,
+                                            &mut *processes[p],
                                             crash_op,
-                                            &rc.ckpts[p],
-                                            &rc.cfg,
-                                            &mut rc.report,
+                                            true,
                                         )?;
-                                        rc.last_ckpt_op[p] = crash_op;
-                                        // Pacing restarts from the restore
-                                        // point; the restored image's cost
-                                        // still amortizes the next snapshot.
-                                        rc.last_ckpt_at[p] = machine.clock(me);
                                         break;
                                     }
                                     None => {
                                         // No checkpoint to restore from: the
                                         // processor is simply gone. Its own
-                                        // windows are cleared so termination
+                                        // windows are dropped so termination
                                         // ignores it; peers retransmitting to
                                         // it exhaust their retries and name
                                         // it as the suspected-dead peer.
-                                        let at = machine.clock(me);
-                                        machine.trace_mut().record(
-                                            me,
-                                            at,
-                                            EventKind::Crash { at_op: crash_op },
-                                        );
                                         dead[p] = true;
                                         first_crash.get_or_insert((me, crash_op));
-                                        rel.procs[p].senders.clear();
+                                        eps[p].drop_windows();
                                         break;
                                     }
                                 }
@@ -527,123 +489,84 @@ impl Scheduler {
                             // other stream — ingest and ack cross-traffic so
                             // peers sending to us don't exhaust their retries
                             // against a processor that is merely waiting.
-                            // (The threaded backend's pump drains all streams;
-                            // this keeps the backends' protocol behaviour
-                            // aligned.)
-                            rel.pump_all_data(machine, &mut fault, me);
+                            let mut w = SimWire::new(machine, &mut fault, &done, p);
+                            eps[p].pump_all_data(&mut w);
                             // The pump may have just completed the stream;
                             // retry immediately if so. No parking otherwise:
                             // the next frame may need a retransmission that
                             // only this round's timer service can trigger.
-                            if rel.has_ready(me, src, tag) {
+                            if eps[p].has_ready(src, tag) {
                                 progressed = true;
                                 continue;
                             }
-                            rel.recv_keepalive(machine, &mut fault, me, src, tag);
+                            eps[p].keepalive(&mut w, src, tag, false);
                             break;
                         }
                         Step::Done => {
                             done[p] = true;
                             machine.finish(me);
                             progressed = true;
-                            if let Some(rc) = &mut recovery {
-                                if !rc.cfg.coordinated {
-                                    // Final checkpoint makes the finished
-                                    // state durable; from here the processor
-                                    // advertises live acks so peers' windows
-                                    // drain and the run can terminate. Free:
-                                    // op-indexed crashes can't land after the
-                                    // last op, so this image is never a
-                                    // replay target.
-                                    rc.ckpts[p] = snapshot_proc(
-                                        machine,
-                                        &rel,
-                                        &fault,
-                                        processes,
-                                        me,
-                                        &rc.cfg,
-                                        &mut rc.report,
-                                        false,
-                                    )?;
-                                    rc.last_ckpt_op[p] = fault.ops(me);
-                                    rel.stable[p] = None;
-                                    let streams: Vec<(ProcId, Tag)> =
-                                        rel.procs[p].recvs.keys().copied().collect();
-                                    for (src, tag) in streams {
-                                        let cum = rel.procs[p].recvs[&(src, tag)].cumulative();
-                                        fault.dispatch(
-                                            machine,
-                                            me,
-                                            src,
-                                            ack_tag(tag),
-                                            &[cum as Word, cum as Word],
-                                        );
-                                        rel.acks_sent += 1;
-                                        machine.metrics_registry().count(p, Ctr::AcksSent, 1);
-                                    }
-                                }
+                            if independent {
+                                let ops = fault.ops(me);
+                                let mut w = SimWire::new(machine, &mut fault, &done, p);
+                                eps[p].finish(&mut w, &*processes[p], ops)?;
                             }
                             break;
                         }
                     }
                 }
             }
-            if let Some((victim, crash_op)) = global_rollback {
-                let rc = recovery
-                    .as_mut()
-                    .expect("coordinated rollback implies recovery state");
-                restore_all(
-                    machine,
-                    &mut rel,
-                    processes,
-                    victim,
-                    crash_op,
-                    &rc.ckpts,
-                    &rc.cfg,
-                    &fault,
-                    &mut rc.report,
-                    &mut done,
-                )?;
+            if let Some((victim, _)) = global_rollback {
+                // Coordinated mode: roll *every* processor back to the
+                // last barrier-aligned cut, discard all in-flight
+                // traffic, and let deterministic re-execution regenerate
+                // it bit-identically. Survivors' clocks are not rolled
+                // back — the re-executed work is charged again, which is
+                // the honest cost of coordinated recovery.
+                let c = ckpt.expect("a rollback implies checkpointing");
+                machine.discard_all_in_flight();
+                let t_crash = machine.clock(victim);
+                machine.advance_clock_to(victim, t_crash.plus(c.reboot_cycles));
+                for (q, ep) in eps.iter_mut().enumerate() {
+                    let ops = fault.ops(ProcId(q));
+                    let mut w = SimWire::new(machine, &mut fault, &done, q);
+                    ep.restore(&mut w, &mut *processes[q], ops, q == victim.0)?;
+                }
+                done.fill(false);
                 continue;
             }
-            if (0..n).all(|p| done[p] || dead[p]) && rel.all_acked() {
+            if (0..n).all(|p| done[p] || dead[p]) && eps.iter().all(RelEndpoint::all_acked) {
                 break;
             }
             if progressed {
                 solicit_attempts = 0;
             }
-            if !progressed && rel.activity == round_activity {
+            if !progressed && activity(&eps) == round_activity {
                 // Nothing moved on its own. If a retransmission timer is
                 // set, simulated time jumps to the earliest deadline — the
                 // discrete-event "wait for the timer to fire".
-                if let Some((p, t)) = rel.earliest_deadline() {
-                    machine.advance_clock_to(p, t);
-                    rel.service_timers(machine, &mut fault, p);
-                    if let Some(e) = rel.fatal.take() {
+                // (Of equal deadlines the lowest processor fires first.)
+                let earliest = eps
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(p, ep)| Some((p, ep.earliest_deadline()?)))
+                    .min_by_key(|&(_, t)| t);
+                if let Some((p, t)) = earliest {
+                    machine.advance_clock_to(ProcId(p), t);
+                    eps[p].service_timers(&mut SimWire::new(machine, &mut fault, &done, p));
+                    if let Some(e) = eps[p].take_fatal() {
                         return Err(e);
                     }
-                    if rel.activity != round_activity {
+                    if activity(&eps) != round_activity {
                         continue;
                     }
                 }
-                // A finished peer can no longer crash — its op-indexed
-                // faults are exhausted — so delivered-but-unstable frames
-                // held as its replay suffix are dead weight, and if the
-                // peer's final live ack was dropped nothing else will ever
-                // retire them. Retiring them here mirrors the threaded
-                // backend, where a finished peer's channel hang-up clears
-                // the sender's window.
+                // With no timer armed, every window lies entirely below
+                // its delivered floor; the ones held for finished peers
+                // will never be acked if the final live ack was dropped.
                 let mut retired = false;
-                for rp in rel.procs.iter_mut() {
-                    for (&(dst, _), chan) in rp.senders.iter_mut() {
-                        if done[dst.0]
-                            && !chan.unacked.is_empty()
-                            && chan.unacked.iter().all(|f| f.seq < chan.delivered)
-                        {
-                            chan.unacked.clear();
-                            retired = true;
-                        }
-                    }
+                for (p, ep) in eps.iter_mut().enumerate() {
+                    retired |= ep.retire_done_peers(&SimWire::new(machine, &mut fault, &done, p));
                 }
                 if retired {
                     continue;
@@ -655,17 +578,14 @@ impl Scheduler {
                 // genuine cycle still terminates as a deadlock.
                 if solicit_attempts < 16 {
                     solicit_attempts += 1;
-                    let mut fired = 0;
+                    let mut fired = false;
                     for (p, b) in last_block.iter().enumerate() {
-                        if done[p] || dead[p] {
-                            continue;
-                        }
-                        if let Some((src, tag)) = b {
-                            fired +=
-                                rel.force_keepalive(machine, &mut fault, ProcId(p), *src, *tag);
+                        if let (false, false, Some((src, tag))) = (done[p], dead[p], b) {
+                            let mut w = SimWire::new(machine, &mut fault, &done, p);
+                            fired |= eps[p].keepalive(&mut w, *src, *tag, true);
                         }
                     }
-                    if fired > 0 {
+                    if fired {
                         continue;
                     }
                 }
@@ -683,762 +603,126 @@ impl Scheduler {
             // unrecoverably along the way — the run is not a success.
             return Err(MachineError::Crashed { proc, at_op });
         }
+        let mut pair_messages = BTreeMap::new();
+        let mut recvd = BTreeMap::new();
+        let mut fault_report = FaultReport {
+            injected: fault.counts(),
+            raw_leftover: machine.undelivered(),
+            ..FaultReport::default()
+        };
+        let mut recovery = ckpt.map(|_| RecoveryReport::default());
+        for ep in &eps {
+            ep.tally(&mut pair_messages, &mut recvd, &mut fault_report);
+            if let (Some(total), Some(r)) = (recovery.as_mut(), ep.recovery()) {
+                total.merge(r);
+            }
+        }
+        let pending = pending_triples(&pair_messages, &recvd);
         Ok(RunReport {
             stats: machine.stats(),
             steps,
-            undelivered: rel.undelivered(),
-            pair_messages: rel.logical_sent.clone(),
-            pending: rel.pending_triples(),
+            undelivered: pending.iter().map(|&(_, _, _, k)| k).sum(),
+            pair_messages,
+            pending,
             trace: machine.snapshot_trace(),
-            fault: Some(FaultReport {
-                injected: fault.counts(),
-                retransmits: rel.retransmits,
-                acks_sent: rel.acks_sent,
-                dup_frames_dropped: rel.dup_total(),
-                max_gap: rel.max_gap(),
-                raw_leftover: machine.undelivered(),
-            }),
-            recovery: recovery.map(|rc| rc.report),
+            fault: Some(fault_report),
+            recovery,
             metrics: machine.metrics_snapshot(),
         })
     }
 }
 
-/// Bookkeeping for an actively checkpointed run.
-struct RecoveryCtl {
-    cfg: CheckpointCfg,
-    /// Serialized last checkpoint per processor — stored as wire bytes so
-    /// every restore also exercises the parse path.
-    ckpts: Vec<Vec<u8>>,
-    /// Op counter at each processor's last checkpoint (independent mode).
-    last_ckpt_op: Vec<u64>,
-    /// Logical clock and charged cost of each processor's last
-    /// checkpoint, for cost-amortized pacing
-    /// ([`CheckpointCfg::amortized`]).
-    last_ckpt_at: Vec<Time>,
-    last_ckpt_cost: Vec<u64>,
-    /// Minimum op counter at the last global snapshot (coordinated mode).
-    global_last_op: u64,
-    report: RecoveryReport,
+/// Protocol events so far, machine-wide: what the no-progress detector
+/// compares across a scheduling round.
+fn activity(eps: &[RelEndpoint<Time>]) -> u64 {
+    eps.iter().map(RelEndpoint::activity).sum()
 }
 
-impl RecoveryCtl {
-    fn new(cfg: CheckpointCfg, n: usize) -> Self {
-        RecoveryCtl {
-            cfg,
-            ckpts: vec![Vec::new(); n],
-            last_ckpt_op: vec![0; n],
-            last_ckpt_at: vec![Time(0); n],
-            last_ckpt_cost: vec![0; n],
-            global_last_op: 0,
-            report: RecoveryReport::default(),
-        }
-    }
-
-    /// Record pacing state for a checkpoint of `p` just taken at `now`.
-    fn mark_taken(&mut self, p: usize, now: Time) {
-        self.last_ckpt_at[p] = now;
-        self.last_ckpt_cost[p] = self.cfg.checkpoint_cost(self.ckpts[p].len());
-    }
-}
-
-/// Serialize `me`'s complete state into a restorable checkpoint image.
-///
-/// `charge` puts the snapshot cost on the processor's clock. Mid-run
-/// checkpoints charge; the initial image is provisioned before the
-/// clocks start, and the final one is an off-critical-path flush —
-/// crashes are op-indexed, so none can land after the last op and the
-/// final image is never a replay target (it only flips the protocol to
-/// live acknowledgements).
-#[allow(clippy::too_many_arguments)]
-fn snapshot_proc(
-    m: &mut Machine,
-    rel: &RelState,
-    fault: &FaultState,
-    processes: &mut [&mut dyn Process],
+/// The simulator as the protocol core's [`Wire`]: processor `me`'s
+/// logical clock is the deadline clock, frames move through the
+/// machine's network under the run's one [`FaultState`], and a peer's
+/// program is done when the scheduler has seen its `Step::Done`.
+struct SimWire<'a> {
+    m: &'a mut Machine,
+    fault: &'a mut FaultState,
+    done: &'a [bool],
     me: ProcId,
-    cfg: &CheckpointCfg,
-    recov: &mut RecoveryReport,
-    charge: bool,
-) -> Result<Vec<u8>, MachineError> {
-    let Some(process) = processes[me.0].snapshot() else {
-        return Err(MachineError::CheckpointUnsupported { proc: me });
-    };
-    let rp = &rel.procs[me.0];
-    let ckpt = Checkpoint {
-        proc: me,
-        at_op: fault.ops(me),
-        taken_at: m.clock(me),
-        process,
-        senders: rp
-            .senders
-            .iter()
-            .map(|(&(d, t), c)| (d, t, c.snapshot()))
-            .collect(),
-        recvs: rp
-            .recvs
-            .iter()
-            .map(|(&(s, t), c)| (s, t, c.snapshot()))
-            .collect(),
-        sent: rel
-            .logical_sent
-            .iter()
-            .filter(|(&(s, _, _), _)| s == me)
-            .map(|(&(_, d, t), &v)| (d, t, v))
-            .collect(),
-        recvd: rel
-            .logical_recvd
-            .iter()
-            .filter(|(&(_, d, _), _)| d == me)
-            .map(|(&(s, _, t), &v)| (s, t, v))
-            .collect(),
-        stable: rp
-            .recvs
-            .iter()
-            .map(|(&(s, t), c)| (s, t, c.cumulative()))
-            .collect(),
-    };
-    let bytes = ckpt.to_bytes();
-    if charge {
-        m.busy(me, cfg.checkpoint_cost(bytes.len()));
-    }
-    let at = m.clock(me);
-    m.trace_mut().record(
-        me,
-        at,
-        EventKind::CheckpointTaken {
-            at_op: ckpt.at_op,
-            bytes: bytes.len() as u64,
-        },
-    );
-    recov.checkpoints_taken += 1;
-    recov.bytes_snapshotted += bytes.len() as u64;
-    let reg = m.metrics_registry();
-    reg.count(me.0, Ctr::CheckpointsTaken, 1);
-    reg.count(me.0, Ctr::CheckpointBytes, bytes.len() as u64);
-    reg.flight(
-        me.0,
-        FlightKind::Checkpoint,
-        NO_PEER,
-        ckpt.at_op,
-        bytes.len() as u64,
-        at.0,
-    );
-    Ok(bytes)
 }
 
-/// After an independent-mode checkpoint of `me`, advance its stable ack
-/// floors to the just-snapshotted cumulative positions. The new floors
-/// are not proactively re-acked: each piggybacks on the next batch ack
-/// of its stream, and a stream that has gone quiet is drained by the
-/// final live acks at completion. An iPSC-style ack costs real receive
-/// cycles at the peer, so announcing floors eagerly would tax exactly
-/// the fault-free runs checkpointing is supposed to leave alone —
-/// meanwhile the peer's delivered floor already suppresses every
-/// retransmission of the frames the stale stable floor still covers.
-fn advance_stable_floors(rel: &mut RelState, me: ProcId) {
-    let new_floors: BTreeMap<(ProcId, Tag), u64> = rel.procs[me.0]
-        .recvs
-        .iter()
-        .map(|(&k, c)| (k, c.cumulative()))
-        .collect();
-    rel.stable[me.0] = Some(new_floors);
+impl<'a> SimWire<'a> {
+    fn new(m: &'a mut Machine, fault: &'a mut FaultState, done: &'a [bool], me: usize) -> Self {
+        SimWire {
+            m,
+            fault,
+            done,
+            me: ProcId(me),
+        }
+    }
 }
 
-/// Independent-mode crash recovery: roll `me` — and only `me` — back to
-/// its last checkpoint. Surviving peers' retransmission windows hold the
-/// lost suffix (their acks were lagged to this very checkpoint), and
-/// their duplicate suppression absorbs the restored processor's replayed
-/// sends, so nobody else moves.
-#[allow(clippy::too_many_arguments)]
-fn restore_proc(
-    m: &mut Machine,
-    rel: &mut RelState,
-    fault: &mut FaultState,
-    processes: &mut [&mut dyn Process],
-    me: ProcId,
-    crash_op: u64,
-    bytes: &[u8],
-    cfg: &CheckpointCfg,
-    recov: &mut RecoveryReport,
-) -> Result<(), MachineError> {
-    let ckpt = Checkpoint::from_bytes(bytes).expect("internally written checkpoint parses");
-    let t_crash = m.clock(me);
-    m.trace_mut()
-        .record(me, t_crash, EventKind::Crash { at_op: crash_op });
-    if !processes[me.0].restore(&ckpt.process) {
-        return Err(MachineError::CheckpointUnsupported { proc: me });
-    }
-    // Frames in flight toward the dead incarnation are stale; the
-    // reliable layer regenerates anything that matters.
-    m.discard_incoming(me);
-    m.advance_clock_to(me, t_crash.plus(cfg.reboot_cycles));
-    let now = m.clock(me);
-    let rearm = now.plus(rel.cfg.rto_cycles);
-    let rp = &mut rel.procs[me.0];
-    rp.senders = ckpt
-        .senders
-        .iter()
-        .map(|(dst, tag, s)| ((*dst, *tag), SenderChan::from_snapshot(s, rearm)))
-        .collect();
-    rp.recvs = ckpt
-        .recvs
-        .iter()
-        .map(|(src, tag, r)| ((*src, *tag), RecvChan::from_snapshot(r)))
-        .collect();
-    rel.logical_sent.retain(|&(s, _, _), _| s != me);
-    for (dst, tag, v) in &ckpt.sent {
-        rel.logical_sent.insert((me, *dst, *tag), *v);
-    }
-    rel.logical_recvd.retain(|&(_, d, _), _| d != me);
-    for (src, tag, v) in &ckpt.recvd {
-        rel.logical_recvd.insert((*src, me, *tag), *v);
-    }
-    rel.stable[me.0] = Some(ckpt.stable.iter().map(|(s, t, v)| ((*s, *t), *v)).collect());
-    rel.procs[me.0].keepalive.clear();
-    // Solicit replay: re-advertise the rolled-back cumulative on every
-    // receive stream. Peers see the live component drop below their
-    // delivered floor and immediately re-arm the suffix this incarnation
-    // lost. (If this ack is dropped by the fabric, the keepalive path
-    // re-sends it once we block starved.)
-    let solicits: Vec<(ProcId, Tag, u64)> = rel.procs[me.0]
-        .recvs
-        .iter()
-        .map(|(&(src, tag), c)| (src, tag, c.cumulative()))
-        .collect();
-    for (src, tag, cum) in solicits {
-        fault.dispatch(m, me, src, ack_tag(tag), &[cum as Word, cum as Word]);
-        rel.acks_sent += 1;
-        m.metrics_registry().count(me.0, Ctr::AcksSent, 1);
-    }
-    for (dst, tag, s) in &ckpt.senders {
-        for (seq, _) in &s.unacked {
-            m.trace_mut().record(
-                me,
-                now,
-                EventKind::ReplayedFrame {
-                    dst: *dst,
-                    tag: *tag,
-                    seq: *seq,
-                },
-            );
-        }
-    }
-    m.trace_mut().record(
-        me,
-        now,
-        EventKind::Restore {
-            from_op: ckpt.at_op,
-            replayed: crash_op.saturating_sub(ckpt.at_op),
-        },
-    );
-    recov.crashes_survived += 1;
-    recov.replayed_ops += crash_op.saturating_sub(ckpt.at_op);
-    recov.replay_frames += ckpt.window_frames();
-    recov.recovery_cycles += cfg.reboot_cycles;
-    let reg = m.metrics_registry();
-    reg.count(me.0, Ctr::CrashesSurvived, 1);
-    reg.count(me.0, Ctr::ReplayFrames, ckpt.window_frames());
-    reg.flight(
-        me.0,
-        FlightKind::Restore,
-        NO_PEER,
-        ckpt.at_op,
-        crash_op.saturating_sub(ckpt.at_op),
-        now.0,
-    );
-    rel.activity += 1;
-    Ok(())
-}
-
-/// Coordinated-mode crash recovery: roll *every* processor back to the
-/// last barrier-aligned global cut, discard all in-flight traffic, and
-/// let deterministic re-execution regenerate it bit-identically.
-/// Survivors' clocks are not rolled back — the re-executed work is
-/// charged again, which is the honest cost of coordinated recovery.
-#[allow(clippy::too_many_arguments)]
-fn restore_all(
-    m: &mut Machine,
-    rel: &mut RelState,
-    processes: &mut [&mut dyn Process],
-    victim: ProcId,
-    crash_op: u64,
-    ckpts: &[Vec<u8>],
-    cfg: &CheckpointCfg,
-    fault: &FaultState,
-    recov: &mut RecoveryReport,
-    done: &mut [bool],
-) -> Result<(), MachineError> {
-    let t_crash = m.clock(victim);
-    m.trace_mut()
-        .record(victim, t_crash, EventKind::Crash { at_op: crash_op });
-    m.discard_all_in_flight();
-    m.advance_clock_to(victim, t_crash.plus(cfg.reboot_cycles));
-    rel.logical_sent.clear();
-    rel.logical_recvd.clear();
-    let mut from_op = 0;
-    for q in 0..processes.len() {
-        let qid = ProcId(q);
-        let ckpt = Checkpoint::from_bytes(&ckpts[q]).expect("internally written checkpoint parses");
-        if !processes[q].restore(&ckpt.process) {
-            return Err(MachineError::CheckpointUnsupported { proc: qid });
-        }
-        let rearm = m.clock(qid).plus(rel.cfg.rto_cycles);
-        let rp = &mut rel.procs[q];
-        rp.senders = ckpt
-            .senders
-            .iter()
-            .map(|(dst, tag, s)| ((*dst, *tag), SenderChan::from_snapshot(s, rearm)))
-            .collect();
-        rp.recvs = ckpt
-            .recvs
-            .iter()
-            .map(|(src, tag, r)| ((*src, *tag), RecvChan::from_snapshot(r)))
-            .collect();
-        for (dst, tag, v) in &ckpt.sent {
-            rel.logical_sent.insert((qid, *dst, *tag), *v);
-        }
-        for (src, tag, v) in &ckpt.recvd {
-            rel.logical_recvd.insert((*src, qid, *tag), *v);
-        }
-        for (dst, tag, s) in &ckpt.senders {
-            for (seq, _) in &s.unacked {
-                let at = m.clock(qid);
-                m.trace_mut().record(
-                    qid,
-                    at,
-                    EventKind::ReplayedFrame {
-                        dst: *dst,
-                        tag: *tag,
-                        seq: *seq,
-                    },
-                );
-            }
-        }
-        recov.replayed_ops += fault.ops(qid).saturating_sub(ckpt.at_op);
-        recov.replay_frames += ckpt.window_frames();
-        m.metrics_registry()
-            .count(q, Ctr::ReplayFrames, ckpt.window_frames());
-        done[q] = false;
-        if q == victim.0 {
-            from_op = ckpt.at_op;
-        }
-    }
-    let at = m.clock(victim);
-    m.trace_mut().record(
-        victim,
-        at,
-        EventKind::Restore {
-            from_op,
-            replayed: crash_op.saturating_sub(from_op),
-        },
-    );
-    recov.crashes_survived += 1;
-    recov.recovery_cycles += cfg.reboot_cycles;
-    let reg = m.metrics_registry();
-    reg.count(victim.0, Ctr::CrashesSurvived, 1);
-    reg.flight(
-        victim.0,
-        FlightKind::Restore,
-        NO_PEER,
-        from_op,
-        crash_op.saturating_sub(from_op),
-        at.0,
-    );
-    rel.activity += 1;
-    Ok(())
-}
-
-/// Per-processor protocol state for a reliable simulated run.
-#[derive(Debug, Default)]
-struct RelProc {
-    /// Send side, one stream per `(dst, tag)`.
-    senders: BTreeMap<(ProcId, Tag), SenderChan<Time>>,
-    /// Receive side, one stream per `(src, tag)`.
-    recvs: BTreeMap<(ProcId, Tag), RecvChan>,
-    /// Keepalive pacing per starved receive stream
-    /// ([`RelState::recv_keepalive`]): clock of the last keepalive ack
-    /// and blocked rounds since it.
-    keepalive: BTreeMap<(ProcId, Tag), (Time, u64)>,
-}
-
-/// Whole-machine protocol state for [`Scheduler::run_faulty`].
-#[derive(Debug)]
-struct RelState {
-    procs: Vec<RelProc>,
-    cfg: RelConfig,
-    /// Program-level sends per `(src, dst, tag)` — the backend-invariant
-    /// counts reported as `pair_messages`.
-    logical_sent: BTreeMap<(ProcId, ProcId, Tag), u64>,
-    /// Program-level receives per `(src, dst, tag)`.
-    logical_recvd: BTreeMap<(ProcId, ProcId, Tag), u64>,
-    retransmits: u64,
-    acks_sent: u64,
-    /// Monotone counter bumped by every protocol event (frame ingested,
-    /// ack retired, retransmission) — the no-progress detector compares
-    /// it across a scheduling round.
-    activity: u64,
-    /// First fatal protocol error, surfaced after the faulting step.
-    fatal: Option<MachineError>,
-    /// Per-processor stable ack floors for independent-mode
-    /// checkpointing: `Some(map)` means acks for `(src, tag)` advertise
-    /// the floor (the stream position as of the last checkpoint, 0 for
-    /// streams the checkpoint predates) instead of the live cumulative,
-    /// so peers keep everything newer in their retransmission windows.
-    /// `None` — no checkpointing, or a finished processor — advertises
-    /// live.
-    stable: Vec<Option<BTreeMap<(ProcId, Tag), u64>>>,
-}
-
-impl RelState {
-    fn new(n: usize, cfg: RelConfig) -> Self {
-        RelState {
-            procs: (0..n).map(|_| RelProc::default()).collect(),
-            cfg,
-            logical_sent: BTreeMap::new(),
-            logical_recvd: BTreeMap::new(),
-            retransmits: 0,
-            acks_sent: 0,
-            activity: 0,
-            fatal: None,
-            stable: vec![None; n],
-        }
+impl Wire<Time> for SimWire<'_> {
+    fn now(&self) -> Time {
+        self.m.clock(self.me)
     }
 
-    /// Consume every pending ack frame addressed to `me`, retiring
-    /// acknowledged sends. Ack processing is interrupt-style: it charges
-    /// the unpacking cost but never idles the processor waiting.
-    fn pump_acks(&mut self, m: &mut Machine, me: ProcId) {
-        let chans: Vec<(ProcId, Tag)> = self.procs[me.0].senders.keys().copied().collect();
-        for (dst, tag) in chans {
-            while let Some(msg) = m.take_raw(me, dst, ack_tag(tag)) {
-                let cum = msg.payload[0] as u64;
-                let live = msg.payload.get(1).map_or(cum, |&w| w as u64);
-                let cost = m.cost_model().recv_cost(1);
-                m.busy(me, cost);
-                let chan = self.procs[me.0]
-                    .senders
-                    .get_mut(&(dst, tag))
-                    .expect("chan exists: key came from the map");
-                chan.ack(cum);
-                let now = m.clock(me);
-                chan.set_live(live, now);
-                chan.mark_alive();
-                m.trace_mut().record(
-                    me,
-                    now,
-                    EventKind::Ack {
-                        peer: dst,
-                        tag,
-                        cum,
-                    },
-                );
-                m.metrics_registry().count(me.0, Ctr::AcksRecvd, 1);
-                self.activity += 1;
+    fn clock(&self) -> Time {
+        self.m.clock(self.me)
+    }
+
+    fn transmit(&mut self, dst: ProcId, tag: Tag, frame: &[Word]) {
+        self.fault.dispatch(self.m, self.me, dst, tag, frame);
+    }
+
+    fn take(&mut self, src: ProcId, tag: Tag) -> Option<(Time, Vec<Word>)> {
+        let msg = self.m.take_raw(self.me, src, tag)?;
+        Some((msg.arrives_at, msg.payload))
+    }
+
+    fn incoming(&self, out: &mut Vec<(ProcId, Tag)>) {
+        for (src, dst, tag, _) in self.m.pending_triples() {
+            if dst == self.me && !is_ack_tag(tag) {
+                out.push((src, tag));
             }
         }
     }
 
-    /// Ingest every raw data frame pending for `(src → me, tag)` into the
-    /// stream's [`RecvChan`], then acknowledge the batch. Acks travel
-    /// through the faulty fabric too — a lost ack is just another fault
-    /// the retransmission path absorbs.
-    fn pump_data(
-        &mut self,
-        m: &mut Machine,
-        fault: &mut FaultState,
-        me: ProcId,
-        src: ProcId,
-        tag: Tag,
-    ) {
-        let mut drained = 0u64;
-        let dups_before = self.procs[me.0]
-            .recvs
-            .get(&(src, tag))
-            .map_or(0, |c| c.dups);
-        let chan = self.procs[me.0].recvs.entry((src, tag)).or_default();
-        while let Some(msg) = m.take_raw(me, src, tag) {
-            let (seq, payload) = unframe(msg.payload);
-            chan.on_frame(seq, msg.arrives_at, payload);
-            drained += 1;
-        }
-        if drained > 0 {
-            self.activity += drained;
-            let chan = &self.procs[me.0].recvs[&(src, tag)];
-            let live = chan.cumulative();
-            let dup_delta = chan.dups - dups_before;
-            let adv = match &self.stable[me.0] {
-                Some(floors) => floors.get(&(src, tag)).copied().unwrap_or(0),
-                None => live,
-            };
-            fault.dispatch(m, me, src, ack_tag(tag), &[adv as Word, live as Word]);
-            self.acks_sent += 1;
-            let reg = m.metrics_registry();
-            reg.count(me.0, Ctr::AcksSent, 1);
-            reg.count(me.0, Ctr::DupFramesDropped, dup_delta);
-        }
+    fn busy(&mut self, cycles: u64) {
+        self.m.busy(self.me, cycles);
     }
 
-    /// Keepalive ack for a stream the program is blocked receiving on,
-    /// rate-limited to one per RTO. This is the lost-rollback safety
-    /// net: a restored processor's replay solicitation travels through
-    /// the same faulty fabric as everything else, and if it's dropped
-    /// the sender — whose delivered floor says we already have those
-    /// frames — would never retransmit. Re-advertising our cumulative
-    /// while starved re-triggers the rollback until data flows again.
-    fn recv_keepalive(
-        &mut self,
-        m: &mut Machine,
-        fault: &mut FaultState,
-        me: ProcId,
-        src: ProcId,
-        tag: Tag,
-    ) {
-        // Only checkpoint-lagged receivers solicit: without a stable
-        // floor in play the ordinary retransmission timers already cover
-        // every loss, and extra acks would just perturb the fabric.
-        let Some(floors) = &self.stable[me.0] else {
-            return;
-        };
-        let adv = floors.get(&(src, tag)).copied().unwrap_or(0);
-        // A missing chan still keepalives at floor zero: a receiver
-        // restored from a pre-traffic checkpoint has no recv streams at
-        // all, yet its peers' delivered floors may sit above everything
-        // it lost — the zero advertisement is what rolls them back.
-        let live = self.procs[me.0]
-            .recvs
-            .get(&(src, tag))
-            .map_or(0, |chan| chan.cumulative());
-        let now = m.clock(me);
-        // Pace by the blocked processor's clock *or* by blocked rounds:
-        // a starved processor's logical clock freezes, so a pure clock
-        // gate would fire at most once — not enough when the fabric is
-        // allowed to drop several keepalives in a row.
-        let (last, rounds) = self.procs[me.0]
-            .keepalive
-            .get(&(src, tag))
-            .copied()
-            .unwrap_or((now, 0));
-        let due = rounds >= 256 || now.0 >= last.0.saturating_add(self.cfg.rto_cycles);
-        if !due {
-            self.procs[me.0]
-                .keepalive
-                .insert((src, tag), (last, rounds + 1));
-            return;
-        }
-        self.procs[me.0].keepalive.insert((src, tag), (now, 0));
-        fault.dispatch(m, me, src, ack_tag(tag), &[adv as Word, live as Word]);
-        self.acks_sent += 1;
-        m.metrics_registry().count(me.0, Ctr::AcksSent, 1);
+    fn record(&mut self, event: EventKind) {
+        let at = self.m.clock(self.me);
+        self.m.trace_mut().record(self.me, at, event);
     }
 
-    /// Unpaced [`recv_keepalive`](RelState::recv_keepalive), fired by the
-    /// scheduler at quiescence. The delivered floor suppresses every
-    /// retransmission timer for frames the peer is believed to hold, so
-    /// once a restored receiver's solicitation is lost there may be no
-    /// timer left to advance simulated time — the keepalive itself is the
-    /// only move, and waiting out its pacing would read as a deadlock.
-    /// Returns 1 if an ack was dispatched.
-    fn force_keepalive(
-        &mut self,
-        m: &mut Machine,
-        fault: &mut FaultState,
-        me: ProcId,
-        src: ProcId,
-        tag: Tag,
-    ) -> u32 {
-        let Some(floors) = &self.stable[me.0] else {
-            return 0;
-        };
-        let adv = floors.get(&(src, tag)).copied().unwrap_or(0);
-        let live = self.procs[me.0]
-            .recvs
-            .get(&(src, tag))
-            .map_or(0, |chan| chan.cumulative());
-        let now = m.clock(me);
-        self.procs[me.0].keepalive.insert((src, tag), (now, 0));
-        fault.dispatch(m, me, src, ack_tag(tag), &[adv as Word, live as Word]);
-        self.acks_sent += 1;
-        m.metrics_registry().count(me.0, Ctr::AcksSent, 1);
-        1
+    fn metrics(&self) -> &MetricsRegistry {
+        self.m.metrics_registry()
     }
 
-    /// [`pump_data`](RelState::pump_data) over every stream with traffic
-    /// for `me` — housekeeping for blocked and finished processes. Known
-    /// streams are pumped unconditionally; streams this processor has
-    /// never received on are discovered from the fabric's pending queues,
-    /// so cross-traffic arriving while we're blocked elsewhere still gets
-    /// ingested and acknowledged instead of starving its sender's retries.
-    fn pump_all_data(&mut self, m: &mut Machine, fault: &mut FaultState, me: ProcId) {
-        let mut chans: Vec<(ProcId, Tag)> = self.procs[me.0].recvs.keys().copied().collect();
-        for (src, dst, tag, _) in m.pending_triples() {
-            if dst == me && !is_ack_tag(tag) && !chans.contains(&(src, tag)) {
-                chans.push((src, tag));
-            }
-        }
-        for (src, tag) in chans {
-            self.pump_data(m, fault, me, src, tag);
-        }
-    }
-
-    /// Retransmit every unacknowledged frame whose deadline has passed,
-    /// doubling its backoff; flag [`MachineError::RetriesExhausted`] once
-    /// the oldest *undelivered* frame of a stream runs out of retries.
-    /// The whole expired undelivered suffix retransmits (go-back-N), not
-    /// just the front: a checkpointing receiver acknowledges only its
-    /// stable floor, so resending only the front would starve a restored
-    /// receiver of everything past it. Frames below the live delivered
-    /// floor are skipped entirely — the peer has them; they sit in the
-    /// window purely as the crash-replay suffix.
-    fn service_timers(&mut self, m: &mut Machine, fault: &mut FaultState, me: ProcId) {
-        if self.fatal.is_some() {
-            return;
-        }
-        let now = m.clock(me);
-        let chans: Vec<(ProcId, Tag)> = self.procs[me.0].senders.keys().copied().collect();
-        for (dst, tag) in chans {
-            // Arc bumps, not copies: the window's frames are shared.
-            let resends: Vec<(u64, std::sync::Arc<[Word]>)> = {
-                let chan = self.procs[me.0]
-                    .senders
-                    .get_mut(&(dst, tag))
-                    .expect("chan exists: key came from the map");
-                let delivered = chan.delivered;
-                if let Some(p) = chan.unacked.iter().find(|p| p.seq >= delivered) {
-                    if p.deadline <= now && p.retries >= self.cfg.max_retries {
-                        // Cumulative acks retire the window prefix, so
-                        // the oldest undelivered seq *is* the effective
-                        // delivery point the peer last advanced us to.
-                        self.fatal = Some(MachineError::RetriesExhausted {
-                            proc: me,
-                            peer: dst,
-                            tag,
-                            retries: p.retries,
-                            last_acked: p.seq,
-                        });
-                        return;
-                    }
-                }
-                chan.unacked
-                    .iter_mut()
-                    .filter(|p| p.seq >= delivered && p.deadline <= now)
-                    .map(|p| {
-                        p.retries += 1;
-                        p.deadline = now.plus(self.cfg.backoff_cycles(p.retries));
-                        (p.seq, p.frame.clone())
-                    })
-                    .collect()
-            };
-            for (seq, payload) in resends {
-                let at = m.clock(me);
-                m.trace_mut()
-                    .record(me, at, EventKind::Retransmit { dst, tag, seq });
-                let reg = m.metrics_registry();
-                reg.count(me.0, Ctr::Retransmits, 1);
-                reg.flight(
-                    me.0,
-                    FlightKind::Retransmit,
-                    dst.0 as u64,
-                    tag.0 as u64,
-                    seq,
-                    at.0,
-                );
-                fault.dispatch(m, me, dst, tag, &payload);
-                self.retransmits += 1;
-                self.activity += 1;
-            }
-        }
-    }
-
-    /// Is an in-order payload ready for the program on `(src → me, tag)`?
-    fn has_ready(&self, me: ProcId, src: ProcId, tag: Tag) -> bool {
-        self.procs[me.0]
-            .recvs
-            .get(&(src, tag))
-            .is_some_and(|c| !c.ready.is_empty())
-    }
-
-    /// Has every sent frame been acknowledged?
-    fn all_acked(&self) -> bool {
-        self.procs
-            .iter()
-            .all(|rp| rp.senders.values().all(|c| c.unacked.is_empty()))
-    }
-
-    /// The earliest retransmission deadline across all streams, if any.
-    /// Delivered frames are excluded: their deadlines are stale and they
-    /// will never retransmit, so jumping simulated time to one would
-    /// spin the idle detector without making progress.
-    fn earliest_deadline(&self) -> Option<(ProcId, Time)> {
-        let mut best: Option<(ProcId, Time)> = None;
-        for (p, rp) in self.procs.iter().enumerate() {
-            for chan in rp.senders.values() {
-                // Backoff is per-frame, so the front (most-retried) frame
-                // can have a *later* deadline than the rest of the
-                // window: scan every pending frame.
-                for pending in &chan.unacked {
-                    if pending.seq >= chan.delivered
-                        && best.is_none_or(|(_, t)| pending.deadline < t)
-                    {
-                        best = Some((ProcId(p), pending.deadline));
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Program-level messages sent but never received.
-    fn undelivered(&self) -> usize {
-        self.logical_sent
-            .iter()
-            .map(|(k, &s)| {
-                s.saturating_sub(self.logical_recvd.get(k).copied().unwrap_or(0)) as usize
-            })
-            .sum()
-    }
-
-    /// The triples behind [`undelivered`](RelState::undelivered).
-    fn pending_triples(&self) -> Vec<(ProcId, ProcId, Tag, usize)> {
-        self.logical_sent
-            .iter()
-            .filter_map(|(&(src, dst, tag), &s)| {
-                let r = self
-                    .logical_recvd
-                    .get(&(src, dst, tag))
-                    .copied()
-                    .unwrap_or(0);
-                (s > r).then_some((src, dst, tag, (s - r) as usize))
-            })
-            .collect()
-    }
-
-    fn dup_total(&self) -> u64 {
-        self.procs
-            .iter()
-            .flat_map(|rp| rp.recvs.values())
-            .map(|c| c.dups)
-            .sum()
-    }
-
-    fn max_gap(&self) -> u64 {
-        self.procs
-            .iter()
-            .flat_map(|rp| rp.recvs.values())
-            .map(|c| c.max_gap)
-            .max()
-            .unwrap_or(0)
+    fn peer_done(&self, peer: ProcId) -> bool {
+        self.done[peer.0]
     }
 }
 
-/// The fabric a process sees during [`Scheduler::run_faulty`]: sends are
-/// framed, tracked, and dispatched through the fault plan; receives pop
-/// reassembled in-order payloads and charge the receiver exactly as a
-/// vanilla receive would.
+/// The fabric a process sees during [`Scheduler::run_recoverable`]: the
+/// shell around the protocol core. Sends are framed, tracked, and
+/// dispatched through the fault plan; receives pop reassembled in-order
+/// payloads and charge the receiver exactly as a vanilla receive would.
+/// Every program operation first lets the NIC catch up: pump acks, then
+/// service timers, then (on a receive) pump the stream being read.
 struct ReliableView<'a> {
     m: &'a mut Machine,
     fault: &'a mut FaultState,
-    rel: &'a mut RelState,
+    eps: &'a mut [RelEndpoint<Time>],
+    done: &'a [bool],
+}
+
+impl ReliableView<'_> {
+    /// Processor `p`'s protocol core and the wire it runs on.
+    fn split(&mut self, p: ProcId) -> (&mut RelEndpoint<Time>, SimWire<'_>) {
+        let wire = SimWire::new(self.m, self.fault, self.done, p.0);
+        (&mut self.eps[p.0], wire)
+    }
 }
 
 impl Fabric for ReliableView<'_> {
@@ -1456,62 +740,38 @@ impl Fabric for ReliableView<'_> {
     }
 
     fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
-        debug_assert_eq!(
-            tag.0 & ACK_TAG_BIT,
-            0,
-            "program tags must stay below the ack bit"
-        );
+        self.send_ref(src, dst, tag, &payload);
+    }
+
+    fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
         if src == dst {
             // Delegate so the self-send fault is recorded uniformly.
-            self.m.send(src, dst, tag, payload);
+            self.m.send(src, dst, tag, payload.to_vec());
             return;
         }
-        self.rel.pump_acks(self.m, src);
-        self.rel.service_timers(self.m, self.fault, src);
-        *self.rel.logical_sent.entry((src, dst, tag)).or_insert(0) += 1;
-        // The program-level send is recorded here; every frame below —
-        // data, retransmission, ack — is raw transport to the machine.
-        let t = self.m.clock(src);
-        self.m.metrics_registry().logical_send(
-            src.0,
-            dst.0 as u64,
-            tag.0 as u64,
-            payload.len() as u64,
-            t.0,
-        );
-        let seq = {
-            let chan = self.rel.procs[src.0].senders.entry((dst, tag)).or_default();
-            let s = chan.next_seq;
-            chan.next_seq += 1;
-            s
-        };
-        // One shared allocation: the wire dispatch borrows it, the
-        // retransmission window keeps it — no per-send frame clone.
-        let fr = frame_arc(seq, &payload);
-        self.fault.dispatch(self.m, src, dst, tag, &fr);
-        let deadline = self.m.clock(src).plus(self.rel.cfg.rto_cycles);
-        self.rel.procs[src.0]
-            .senders
-            .get_mut(&(dst, tag))
-            .expect("chan created above")
-            .unacked
-            .push_back(Pending {
-                seq,
-                frame: fr,
-                retries: 0,
-                deadline,
-            });
+        let (ep, mut wire) = self.split(src);
+        ep.pump_acks(&mut wire);
+        ep.service_timers(&mut wire);
+        ep.send(&mut wire, dst, tag, payload);
     }
 
     fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
-        self.rel.pump_acks(self.m, dst);
-        self.rel.service_timers(self.m, self.fault, dst);
-        self.rel.pump_data(self.m, self.fault, dst, src, tag);
-        let chan = self.rel.procs[dst.0].recvs.get_mut(&(src, tag))?;
-        let (arrives, payload) = chan.ready.pop_front()?;
-        self.m.charge_recv(dst, src, tag, arrives, payload.len());
-        *self.rel.logical_recvd.entry((src, dst, tag)).or_insert(0) += 1;
-        Some(payload)
+        let mut out = Vec::new();
+        self.try_recv_into(dst, src, tag, &mut out).then_some(out)
+    }
+
+    fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool {
+        let (ep, mut wire) = self.split(dst);
+        ep.pump_acks(&mut wire);
+        ep.service_timers(&mut wire);
+        ep.pump_data(&mut wire, src, tag);
+        let Some((arrives, frame)) = ep.pop(src, tag) else {
+            return false;
+        };
+        out.clear();
+        out.extend_from_slice(&frame[1..]);
+        self.m.charge_recv(dst, src, tag, arrives, out.len());
+        true
     }
 
     fn metrics(&self) -> Option<&MetricsRegistry> {

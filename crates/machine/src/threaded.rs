@@ -51,15 +51,13 @@
 //! while peers are still running, the receive fails with
 //! [`MachineError::RecvTimeout`] (a cyclic deadlock).
 
-use crate::checkpoint::{Checkpoint, CheckpointCfg, RecoveryReport};
+use crate::checkpoint::{CheckpointCfg, RecoveryReport};
 use crate::cost::CostModel;
 use crate::error::MachineError;
 use crate::fabric::Fabric;
-use crate::fault::{FaultCounts, FaultPlan, FaultState};
+use crate::fault::{FaultPlan, FaultState};
 use crate::message::{ProcId, Tag, Time, Word};
-use crate::reliable::{
-    ack_tag, frame_arc, is_ack_tag, unframe, Pending, RecvChan, RelConfig, SenderChan, ACK_TAG_BIT,
-};
+use crate::reliable::{is_ack_tag, pending_triples, Deadline, RelConfig, RelEndpoint, Wire};
 use crate::ring::{ring, BufPool, Doorbell, FrameRx, FrameTx};
 use crate::sched::{Process, RunReport, Step};
 use crate::stats::{FaultReport, MachineStats, NetworkStats, ProcStats};
@@ -98,12 +96,23 @@ impl Backend {
 /// reporting a timeout.
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Peer is executing (or lingering): frames to it will be drained.
+/// Peer is executing its program.
 const PEER_RUNNING: u8 = 0;
-/// Peer completed normally — its program-level receives are all done.
-const PEER_FINISHED: u8 = 1;
+/// Peer's *program* is done but its thread still serves the reliable
+/// protocol (the post-completion linger): it drains its rings, re-acks,
+/// and may still owe retransmissions — so a receive waiting on it is not
+/// a deadlock — but it will never consume another message, which is what
+/// lets peers retire the windows they hold for it.
+const PEER_LINGERING: u8 = 1;
+/// Peer's thread exited normally: nothing drains its rings any more.
+const PEER_FINISHED: u8 = 2;
 /// Peer's thread terminated abnormally (panic or error).
-const PEER_DEAD: u8 = 2;
+const PEER_DEAD: u8 = 3;
+
+/// Has the peer's thread exited (nobody drains its rings)?
+fn gone(status: u8) -> bool {
+    status >= PEER_FINISHED
+}
 
 /// `base + d`, saturating at a far-future instant instead of panicking
 /// when a pathological `Duration` (e.g. `Duration::MAX` standing in for
@@ -122,6 +131,12 @@ fn saturating_deadline(base: Instant, d: Duration) -> Instant {
         }
     }
     base
+}
+
+impl Deadline for Instant {
+    fn after(self, cfg: &RelConfig, retries: u32) -> Instant {
+        saturating_deadline(self, cfg.backoff_wall(retries))
+    }
 }
 
 /// Ring capacity in words for an `n`-processor machine when none was
@@ -166,111 +181,47 @@ struct StatusGuard {
     finished: bool,
 }
 
-impl StatusGuard {
-    /// Post `st`, bump the epoch, and wake every parked peer. The status
-    /// store is `SeqCst` and precedes the bells, so a peer that either
-    /// observes the new status or is woken by the ring sees every frame
-    /// this thread published beforehand.
-    fn announce(&self, st: u8) {
-        self.status[self.me].store(st, Ordering::SeqCst);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        for bell in self.bells.iter() {
-            bell.ring();
-        }
+/// Post processor `me`'s status `st`, bump the epoch, and wake every
+/// parked peer. The status store is `SeqCst` and precedes the bells, so
+/// a peer that either observes the new status or is woken by the ring
+/// sees every frame this thread published beforehand.
+fn announce(status: &[AtomicU8], epoch: &AtomicU64, bells: &[Doorbell], me: usize, st: u8) {
+    status[me].store(st, Ordering::SeqCst);
+    epoch.fetch_add(1, Ordering::SeqCst);
+    for bell in bells {
+        bell.ring();
     }
+}
 
+impl StatusGuard {
     fn finish(&mut self) {
         self.finished = true;
-        self.announce(PEER_FINISHED);
+        announce(
+            &self.status,
+            &self.epoch,
+            &self.bells,
+            self.me,
+            PEER_FINISHED,
+        );
     }
 }
 
 impl Drop for StatusGuard {
     fn drop(&mut self) {
         if !self.finished {
-            self.announce(PEER_DEAD);
+            announce(&self.status, &self.epoch, &self.bells, self.me, PEER_DEAD);
         }
     }
 }
 
-/// The reliable-delivery state of one endpoint: its own [`FaultState`]
-/// (each endpoint only dispatches frames it sends, so per-triple decision
-/// streams stay private), sequence-tracked send/receive channels with
-/// wall-clock retransmission deadlines, and protocol tallies.
+/// The reliable-delivery state of one endpoint: the protocol core on
+/// wall-clock deadlines, and the endpoint's own [`FaultState`] (each
+/// endpoint only dispatches frames it sends, so per-triple decision
+/// streams stay private).
 #[derive(Debug)]
-struct EndpointRel {
+struct Reliable {
+    core: RelEndpoint<Instant>,
     fault: FaultState,
-    cfg: RelConfig,
-    senders: BTreeMap<(ProcId, Tag), SenderChan<Instant>>,
-    recvs: BTreeMap<(ProcId, Tag), RecvChan>,
-    /// Program-level sends per `(dst, tag)` — the backend-invariant pair
-    /// counts for the run report.
-    logical_sent: BTreeMap<(ProcId, Tag), u64>,
-    /// Program-level receives per `(src, tag)`.
-    logical_recvd: BTreeMap<(ProcId, Tag), u64>,
-    retransmits: u64,
-    acks_sent: u64,
-    fatal: Option<MachineError>,
-    /// Stable ack floors for independent-mode checkpointing: `Some(map)`
-    /// means acks for `(src, tag)` advertise the stream position as of
-    /// this endpoint's last checkpoint (0 for streams it predates)
-    /// instead of the live cumulative, so peers keep the replay suffix
-    /// in their retransmission windows. `None` advertises live.
-    stable: Option<BTreeMap<(ProcId, Tag), u64>>,
-}
-
-impl EndpointRel {
-    fn new(plan: FaultPlan, cfg: RelConfig, checkpointed: bool) -> Self {
-        EndpointRel {
-            fault: FaultState::new(plan),
-            cfg,
-            senders: BTreeMap::new(),
-            recvs: BTreeMap::new(),
-            logical_sent: BTreeMap::new(),
-            logical_recvd: BTreeMap::new(),
-            retransmits: 0,
-            acks_sent: 0,
-            fatal: None,
-            stable: checkpointed.then(BTreeMap::new),
-        }
-    }
-
-    fn all_acked(&self) -> bool {
-        self.senders.values().all(|c| c.unacked.is_empty())
-    }
-
-    /// The earliest wall-clock retransmission deadline, if any. Backoff
-    /// is per-frame, so the front (most-retried) frame can have a later
-    /// deadline than the rest of the window: scan every pending frame.
-    /// Delivered frames are excluded — they never retransmit, so their
-    /// stale deadlines would only cause pointless wakeups.
-    fn earliest_deadline(&self) -> Option<Instant> {
-        self.senders
-            .values()
-            .flat_map(|c| {
-                c.unacked
-                    .iter()
-                    .filter(|p| p.seq >= c.delivered)
-                    .map(|p| p.deadline)
-            })
-            .min()
-    }
-}
-
-/// Thread-local checkpoint control: the policy, the last serialized
-/// checkpoint image (wire bytes, so every restore exercises the parse
-/// path), and the recovery tally.
-#[derive(Debug)]
-struct CkptCtl {
-    cfg: CheckpointCfg,
-    /// Charged-op counter at the last checkpoint.
-    last_op: u64,
-    /// Logical clock and charged cost of the last checkpoint, for
-    /// cost-amortized pacing ([`CheckpointCfg::amortized`]).
-    last_at: Time,
-    last_cost: u64,
-    image: Vec<u8>,
-    report: RecoveryReport,
 }
 
 /// Per-`(src, tag)` demultiplexing FIFOs of `(arrival stamp, payload)`.
@@ -310,19 +261,22 @@ pub struct Endpoint {
     /// [`MachineError::SelfSend`] by the thread loop, as the scheduler
     /// does on the simulator.
     self_send: Option<ProcId>,
-    /// Reliable-delivery state; `None` runs the raw fabric.
-    rel: Option<Box<EndpointRel>>,
+    /// Reliable-delivery state; `None` runs the raw fabric — or the
+    /// protocol core is running right now with this endpoint as its
+    /// wire (see [`with_core`](Endpoint::with_core)).
+    rel: Option<Box<Reliable>>,
     /// One doorbell per processor; `bells[me]` is parked on, peers' are
     /// rung after publishing frames for them.
     bells: Arc<Vec<Doorbell>>,
     /// Shared liveness board: `status[q]` is `PEER_RUNNING`,
-    /// `PEER_FINISHED`, or `PEER_DEAD`.
+    /// `PEER_LINGERING`, `PEER_FINISHED`, or `PEER_DEAD`.
     status: Arc<Vec<AtomicU8>>,
     /// Bumped on every status transition; parks re-check it so no
     /// transition is ever slept through.
     epoch: Arc<AtomicU64>,
-    /// Frames ever drained off the rings — the liveness signal that
-    /// resets a blocked receive's timeout window.
+    /// Frames ever drained off the rings — what tells a park that fresh
+    /// traffic arrived, and the liveness signal that resets a blocked
+    /// *raw* receive's timeout window.
     ingested: u64,
     /// Parks performed (the wakeup-batching effectiveness metric).
     wakes: u64,
@@ -336,8 +290,8 @@ pub struct Endpoint {
     wake_probe: Option<Arc<AtomicU64>>,
     gauge: Arc<Gauge>,
     recv_timeout: Duration,
-    /// Checkpoint/restart control; `None` runs without crash recovery.
-    ckpt: Option<CkptCtl>,
+    /// Checkpoint/restart policy; `None` runs without crash recovery.
+    ckpt: Option<CheckpointCfg>,
     /// Per-endpoint event trace, recorded exactly as the simulator's
     /// [`Machine`](crate::Machine) records its global one; merged by
     /// timestamp into the run report at teardown. Because every event's
@@ -376,23 +330,9 @@ impl Endpoint {
         }
     }
 
-    /// Consume a message: idle accounting and clock advance identical to
-    /// [`Machine::try_recv`](crate::Machine::try_recv).
-    fn consume(
-        &mut self,
-        src: ProcId,
-        tag: Tag,
-        arrives_at: Time,
-        payload: Vec<Word>,
-    ) -> Vec<Word> {
-        *self.recvd.entry((src, tag)).or_insert(0) += 1;
-        self.charge_recv(src, tag, arrives_at, payload.len());
-        self.gauge.dec();
-        payload
-    }
-
-    /// The accounting half of [`consume`](Endpoint::consume): idle until
-    /// the arrival stamp if necessary, then pay the unpacking cost.
+    /// Charge a program-level receive: idle until the arrival stamp if
+    /// necessary, then pay the unpacking cost — clock advance identical
+    /// to [`Machine::try_recv`](crate::Machine::try_recv).
     fn charge_recv(&mut self, src: ProcId, tag: Tag, arrives_at: Time, words: usize) {
         let waited = arrives_at.0.saturating_sub(self.clock.0);
         let ready = if arrives_at > self.clock {
@@ -433,7 +373,7 @@ impl Endpoint {
 
     /// Take and clear the recorded fatal protocol error, if any.
     fn take_fatal(&mut self) -> Option<MachineError> {
-        self.rel.as_mut().and_then(|r| r.fatal.take())
+        self.rel.as_mut().and_then(|r| r.core.take_fatal())
     }
 
     /// Publish one frame onto the `me → dst` ring and ring the peer's
@@ -446,7 +386,7 @@ impl Endpoint {
     /// dies — a half-written frame is harmless because nobody reads
     /// that ring again.
     fn ring_send(&mut self, dst: ProcId, tag: Tag, arrives_at: Time, payload: &[Word]) {
-        if self.status[dst.0].load(Ordering::SeqCst) != PEER_RUNNING {
+        if gone(self.status[dst.0].load(Ordering::SeqCst)) {
             return;
         }
         let words = payload.len() as u64;
@@ -470,7 +410,7 @@ impl Endpoint {
             }
             self.bells[dst.0].ring();
             self.drain();
-            if self.status[dst.0].load(Ordering::SeqCst) != PEER_RUNNING {
+            if gone(self.status[dst.0].load(Ordering::SeqCst)) {
                 return false;
             }
             spins += 1;
@@ -521,233 +461,54 @@ impl Endpoint {
         self.bells[self.me.0].park_until(until);
     }
 
-    /// Reliable-mode ingestion: drain the wire, retire acknowledged sends,
-    /// reassemble data frames into their streams, and acknowledge every
-    /// batch ingested. Acks travel through this endpoint's fault state
-    /// too, so a lossy plan can lose them — the peer's retransmission
-    /// absorbs that.
-    fn rel_pump(&mut self) {
+    /// Run `f` on the protocol core with this endpoint as its wire. The
+    /// reliable state is detached for the duration: that is how a frame
+    /// the core transmits — dispatched through the fault plan back into
+    /// [`send_ref`](Fabric::send_ref) — is told apart from a program
+    /// send, and takes the raw path.
+    fn with_core<R>(
+        &mut self,
+        f: impl FnOnce(&mut RelEndpoint<Instant>, &mut RingWire<'_>) -> R,
+    ) -> R {
+        let mut rel = self.rel.take().expect("reliable mode");
+        let Reliable { core, fault } = &mut *rel;
+        let out = f(core, &mut RingWire { ep: self, fault });
+        self.rel = Some(rel);
+        out
+    }
+
+    /// The protocol core, for reads that need no wire.
+    fn core(&self) -> &RelEndpoint<Instant> {
+        &self.rel.as_ref().expect("reliable mode").core
+    }
+
+    /// One NIC service pass, run before every program operation and every
+    /// park: drain the rings, retire the windows held for peers whose
+    /// programs are done, retire acknowledged sends, reassemble and
+    /// acknowledge data on every stream, and retransmit what is overdue.
+    fn rel_service(&mut self) {
         self.drain();
-        let mut rel = self.rel.take().expect("rel_pump requires reliable mode");
-        let chans: Vec<(ProcId, Tag)> = self.stash.keys().copied().collect();
-        for (peer, tag) in chans {
-            if is_ack_tag(tag) {
-                while let Some((_, payload)) = self
-                    .stash
-                    .get_mut(&(peer, tag))
-                    .and_then(VecDeque::pop_front)
-                {
-                    self.gauge.dec();
-                    // Interrupt-style ack processing: unpacking cost only,
-                    // never idle waiting. Traced as compute, exactly as
-                    // the simulator's `busy` is.
-                    let before = self.clock;
-                    self.clock = before.plus(self.cost.recv_cost(1) * self.slowdown);
-                    self.trace.record_compute(self.me, before, self.clock);
-                    let cum = payload[0] as u64;
-                    let live = payload.get(1).map_or(cum, |&w| w as u64);
-                    self.pool.put(payload);
-                    self.metrics.count(self.me.0, Ctr::AcksRecvd, 1);
-                    let data_tag = Tag(tag.0 & !ACK_TAG_BIT);
-                    if let Some(chan) = rel.senders.get_mut(&(peer, data_tag)) {
-                        chan.ack(cum);
-                        chan.set_live(live, Instant::now());
-                        chan.mark_alive();
-                        self.trace.record(
-                            self.me,
-                            self.clock,
-                            EventKind::Ack {
-                                peer,
-                                tag: data_tag,
-                                cum,
-                            },
-                        );
-                    }
-                }
-            } else {
-                let mut drained = 0u64;
-                let dups_before = rel.recvs.get(&(peer, tag)).map_or(0, |c| c.dups);
-                while let Some((arrives, payload)) = self
-                    .stash
-                    .get_mut(&(peer, tag))
-                    .and_then(VecDeque::pop_front)
-                {
-                    self.gauge.dec();
-                    let (seq, payload) = unframe(payload);
-                    rel.recvs
-                        .entry((peer, tag))
-                        .or_default()
-                        .on_frame(seq, arrives, payload);
-                    drained += 1;
-                }
-                if drained > 0 {
-                    let chan = &rel.recvs[&(peer, tag)];
-                    let live = chan.cumulative();
-                    let dup_delta = chan.dups - dups_before;
-                    let adv = match &rel.stable {
-                        Some(floors) => floors.get(&(peer, tag)).copied().unwrap_or(0),
-                        None => live,
-                    };
-                    rel.acks_sent += 1;
-                    self.metrics.count(self.me.0, Ctr::AcksSent, 1);
-                    self.metrics
-                        .count(self.me.0, Ctr::DupFramesDropped, dup_delta);
-                    rel.fault.dispatch(
-                        self,
-                        self.me,
-                        peer,
-                        ack_tag(tag),
-                        &[adv as Word, live as Word],
-                    );
-                }
-            }
-        }
-        self.rel = Some(rel);
-    }
-
-    /// Retransmit every unacknowledged frame whose wall-clock deadline
-    /// has passed, doubling its backoff; flag
-    /// [`MachineError::RetriesExhausted`] once the oldest *undelivered*
-    /// frame of a stream runs dry. The whole expired undelivered suffix
-    /// retransmits (go-back-N), not just the front: a checkpointing
-    /// receiver acknowledges only its stable floor, so resending only
-    /// the front would starve a restored receiver of everything past it.
-    /// Frames below the live delivered floor are skipped entirely — the
-    /// peer has them; they sit in the window purely as the crash-replay
-    /// suffix.
-    fn rel_service_timers(&mut self) {
-        let mut rel = self.rel.take().expect("timers require reliable mode");
-        if rel.fatal.is_none() {
-            let now = Instant::now();
-            let chans: Vec<(ProcId, Tag)> = rel.senders.keys().copied().collect();
-            for (dst, tag) in chans {
-                // Arc bumps, not copies: the window and the wire share
-                // each frame's one allocation.
-                let resends: Vec<(u64, Arc<[Word]>)> = {
-                    let chan = rel
-                        .senders
-                        .get_mut(&(dst, tag))
-                        .expect("chan exists: key came from the map");
-                    if self.status[dst.0].load(Ordering::SeqCst) != PEER_RUNNING {
-                        // The peer's thread exited. A *finished* peer can
-                        // only do that after completing its program-level
-                        // receives: our data got through and only the ack
-                        // was lost, so retire the window instead of
-                        // retrying forever into a ring nobody drains. A
-                        // *dead* peer fails the run through its own root
-                        // error; retiring here merely lets our linger
-                        // terminate instead of spinning on its corpse.
-                        chan.unacked.clear();
-                        continue;
-                    }
-                    let delivered = chan.delivered;
-                    if let Some(p) = chan.unacked.iter().find(|p| p.seq >= delivered) {
-                        if p.deadline <= now && p.retries >= rel.cfg.max_retries {
-                            // The oldest undelivered seq is exactly the
-                            // delivery point the peer last advanced us to.
-                            rel.fatal = Some(MachineError::RetriesExhausted {
-                                proc: self.me,
-                                peer: dst,
-                                tag,
-                                retries: p.retries,
-                                last_acked: p.seq,
-                            });
-                            break;
-                        }
-                    }
-                    chan.unacked
-                        .iter_mut()
-                        .filter(|p| p.seq >= delivered && p.deadline <= now)
-                        .map(|p| {
-                            p.retries += 1;
-                            p.deadline = saturating_deadline(now, rel.cfg.backoff_wall(p.retries));
-                            (p.seq, Arc::clone(&p.frame))
-                        })
-                        .collect()
-                };
-                for (seq, payload) in resends {
-                    self.trace
-                        .record(self.me, self.clock, EventKind::Retransmit { dst, tag, seq });
-                    rel.retransmits += 1;
-                    self.metrics.count(self.me.0, Ctr::Retransmits, 1);
-                    self.metrics.flight(
-                        self.me.0,
-                        FlightKind::Retransmit,
-                        dst.0 as u64,
-                        tag.0 as u64,
-                        seq,
-                        self.clock.0,
-                    );
-                    rel.fault.dispatch(self, self.me, dst, tag, &payload);
-                }
-            }
-        }
-        self.rel = Some(rel);
-    }
-
-    /// Reliable-mode send: pump acks, service timers, then frame, track,
-    /// and dispatch through the fault plan. The frame is built once as a
-    /// shared slice; the retransmission window and the wire path bump
-    /// its reference count instead of cloning.
-    fn rel_send(&mut self, dst: ProcId, tag: Tag, payload: &[Word]) {
-        debug_assert_eq!(
-            tag.0 & ACK_TAG_BIT,
-            0,
-            "program tags must stay below the ack bit"
-        );
-        self.rel_pump();
-        self.rel_service_timers();
-        let rel = self.rel.as_mut().expect("rel_send requires reliable mode");
-        *rel.logical_sent.entry((dst, tag)).or_insert(0) += 1;
-        // The program-level send; the framed dispatch below and every
-        // retransmission of it are wire traffic, recorded in `ring_send`.
-        self.metrics.logical_send(
-            self.me.0,
-            dst.0 as u64,
-            tag.0 as u64,
-            payload.len() as u64,
-            self.clock.0,
-        );
-        let fr = {
-            let chan = rel.senders.entry((dst, tag)).or_default();
-            let seq = chan.next_seq;
-            chan.next_seq += 1;
-            let fr = frame_arc(seq, payload);
-            chan.unacked.push_back(Pending {
-                seq,
-                frame: Arc::clone(&fr),
-                retries: 0,
-                deadline: saturating_deadline(Instant::now(), rel.cfg.rto_wall),
-            });
-            fr
-        };
-        let mut rel = self.rel.take().expect("still in reliable mode");
-        rel.fault.dispatch(self, self.me, dst, tag, &fr);
-        self.rel = Some(rel);
-    }
-
-    /// Reliable-mode receive attempt: pump, service timers, then pop the
-    /// next in-order payload if the stream has one ready.
-    fn rel_try_recv(&mut self, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
-        self.rel_pump();
-        self.rel_service_timers();
-        let rel = self.rel.as_mut().expect("rel recv requires reliable mode");
-        let (arrives, payload) = rel.recvs.get_mut(&(src, tag))?.ready.pop_front()?;
-        *rel.logical_recvd.entry((src, tag)).or_insert(0) += 1;
-        self.charge_recv(src, tag, arrives, payload.len());
-        Some(payload)
+        self.with_core(|core, wire| {
+            core.retire_done_peers(wire);
+            core.pump_acks(wire);
+            core.pump_all_data(wire);
+            core.service_timers(wire);
+        });
     }
 
     /// Reliable-mode block: wait until the `(src, tag)` stream has an
-    /// in-order payload ready, retransmitting on schedule meanwhile. The
-    /// liveness window resets on any arrival, exactly as
-    /// [`wait_for`](Endpoint::wait_for) does; a peer that finished
-    /// without satisfying the receive is an immediate deadlock, a peer
-    /// that died an immediate [`MachineError::PeerDied`].
+    /// in-order payload ready, retransmitting and (in checkpoint mode)
+    /// keepaliving on schedule meanwhile. A peer that finished without
+    /// satisfying the receive is an immediate deadlock, a peer that died
+    /// an immediate [`MachineError::PeerDied`]; a *lingering* peer is
+    /// neither — it may still owe the retransmission we are waiting for.
+    ///
+    /// The liveness window re-arms only on *stream progress* as the core
+    /// counts it, never on raw arrivals: two starved endpoints trading
+    /// keepalives or duplicate frames cannot keep each other "alive".
     fn rel_wait_for(&mut self, src: ProcId, tag: Tag) -> Result<(), MachineError> {
         let mut liveness = saturating_deadline(Instant::now(), self.recv_timeout);
-        let mut last_keepalive = Instant::now();
-        let mut last_ingested = self.ingested;
+        let mut last_progress = self.core().progress();
         loop {
             // Load the epoch and the peer's status *before* pumping: a
             // status observed before the drain can only under-report —
@@ -756,20 +517,12 @@ impl Endpoint {
             // all its frames before announcing.
             let epoch = self.epoch.load(Ordering::SeqCst);
             let st = self.status[src.0].load(Ordering::SeqCst);
-            self.rel_pump();
-            self.rel_service_timers();
+            self.rel_service();
             if let Some(e) = self.take_fatal() {
                 return Err(e);
             }
-            {
-                let rel = self.rel.as_ref().expect("rel wait requires reliable mode");
-                if rel
-                    .recvs
-                    .get(&(src, tag))
-                    .is_some_and(|c| !c.ready.is_empty())
-                {
-                    return Ok(());
-                }
+            if self.core().has_ready(src, tag) {
+                return Ok(());
             }
             match st {
                 PEER_DEAD => {
@@ -788,11 +541,12 @@ impl Endpoint {
                 }
                 _ => {}
             }
-            if self.ingested != last_ingested {
-                last_ingested = self.ingested;
-                liveness = saturating_deadline(Instant::now(), self.recv_timeout);
-            }
             let now = Instant::now();
+            let progress = self.core().progress();
+            if progress != last_progress {
+                last_progress = progress;
+                liveness = saturating_deadline(now, self.recv_timeout);
+            }
             if now >= liveness {
                 return Err(MachineError::RecvTimeout {
                     proc: self.me,
@@ -801,222 +555,87 @@ impl Endpoint {
                     waited_ms: self.recv_timeout.as_millis() as u64,
                 });
             }
-            // Receiver keepalive (checkpoint mode only): a starved
-            // receiver re-advertises its floors every RTO, even on a
-            // stream no frame has ever arrived on — a receiver restored
-            // from a pre-traffic checkpoint has no recv chans, yet the
-            // zero advertisement is exactly what rolls the sender's
-            // delivered floor back. If a rollback-solicitation ack was
-            // lost, this is the safety net that re-arms the replay.
-            // Without checkpoints retransmission alone recovers and
-            // black-holed streams must still starve into
-            // RetriesExhausted, so stable = None stays silent.
-            let rto_wall = self
-                .rel
-                .as_ref()
-                .expect("rel wait requires reliable mode")
-                .cfg
-                .rto_wall;
-            if now.duration_since(last_keepalive) >= rto_wall {
-                last_keepalive = now;
-                let floors = {
-                    let rel = self.rel.as_ref().expect("rel wait requires reliable mode");
-                    rel.stable.as_ref().map(|fl| {
-                        (
-                            fl.get(&(src, tag)).copied().unwrap_or(0),
-                            rel.recvs.get(&(src, tag)).map_or(0, |c| c.cumulative()),
-                        )
-                    })
-                };
-                if let Some((adv, live)) = floors {
-                    let mut rel = self.rel.take().expect("rel wait requires reliable mode");
-                    rel.acks_sent += 1;
-                    self.metrics.count(self.me.0, Ctr::AcksSent, 1);
-                    rel.fault.dispatch(
-                        self,
-                        self.me,
-                        src,
-                        ack_tag(tag),
-                        &[adv as Word, live as Word],
-                    );
-                    self.rel = Some(rel);
-                }
-            }
-            // Park until the liveness deadline or the next retransmission
-            // timer, whichever is sooner. In checkpoint mode the next
-            // keepalive is a deadline too: a receiver with nothing in its
-            // own send window would otherwise sleep the whole liveness
-            // window and never advertise its floors. Arrivals and status
-            // changes ring the doorbell, so the park never oversleeps a
-            // real event.
-            let until = {
-                let rel = self.rel.as_ref().expect("rel wait requires reliable mode");
-                let mut until = rel
-                    .earliest_deadline()
-                    .map_or(liveness, |d| d.min(liveness));
-                if rel.stable.is_some() {
-                    until = until.min(saturating_deadline(last_keepalive, rel.cfg.rto_wall));
-                }
-                until
-            };
-            self.park(until, epoch);
+            // Park until the liveness deadline, the next retransmission
+            // timer, or the next keepalive, whichever is sooner. Arrivals
+            // and status changes ring the doorbell, so the park never
+            // oversleeps a real event.
+            let wake = self.with_core(|core, wire| {
+                core.keepalive(wire, src, tag, false);
+                core.next_wake(src, tag)
+            });
+            self.park(wake.map_or(liveness, |t| t.min(liveness)), epoch);
         }
     }
 
     /// Post-completion linger: a finished process keeps answering the
     /// protocol — re-acking retransmitted data, retransmitting its own
-    /// unacknowledged frames — until its send window is empty. Without
+    /// unacknowledged frames — until its send windows are empty. Without
     /// this, a dropped final ack would starve the peer's retransmissions
     /// against a dead thread.
     ///
     /// The linger *parks*: with every pending frame delivered but not
-    /// yet stably acked (the checkpoint-mode steady state), there is no
-    /// retransmission deadline to wait out, and the old implementation
-    /// busy-polled at 1 ms burning a core per lingering thread. The
-    /// peer's eventual ack — or its status transition — rings our
-    /// doorbell, so the park only needs a coarse backstop deadline.
+    /// yet stably acked (the checkpoint-mode steady state) there is no
+    /// retransmission deadline to wait out; the peer's eventual ack — or
+    /// its status transition — rings our doorbell.
+    ///
+    /// It is bounded like every other wait. While a peer we hold a
+    /// window for is still executing its program, that peer's own
+    /// bounded waits guarantee it a status transition, and the window is
+    /// retired when it comes; once no such peer is left, `recv_timeout`
+    /// without stream progress fails the linger with `RetriesExhausted`
+    /// naming the stream whose window is still open.
     fn rel_linger(&mut self) -> Result<(), MachineError> {
+        let mut backstop = saturating_deadline(Instant::now(), self.recv_timeout);
+        let mut last_progress = self.core().progress();
         loop {
             let epoch = self.epoch.load(Ordering::SeqCst);
-            self.rel_pump();
-            self.rel_service_timers();
+            self.rel_service();
             if let Some(e) = self.take_fatal() {
                 return Err(e);
             }
-            let rel = self.rel.as_ref().expect("linger requires reliable mode");
-            if rel.all_acked() {
+            let Some(stalled) = self.core().open_window_error() else {
                 return Ok(());
-            }
-            let until = rel
-                .earliest_deadline()
-                .unwrap_or_else(|| saturating_deadline(Instant::now(), self.recv_timeout));
-            self.park(until, epoch);
-        }
-    }
-
-    /// Capture this processor's complete state — process image, both
-    /// sides of every reliable stream, program-level counters — into a
-    /// serialized [`Checkpoint`], then advance the stable ack floors to
-    /// the just-snapshotted positions (proactively re-acking every
-    /// stream whose floor moved, so peers retire the frames this
-    /// checkpoint made durable).
-    ///
-    /// `charge` puts the snapshot cost on the logical clock. Mid-run
-    /// checkpoints charge; the initial image is provisioned before the
-    /// clocks start, and the final one is an off-critical-path flush —
-    /// crashes are op-indexed, so none can land after the last op and
-    /// the final image is never a replay target.
-    fn take_checkpoint(&mut self, process: &dyn Process, charge: bool) -> Result<(), MachineError> {
-        let Some(process_state) = process.snapshot() else {
-            return Err(MachineError::CheckpointUnsupported { proc: self.me });
-        };
-        let cfg = self.ckpt.as_ref().expect("checkpointing configured").cfg;
-        let (bytes, at_op, new_floors) = {
-            let rel = self
-                .rel
-                .as_ref()
-                .expect("checkpointing requires reliable mode");
-            let ckpt = Checkpoint {
-                proc: self.me,
-                at_op: rel.fault.ops(self.me),
-                taken_at: self.clock,
-                process: process_state,
-                senders: rel
-                    .senders
-                    .iter()
-                    .map(|(&(d, t), c)| (d, t, c.snapshot()))
-                    .collect(),
-                recvs: rel
-                    .recvs
-                    .iter()
-                    .map(|(&(s, t), c)| (s, t, c.snapshot()))
-                    .collect(),
-                sent: rel
-                    .logical_sent
-                    .iter()
-                    .map(|(&(d, t), &v)| (d, t, v))
-                    .collect(),
-                recvd: rel
-                    .logical_recvd
-                    .iter()
-                    .map(|(&(s, t), &v)| (s, t, v))
-                    .collect(),
-                stable: rel
-                    .recvs
-                    .iter()
-                    .map(|(&(s, t), c)| (s, t, c.cumulative()))
-                    .collect(),
             };
-            let floors: BTreeMap<(ProcId, Tag), u64> =
-                ckpt.stable.iter().map(|&(s, t, v)| ((s, t), v)).collect();
-            (ckpt.to_bytes(), ckpt.at_op, floors)
-        };
-        if charge {
-            let before = self.clock;
-            self.clock = before.plus(cfg.checkpoint_cost(bytes.len()) * self.slowdown);
-            self.trace.record_compute(self.me, before, self.clock);
+            let now = Instant::now();
+            let progress = self.core().progress();
+            let status = &self.status;
+            let peer_running = |p: ProcId| status[p.0].load(Ordering::SeqCst) == PEER_RUNNING;
+            if progress != last_progress || self.core().open_peers().any(peer_running) {
+                last_progress = progress;
+                backstop = saturating_deadline(now, self.recv_timeout);
+            }
+            if now >= backstop {
+                return Err(stalled);
+            }
+            let timer = self.core().earliest_deadline();
+            self.park(timer.map_or(backstop, |t| t.min(backstop)), epoch);
         }
-        self.trace.record(
-            self.me,
-            self.clock,
-            EventKind::CheckpointTaken {
-                at_op,
-                bytes: bytes.len() as u64,
-            },
-        );
-        self.metrics.count(self.me.0, Ctr::CheckpointsTaken, 1);
-        self.metrics
-            .count(self.me.0, Ctr::CheckpointBytes, bytes.len() as u64);
-        self.metrics.flight(
-            self.me.0,
-            FlightKind::Checkpoint,
-            NO_PEER,
-            at_op,
-            bytes.len() as u64,
-            self.clock.0,
-        );
-        {
-            let ck = self.ckpt.as_mut().expect("checkpointing configured");
-            ck.report.checkpoints_taken += 1;
-            ck.report.bytes_snapshotted += bytes.len() as u64;
-            ck.last_op = at_op;
-            ck.last_at = self.clock;
-            ck.last_cost = cfg.checkpoint_cost(bytes.len());
-            ck.image = bytes;
-        }
-        // The new floors are not proactively re-acked: each piggybacks on
-        // the next batch ack of its stream, and a quiet stream is drained
-        // by the final live acks at completion. An interrupt-style ack
-        // costs real receive cycles at the peer, and the peer's delivered
-        // floor already suppresses retransmission of everything the stale
-        // stable floor still covers.
-        let rel = self.rel.as_mut().expect("reliable mode");
-        rel.stable = Some(new_floors);
-        Ok(())
     }
 
-    /// Crash recovery: roll this processor — and only this processor —
-    /// back to its last checkpoint. The dead incarnation's incoming
-    /// traffic is discarded (peer retransmissions regenerate anything
-    /// that matters), the process image and reliable streams are rebuilt
-    /// from the checkpoint, and the restored sender windows re-arm for
-    /// retransmission so surviving peers' duplicate suppression absorbs
-    /// the replay transparently.
-    fn restore_from_checkpoint(
-        &mut self,
-        process: &mut dyn Process,
-        crash_op: u64,
-    ) -> Result<(), MachineError> {
-        let (cfg, image) = {
-            let ck = self.ckpt.as_ref().expect("checkpointing configured");
-            (ck.cfg, ck.image.clone())
+    /// Step boundary housekeeping for crash faults: checkpoint first (so
+    /// a crash landing on the same boundary restores with a zero-op
+    /// replay), then roll the crash dice. A crash with checkpointing on
+    /// rolls this processor — and only this processor — back to its last
+    /// image; an unrecoverable one fails the thread with
+    /// [`MachineError::Crashed`].
+    fn crash_tick(&mut self, process: &mut dyn Process) -> Result<(), MachineError> {
+        let me = self.me;
+        let Some(rel) = self.rel.as_mut() else {
+            return Ok(());
         };
-        let ckpt = Checkpoint::from_bytes(&image).expect("internally written checkpoint parses");
-        self.trace
-            .record(self.me, self.clock, EventKind::Crash { at_op: crash_op });
-        if !process.restore(&ckpt.process) {
-            return Err(MachineError::CheckpointUnsupported { proc: self.me });
+        let ops = rel.fault.ops(me);
+        if rel.core.checkpoint_due(ops, self.clock) {
+            self.with_core(|core, wire| core.checkpoint(wire, &*process, ops, true))?;
         }
+        let rel = self.rel.as_mut().expect("reliable mode");
+        let Some(at_op) = rel.fault.take_crash(me) else {
+            return Ok(());
+        };
+        self.trace
+            .record(me, self.clock, EventKind::Crash { at_op });
+        let Some(cfg) = self.ckpt else {
+            return Err(MachineError::Crashed { proc: me, at_op });
+        };
         // Discard the dead incarnation's incoming traffic: everything
         // stashed plus everything fully arrived in the rings. A frame a
         // peer has only *partially* published stays in its reassembler —
@@ -1032,162 +651,22 @@ impl Endpoint {
         }
         self.clock = self.clock.plus(cfg.reboot_cycles);
         std::thread::sleep(cfg.reboot_wall);
-        let rearm = {
-            let rel = self.rel.as_ref().expect("reliable mode");
-            saturating_deadline(Instant::now(), rel.cfg.rto_wall)
-        };
-        {
-            let rel = self.rel.as_mut().expect("reliable mode");
-            rel.senders = ckpt
-                .senders
-                .iter()
-                .map(|(dst, tag, s)| ((*dst, *tag), SenderChan::from_snapshot(s, rearm)))
-                .collect();
-            rel.recvs = ckpt
-                .recvs
-                .iter()
-                .map(|(src, tag, r)| ((*src, *tag), RecvChan::from_snapshot(r)))
-                .collect();
-            rel.logical_sent = ckpt.sent.iter().map(|&(d, t, v)| ((d, t), v)).collect();
-            rel.logical_recvd = ckpt.recvd.iter().map(|&(s, t, v)| ((s, t), v)).collect();
-            rel.stable = Some(ckpt.stable.iter().map(|&(s, t, v)| ((s, t), v)).collect());
-        }
-        // Solicit replay: re-advertise the rolled-back cumulative on
-        // every receive stream. Peers see the live component drop below
-        // their delivered floor and immediately re-arm the suffix this
-        // incarnation lost. (If this ack is dropped by the fabric, the
-        // keepalive in `rel_wait_for` re-sends it once we block starved.)
-        let solicits: Vec<(ProcId, Tag, u64)> = {
-            let rel = self.rel.as_ref().expect("reliable mode");
-            rel.recvs
-                .iter()
-                .map(|(&(src, tag), c)| (src, tag, c.cumulative()))
-                .collect()
-        };
-        let mut rel = self.rel.take().expect("reliable mode");
-        for (src, tag, cum) in solicits {
-            rel.acks_sent += 1;
-            self.metrics.count(self.me.0, Ctr::AcksSent, 1);
-            rel.fault.dispatch(
-                self,
-                self.me,
-                src,
-                ack_tag(tag),
-                &[cum as Word, cum as Word],
-            );
-        }
-        self.rel = Some(rel);
-        for (dst, tag, s) in &ckpt.senders {
-            for (seq, _) in &s.unacked {
-                self.trace.record(
-                    self.me,
-                    self.clock,
-                    EventKind::ReplayedFrame {
-                        dst: *dst,
-                        tag: *tag,
-                        seq: *seq,
-                    },
-                );
-            }
-        }
-        self.trace.record(
-            self.me,
-            self.clock,
-            EventKind::Restore {
-                from_op: ckpt.at_op,
-                replayed: crash_op.saturating_sub(ckpt.at_op),
-            },
-        );
-        let ck = self.ckpt.as_mut().expect("checkpointing configured");
-        ck.last_op = crash_op;
-        // Pacing restarts from the restore point; the restored image's
-        // cost still amortizes the next snapshot.
-        ck.last_at = self.clock;
-        ck.report.crashes_survived += 1;
-        ck.report.replayed_ops += crash_op.saturating_sub(ckpt.at_op);
-        ck.report.replay_frames += ckpt.window_frames();
-        ck.report.recovery_cycles += cfg.reboot_cycles;
-        self.metrics.count(self.me.0, Ctr::CrashesSurvived, 1);
-        self.metrics
-            .count(self.me.0, Ctr::ReplayFrames, ckpt.window_frames());
-        self.metrics.flight(
-            self.me.0,
-            FlightKind::Restore,
-            NO_PEER,
-            ckpt.at_op,
-            crash_op.saturating_sub(ckpt.at_op),
-            self.clock.0,
-        );
-        Ok(())
+        self.with_core(|core, wire| core.restore(wire, process, at_op, true))
     }
 
-    /// Step boundary housekeeping for crash faults: checkpoint first (so
-    /// a crash landing on the same boundary restores with a zero-op
-    /// replay), then roll the crash dice. An unrecoverable crash — no
-    /// checkpointing configured — fails the thread with
-    /// [`MachineError::Crashed`].
-    fn crash_tick(&mut self, process: &mut dyn Process) -> Result<(), MachineError> {
-        if self.rel.is_none() {
-            return Ok(());
+    /// The program is done (reliable mode): a checkpointed run flushes
+    /// its final image and switches to live acks; then the peers are told
+    /// this program will consume nothing more, which lets them retire the
+    /// windows they hold for it while it [lingers](Endpoint::rel_linger).
+    fn rel_finish(&mut self, process: &dyn Process) -> Result<(), MachineError> {
+        let me = self.me;
+        if self.ckpt.is_some() {
+            self.with_core(|core, wire| {
+                let ops = wire.fault.ops(me);
+                core.finish(wire, process, ops)
+            })?;
         }
-        let ops = self.rel.as_ref().expect("reliable mode").fault.ops(self.me);
-        if let Some(ck) = &self.ckpt {
-            if ops >= ck.last_op + ck.cfg.interval_ops
-                && ck.cfg.amortized(ck.last_at, ck.last_cost, self.clock)
-            {
-                self.take_checkpoint(&*process, true)?;
-            }
-        }
-        let crashed = self
-            .rel
-            .as_mut()
-            .expect("reliable mode")
-            .fault
-            .take_crash(self.me);
-        if let Some(at_op) = crashed {
-            if self.ckpt.is_some() {
-                self.restore_from_checkpoint(process, at_op)?;
-            } else {
-                self.trace
-                    .record(self.me, self.clock, EventKind::Crash { at_op });
-                return Err(MachineError::Crashed {
-                    proc: self.me,
-                    at_op,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Completion housekeeping for a checkpointed processor: one final
-    /// checkpoint makes the finished state durable, then the endpoint
-    /// switches to live acknowledgements — and proactively re-acks every
-    /// receive stream — so peers' retransmission windows drain and the
-    /// run can terminate.
-    fn ckpt_finish(&mut self, process: &dyn Process) -> Result<(), MachineError> {
-        if self.ckpt.is_none() || self.rel.is_none() {
-            return Ok(());
-        }
-        self.take_checkpoint(process, false)?;
-        let mut rel = self.rel.take().expect("reliable mode");
-        rel.stable = None;
-        let streams: Vec<(ProcId, Tag, u64)> = rel
-            .recvs
-            .iter()
-            .map(|(&(s, t), c)| (s, t, c.cumulative()))
-            .collect();
-        for (src, tag, cum) in streams {
-            rel.acks_sent += 1;
-            self.metrics.count(self.me.0, Ctr::AcksSent, 1);
-            rel.fault.dispatch(
-                self,
-                self.me,
-                src,
-                ack_tag(tag),
-                &[cum as Word, cum as Word],
-            );
-        }
-        self.rel = Some(rel);
+        announce(&self.status, &self.epoch, &self.bells, me.0, PEER_LINGERING);
         Ok(())
     }
 
@@ -1277,7 +756,8 @@ impl Fabric for Endpoint {
         // on; protocol frames (dispatched while `rel` is detached) fall
         // through to the raw path below.
         if self.rel.is_some() {
-            self.rel_send(dst, tag, payload);
+            self.rel_service();
+            self.with_core(|core, wire| core.send(wire, dst, tag, payload));
             return;
         }
         let words = payload.len();
@@ -1300,8 +780,9 @@ impl Fabric for Endpoint {
         );
         if !self.reliable {
             // Raw-fabric runs: the wire frame *is* the program-level
-            // send. Reliable runs record theirs in `rel_send`; frames
-            // reaching here while `rel` is detached are protocol traffic.
+            // send. Reliable runs record theirs in the protocol core;
+            // frames reaching here while `rel` is detached are protocol
+            // traffic.
             self.metrics
                 .logical_send(src.0, dst.0 as u64, tag.0 as u64, words as u64, sent_at.0);
         }
@@ -1310,35 +791,40 @@ impl Fabric for Endpoint {
     }
 
     fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
-        debug_assert_eq!(dst, self.me, "an endpoint only receives as itself");
-        if self.rel.is_some() {
-            return self.rel_try_recv(src, tag);
-        }
-        self.drain();
-        let (arrives, payload) = self.stash.get_mut(&(src, tag))?.pop_front()?;
-        Some(self.consume(src, tag, arrives, payload))
+        let mut out = Vec::new();
+        self.try_recv_into(dst, src, tag, &mut out).then_some(out)
     }
 
     fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool {
         debug_assert_eq!(dst, self.me, "an endpoint only receives as itself");
-        let got = if self.rel.is_some() {
-            self.rel_try_recv(src, tag)
-        } else {
-            self.drain();
-            self.stash
-                .get_mut(&(src, tag))
-                .and_then(VecDeque::pop_front)
-                .map(|(arrives, payload)| self.consume(src, tag, arrives, payload))
-        };
-        match got {
-            Some(payload) => {
-                out.clear();
-                out.extend_from_slice(&payload);
-                self.pool.put(payload);
-                true
-            }
-            None => false,
+        out.clear();
+        if self.rel.is_some() {
+            // The reliable stream hands over the whole frame; the
+            // payload follows its sequence word.
+            self.rel_service();
+            let rel = self.rel.as_mut().expect("reliable mode");
+            let Some((arrives, frame)) = rel.core.pop(src, tag) else {
+                return false;
+            };
+            out.extend_from_slice(&frame[1..]);
+            self.charge_recv(src, tag, arrives, out.len());
+            self.pool.put(frame);
+            return true;
         }
+        self.drain();
+        let Some((arrives, payload)) = self
+            .stash
+            .get_mut(&(src, tag))
+            .and_then(VecDeque::pop_front)
+        else {
+            return false;
+        };
+        out.extend_from_slice(&payload);
+        *self.recvd.entry((src, tag)).or_insert(0) += 1;
+        self.charge_recv(src, tag, arrives, out.len());
+        self.gauge.dec();
+        self.pool.put(payload);
+        true
     }
 
     fn send_lost(&mut self, src: ProcId, dst: ProcId, tag: Tag, words: usize) {
@@ -1377,6 +863,70 @@ impl Fabric for Endpoint {
     }
 }
 
+/// A ring endpoint as the protocol core's [`Wire`]: wall-clock
+/// deadlines, frames that move through the stash and the rings under the
+/// endpoint's own fault plan, and the shared status board for peers'
+/// fates.
+struct RingWire<'a> {
+    ep: &'a mut Endpoint,
+    fault: &'a mut FaultState,
+}
+
+impl Wire<Instant> for RingWire<'_> {
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+
+    fn clock(&self) -> Time {
+        self.ep.clock
+    }
+
+    fn transmit(&mut self, dst: ProcId, tag: Tag, frame: &[Word]) {
+        let me = self.ep.me;
+        self.fault.dispatch(&mut *self.ep, me, dst, tag, frame);
+    }
+
+    fn take(&mut self, src: ProcId, tag: Tag) -> Option<(Time, Vec<Word>)> {
+        let frame = self.ep.stash.get_mut(&(src, tag))?.pop_front()?;
+        self.ep.gauge.dec();
+        Some(frame)
+    }
+
+    fn incoming(&self, out: &mut Vec<(ProcId, Tag)>) {
+        let waiting = self.ep.stash.iter().filter(|(_, q)| !q.is_empty());
+        out.extend(
+            waiting
+                .map(|(&k, _)| k)
+                .filter(|&(_, tag)| !is_ack_tag(tag)),
+        );
+    }
+
+    fn recycle(&mut self, buf: Vec<Word>) {
+        self.ep.pool.put(buf);
+    }
+
+    fn busy(&mut self, cycles: u64) {
+        // Traced as compute, exactly as the simulator's `busy` is.
+        let before = self.ep.clock;
+        self.ep.clock = before.plus(cycles * self.ep.slowdown);
+        self.ep
+            .trace
+            .record_compute(self.ep.me, before, self.ep.clock);
+    }
+
+    fn record(&mut self, event: EventKind) {
+        self.ep.trace.record(self.ep.me, self.ep.clock, event);
+    }
+
+    fn metrics(&self) -> &MetricsRegistry {
+        &self.ep.metrics
+    }
+
+    fn peer_done(&self, peer: ProcId) -> bool {
+        self.ep.status[peer.0].load(Ordering::SeqCst) != PEER_RUNNING
+    }
+}
+
 /// What one finished thread hands back for merging.
 struct ThreadDone {
     clock: Time,
@@ -1385,19 +935,7 @@ struct ThreadDone {
     recvd: BTreeMap<(ProcId, Tag), u64>,
     steps: u64,
     trace: Trace,
-    rel: Option<ThreadRelDone>,
-    recovery: Option<RecoveryReport>,
-}
-
-/// Reliable-mode tallies from one finished thread.
-struct ThreadRelDone {
-    logical_sent: BTreeMap<(ProcId, Tag), u64>,
-    logical_recvd: BTreeMap<(ProcId, Tag), u64>,
-    retransmits: u64,
-    acks_sent: u64,
-    dups: u64,
-    max_gap: u64,
-    injected: FaultCounts,
+    rel: Option<Box<Reliable>>,
 }
 
 /// Run one process against its endpoint: the per-thread step loop shared
@@ -1419,16 +957,7 @@ fn drive<P: Process>(
         recvd: std::mem::take(&mut ep.recvd),
         steps,
         trace: std::mem::take(&mut ep.trace),
-        recovery: ep.ckpt.take().map(|c| c.report),
-        rel: ep.rel.take().map(|r| ThreadRelDone {
-            logical_sent: r.logical_sent,
-            logical_recvd: r.logical_recvd,
-            retransmits: r.retransmits,
-            acks_sent: r.acks_sent,
-            dups: r.recvs.values().map(|c| c.dups).sum(),
-            max_gap: r.recvs.values().map(|c| c.max_gap).max().unwrap_or(0),
-            injected: r.fault.counts(),
-        }),
+        rel: ep.rel.take(),
     };
     (done, err)
 }
@@ -1443,7 +972,7 @@ fn drive_loop<P: Process>(
     if ep.ckpt.is_some() {
         // Initial checkpoint: a restore target exists whatever the crash
         // point. Free — the launch image exists before the clocks start.
-        ep.take_checkpoint(&*process, false)?;
+        ep.with_core(|core, wire| core.checkpoint(wire, &*process, 0, false))?;
     }
     loop {
         if *steps >= budget {
@@ -1462,7 +991,9 @@ fn drive_loop<P: Process>(
                 ep.crash_tick(process)?;
             }
             Step::Done => {
-                ep.ckpt_finish(&*process)?;
+                if ep.rel.is_some() {
+                    ep.rel_finish(&*process)?;
+                }
                 ep.trace.record(me, ep.clock, EventKind::Finish);
                 break;
             }
@@ -1740,7 +1271,11 @@ impl ThreadedRunner {
                 recvd: BTreeMap::new(),
                 self_send: None,
                 rel: faults.as_ref().map(|(plan, cfg)| {
-                    Box::new(EndpointRel::new(plan.clone(), *cfg, self.ckpt.is_some()))
+                    let ack_cost = self.cost.recv_cost(1);
+                    Box::new(Reliable {
+                        core: RelEndpoint::new(ProcId(p), *cfg, ack_cost, self.ckpt),
+                        fault: FaultState::new(plan.clone()),
+                    })
                 }),
                 bells: Arc::clone(&bells),
                 status: Arc::clone(&status),
@@ -1751,14 +1286,7 @@ impl ThreadedRunner {
                 wake_probe: self.wake_probe.clone(),
                 gauge: Arc::clone(&gauge),
                 recv_timeout: self.recv_timeout,
-                ckpt: self.ckpt.map(|cfg| CkptCtl {
-                    cfg,
-                    last_op: 0,
-                    last_at: Time(0),
-                    last_cost: 0,
-                    image: Vec::new(),
-                    report: RecoveryReport::default(),
-                }),
+                ckpt: self.ckpt,
                 trace: self.trace.like(),
                 metrics: Arc::clone(&registry),
                 reliable: faults.is_some(),
@@ -1872,25 +1400,13 @@ impl ThreadedRunner {
                 continue;
             };
             traces.push(d.trace);
-            if let (Some(total), Some(r)) = (recovery_total.as_mut(), d.recovery.as_ref()) {
-                total.merge(r);
-            }
             if let Some(r) = d.rel {
-                // Reliable mode: report *program-level* traffic; raw frame
-                // counts (retransmits, acks, seq overhead) stay visible in
-                // the per-processor and network stats.
-                for ((dst, tag), count) in r.logical_sent {
-                    pair_messages.insert((me, dst, tag), count);
-                }
-                for ((src, tag), count) in r.logical_recvd {
-                    recvd_by_triple.insert((src, me, tag), count);
-                }
                 let fr = fault_report.as_mut().expect("reliable mode");
-                fr.injected.merge(&r.injected);
-                fr.retransmits += r.retransmits;
-                fr.acks_sent += r.acks_sent;
-                fr.dup_frames_dropped += r.dups;
-                fr.max_gap = fr.max_gap.max(r.max_gap);
+                r.core.tally(&mut pair_messages, &mut recvd_by_triple, fr);
+                fr.injected.merge(&r.fault.counts());
+                if let (Some(total), Some(rec)) = (recovery_total.as_mut(), r.core.recovery()) {
+                    total.merge(rec);
+                }
             } else {
                 for ((dst, tag), count) in d.sent {
                     pair_messages.insert((me, dst, tag), count);
@@ -1906,13 +1422,7 @@ impl ThreadedRunner {
             procs.push(d.stats);
         }
         network.max_in_flight = gauge.max.load(Ordering::Relaxed);
-        let pending: Vec<(ProcId, ProcId, Tag, usize)> = pair_messages
-            .iter()
-            .filter_map(|(&(src, dst, tag), &sent)| {
-                let got = recvd_by_triple.get(&(src, dst, tag)).copied().unwrap_or(0);
-                (sent > got).then_some((src, dst, tag, (sent - got) as usize))
-            })
-            .collect();
+        let pending = pending_triples(&pair_messages, &recvd_by_triple);
         let undelivered = pending.iter().map(|&(_, _, _, k)| k).sum();
         if let Some(fr) = fault_report.as_mut() {
             fr.raw_leftover = gauge.cur.load(Ordering::Relaxed) as usize;
@@ -1939,6 +1449,7 @@ impl ThreadedRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdc_testkit::{within, THREADS_DEADLINE};
 
     /// The Scripted toy process from the scheduler tests, replayed on
     /// real threads.
@@ -2390,91 +1901,99 @@ mod tests {
 
     #[test]
     fn reliable_empty_plan_delivers_in_order() {
-        let mut procs = stream_scripts();
-        let report = ThreadedRunner::new(CostModel::ipsc2())
-            .with_faults(FaultPlan::none(), fast_rel())
-            .run(&mut procs)
-            .unwrap();
-        let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
-        assert_eq!(procs[1].received, expected);
-        assert_eq!(report.undelivered, 0);
-        assert!(report.pending.is_empty());
-        let fr = report.fault.expect("reliable run carries a report");
-        assert_eq!(fr.injected.total(), 0);
-        assert_eq!(
-            report.pair_messages.get(&(ProcId(0), ProcId(1), Tag(0))),
-            Some(&10),
-            "logical pair counts see program messages, not protocol frames"
-        );
+        within(THREADS_DEADLINE, || {
+            let mut procs = stream_scripts();
+            let report = ThreadedRunner::new(CostModel::ipsc2())
+                .with_faults(FaultPlan::none(), fast_rel())
+                .run(&mut procs)
+                .unwrap();
+            let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
+            assert_eq!(procs[1].received, expected);
+            assert_eq!(report.undelivered, 0);
+            assert!(report.pending.is_empty());
+            let fr = report.fault.expect("reliable run carries a report");
+            assert_eq!(fr.injected.total(), 0);
+            assert_eq!(
+                report.pair_messages.get(&(ProcId(0), ProcId(1), Tag(0))),
+                Some(&10),
+                "logical pair counts see program messages, not protocol frames"
+            );
+        });
     }
 
     #[test]
     fn reliable_lossy_plan_recovers_exactly_once_in_order() {
-        let plan = FaultPlan::seeded(7)
-            .with_drops(250)
-            .with_dups(150)
-            .with_delays(100, 5_000)
-            .with_reorders(100)
-            .with_fault_budget(6);
-        let mut procs = stream_scripts();
-        let report = ThreadedRunner::new(CostModel::ipsc2())
-            .with_faults(plan, fast_rel())
-            .run(&mut procs)
-            .unwrap();
-        let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
-        assert_eq!(procs[1].received, expected, "exactly-once, in-order");
-        assert_eq!(report.undelivered, 0);
-        let fr = report.fault.expect("reliable run carries a report");
-        assert!(fr.injected.total() > 0, "the plan injected faults");
+        within(THREADS_DEADLINE, || {
+            let plan = FaultPlan::seeded(7)
+                .with_drops(250)
+                .with_dups(150)
+                .with_delays(100, 5_000)
+                .with_reorders(100)
+                .with_fault_budget(6);
+            let mut procs = stream_scripts();
+            let report = ThreadedRunner::new(CostModel::ipsc2())
+                .with_faults(plan, fast_rel())
+                .run(&mut procs)
+                .unwrap();
+            let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
+            assert_eq!(procs[1].received, expected, "exactly-once, in-order");
+            assert_eq!(report.undelivered, 0);
+            let fr = report.fault.expect("reliable run carries a report");
+            assert!(fr.injected.total() > 0, "the plan injected faults");
+        });
     }
 
     #[test]
     fn tiny_rings_survive_a_lossy_plan() {
-        // Retransmissions, dups, and acks all squeezed through 16-word
-        // rings: the reliable protocol must not care how the wire is
-        // chunked.
-        let plan = FaultPlan::seeded(11)
-            .with_drops(250)
-            .with_dups(150)
-            .with_fault_budget(4);
-        let mut procs = stream_scripts();
-        let report = ThreadedRunner::new(CostModel::ipsc2())
-            .with_faults(plan, fast_rel())
-            .with_ring_capacity(16)
-            .run(&mut procs)
-            .unwrap();
-        let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
-        assert_eq!(procs[1].received, expected, "exactly-once, in-order");
-        assert_eq!(report.undelivered, 0);
+        within(THREADS_DEADLINE, || {
+            // Retransmissions, dups, and acks all squeezed through 16-word
+            // rings: the reliable protocol must not care how the wire is
+            // chunked.
+            let plan = FaultPlan::seeded(11)
+                .with_drops(250)
+                .with_dups(150)
+                .with_fault_budget(4);
+            let mut procs = stream_scripts();
+            let report = ThreadedRunner::new(CostModel::ipsc2())
+                .with_faults(plan, fast_rel())
+                .with_ring_capacity(16)
+                .run(&mut procs)
+                .unwrap();
+            let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
+            assert_eq!(procs[1].received, expected, "exactly-once, in-order");
+            assert_eq!(report.undelivered, 0);
+        });
     }
 
     #[test]
     fn reliable_black_hole_exhausts_retries() {
-        let plan = FaultPlan::seeded(0).with_black_hole(ProcId(0), ProcId(1), Tag(0));
-        let cfg = RelConfig {
-            rto_wall: Duration::from_millis(2),
-            max_retries: 3,
-            ..RelConfig::default()
-        };
-        let mut procs = vec![
-            Scripted::new(vec![Action::Send(1, 0, vec![1])]),
-            Scripted::new(vec![Action::Recv(0, 0)]),
-        ];
-        let err = ThreadedRunner::new(CostModel::zero())
-            .with_recv_timeout(Duration::from_secs(30))
-            .with_faults(plan, cfg)
-            .run(&mut procs)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            MachineError::RetriesExhausted {
-                proc: ProcId(0),
-                peer: ProcId(1),
-                tag: Tag(0),
-                retries: 3,
-                last_acked: 0,
-            }
-        );
+        within(THREADS_DEADLINE, || {
+            let plan = FaultPlan::seeded(0).with_black_hole(ProcId(0), ProcId(1), Tag(0));
+            let cfg = RelConfig {
+                rto_wall: Duration::from_millis(2),
+                max_retries: 3,
+                ..RelConfig::default()
+            };
+            let mut procs = vec![
+                Scripted::new(vec![Action::Send(1, 0, vec![1])]),
+                Scripted::new(vec![Action::Recv(0, 0)]),
+            ];
+            let err = ThreadedRunner::new(CostModel::zero())
+                .with_recv_timeout(Duration::from_secs(30))
+                .with_faults(plan, cfg)
+                .run(&mut procs)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                MachineError::RetriesExhausted {
+                    proc: ProcId(0),
+                    peer: ProcId(1),
+                    tag: Tag(0),
+                    retries: 3,
+                    last_acked: 0,
+                }
+            );
+        });
     }
 
     #[test]
@@ -2497,32 +2016,34 @@ mod tests {
 
     #[test]
     fn linger_parks_instead_of_polling() {
-        // P0 finishes instantly but must linger: in checkpoint mode its
-        // one frame is delivered yet acked only at the stable floor (0),
-        // so the window stays open — with no retransmission deadline —
-        // until P1's final live acks, which P1 delays behind a 150 ms
-        // sleep. The old linger polled that state at 1 ms (~150 wakes
-        // here); the parked linger wakes only on real events.
-        let probe = Arc::new(AtomicU64::new(0));
-        let mut procs = vec![
-            Scripted::new(vec![Action::Send(1, 0, vec![1])]),
-            Scripted::new(vec![
-                Action::Recv(0, 0),
-                Action::Sleep(Duration::from_millis(150)),
-            ]),
-        ];
-        let report = ThreadedRunner::new(CostModel::zero())
-            .with_checkpoints(CheckpointCfg::every(1_000_000))
-            .with_wake_probe(Arc::clone(&probe))
-            .run(&mut procs)
-            .unwrap();
-        assert_eq!(report.undelivered, 0);
-        assert_eq!(procs[1].received, vec![vec![1]]);
-        let wakes = probe.load(Ordering::Relaxed);
-        assert!(
-            wakes < 25,
-            "linger should park, not poll: {wakes} wakes across both threads"
-        );
+        within(THREADS_DEADLINE, || {
+            // P0 finishes instantly but must linger: in checkpoint mode its
+            // one frame is delivered yet acked only at the stable floor (0),
+            // so the window stays open — with no retransmission deadline —
+            // until P1's final live acks, which P1 delays behind a 150 ms
+            // sleep. The old linger polled that state at 1 ms (~150 wakes
+            // here); the parked linger wakes only on real events.
+            let probe = Arc::new(AtomicU64::new(0));
+            let mut procs = vec![
+                Scripted::new(vec![Action::Send(1, 0, vec![1])]),
+                Scripted::new(vec![
+                    Action::Recv(0, 0),
+                    Action::Sleep(Duration::from_millis(150)),
+                ]),
+            ];
+            let report = ThreadedRunner::new(CostModel::zero())
+                .with_checkpoints(CheckpointCfg::every(1_000_000))
+                .with_wake_probe(Arc::clone(&probe))
+                .run(&mut procs)
+                .unwrap();
+            assert_eq!(report.undelivered, 0);
+            assert_eq!(procs[1].received, vec![vec![1]]);
+            let wakes = probe.load(Ordering::Relaxed);
+            assert!(
+                wakes < 25,
+                "linger should park, not poll: {wakes} wakes across both threads"
+            );
+        });
     }
 
     /// The sim recovery tests' stream pair, with computes interleaved on
@@ -2543,93 +2064,101 @@ mod tests {
 
     #[test]
     fn sender_crash_recovery_is_transparent_on_threads() {
-        let mut clean = crash_scripts();
-        let clean_report = ThreadedRunner::new(CostModel::ipsc2())
-            .with_faults(FaultPlan::none(), fast_rel())
-            .run(&mut clean)
-            .unwrap();
-        let plan = FaultPlan::seeded(3).with_crash(ProcId(0), 5);
-        // Amortized pacing off: this test pins exact checkpoint op
-        // boundaries (crash at 5 must restore from the op-4 snapshot).
-        let ckpt = CheckpointCfg::every(2)
-            .with_amortization(0)
-            .with_reboot(5_000, Duration::from_millis(1));
-        let mut procs = crash_scripts();
-        let report = ThreadedRunner::new(CostModel::ipsc2())
-            .with_faults(plan, fast_rel())
-            .with_checkpoints(ckpt)
-            .run(&mut procs)
-            .unwrap();
-        assert_eq!(
-            procs[1].received, clean[1].received,
-            "recovered output == fault-free output"
-        );
-        assert_eq!(procs[0].received, vec![vec![99]]);
-        assert_eq!(report.pair_messages, clean_report.pair_messages);
-        assert_eq!(report.undelivered, 0);
-        let rec = report.recovery.expect("checkpointed run carries a report");
-        assert_eq!(rec.crashes_survived, 1);
-        assert!(rec.checkpoints_taken >= 3, "{rec:?}");
-        assert_eq!(rec.replayed_ops, 1, "crash at op 5, checkpoint at op 4");
-        assert_eq!(report.fault.unwrap().injected.crashes, 1);
+        within(THREADS_DEADLINE, || {
+            let mut clean = crash_scripts();
+            let clean_report = ThreadedRunner::new(CostModel::ipsc2())
+                .with_faults(FaultPlan::none(), fast_rel())
+                .run(&mut clean)
+                .unwrap();
+            let plan = FaultPlan::seeded(3).with_crash(ProcId(0), 5);
+            // Amortized pacing off: this test pins exact checkpoint op
+            // boundaries (crash at 5 must restore from the op-4 snapshot).
+            let ckpt = CheckpointCfg::every(2)
+                .with_amortization(0)
+                .with_reboot(5_000, Duration::from_millis(1));
+            let mut procs = crash_scripts();
+            let report = ThreadedRunner::new(CostModel::ipsc2())
+                .with_faults(plan, fast_rel())
+                .with_checkpoints(ckpt)
+                .run(&mut procs)
+                .unwrap();
+            assert_eq!(
+                procs[1].received, clean[1].received,
+                "recovered output == fault-free output"
+            );
+            assert_eq!(procs[0].received, vec![vec![99]]);
+            assert_eq!(report.pair_messages, clean_report.pair_messages);
+            assert_eq!(report.undelivered, 0);
+            let rec = report.recovery.expect("checkpointed run carries a report");
+            assert_eq!(rec.crashes_survived, 1);
+            assert!(rec.checkpoints_taken >= 3, "{rec:?}");
+            assert_eq!(rec.replayed_ops, 1, "crash at op 5, checkpoint at op 4");
+            assert_eq!(report.fault.unwrap().injected.crashes, 1);
+        });
     }
 
     #[test]
     fn receiver_crash_replays_the_lost_suffix_on_threads() {
-        let plan = FaultPlan::seeded(0).with_crash(ProcId(1), 0);
-        let mut procs = crash_scripts();
-        let report = ThreadedRunner::new(CostModel::ipsc2())
-            .with_faults(plan, fast_rel())
-            .with_checkpoints(CheckpointCfg::every(4))
-            .run(&mut procs)
-            .unwrap();
-        let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
-        assert_eq!(procs[1].received, expected, "exactly-once after replay");
-        assert_eq!(procs[0].received, vec![vec![99]]);
-        assert_eq!(report.recovery.unwrap().crashes_survived, 1);
+        within(THREADS_DEADLINE, || {
+            let plan = FaultPlan::seeded(0).with_crash(ProcId(1), 0);
+            let mut procs = crash_scripts();
+            let report = ThreadedRunner::new(CostModel::ipsc2())
+                .with_faults(plan, fast_rel())
+                .with_checkpoints(CheckpointCfg::every(4))
+                .run(&mut procs)
+                .unwrap();
+            let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
+            assert_eq!(procs[1].received, expected, "exactly-once after replay");
+            assert_eq!(procs[0].received, vec![vec![99]]);
+            assert_eq!(report.recovery.unwrap().crashes_survived, 1);
+        });
     }
 
     #[test]
     fn unrecovered_crash_surfaces_as_crashed_on_threads() {
-        let plan = FaultPlan::seeded(0).with_crash(ProcId(0), 2);
-        let mut procs = vec![
-            Scripted::new(vec![
-                Action::Send(1, 0, vec![1]),
-                Action::Compute(1),
-                Action::Compute(1),
-                Action::Compute(1),
-            ]),
-            Scripted::new(vec![Action::Recv(0, 0)]),
-        ];
-        let err = ThreadedRunner::new(CostModel::zero())
-            .with_recv_timeout(Duration::from_secs(30))
-            .with_faults(plan, fast_rel())
-            .run(&mut procs)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            MachineError::Crashed {
-                proc: ProcId(0),
-                at_op: 2
-            }
-        );
+        within(THREADS_DEADLINE, || {
+            let plan = FaultPlan::seeded(0).with_crash(ProcId(0), 2);
+            let mut procs = vec![
+                Scripted::new(vec![
+                    Action::Send(1, 0, vec![1]),
+                    Action::Compute(1),
+                    Action::Compute(1),
+                    Action::Compute(1),
+                ]),
+                Scripted::new(vec![Action::Recv(0, 0)]),
+            ];
+            let err = ThreadedRunner::new(CostModel::zero())
+                .with_recv_timeout(Duration::from_secs(30))
+                .with_faults(plan, fast_rel())
+                .run(&mut procs)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                MachineError::Crashed {
+                    proc: ProcId(0),
+                    at_op: 2
+                }
+            );
+        });
     }
 
     #[test]
     fn checkpoints_alone_enable_the_reliable_path() {
-        let mut procs = crash_scripts();
-        let report = ThreadedRunner::new(CostModel::ipsc2())
-            .with_checkpoints(CheckpointCfg::every(2))
-            .run(&mut procs)
-            .unwrap();
-        let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
-        assert_eq!(procs[1].received, expected);
-        assert_eq!(report.undelivered, 0);
-        let rec = report.recovery.expect("report present without any crash");
-        assert_eq!(rec.crashes_survived, 0);
-        assert!(rec.checkpoints_taken >= 4, "{rec:?}");
-        assert!(rec.bytes_snapshotted > 0);
-        assert!(report.fault.is_some(), "reliable protocol was interposed");
+        within(THREADS_DEADLINE, || {
+            let mut procs = crash_scripts();
+            let report = ThreadedRunner::new(CostModel::ipsc2())
+                .with_checkpoints(CheckpointCfg::every(2))
+                .run(&mut procs)
+                .unwrap();
+            let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
+            assert_eq!(procs[1].received, expected);
+            assert_eq!(report.undelivered, 0);
+            let rec = report.recovery.expect("report present without any crash");
+            assert_eq!(rec.crashes_survived, 0);
+            assert!(rec.checkpoints_taken >= 4, "{rec:?}");
+            assert!(rec.bytes_snapshotted > 0);
+            assert!(report.fault.is_some(), "reliable protocol was interposed");
+        });
     }
 
     #[test]

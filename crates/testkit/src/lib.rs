@@ -23,6 +23,8 @@
 //! ```
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 
 pub mod fault;
 
@@ -141,9 +143,69 @@ pub fn cases(n: u64, name: &str, body: impl Fn(&mut Rng)) {
     }
 }
 
+/// The [`within`] limit for tests that start endpoint threads: generous
+/// next to their healthy run time (seconds at most), so a loaded host
+/// does not trip it, yet a hang fails the suite in minutes, not never.
+pub const THREADS_DEADLINE: Duration = Duration::from_secs(120);
+
+/// Run `body` on its own thread and give it `limit` of wall clock: the
+/// harness deadline for every test that starts endpoint threads, so a
+/// protocol regression that would park forever fails in seconds and
+/// names the test instead of blocking the suite. A panic in `body`
+/// resurfaces on the caller; on expiry the body's thread is abandoned
+/// (a hung thread cannot be joined) and the test process reaps it at
+/// exit.
+///
+/// # Panics
+///
+/// Panics when `limit` expires, naming the calling test (libtest names
+/// each test's thread after it).
+pub fn within<R: Send + 'static>(limit: Duration, body: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => {
+            worker.join().expect("body already returned");
+            value
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            let me = std::thread::current();
+            panic!(
+                "testkit: `{}` still running after {limit:?} - hung?",
+                me.name().unwrap_or("test")
+            )
+        }
+        // The sender dropped without a value: the body panicked.
+        Err(mpsc::RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(payload) => resume_unwind(payload),
+            Ok(()) => unreachable!("body returned without sending"),
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn within_returns_the_value_and_propagates_panics() {
+        assert_eq!(within(Duration::from_secs(5), || 6 * 7), 42);
+        let boom = catch_unwind(|| within(Duration::from_secs(5), || panic!("boom")));
+        let payload = boom.expect_err("the body's panic resurfaces");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+    }
+
+    #[test]
+    #[should_panic(expected = "still running after")]
+    fn within_fails_a_body_that_outlives_its_limit() {
+        // Blocks on a channel nobody sends on: forced, not slept.
+        let (_keep, never) = mpsc::channel::<()>();
+        within(Duration::from_millis(20), move || {
+            let _ = never.recv_timeout(Duration::from_secs(30));
+        });
+    }
 
     #[test]
     fn deterministic_across_clones() {

@@ -2,7 +2,7 @@
 //!
 //! Every workload is compiled once per strategy and then run twice: on
 //! the deterministic discrete-event simulator and on the threaded
-//! backend (one OS thread per processor, real `mpsc` channels). The
+//! backend (one OS thread per processor over lock-free word rings). The
 //! gathered outputs must match each other *and* the sequential
 //! reference interpreter, and the per-(src, dst, tag) message counts
 //! must match **exactly**: as the scheduler documents (see
@@ -19,6 +19,7 @@ use pdc_mapping::{Decomposition, Dist};
 use pdc_spmd::ir::{RecvTarget, SExpr, SStmt, SpmdProgram};
 use pdc_spmd::run::SpmdMachine;
 use pdc_spmd::Scalar;
+use pdc_testkit::{within, THREADS_DEADLINE};
 use std::time::Duration;
 
 /// A named workload: program, entry point, decomposition, output array,
@@ -174,92 +175,102 @@ fn check(w: &Workload, strategy: Strategy) {
 /// backends, identical per-pair message counts, identical makespan.
 #[test]
 fn backends_agree_on_tuned_decompositions() {
-    let n = 8usize;
-    let program = programs::gauss_seidel();
-    for strategy in [Strategy::Runtime, Strategy::CompileTime] {
-        let label = format!("tuned wavefront under {strategy:?}");
-        let mut job = Job::new(
-            &program,
-            "gs_iteration",
-            programs::wavefront_decomposition(4),
-        )
-        .with_const("n", n as i64)
-        .with_opt_level(pdc_opt::OptLevel::O2)
-        .with_auto_decomposition();
-        job.extent_overrides.insert("Old".into(), (n, n));
-        let compiled = driver::compile(&job, strategy).unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert!(compiled.tune.is_some(), "{label}: missing search trace");
-        let inputs = Inputs::new()
-            .scalar("n", Scalar::Int(n as i64))
-            .array("Old", driver::standard_input(n, n));
+    within(THREADS_DEADLINE, || {
+        let n = 8usize;
+        let program = programs::gauss_seidel();
+        for strategy in [Strategy::Runtime, Strategy::CompileTime] {
+            let label = format!("tuned wavefront under {strategy:?}");
+            let mut job = Job::new(
+                &program,
+                "gs_iteration",
+                programs::wavefront_decomposition(4),
+            )
+            .with_const("n", n as i64)
+            .with_opt_level(pdc_opt::OptLevel::O2)
+            .with_auto_decomposition();
+            job.extent_overrides.insert("Old".into(), (n, n));
+            let compiled =
+                driver::compile(&job, strategy).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(compiled.tune.is_some(), "{label}: missing search trace");
+            let inputs = Inputs::new()
+                .scalar("n", Scalar::Int(n as i64))
+                .array("Old", driver::standard_input(n, n));
 
-        let sim = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
-            .unwrap_or_else(|e| panic!("{label} (simulated): {e}"));
-        let thr = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::threaded())
-            .unwrap_or_else(|e| panic!("{label} (threaded): {e}"));
+            let sim =
+                driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
+                    .unwrap_or_else(|e| panic!("{label} (simulated): {e}"));
+            let thr =
+                driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::threaded())
+                    .unwrap_or_else(|e| panic!("{label} (threaded): {e}"));
 
-        assert_eq!(
-            sim.outcome.report.undelivered, 0,
-            "{label}: sim undelivered"
-        );
-        assert_eq!(
-            thr.outcome.report.undelivered, 0,
-            "{label}: threaded undelivered"
-        );
-        assert_eq!(
-            sim.outcome.report.pending,
-            Vec::new(),
-            "{label}: sim pending"
-        );
-        assert_eq!(
-            thr.outcome.report.pending,
-            Vec::new(),
-            "{label}: threaded pending"
-        );
+            assert_eq!(
+                sim.outcome.report.undelivered, 0,
+                "{label}: sim undelivered"
+            );
+            assert_eq!(
+                thr.outcome.report.undelivered, 0,
+                "{label}: threaded undelivered"
+            );
+            assert_eq!(
+                sim.outcome.report.pending,
+                Vec::new(),
+                "{label}: sim pending"
+            );
+            assert_eq!(
+                thr.outcome.report.pending,
+                Vec::new(),
+                "{label}: threaded pending"
+            );
 
-        let g_sim = sim.gather("New").expect("sim gather");
-        let g_thr = thr.gather("New").expect("threaded gather");
-        let seq = driver::run_sequential(&program, "gs_iteration", &inputs).expect("sequential");
-        assert_eq!(
-            driver::first_mismatch(&g_sim, &seq),
-            None,
-            "{label}: simulator disagrees with sequential interpreter"
-        );
-        assert_eq!(
-            driver::first_mismatch(&g_thr, &seq),
-            None,
-            "{label}: threaded backend disagrees with sequential interpreter"
-        );
-        assert_eq!(
-            thr.outcome.report.pair_messages, sim.outcome.report.pair_messages,
-            "{label}: per-(src, dst, tag) message counts diverge"
-        );
-        assert_eq!(
-            thr.outcome.report.stats.makespan(),
-            sim.outcome.report.stats.makespan(),
-            "{label}: makespan diverges"
-        );
-        // And the tuner's predicted makespan is the one both backends agree on.
-        assert_eq!(
-            compiled.tune.as_ref().unwrap().winner_score().makespan,
-            sim.outcome.report.stats.makespan().0,
-            "{label}: tuner's predicted makespan diverges from execution"
-        );
-    }
+            let g_sim = sim.gather("New").expect("sim gather");
+            let g_thr = thr.gather("New").expect("threaded gather");
+            let seq =
+                driver::run_sequential(&program, "gs_iteration", &inputs).expect("sequential");
+            assert_eq!(
+                driver::first_mismatch(&g_sim, &seq),
+                None,
+                "{label}: simulator disagrees with sequential interpreter"
+            );
+            assert_eq!(
+                driver::first_mismatch(&g_thr, &seq),
+                None,
+                "{label}: threaded backend disagrees with sequential interpreter"
+            );
+            assert_eq!(
+                thr.outcome.report.pair_messages, sim.outcome.report.pair_messages,
+                "{label}: per-(src, dst, tag) message counts diverge"
+            );
+            assert_eq!(
+                thr.outcome.report.stats.makespan(),
+                sim.outcome.report.stats.makespan(),
+                "{label}: makespan diverges"
+            );
+            // And the tuner's predicted makespan is the one both backends agree on.
+            assert_eq!(
+                compiled.tune.as_ref().unwrap().winner_score().makespan,
+                sim.outcome.report.stats.makespan().0,
+                "{label}: tuner's predicted makespan diverges from execution"
+            );
+        }
+    });
 }
 
 #[test]
 fn backends_agree_under_runtime_resolution() {
-    for w in workloads() {
-        check(&w, Strategy::Runtime);
-    }
+    within(THREADS_DEADLINE, || {
+        for w in workloads() {
+            check(&w, Strategy::Runtime);
+        }
+    });
 }
 
 #[test]
 fn backends_agree_under_compile_time_resolution() {
-    for w in workloads() {
-        check(&w, Strategy::CompileTime);
-    }
+    within(THREADS_DEADLINE, || {
+        for w in workloads() {
+            check(&w, Strategy::CompileTime);
+        }
+    });
 }
 
 /// A two-processor pipeline streaming 40 four-scalar messages one way
@@ -320,43 +331,45 @@ fn stream_program() -> SpmdProgram {
 /// per-pair message counts, and logical makespan of the simulator.
 #[test]
 fn ring_capacity_is_invisible_to_programs() {
-    let prog = stream_program();
-    let expected_total: i64 = (0..40).map(|m| 16 * m + 6).sum();
+    within(THREADS_DEADLINE, || {
+        let prog = stream_program();
+        let expected_total: i64 = (0..40).map(|m| 16 * m + 6).sum();
 
-    let mut sim = SpmdMachine::new(&prog, CostModel::ipsc2()).expect("lowers");
-    let sim_out = sim.run().expect("simulator runs");
-    assert_eq!(sim.vm(0).var("total"), Some(Scalar::Int(expected_total)));
+        let mut sim = SpmdMachine::new(&prog, CostModel::ipsc2()).expect("lowers");
+        let sim_out = sim.run().expect("simulator runs");
+        assert_eq!(sim.vm(0).var("total"), Some(Scalar::Int(expected_total)));
 
-    for words in [Some(8usize), Some(64), None] {
-        let label = format!("ring capacity {words:?}");
-        let mut m = SpmdMachine::new(&prog, CostModel::ipsc2())
-            .expect("lowers")
-            .with_backend(Backend::threaded());
-        if let Some(words) = words {
-            m = m.with_ring_capacity(words);
+        for words in [Some(8usize), Some(64), None] {
+            let label = format!("ring capacity {words:?}");
+            let mut m = SpmdMachine::new(&prog, CostModel::ipsc2())
+                .expect("lowers")
+                .with_backend(Backend::threaded());
+            if let Some(words) = words {
+                m = m.with_ring_capacity(words);
+            }
+            let out = m.run().unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(
+                m.vm(0).var("total"),
+                Some(Scalar::Int(expected_total)),
+                "{label}: checksum"
+            );
+            assert_eq!(
+                m.vm(1).var("acc"),
+                Some(Scalar::Int(expected_total)),
+                "{label}: receiver accumulator"
+            );
+            assert_eq!(out.report.undelivered, 0, "{label}: undelivered");
+            assert_eq!(
+                out.report.pair_messages, sim_out.report.pair_messages,
+                "{label}: per-pair message counts"
+            );
+            assert_eq!(
+                out.report.stats.makespan(),
+                sim_out.report.stats.makespan(),
+                "{label}: logical makespan"
+            );
         }
-        let out = m.run().unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert_eq!(
-            m.vm(0).var("total"),
-            Some(Scalar::Int(expected_total)),
-            "{label}: checksum"
-        );
-        assert_eq!(
-            m.vm(1).var("acc"),
-            Some(Scalar::Int(expected_total)),
-            "{label}: receiver accumulator"
-        );
-        assert_eq!(out.report.undelivered, 0, "{label}: undelivered");
-        assert_eq!(
-            out.report.pair_messages, sim_out.report.pair_messages,
-            "{label}: per-pair message counts"
-        );
-        assert_eq!(
-            out.report.stats.makespan(),
-            sim_out.report.stats.makespan(),
-            "{label}: logical makespan"
-        );
-    }
+    });
 }
 
 /// The equivalence contract holds over the ring fabric with the
@@ -365,52 +378,54 @@ fn ring_capacity_is_invisible_to_programs() {
 /// the sequential interpreter's output and identical per-pair counts.
 #[test]
 fn backends_agree_on_faulty_checkpointed_wavefronts() {
-    let n = 8usize;
-    let program = programs::gauss_seidel();
-    let plan = FaultPlan::seeded(9)
-        .with_drops(200)
-        .with_dups(120)
-        .with_fault_budget(4);
-    let rel = RelConfig {
-        rto_wall: Duration::from_millis(2),
-        ..RelConfig::default()
-    };
-    let mut job = Job::new(
-        &program,
-        "gs_iteration",
-        programs::wavefront_decomposition(4),
-    )
-    .with_const("n", n as i64)
-    .with_fault_plan(plan, rel)
-    .with_checkpoint_cfg(CheckpointCfg::every(64));
-    job.extent_overrides.insert("Old".into(), (n, n));
-    let compiled = driver::compile(&job, Strategy::CompileTime).expect("compiles");
-    let inputs = Inputs::new()
-        .scalar("n", Scalar::Int(n as i64))
-        .array("Old", driver::standard_input(n, n));
-    let seq = driver::run_sequential(&program, "gs_iteration", &inputs).expect("sequential");
+    within(THREADS_DEADLINE, || {
+        let n = 8usize;
+        let program = programs::gauss_seidel();
+        let plan = FaultPlan::seeded(9)
+            .with_drops(200)
+            .with_dups(120)
+            .with_fault_budget(4);
+        let rel = RelConfig {
+            rto_wall: Duration::from_millis(2),
+            ..RelConfig::default()
+        };
+        let mut job = Job::new(
+            &program,
+            "gs_iteration",
+            programs::wavefront_decomposition(4),
+        )
+        .with_const("n", n as i64)
+        .with_fault_plan(plan, rel)
+        .with_checkpoint_cfg(CheckpointCfg::every(64));
+        job.extent_overrides.insert("Old".into(), (n, n));
+        let compiled = driver::compile(&job, Strategy::CompileTime).expect("compiles");
+        let inputs = Inputs::new()
+            .scalar("n", Scalar::Int(n as i64))
+            .array("Old", driver::standard_input(n, n));
+        let seq = driver::run_sequential(&program, "gs_iteration", &inputs).expect("sequential");
 
-    let sim = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
-        .expect("simulated faulty run");
-    let thr = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::threaded())
-        .expect("threaded faulty run");
-    for (label, exec) in [("simulated", &sim), ("threaded", &thr)] {
-        assert_eq!(exec.outcome.report.undelivered, 0, "{label}: undelivered");
-        let gathered = exec.gather("New").expect("gathers");
+        let sim = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
+            .expect("simulated faulty run");
+        let thr = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::threaded())
+            .expect("threaded faulty run");
+        for (label, exec) in [("simulated", &sim), ("threaded", &thr)] {
+            assert_eq!(exec.outcome.report.undelivered, 0, "{label}: undelivered");
+            let gathered = exec.gather("New").expect("gathers");
+            assert_eq!(
+                driver::first_mismatch(&gathered, &seq),
+                None,
+                "{label}: faulty checkpointed run disagrees with the interpreter"
+            );
+            assert!(
+                exec.outcome.report.recovery.is_some(),
+                "{label}: checkpointed run carries a recovery report"
+            );
+        }
         assert_eq!(
-            driver::first_mismatch(&gathered, &seq),
-            None,
-            "{label}: faulty checkpointed run disagrees with the interpreter"
+            thr.outcome.report.pair_messages, sim.outcome.report.pair_messages,
+            "per-pair logical message counts diverge under faults"
         );
-        assert!(
-            exec.outcome.report.recovery.is_some(),
-            "{label}: checkpointed run carries a recovery report"
-        );
-    }
-    assert_eq!(
-        thr.outcome.report.pair_messages, sim.outcome.report.pair_messages,
-        "per-pair logical message counts diverge under faults"
-    );
+    });
 }
 
 /// A cycle of receives that no execution can satisfy: the simulator
@@ -418,45 +433,47 @@ fn backends_agree_on_faulty_checkpointed_wavefronts() {
 /// global view — must surface a receive timeout instead of hanging.
 #[test]
 fn cyclic_deadlock_returns_timeout_on_threaded_backend() {
-    // Each of the two processors waits for the other before sending.
-    let body = vec![
-        SStmt::Recv {
-            from: SExpr::int(1).sub(SExpr::my_node()),
-            tag: 7,
-            into: vec![RecvTarget::Var("x".into())],
-        },
-        SStmt::Send {
-            to: SExpr::int(1).sub(SExpr::my_node()),
-            tag: 7,
-            values: vec![SExpr::int(1)],
-        },
-    ];
-    let prog = SpmdProgram::uniform(2, body);
+    within(THREADS_DEADLINE, || {
+        // Each of the two processors waits for the other before sending.
+        let body = vec![
+            SStmt::Recv {
+                from: SExpr::int(1).sub(SExpr::my_node()),
+                tag: 7,
+                into: vec![RecvTarget::Var("x".into())],
+            },
+            SStmt::Send {
+                to: SExpr::int(1).sub(SExpr::my_node()),
+                tag: 7,
+                values: vec![SExpr::int(1)],
+            },
+        ];
+        let prog = SpmdProgram::uniform(2, body);
 
-    let sim_err = SpmdMachine::new(&prog, CostModel::zero())
-        .expect("lowers")
-        .run()
-        .expect_err("simulator detects the cycle");
-    assert!(
-        matches!(
-            sim_err,
-            pdc_spmd::SpmdError::Machine(MachineError::Deadlock { .. })
-        ),
-        "simulator reports a deadlock, got: {sim_err}"
-    );
+        let sim_err = SpmdMachine::new(&prog, CostModel::zero())
+            .expect("lowers")
+            .run()
+            .expect_err("simulator detects the cycle");
+        assert!(
+            matches!(
+                sim_err,
+                pdc_spmd::SpmdError::Machine(MachineError::Deadlock { .. })
+            ),
+            "simulator reports a deadlock, got: {sim_err}"
+        );
 
-    let thr_err = SpmdMachine::new(&prog, CostModel::zero())
-        .expect("lowers")
-        .with_backend(Backend::Threaded {
-            recv_timeout: Duration::from_millis(50),
-        })
-        .run()
-        .expect_err("threaded backend times out");
-    assert!(
-        matches!(
-            thr_err,
-            pdc_spmd::SpmdError::Machine(MachineError::RecvTimeout { .. })
-        ),
-        "threaded backend reports a receive timeout, got: {thr_err}"
-    );
+        let thr_err = SpmdMachine::new(&prog, CostModel::zero())
+            .expect("lowers")
+            .with_backend(Backend::Threaded {
+                recv_timeout: Duration::from_millis(50),
+            })
+            .run()
+            .expect_err("threaded backend times out");
+        assert!(
+            matches!(
+                thr_err,
+                pdc_spmd::SpmdError::Machine(MachineError::RecvTimeout { .. })
+            ),
+            "threaded backend reports a receive timeout, got: {thr_err}"
+        );
+    });
 }

@@ -23,7 +23,7 @@ use pdc_core::programs;
 use pdc_machine::{Backend, CheckpointCfg, CostModel, RelConfig};
 use pdc_mapping::{Decomposition, Dist};
 use pdc_spmd::Scalar;
-use pdc_testkit::Rng;
+use pdc_testkit::{within, Rng, THREADS_DEADLINE};
 use std::time::Duration;
 
 /// Fault seeds to sweep: `PDC_FAULT_SEEDS` if set, else a baked pair.
@@ -164,19 +164,21 @@ fn check_case(case: &Case, seed: u64, idx: usize) -> u64 {
 
 #[test]
 fn crashed_runs_match_fault_free_runs_on_both_backends() {
-    let mut total_survived = 0;
-    for seed in fault_seeds() {
-        let mut rng = Rng::from_seed(seed);
-        for idx in 0..3 {
-            let case = random_case(&mut rng);
-            total_survived += check_case(&case, seed, idx);
+    within(THREADS_DEADLINE, || {
+        let mut total_survived = 0;
+        for seed in fault_seeds() {
+            let mut rng = Rng::from_seed(seed);
+            for idx in 0..3 {
+                let case = random_case(&mut rng);
+                total_survived += check_case(&case, seed, idx);
+            }
         }
-    }
-    // Non-vacuity: the sweep must have actually crashed and recovered.
-    assert!(
-        total_survived >= 1,
-        "no crash was ever injected — the suite is testing nothing"
-    );
+        // Non-vacuity: the sweep must have actually crashed and recovered.
+        assert!(
+            total_survived >= 1,
+            "no crash was ever injected — the suite is testing nothing"
+        );
+    });
 }
 
 /// Simulator recovery is bit-for-bit deterministic: same seed, same
@@ -247,15 +249,17 @@ fn coordinated_mode_recovers_on_the_simulator() {
 /// dropped and duplicated, the hardest composite fault case.
 #[test]
 fn crashes_on_a_lossy_fabric_still_recover() {
-    let mut rng = Rng::from_seed(fault_seeds()[0] ^ 0x1055);
-    let nprocs = 3;
-    let case = Case {
-        nprocs,
-        dist: Dist::ColumnCyclic,
-        plan: pdc_testkit::fault::crash_plan_with_losses(&mut rng, nprocs),
-        ckpt: CheckpointCfg::every(8).with_reboot(5_000, Duration::from_millis(1)),
-    };
-    check_case(&case, 0x10, 99);
+    within(THREADS_DEADLINE, || {
+        let mut rng = Rng::from_seed(fault_seeds()[0] ^ 0x1055);
+        let nprocs = 3;
+        let case = Case {
+            nprocs,
+            dist: Dist::ColumnCyclic,
+            plan: pdc_testkit::fault::crash_plan_with_losses(&mut rng, nprocs),
+            ckpt: CheckpointCfg::every(8).with_reboot(5_000, Duration::from_millis(1)),
+        };
+        check_case(&case, 0x10, 99);
+    });
 }
 
 /// Without checkpoints a crash is fatal and names the victim.

@@ -22,7 +22,7 @@ use pdc_mapping::{Decomposition, Dist};
 use pdc_spmd::ir::{RecvTarget, SExpr, SStmt, SpmdProgram};
 use pdc_spmd::run::SpmdMachine;
 use pdc_spmd::Scalar;
-use pdc_testkit::Rng;
+use pdc_testkit::{within, Rng, THREADS_DEADLINE};
 use std::time::Duration;
 
 /// Fault seeds to sweep: `PDC_FAULT_SEEDS` if set, else a baked pair.
@@ -189,22 +189,26 @@ fn check_under_plan(w: &Workload, strategy: Strategy, plan: &FaultPlan, label_ex
 
 #[test]
 fn workloads_recover_under_seeded_fault_plans() {
-    for seed in fault_seeds() {
-        let mut rng = Rng::from_seed(seed);
-        for w in workloads() {
-            let plan = pdc_testkit::fault::fault_plan(&mut rng);
-            check_under_plan(&w, Strategy::Runtime, &plan, &format!("(seed {seed})"));
+    within(THREADS_DEADLINE, || {
+        for seed in fault_seeds() {
+            let mut rng = Rng::from_seed(seed);
+            for w in workloads() {
+                let plan = pdc_testkit::fault::fault_plan(&mut rng);
+                check_under_plan(&w, Strategy::Runtime, &plan, &format!("(seed {seed})"));
+            }
         }
-    }
+    });
 }
 
 #[test]
 fn compile_time_strategy_recovers_too() {
-    let mut rng = Rng::from_seed(fault_seeds()[0]);
-    for w in workloads() {
-        let plan = pdc_testkit::fault::fault_plan(&mut rng);
-        check_under_plan(&w, Strategy::CompileTime, &plan, "(compile-time)");
-    }
+    within(THREADS_DEADLINE, || {
+        let mut rng = Rng::from_seed(fault_seeds()[0]);
+        for w in workloads() {
+            let plan = pdc_testkit::fault::fault_plan(&mut rng);
+            check_under_plan(&w, Strategy::CompileTime, &plan, "(compile-time)");
+        }
+    });
 }
 
 /// A deliberately heavy plan on the chattiest workload: drops must force
@@ -212,31 +216,33 @@ fn compile_time_strategy_recovers_too() {
 /// still produce interpreter-identical output.
 #[test]
 fn heavy_losses_force_retransmissions() {
-    let plan = FaultPlan::seeded(42)
-        .with_drops(300)
-        .with_dups(150)
-        .with_delays(100, 10_000)
-        .with_reorders(50)
-        .with_fault_budget(4);
-    let w = &workloads()[2]; // jacobi on 8 processors: the most traffic
-    check_under_plan(w, Strategy::Runtime, &plan, "(heavy)");
+    within(THREADS_DEADLINE, || {
+        let plan = FaultPlan::seeded(42)
+            .with_drops(300)
+            .with_dups(150)
+            .with_delays(100, 10_000)
+            .with_reorders(50)
+            .with_fault_budget(4);
+        let w = &workloads()[2]; // jacobi on 8 processors: the most traffic
+        check_under_plan(w, Strategy::Runtime, &plan, "(heavy)");
 
-    // Re-run on the simulator alone to inspect the report.
-    let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
-        .with_const("n", w.n as i64)
-        .with_fault_plan(plan, test_rel());
-    job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
-    let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
-    let inputs = Inputs::new()
-        .scalar("n", Scalar::Int(w.n as i64))
-        .array("Old", w.input.clone());
-    let exec = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
-        .expect("recovers");
-    let fr = exec.outcome.report.fault.expect("fault report");
-    assert!(fr.injected.drops > 0, "the plan dropped frames: {fr:?}");
-    assert!(fr.retransmits > 0, "drops forced retransmits: {fr:?}");
-    assert!(fr.acks_sent > 0, "receivers acked: {fr:?}");
-    assert!(fr.dup_frames_dropped > 0, "dup suppression engaged: {fr:?}");
+        // Re-run on the simulator alone to inspect the report.
+        let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
+            .with_const("n", w.n as i64)
+            .with_fault_plan(plan, test_rel());
+        job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
+        let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
+        let inputs = Inputs::new()
+            .scalar("n", Scalar::Int(w.n as i64))
+            .array("Old", w.input.clone());
+        let exec = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
+            .expect("recovers");
+        let fr = exec.outcome.report.fault.expect("fault report");
+        assert!(fr.injected.drops > 0, "the plan dropped frames: {fr:?}");
+        assert!(fr.retransmits > 0, "drops forced retransmits: {fr:?}");
+        assert!(fr.acks_sent > 0, "receivers acked: {fr:?}");
+        assert!(fr.dup_frames_dropped > 0, "dup suppression engaged: {fr:?}");
+    });
 }
 
 /// Simulator runs under a fault plan are exactly reproducible: same
@@ -308,68 +314,73 @@ fn empty_plan_is_bit_identical_to_vanilla() {
 /// backends.
 #[test]
 fn black_hole_names_the_starved_stream() {
-    // P0 sends to P1 on tag 1 and the fabric eats every copy.
-    let p0 = vec![SStmt::Send {
-        to: SExpr::int(1),
-        tag: 1,
-        values: vec![SExpr::int(5)],
-    }];
-    let p1 = vec![SStmt::Recv {
-        from: SExpr::int(0),
-        tag: 1,
-        into: vec![RecvTarget::Var("x".into())],
-    }];
-    let prog = SpmdProgram::new(vec![p0, p1]);
-    let plan = FaultPlan::seeded(0).with_black_hole(ProcId(0), ProcId(1), Tag(1));
+    within(THREADS_DEADLINE, || {
+        // P0 sends to P1 on tag 1 and the fabric eats every copy.
+        let p0 = vec![SStmt::Send {
+            to: SExpr::int(1),
+            tag: 1,
+            values: vec![SExpr::int(5)],
+        }];
+        let p1 = vec![SStmt::Recv {
+            from: SExpr::int(0),
+            tag: 1,
+            into: vec![RecvTarget::Var("x".into())],
+        }];
+        let prog = SpmdProgram::new(vec![p0, p1]);
+        let plan = FaultPlan::seeded(0).with_black_hole(ProcId(0), ProcId(1), Tag(1));
 
-    let sim_cfg = RelConfig {
-        rto_cycles: 1_000,
-        max_retries: 4,
-        ..RelConfig::default()
-    };
-    let sim_err = SpmdMachine::new(&prog, CostModel::ipsc2())
-        .expect("lowers")
-        .with_faults_cfg(plan.clone(), sim_cfg)
-        .run()
-        .expect_err("the stream is starved");
-    match sim_err {
-        pdc_spmd::SpmdError::Machine(MachineError::RetriesExhausted {
-            proc,
-            peer,
-            tag,
-            retries,
-            last_acked,
-        }) => {
-            assert_eq!((proc, peer, tag), (ProcId(0), ProcId(1), Tag(1)));
-            assert_eq!(retries, 4);
-            // Nothing ever got through: the suspect's cumulative ack
-            // floor is still at the first sequence number.
-            assert_eq!(last_acked, 0);
+        let sim_cfg = RelConfig {
+            rto_cycles: 1_000,
+            max_retries: 4,
+            ..RelConfig::default()
+        };
+        let sim_err = SpmdMachine::new(&prog, CostModel::ipsc2())
+            .expect("lowers")
+            .with_faults_cfg(plan.clone(), sim_cfg)
+            .run()
+            .expect_err("the stream is starved");
+        match sim_err {
+            pdc_spmd::SpmdError::Machine(MachineError::RetriesExhausted {
+                proc,
+                peer,
+                tag,
+                retries,
+                last_acked,
+            }) => {
+                assert_eq!((proc, peer, tag), (ProcId(0), ProcId(1), Tag(1)));
+                assert_eq!(retries, 4);
+                // Nothing ever got through: the suspect's cumulative ack
+                // floor is still at the first sequence number.
+                assert_eq!(last_acked, 0);
+            }
+            other => panic!("expected RetriesExhausted, got: {other}"),
         }
-        other => panic!("expected RetriesExhausted, got: {other}"),
-    }
 
-    let thr_cfg = RelConfig {
-        rto_wall: Duration::from_millis(2),
-        max_retries: 4,
-        ..RelConfig::default()
-    };
-    let thr_err = SpmdMachine::new(&prog, CostModel::ipsc2())
-        .expect("lowers")
-        .with_backend(Backend::Threaded {
-            recv_timeout: Duration::from_secs(30),
-        })
-        .with_faults_cfg(plan, thr_cfg)
-        .run()
-        .expect_err("the stream is starved");
-    match thr_err {
-        pdc_spmd::SpmdError::Machine(MachineError::RetriesExhausted {
-            proc, peer, tag, ..
-        }) => {
-            assert_eq!((proc, peer, tag), (ProcId(0), ProcId(1), Tag(1)));
+        let thr_cfg = RelConfig {
+            rto_wall: Duration::from_millis(2),
+            max_retries: 4,
+            ..RelConfig::default()
+        };
+        let thr_err = SpmdMachine::new(&prog, CostModel::ipsc2())
+            .expect("lowers")
+            .with_backend(Backend::Threaded {
+                recv_timeout: Duration::from_secs(30),
+            })
+            .with_faults_cfg(plan, thr_cfg)
+            .run()
+            .expect_err("the stream is starved");
+        match thr_err {
+            pdc_spmd::SpmdError::Machine(MachineError::RetriesExhausted {
+                proc,
+                peer,
+                tag,
+                ..
+            }) => {
+                assert_eq!((proc, peer, tag), (ProcId(0), ProcId(1), Tag(1)));
+            }
+            other => panic!("expected RetriesExhausted, got: {other}"),
         }
-        other => panic!("expected RetriesExhausted, got: {other}"),
-    }
+    });
 }
 
 /// Stalling a processor must never change outputs — only timing.

@@ -21,7 +21,7 @@ use pdc_mapping::{Decomposition, ScalarMap};
 use pdc_spmd::ir::SpmdProgram;
 use pdc_spmd::run::SpmdMachine;
 use pdc_spmd::Scalar;
-use pdc_testkit::{cases, Rng};
+use pdc_testkit::{cases, within, Rng, THREADS_DEADLINE};
 use std::time::Duration;
 
 /// Run a wavefront program with full metrics on the given backend.
@@ -69,54 +69,56 @@ fn assert_triples_match(report: &RunReport, label: &str) {
 /// with the scheduler's message ledger and the network totals.
 #[test]
 fn wavefront_variants_logical_parity() {
-    let (n, s) = (16, 4);
-    for variant in [
-        Variant::RuntimeRes,
-        Variant::CompileTime,
-        Variant::OptimizedI,
-        Variant::OptimizedII,
-        Variant::OptimizedIII { blksize: 4 },
-    ] {
-        let prog = build_wavefront(variant, n, s);
-        let sim = run_wavefront_metrics(&prog, n, Backend::Simulated);
-        let thr = run_wavefront_metrics(&prog, n, Backend::threaded());
-        assert!(
-            sim.metrics.full,
-            "{variant}: simulator records full metrics"
-        );
-        assert!(thr.metrics.full, "{variant}: threads record full metrics");
-        assert_eq!(
-            sim.metrics.logical(),
-            thr.metrics.logical(),
-            "{variant}: logical metrics diverge across backends"
-        );
-        assert!(
-            sim.metrics.total(Ctr::FramesSent) > 0,
-            "{variant}: a 4-processor wavefront must communicate"
-        );
-        // Each send has a matching receive, and the registry agrees with
-        // the machine's own traffic statistics.
-        assert_eq!(
-            sim.metrics.total(Ctr::FramesSent),
-            sim.metrics.total(Ctr::FramesRecvd),
-            "{variant}: frames sent vs received"
-        );
-        assert_eq!(
-            sim.metrics.total(Ctr::FramesSent),
-            sim.stats.network.messages,
-            "{variant}: registry vs network message count"
-        );
-        assert_eq!(
-            sim.metrics.total(Ctr::WordsSent),
-            sim.stats.network.words,
-            "{variant}: registry vs network word count"
-        );
-        assert_triples_match(&sim, &format!("{variant} (sim)"));
-        assert_triples_match(&thr, &format!("{variant} (threaded)"));
-        // The VM's ops counter is logical too: both backends execute the
-        // same instruction sequence.
-        assert!(sim.metrics.total(Ctr::Ops) > 0, "{variant}: ops recorded");
-    }
+    within(THREADS_DEADLINE, || {
+        let (n, s) = (16, 4);
+        for variant in [
+            Variant::RuntimeRes,
+            Variant::CompileTime,
+            Variant::OptimizedI,
+            Variant::OptimizedII,
+            Variant::OptimizedIII { blksize: 4 },
+        ] {
+            let prog = build_wavefront(variant, n, s);
+            let sim = run_wavefront_metrics(&prog, n, Backend::Simulated);
+            let thr = run_wavefront_metrics(&prog, n, Backend::threaded());
+            assert!(
+                sim.metrics.full,
+                "{variant}: simulator records full metrics"
+            );
+            assert!(thr.metrics.full, "{variant}: threads record full metrics");
+            assert_eq!(
+                sim.metrics.logical(),
+                thr.metrics.logical(),
+                "{variant}: logical metrics diverge across backends"
+            );
+            assert!(
+                sim.metrics.total(Ctr::FramesSent) > 0,
+                "{variant}: a 4-processor wavefront must communicate"
+            );
+            // Each send has a matching receive, and the registry agrees with
+            // the machine's own traffic statistics.
+            assert_eq!(
+                sim.metrics.total(Ctr::FramesSent),
+                sim.metrics.total(Ctr::FramesRecvd),
+                "{variant}: frames sent vs received"
+            );
+            assert_eq!(
+                sim.metrics.total(Ctr::FramesSent),
+                sim.stats.network.messages,
+                "{variant}: registry vs network message count"
+            );
+            assert_eq!(
+                sim.metrics.total(Ctr::WordsSent),
+                sim.stats.network.words,
+                "{variant}: registry vs network word count"
+            );
+            assert_triples_match(&sim, &format!("{variant} (sim)"));
+            assert_triples_match(&thr, &format!("{variant} (threaded)"));
+            // The VM's ops counter is logical too: both backends execute the
+            // same instruction sequence.
+            assert!(sim.metrics.total(Ctr::Ops) > 0, "{variant}: ops recorded");
+        }
+    });
 }
 
 /// A recipe for one `let` statement of a random straight-line program
@@ -181,42 +183,44 @@ fn decomposition_for(specs: &[StmtSpec], nprocs: usize) -> Decomposition {
 /// backends: the logical snapshots and the scheduler ledger must agree.
 #[test]
 fn random_programs_metrics_parity() {
-    cases(24, "random_programs_metrics_parity", |rng| {
-        let nprocs = rng.range_usize(1, 6);
-        let specs = random_specs(rng);
-        let src = build_source(&specs);
-        let program = pdc_lang::parse(&src).expect("generated source parses");
-        let d = decomposition_for(&specs, nprocs);
-        let strategy = if rng.bool() {
-            Strategy::Runtime
-        } else {
-            Strategy::CompileTime
-        };
-        let job = Job::new(&program, "main", d).with_metrics();
-        let compiled = driver::compile(&job, strategy)
-            .unwrap_or_else(|e| panic!("{strategy:?} failed on:\n{src}\n{e}"));
-        let sim = driver::execute_on(
-            &compiled,
-            &Inputs::new(),
-            CostModel::ipsc2(),
-            Backend::Simulated,
-        )
-        .unwrap_or_else(|e| panic!("sim run failed on:\n{src}\n{e}"));
-        let thr = driver::execute_on(
-            &compiled,
-            &Inputs::new(),
-            CostModel::ipsc2(),
-            Backend::threaded(),
-        )
-        .unwrap_or_else(|e| panic!("threaded run failed on:\n{src}\n{e}"));
-        assert!(sim.metrics().full && thr.metrics().full);
-        assert_eq!(
-            sim.metrics().logical(),
-            thr.metrics().logical(),
-            "logical metrics diverge on:\n{src}"
-        );
-        assert_triples_match(&sim.outcome.report, "sim");
-        assert_triples_match(&thr.outcome.report, "threaded");
+    within(THREADS_DEADLINE, || {
+        cases(24, "random_programs_metrics_parity", |rng| {
+            let nprocs = rng.range_usize(1, 6);
+            let specs = random_specs(rng);
+            let src = build_source(&specs);
+            let program = pdc_lang::parse(&src).expect("generated source parses");
+            let d = decomposition_for(&specs, nprocs);
+            let strategy = if rng.bool() {
+                Strategy::Runtime
+            } else {
+                Strategy::CompileTime
+            };
+            let job = Job::new(&program, "main", d).with_metrics();
+            let compiled = driver::compile(&job, strategy)
+                .unwrap_or_else(|e| panic!("{strategy:?} failed on:\n{src}\n{e}"));
+            let sim = driver::execute_on(
+                &compiled,
+                &Inputs::new(),
+                CostModel::ipsc2(),
+                Backend::Simulated,
+            )
+            .unwrap_or_else(|e| panic!("sim run failed on:\n{src}\n{e}"));
+            let thr = driver::execute_on(
+                &compiled,
+                &Inputs::new(),
+                CostModel::ipsc2(),
+                Backend::threaded(),
+            )
+            .unwrap_or_else(|e| panic!("threaded run failed on:\n{src}\n{e}"));
+            assert!(sim.metrics().full && thr.metrics().full);
+            assert_eq!(
+                sim.metrics().logical(),
+                thr.metrics().logical(),
+                "logical metrics diverge on:\n{src}"
+            );
+            assert_triples_match(&sim.outcome.report, "sim");
+            assert_triples_match(&thr.outcome.report, "threaded");
+        });
     });
 }
 
@@ -271,58 +275,60 @@ impl Process for Cyclic {
 /// processor, which is exactly the post-mortem a deadlock needs.
 #[test]
 fn deadlock_report_has_nonvacuous_flight_recorder() {
-    let mut procs = vec![Cyclic::default(), Cyclic::default()];
-    let (report, err) = ThreadedRunner::new(CostModel::ipsc2())
-        .with_recv_timeout(Duration::from_millis(50))
-        .run_with_report(&mut procs);
-    let err = err.expect("the cyclic wait must fail");
-    assert!(
-        matches!(
-            err,
-            MachineError::RecvTimeout { .. } | MachineError::Deadlock { .. }
-        ),
-        "expected a deadlock-shaped error, got {err}"
-    );
-    // Full metrics were never requested: flight-only mode.
-    assert!(!report.metrics.full);
-    assert_eq!(report.metrics.total(Ctr::FramesSent), 0);
-    // ...but the recorder captured the exchange that *did* happen.
-    for (p, pm) in report.metrics.procs.iter().enumerate() {
-        assert!(pm.flight_recorded > 0, "P{p}: empty flight recorder");
-    }
-    assert!(
-        report.metrics.procs[0]
+    within(THREADS_DEADLINE, || {
+        let mut procs = vec![Cyclic::default(), Cyclic::default()];
+        let (report, err) = ThreadedRunner::new(CostModel::ipsc2())
+            .with_recv_timeout(Duration::from_millis(50))
+            .run_with_report(&mut procs);
+        let err = err.expect("the cyclic wait must fail");
+        assert!(
+            matches!(
+                err,
+                MachineError::RecvTimeout { .. } | MachineError::Deadlock { .. }
+            ),
+            "expected a deadlock-shaped error, got {err}"
+        );
+        // Full metrics were never requested: flight-only mode.
+        assert!(!report.metrics.full);
+        assert_eq!(report.metrics.total(Ctr::FramesSent), 0);
+        // ...but the recorder captured the exchange that *did* happen.
+        for (p, pm) in report.metrics.procs.iter().enumerate() {
+            assert!(pm.flight_recorded > 0, "P{p}: empty flight recorder");
+        }
+        assert!(
+            report.metrics.procs[0]
+                .flight
+                .iter()
+                .any(|e| e.kind == FlightKind::Send && e.peer == Some(1) && e.value == 2),
+            "P0's send of 2 words is on record"
+        );
+        assert!(
+            report.metrics.procs[1]
+                .flight
+                .iter()
+                .any(|e| e.kind == FlightKind::Recv && e.peer == Some(0)),
+            "P1's receive is on record"
+        );
+        // The same deadlock on the simulator, via the wavefront-independent
+        // scheduler path: flight events survive there too.
+        let mut machine = pdc_machine::Machine::new(2, CostModel::ipsc2());
+        machine.enable_metrics(std::sync::Arc::new(
+            pdc_machine::MetricsRegistry::flight_only(2),
+        ));
+        let (mut p0, mut p1) = (Cyclic::default(), Cyclic::default());
+        let mut procs: Vec<&mut dyn Process> = vec![&mut p0, &mut p1];
+        let err = pdc_machine::Scheduler::new()
+            .run(&mut machine, &mut procs)
+            .expect_err("the simulator deadlocks");
+        assert!(matches!(err, MachineError::Deadlock { .. }), "got {err}");
+        let snap = machine.metrics_snapshot();
+        assert!(snap.procs[0]
             .flight
             .iter()
-            .any(|e| e.kind == FlightKind::Send && e.peer == Some(1) && e.value == 2),
-        "P0's send of 2 words is on record"
-    );
-    assert!(
-        report.metrics.procs[1]
+            .any(|e| e.kind == FlightKind::Send));
+        assert!(snap.procs[1]
             .flight
             .iter()
-            .any(|e| e.kind == FlightKind::Recv && e.peer == Some(0)),
-        "P1's receive is on record"
-    );
-    // The same deadlock on the simulator, via the wavefront-independent
-    // scheduler path: flight events survive there too.
-    let mut machine = pdc_machine::Machine::new(2, CostModel::ipsc2());
-    machine.enable_metrics(std::sync::Arc::new(
-        pdc_machine::MetricsRegistry::flight_only(2),
-    ));
-    let (mut p0, mut p1) = (Cyclic::default(), Cyclic::default());
-    let mut procs: Vec<&mut dyn Process> = vec![&mut p0, &mut p1];
-    let err = pdc_machine::Scheduler::new()
-        .run(&mut machine, &mut procs)
-        .expect_err("the simulator deadlocks");
-    assert!(matches!(err, MachineError::Deadlock { .. }), "got {err}");
-    let snap = machine.metrics_snapshot();
-    assert!(snap.procs[0]
-        .flight
-        .iter()
-        .any(|e| e.kind == FlightKind::Send));
-    assert!(snap.procs[1]
-        .flight
-        .iter()
-        .any(|e| e.kind == FlightKind::Recv));
+            .any(|e| e.kind == FlightKind::Recv));
+    });
 }

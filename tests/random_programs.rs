@@ -18,7 +18,7 @@ use pdc_mapping::{Decomposition, Dist, ScalarMap};
 use pdc_spmd::ir::{RecvTarget, SExpr, SStmt, SpmdProgram};
 use pdc_spmd::run::SpmdMachine;
 use pdc_spmd::{Scalar, SpmdError};
-use pdc_testkit::{cases, Rng};
+use pdc_testkit::{cases, within, Rng, THREADS_DEADLINE};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -179,54 +179,56 @@ fn random_array_dist(rng: &mut Rng, nprocs: usize) -> Dist {
 /// threads, real channels, and every distribution family at once.
 #[test]
 fn threaded_backend_matches_interpreter_on_random_decompositions() {
-    cases(
-        24,
-        "threaded_backend_matches_interpreter_on_random_decompositions",
-        |rng| {
-            let nprocs = rng.range_usize(1, 9);
-            let n = rng.range_usize(4, 10);
-            let dist = random_array_dist(rng, nprocs);
-            let strategy = if rng.bool() {
-                CodegenStrategy::Runtime
-            } else {
-                CodegenStrategy::CompileTime
-            };
-            let label = format!("{dist:?} on {nprocs} procs, n = {n}, {strategy:?}");
+    within(THREADS_DEADLINE, || {
+        cases(
+            24,
+            "threaded_backend_matches_interpreter_on_random_decompositions",
+            |rng| {
+                let nprocs = rng.range_usize(1, 9);
+                let n = rng.range_usize(4, 10);
+                let dist = random_array_dist(rng, nprocs);
+                let strategy = if rng.bool() {
+                    CodegenStrategy::Runtime
+                } else {
+                    CodegenStrategy::CompileTime
+                };
+                let label = format!("{dist:?} on {nprocs} procs, n = {n}, {strategy:?}");
 
-            let program = programs::jacobi();
-            let d = Decomposition::new(nprocs)
-                .array("New", dist.clone())
-                .array("Old", dist);
-            let mut job = Job::new(&program, "jacobi", d).with_const("n", n as i64);
-            job.extent_overrides.insert("Old".into(), (n, n));
-            let compiled =
-                driver::compile(&job, strategy).unwrap_or_else(|e| panic!("{label}: compile: {e}"));
-            let inputs = Inputs::new()
-                .scalar("n", Scalar::Int(n as i64))
-                .array("Old", driver::standard_input(n, n));
+                let program = programs::jacobi();
+                let d = Decomposition::new(nprocs)
+                    .array("New", dist.clone())
+                    .array("Old", dist);
+                let mut job = Job::new(&program, "jacobi", d).with_const("n", n as i64);
+                job.extent_overrides.insert("Old".into(), (n, n));
+                let compiled = driver::compile(&job, strategy)
+                    .unwrap_or_else(|e| panic!("{label}: compile: {e}"));
+                let inputs = Inputs::new()
+                    .scalar("n", Scalar::Int(n as i64))
+                    .array("Old", driver::standard_input(n, n));
 
-            let thr =
-                driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::threaded())
-                    .unwrap_or_else(|e| panic!("{label}: threaded run: {e}"));
-            assert_eq!(thr.outcome.report.undelivered, 0, "{label}");
-            let gathered = thr.gather("New").expect("gathers");
-            let seq = driver::run_sequential(&program, "jacobi", &inputs).expect("sequential");
-            assert_eq!(
-                driver::first_mismatch(&gathered, &seq),
-                None,
-                "{label}: threaded output disagrees with the interpreter"
-            );
+                let thr =
+                    driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::threaded())
+                        .unwrap_or_else(|e| panic!("{label}: threaded run: {e}"));
+                assert_eq!(thr.outcome.report.undelivered, 0, "{label}");
+                let gathered = thr.gather("New").expect("gathers");
+                let seq = driver::run_sequential(&program, "jacobi", &inputs).expect("sequential");
+                assert_eq!(
+                    driver::first_mismatch(&gathered, &seq),
+                    None,
+                    "{label}: threaded output disagrees with the interpreter"
+                );
 
-            // And the communication pattern matches the simulator's.
-            let sim =
-                driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
-                    .unwrap_or_else(|e| panic!("{label}: simulated run: {e}"));
-            assert_eq!(
-                thr.outcome.report.pair_messages, sim.outcome.report.pair_messages,
-                "{label}: per-pair message counts diverge"
-            );
-        },
-    );
+                // And the communication pattern matches the simulator's.
+                let sim =
+                    driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
+                        .unwrap_or_else(|e| panic!("{label}: simulated run: {e}"));
+                assert_eq!(
+                    thr.outcome.report.pair_messages, sim.outcome.report.pair_messages,
+                    "{label}: per-pair message counts diverge"
+                );
+            },
+        );
+    });
 }
 
 /// A random straight-line communication pattern over 2–4 processors:
@@ -344,39 +346,41 @@ fn static_verification_agrees_with_simulated_deadlock_behaviour() {
 /// costs a real wall-clock timeout.
 #[test]
 fn static_verification_agrees_with_threaded_deadlock_behaviour() {
-    cases(
-        24,
-        "static_verification_agrees_with_threaded_deadlock_behaviour",
-        |rng| {
-            let prog = random_comm_program(rng);
-            let report = pdc_analyze::analyze(&prog, &BTreeMap::new(), &BTreeMap::new());
-            let result = SpmdMachine::new(&prog, CostModel::zero())
-                .expect("lowers")
-                .with_backend(Backend::Threaded {
-                    recv_timeout: Duration::from_millis(250),
-                })
-                .run();
-            match &result {
-                Ok(_) => {}
-                Err(SpmdError::Machine(
-                    MachineError::Deadlock { .. } | MachineError::RecvTimeout { .. },
-                )) => {
+    within(THREADS_DEADLINE, || {
+        cases(
+            24,
+            "static_verification_agrees_with_threaded_deadlock_behaviour",
+            |rng| {
+                let prog = random_comm_program(rng);
+                let report = pdc_analyze::analyze(&prog, &BTreeMap::new(), &BTreeMap::new());
+                let result = SpmdMachine::new(&prog, CostModel::zero())
+                    .expect("lowers")
+                    .with_backend(Backend::Threaded {
+                        recv_timeout: Duration::from_millis(250),
+                    })
+                    .run();
+                match &result {
+                    Ok(_) => {}
+                    Err(SpmdError::Machine(
+                        MachineError::Deadlock { .. } | MachineError::RecvTimeout { .. },
+                    )) => {
+                        assert!(
+                            report.has_errors(),
+                            "threaded deadlock escaped the analyzer:\n{prog}"
+                        );
+                    }
+                    Err(e) => panic!("unexpected machine error: {e}\n{prog}"),
+                }
+                if report.verified() {
                     assert!(
-                        report.has_errors(),
-                        "threaded deadlock escaped the analyzer:\n{prog}"
+                        result.is_ok(),
+                        "statically verified program failed on threads: {}\n{prog}",
+                        result.unwrap_err()
                     );
                 }
-                Err(e) => panic!("unexpected machine error: {e}\n{prog}"),
-            }
-            if report.verified() {
-                assert!(
-                    result.is_ok(),
-                    "statically verified program failed on threads: {}\n{prog}",
-                    result.unwrap_err()
-                );
-            }
-        },
-    );
+            },
+        );
+    });
 }
 
 /// Random *verified* (statically deadlock-free) communication programs
@@ -387,70 +391,72 @@ fn static_verification_agrees_with_threaded_deadlock_behaviour() {
 /// by processor.
 #[test]
 fn ring_fabric_matches_simulator_on_random_programs() {
-    use pdc_machine::{CheckpointCfg, FaultPlan, RelConfig};
-    cases(
-        32,
-        "ring_fabric_matches_simulator_on_random_programs",
-        |rng| {
-            let prog = random_comm_program(rng);
-            let report = pdc_analyze::analyze(&prog, &BTreeMap::new(), &BTreeMap::new());
-            // Only deadlock-free programs terminate on both backends; the
-            // deadlocking rest of the family is covered by the two
-            // verification tests above.
-            if !report.verified() {
-                return;
-            }
-            let mut sim = SpmdMachine::new(&prog, CostModel::ipsc2()).expect("lowers");
-            let sim_out = sim.run().expect("simulator");
-
-            let caps = [8usize, 16, 64, 1024];
-            let cap = caps[rng.range_usize(0, caps.len())];
-            let config = rng.range_usize(0, 3);
-            let label = format!("ring {cap}, config {config}\n{prog}");
-            let mut thr = SpmdMachine::new(&prog, CostModel::ipsc2())
-                .expect("lowers")
-                .with_backend(Backend::threaded())
-                .with_ring_capacity(cap);
-            match config {
-                0 => {}
-                1 => {
-                    let plan = FaultPlan::seeded(rng.range_i64(0, 1 << 20) as u64)
-                        .with_drops(200)
-                        .with_dups(100)
-                        .with_fault_budget(3);
-                    let rel = RelConfig {
-                        rto_wall: Duration::from_millis(2),
-                        ..RelConfig::default()
-                    };
-                    thr = thr.with_faults_cfg(plan, rel);
+    within(THREADS_DEADLINE, || {
+        use pdc_machine::{CheckpointCfg, FaultPlan, RelConfig};
+        cases(
+            32,
+            "ring_fabric_matches_simulator_on_random_programs",
+            |rng| {
+                let prog = random_comm_program(rng);
+                let report = pdc_analyze::analyze(&prog, &BTreeMap::new(), &BTreeMap::new());
+                // Only deadlock-free programs terminate on both backends; the
+                // deadlocking rest of the family is covered by the two
+                // verification tests above.
+                if !report.verified() {
+                    return;
                 }
-                _ => thr = thr.with_checkpoints(CheckpointCfg::every(4)),
-            }
-            let thr_out = thr
-                .run()
-                .unwrap_or_else(|e| panic!("{label}: threaded: {e}"));
+                let mut sim = SpmdMachine::new(&prog, CostModel::ipsc2()).expect("lowers");
+                let sim_out = sim.run().expect("simulator");
 
-            assert_eq!(
-                thr_out.report.pair_messages, sim_out.report.pair_messages,
-                "{label}: per-pair message counts"
-            );
-            assert_eq!(
-                thr_out.report.undelivered, sim_out.report.undelivered,
-                "{label}: undelivered (orphan) message counts"
-            );
-            for p in 0..prog.n_procs() {
-                for m in 0..8 {
-                    for var in [format!("v{m}"), format!("w{m}")] {
-                        assert_eq!(
-                            thr.vm(p).var(&var),
-                            sim.vm(p).var(&var),
-                            "{label}: `{var}` on P{p}"
-                        );
+                let caps = [8usize, 16, 64, 1024];
+                let cap = caps[rng.range_usize(0, caps.len())];
+                let config = rng.range_usize(0, 3);
+                let label = format!("ring {cap}, config {config}\n{prog}");
+                let mut thr = SpmdMachine::new(&prog, CostModel::ipsc2())
+                    .expect("lowers")
+                    .with_backend(Backend::threaded())
+                    .with_ring_capacity(cap);
+                match config {
+                    0 => {}
+                    1 => {
+                        let plan = FaultPlan::seeded(rng.range_i64(0, 1 << 20) as u64)
+                            .with_drops(200)
+                            .with_dups(100)
+                            .with_fault_budget(3);
+                        let rel = RelConfig {
+                            rto_wall: Duration::from_millis(2),
+                            ..RelConfig::default()
+                        };
+                        thr = thr.with_faults_cfg(plan, rel);
+                    }
+                    _ => thr = thr.with_checkpoints(CheckpointCfg::every(4)),
+                }
+                let thr_out = thr
+                    .run()
+                    .unwrap_or_else(|e| panic!("{label}: threaded: {e}"));
+
+                assert_eq!(
+                    thr_out.report.pair_messages, sim_out.report.pair_messages,
+                    "{label}: per-pair message counts"
+                );
+                assert_eq!(
+                    thr_out.report.undelivered, sim_out.report.undelivered,
+                    "{label}: undelivered (orphan) message counts"
+                );
+                for p in 0..prog.n_procs() {
+                    for m in 0..8 {
+                        for var in [format!("v{m}"), format!("w{m}")] {
+                            assert_eq!(
+                                thr.vm(p).var(&var),
+                                sim.vm(p).var(&var),
+                                "{label}: `{var}` on P{p}"
+                            );
+                        }
                     }
                 }
-            }
-        },
-    );
+            },
+        );
+    });
 }
 
 /// Property tying the dependence framework to the machine: over random

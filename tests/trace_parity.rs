@@ -11,6 +11,7 @@
 
 use pdc_bench::{run_wavefront_traced, Variant};
 use pdc_machine::{analyze, Backend, CostModel, EventKind, RunReport, Trace};
+use pdc_testkit::{within, THREADS_DEADLINE};
 use std::collections::BTreeMap;
 
 /// The backend-invariant fingerprint of a communication event:
@@ -40,27 +41,29 @@ fn traced(variant: Variant, n: usize, s: usize, backend: Backend) -> RunReport {
 
 #[test]
 fn wavefront_traces_match_across_backends() {
-    for s in [2usize, 4] {
-        for variant in [Variant::CompileTime, Variant::OptimizedII] {
-            let sim = traced(variant, 16, s, Backend::Simulated);
-            let thr = traced(variant, 16, s, Backend::threaded());
+    within(THREADS_DEADLINE, || {
+        for s in [2usize, 4] {
+            for variant in [Variant::CompileTime, Variant::OptimizedII] {
+                let sim = traced(variant, 16, s, Backend::Simulated);
+                let thr = traced(variant, 16, s, Backend::threaded());
 
-            // The regression itself: the threaded backend used to return
-            // an empty trace with no error.
-            assert!(
-                !thr.trace.is_empty(),
-                "{variant} (s={s}): threaded backend recorded no events"
-            );
-            assert_eq!(thr.trace.dropped(), 0, "cap was large enough");
-            assert_eq!(sim.trace.dropped(), 0, "cap was large enough");
+                // The regression itself: the threaded backend used to return
+                // an empty trace with no error.
+                assert!(
+                    !thr.trace.is_empty(),
+                    "{variant} (s={s}): threaded backend recorded no events"
+                );
+                assert_eq!(thr.trace.dropped(), 0, "cap was large enough");
+                assert_eq!(sim.trace.dropped(), 0, "cap was large enough");
 
-            assert_eq!(
-                comm_multiset(&sim.trace),
-                comm_multiset(&thr.trace),
-                "{variant} (s={s}): send/recv event multisets diverge"
-            );
+                assert_eq!(
+                    comm_multiset(&sim.trace),
+                    comm_multiset(&thr.trace),
+                    "{variant} (s={s}): send/recv event multisets diverge"
+                );
+            }
         }
-    }
+    });
 }
 
 #[test]
@@ -86,20 +89,22 @@ fn critical_path_sums_to_makespan_on_simulator() {
 
 #[test]
 fn untraced_runs_still_carry_an_empty_trace() {
-    // No with_trace: the report's trace is present but disabled/empty on
-    // both backends — tracing stays strictly opt-in.
-    let prog = pdc_bench::build_wavefront(Variant::CompileTime, 8, 2);
-    for backend in [Backend::Simulated, Backend::threaded()] {
-        let mut m = pdc_spmd::run::SpmdMachine::new(&prog, CostModel::ipsc2())
-            .expect("lowers")
-            .with_backend(backend);
-        m.preset_var("n", pdc_spmd::Scalar::Int(8));
-        m.preload_array(
-            "Old",
-            pdc_mapping::Dist::ColumnCyclic,
-            &pdc_core::driver::standard_input(8, 8),
-        );
-        let out = m.run().expect("runs");
-        assert!(out.report.trace.is_empty(), "{backend:?}");
-    }
+    within(THREADS_DEADLINE, || {
+        // No with_trace: the report's trace is present but disabled/empty on
+        // both backends — tracing stays strictly opt-in.
+        let prog = pdc_bench::build_wavefront(Variant::CompileTime, 8, 2);
+        for backend in [Backend::Simulated, Backend::threaded()] {
+            let mut m = pdc_spmd::run::SpmdMachine::new(&prog, CostModel::ipsc2())
+                .expect("lowers")
+                .with_backend(backend);
+            m.preset_var("n", pdc_spmd::Scalar::Int(8));
+            m.preload_array(
+                "Old",
+                pdc_mapping::Dist::ColumnCyclic,
+                &pdc_core::driver::standard_input(8, 8),
+            );
+            let out = m.run().expect("runs");
+            assert!(out.report.trace.is_empty(), "{backend:?}");
+        }
+    });
 }

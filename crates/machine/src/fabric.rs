@@ -42,15 +42,33 @@ pub trait Fabric {
     /// slowdown factor) and count one executed instruction.
     fn tick(&mut self, p: ProcId, cycles: u64);
 
+    /// Charge `cycles` of computation to `p` as `ops` executed
+    /// instructions: the clock, the instruction count and the trace end up
+    /// exactly as after `ops` calls of [`tick`](Fabric::tick) whose cycles
+    /// sum to `cycles`. A process that executes a run of instructions
+    /// between two fabric operations charges them in one call (see
+    /// [`Process::step_batch`](crate::Process::step_batch)); cycles come
+    /// with at least one op. The default makes those calls; [`Machine`]
+    /// and the threaded endpoint do it in one.
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
+        if ops > 0 {
+            self.tick(p, cycles);
+        }
+        for _ in 1..ops {
+            self.tick(p, 0);
+        }
+    }
+
     /// Asynchronous typed send (`csend`): charge the sender and hand the
     /// message to the transport stamped with its arrival time.
     fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>);
 
     /// Borrowing variant of [`send`](Fabric::send): semantically
     /// identical, but the fabric copies (or serializes) the payload
-    /// itself instead of taking ownership. Fabrics with a zero-copy wire
-    /// (the threaded backend's rings) override this so steady-state
-    /// sends never allocate; the default just clones.
+    /// itself instead of taking ownership. Both machines override this
+    /// (the simulator copies into recycled buffers, the threaded backend
+    /// into its rings) so steady-state sends never allocate; the default
+    /// just clones.
     fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
         self.send(src, dst, tag, payload.to_vec());
     }
@@ -123,6 +141,10 @@ impl<F: Fabric + ?Sized> Fabric for &mut F {
 
     fn tick(&mut self, p: ProcId, cycles: u64) {
         (**self).tick(p, cycles);
+    }
+
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
+        (**self).tick_n(p, cycles, ops);
     }
 
     fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
@@ -208,7 +230,7 @@ impl Machine {
             n,
             cost,
             clocks: vec![Time::ZERO; n],
-            network: Network::new(),
+            network: Network::new(n),
             procs: vec![ProcStats::default(); n],
             trace: Trace::disabled(),
             slowdown: vec![1; n],
@@ -308,10 +330,16 @@ impl Machine {
     /// Charge `cycles` of computation to processor `p` (scaled by its
     /// slowdown factor) and count one executed instruction.
     pub fn tick(&mut self, p: ProcId, cycles: u64) {
+        self.tick_n(p, cycles, 1);
+    }
+
+    /// Charge `cycles` of computation to processor `p` (scaled by its
+    /// slowdown factor) and count `ops` executed instructions.
+    pub fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
         let before = self.clocks[p.0];
         self.clocks[p.0] = before.plus(cycles * self.slowdown[p.0]);
-        self.procs[p.0].ops += 1;
-        self.metrics.count(p.0, Ctr::Ops, 1);
+        self.procs[p.0].ops += ops;
+        self.metrics.count(p.0, Ctr::Ops, ops);
         self.trace.record_compute(p, before, self.clocks[p.0]);
     }
 
@@ -325,15 +353,31 @@ impl Machine {
     /// and delivers nothing; the scheduler surfaces it as
     /// [`MachineError::SelfSend`] in every build profile.
     pub fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
+        if let Some(msg) = self.charge_send(src, dst, tag, payload.len()) {
+            self.network.deliver(Message { payload, ..msg });
+        }
+    }
+
+    /// [`send`](Machine::send) of a borrowed payload, copied into a
+    /// recycled buffer: no allocation in the steady state.
+    pub fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
+        if let Some(msg) = self.charge_send(src, dst, tag, payload.len()) {
+            let payload = self.network.buffer(payload);
+            self.network.deliver(Message { payload, ..msg });
+        }
+    }
+
+    /// The accounting half of a send of `words` words: record a self-send
+    /// and return `None`, or charge the sender, count and trace the send
+    /// and return the stamped (still empty) message.
+    fn charge_send(&mut self, src: ProcId, dst: ProcId, tag: Tag, words: usize) -> Option<Message> {
         if src == dst {
             self.self_send.get_or_insert(src);
-            return;
+            return None;
         }
-        let words = payload.len();
         let send_cost = self.cost.send_cost(words) * self.slowdown[src.0];
         self.clocks[src.0] = self.clocks[src.0].plus(send_cost);
         let sent_at = self.clocks[src.0];
-        let arrives_at = sent_at.plus(self.cost.flight);
         self.procs[src.0].sends += 1;
         self.procs[src.0].words_sent += words as u64;
         self.metrics.count(src.0, Ctr::WireFrames, 1);
@@ -352,14 +396,14 @@ impl Machine {
                 cost: send_cost,
             },
         );
-        self.network.deliver(Message {
+        Some(Message {
             src,
             dst,
             tag,
-            payload,
+            payload: Vec::new(),
             sent_at,
-            arrives_at,
-        });
+            arrives_at: sent_at.plus(self.cost.flight),
+        })
     }
 
     /// Typed receive attempt (`crecv`): if a matching message is pending,
@@ -368,36 +412,28 @@ impl Machine {
     /// must block until the sender has progressed.
     pub fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
         let msg = self.network.take(src, dst, tag)?;
-        let words = msg.payload.len();
-        let before = self.clocks[dst.0];
-        let ready = if msg.arrives_at > before {
-            self.procs[dst.0].idle_cycles += msg.arrives_at.0 - before.0;
-            msg.arrives_at
-        } else {
-            before
-        };
-        let recv_cost = self.cost.recv_cost(words) * self.slowdown[dst.0];
-        self.clocks[dst.0] = ready.plus(recv_cost);
-        self.procs[dst.0].recvs += 1;
-        self.metrics.logical_recv(
-            dst.0,
-            src.0 as u64,
-            tag.0 as u64,
-            words as u64,
-            self.clocks[dst.0].0,
-        );
-        self.trace.record(
-            dst,
-            self.clocks[dst.0],
-            EventKind::Recv {
-                src,
-                tag,
-                words,
-                waited: msg.arrives_at.0.saturating_sub(before.0),
-                cost: recv_cost,
-            },
-        );
+        self.charge_recv(dst, src, tag, msg.arrives_at, msg.payload.len());
         Some(msg.payload)
+    }
+
+    /// [`try_recv`](Machine::try_recv) into a caller-owned buffer
+    /// (cleared first); the message's own buffer is recycled. Returns
+    /// whether a message was consumed.
+    pub fn try_recv_into(
+        &mut self,
+        dst: ProcId,
+        src: ProcId,
+        tag: Tag,
+        out: &mut Vec<Word>,
+    ) -> bool {
+        let Some(msg) = self.network.take(src, dst, tag) else {
+            return false;
+        };
+        out.clear();
+        out.extend_from_slice(&msg.payload);
+        self.charge_recv(dst, src, tag, msg.arrives_at, out.len());
+        self.network.recycle(msg.payload);
+        true
     }
 
     /// Is a message pending for `(src → dst, tag)`?
@@ -451,6 +487,19 @@ impl Machine {
             sent_at,
             arrives_at,
         });
+    }
+
+    /// [`inject`](Machine::inject) of a borrowed payload, copied into a
+    /// recycled buffer.
+    pub fn inject_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word], extra: u64) {
+        let payload = self.network.buffer(payload);
+        self.inject(src, dst, tag, payload, extra);
+    }
+
+    /// Hand back the payload buffer of a message consumed through
+    /// [`take_raw`](Machine::take_raw), for reuse by later sends.
+    pub fn recycle(&mut self, buf: Vec<Word>) {
+        self.network.recycle(buf);
     }
 
     /// Consume the oldest pending message for `(src → dst, tag)` with **no**
@@ -598,7 +647,7 @@ impl Machine {
 
     /// Cumulative messages delivered per `(src, dst, tag)` triple.
     pub fn pair_counts(&self) -> BTreeMap<(ProcId, ProcId, Tag), u64> {
-        self.network.pair_counts().clone()
+        self.network.pair_counts()
     }
 }
 
@@ -615,12 +664,24 @@ impl Fabric for Machine {
         Machine::tick(self, p, cycles);
     }
 
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
+        Machine::tick_n(self, p, cycles, ops);
+    }
+
     fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
         Machine::send(self, src, dst, tag, payload);
     }
 
+    fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
+        Machine::send_ref(self, src, dst, tag, payload);
+    }
+
     fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
         Machine::try_recv(self, dst, src, tag)
+    }
+
+    fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool {
+        Machine::try_recv_into(self, dst, src, tag, out)
     }
 
     fn send_lost(&mut self, src: ProcId, dst: ProcId, tag: Tag, words: usize) {
@@ -629,6 +690,10 @@ impl Fabric for Machine {
 
     fn inject(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>, extra: u64) {
         Machine::inject(self, src, dst, tag, payload, extra);
+    }
+
+    fn inject_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word], extra: u64) {
+        Machine::inject_ref(self, src, dst, tag, payload, extra);
     }
 
     fn metrics(&self) -> Option<&MetricsRegistry> {
@@ -738,6 +803,67 @@ mod tests {
         // Intervals tile the receiver's timeline: at - duration = start.
         assert_eq!(evs[2].start(), Time(0));
         assert_eq!(evs[2].at, m.clock(ProcId(1)));
+    }
+
+    #[test]
+    fn tick_n_equals_that_many_ticks() {
+        fn tally(mut f: impl Fabric, batched: bool) {
+            if batched {
+                f.tick_n(ProcId(0), 7, 3);
+                f.tick_n(ProcId(0), 0, 0);
+            } else {
+                f.tick(ProcId(0), 3);
+                f.tick(ProcId(0), 0);
+                f.tick(ProcId(0), 4);
+            }
+            f.send_ref(ProcId(0), ProcId(1), Tag(0), &[1]);
+        }
+        let machine = || {
+            Machine::new(2, CostModel::ipsc2())
+                .with_trace(16)
+                .with_metrics()
+                .with_slowdowns(vec![3, 1])
+        };
+        // Natively, and through a wrapper that relies on the provided
+        // method while stalling the processor at its second op.
+        let plan = crate::fault::FaultPlan::seeded(0).with_stall(ProcId(0), 1, 50);
+        for wrapped in [false, true] {
+            let (mut a, mut b) = (machine(), machine());
+            if wrapped {
+                tally(crate::FaultyFabric::new(&mut a, plan.clone()), false);
+                tally(crate::FaultyFabric::new(&mut b, plan.clone()), true);
+            } else {
+                tally(&mut a, false);
+                tally(&mut b, true);
+            }
+            assert_eq!(a.stats(), b.stats(), "wrapped {wrapped}");
+            assert_eq!(a.stats().procs[0].ops, 3);
+            assert_eq!(a.metrics_snapshot(), b.metrics_snapshot());
+            let events = |m: &mut Machine| m.snapshot_trace().events().cloned().collect::<Vec<_>>();
+            assert_eq!(events(&mut a), events(&mut b));
+        }
+    }
+
+    #[test]
+    fn borrowed_and_owned_messaging_agree() {
+        let c = CostModel::ipsc2();
+        let (mut a, mut b) = (Machine::new(2, c), Machine::new(2, c));
+        let mut out = vec![99; 8];
+        for round in 0..3 {
+            a.send(ProcId(0), ProcId(1), Tag(4), vec![round, 7]);
+            b.send_ref(ProcId(0), ProcId(1), Tag(4), &[round, 7]);
+            let owned = a.try_recv(ProcId(1), ProcId(0), Tag(4)).unwrap();
+            assert!(b.try_recv_into(ProcId(1), ProcId(0), Tag(4), &mut out));
+            assert_eq!(out, owned);
+        }
+        assert!(!b.try_recv_into(ProcId(1), ProcId(0), Tag(4), &mut out));
+        assert_eq!(out, [2, 7], "a miss leaves the buffer alone");
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.pair_counts(), b.pair_counts());
+        // A self-send is recorded on the borrowing path too.
+        b.send_ref(ProcId(1), ProcId(1), Tag(0), &[1]);
+        assert_eq!(b.take_self_send(), Some(ProcId(1)));
+        assert_eq!(b.undelivered(), 0);
     }
 
     #[test]

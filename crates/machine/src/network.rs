@@ -1,8 +1,25 @@
 //! Typed FIFO channels between processor pairs.
 
-use crate::message::{Message, ProcId, Tag};
+use crate::message::{Message, ProcId, Tag, Word};
 use crate::stats::NetworkStats;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+
+/// "No channel" in the pair table and at the end of a pair's chain.
+const NONE: u32 = u32::MAX;
+
+/// One `(src, dst, tag)` FIFO.
+#[derive(Debug)]
+struct Channel {
+    src: ProcId,
+    dst: ProcId,
+    tag: Tag,
+    queue: VecDeque<Message>,
+    /// Messages ever deposited — never decremented on take. Differential
+    /// tests compare these counts across execution backends.
+    delivered: u64,
+    /// The next channel of the same `(src, dst)` pair, or [`NONE`].
+    next: u32,
+}
 
 /// The interconnect: one FIFO queue per `(src, dst, tag)` triple.
 ///
@@ -11,20 +28,79 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 /// message of that type from the named source. Because each communication
 /// stream created by the compiler gets its own tag, FIFO order within a
 /// triple is exactly program order on the sender.
-#[derive(Debug, Default)]
+///
+/// Triples are interned on first delivery into a dense channel table: a
+/// processor pair indexes the head of its (short) chain of tags, so
+/// [`deliver`](Network::deliver), [`take`](Network::take) and
+/// [`has_pending`](Network::has_pending) hash nothing and cost the same
+/// on any machine size. Payload buffers handed back through
+/// [`recycle`](Network::recycle) are reused by
+/// [`buffer`](Network::buffer), so steady-state traffic
+/// allocates nothing.
+#[derive(Debug)]
 pub struct Network {
-    queues: HashMap<(ProcId, ProcId, Tag), VecDeque<Message>>,
+    n: usize,
+    /// Head of the channel chain of each ordered pair, at `src * n + dst`.
+    heads: Vec<u32>,
+    channels: Vec<Channel>,
     stats: NetworkStats,
-    /// Cumulative messages delivered per `(src, dst, tag)` triple —
-    /// never decremented on take. Differential tests compare these
-    /// counts across execution backends.
-    sent: BTreeMap<(ProcId, ProcId, Tag), u64>,
+    /// Messages queued right now, over all channels.
+    in_flight: usize,
+    /// Recycled payload buffers.
+    free: Vec<Vec<Word>>,
 }
 
 impl Network {
-    /// An empty interconnect.
-    pub fn new() -> Self {
-        Network::default()
+    /// An empty interconnect between `n` processors.
+    pub fn new(n: usize) -> Self {
+        Network {
+            n,
+            heads: vec![NONE; n * n],
+            channels: Vec::new(),
+            stats: NetworkStats::default(),
+            in_flight: 0,
+            free: Vec::new(),
+        }
+    }
+
+    /// The channel of a triple, if anything was ever delivered on it.
+    fn find(&self, src: ProcId, dst: ProcId, tag: Tag) -> Option<usize> {
+        let mut at = *self.heads.get(src.0 * self.n + dst.0)?;
+        while at != NONE {
+            let ch = &self.channels[at as usize];
+            if ch.tag == tag {
+                return Some(at as usize);
+            }
+            at = ch.next;
+        }
+        None
+    }
+
+    /// The channel of a triple, interned if new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` is outside the machine.
+    fn intern(&mut self, src: ProcId, dst: ProcId, tag: Tag) -> usize {
+        if let Some(at) = self.find(src, dst, tag) {
+            return at;
+        }
+        assert!(
+            src.0 < self.n && dst.0 < self.n,
+            "{src} -> {dst} is outside the machine"
+        );
+        let at = self.channels.len();
+        let head = &mut self.heads[src.0 * self.n + dst.0];
+        self.channels.push(Channel {
+            src,
+            dst,
+            tag,
+            queue: VecDeque::new(),
+            delivered: 0,
+            next: *head,
+        });
+        *head = u32::try_from(at).expect("fewer than 2^32 channels");
+        at
     }
 
     /// Deposit a message. The caller (the machine fabric) has already
@@ -32,30 +108,45 @@ impl Network {
     pub fn deliver(&mut self, msg: Message) {
         self.stats.messages += 1;
         self.stats.words += msg.payload.len() as u64;
-        *self.sent.entry((msg.src, msg.dst, msg.tag)).or_insert(0) += 1;
-        let q = self.queues.entry((msg.src, msg.dst, msg.tag)).or_default();
-        q.push_back(msg);
-        let depth = self.queues.values().map(VecDeque::len).sum::<usize>() as u64;
-        if depth > self.stats.max_in_flight {
-            self.stats.max_in_flight = depth;
-        }
+        let at = self.intern(msg.src, msg.dst, msg.tag);
+        let ch = &mut self.channels[at];
+        ch.delivered += 1;
+        ch.queue.push_back(msg);
+        self.in_flight += 1;
+        self.stats.max_in_flight = self.stats.max_in_flight.max(self.in_flight as u64);
+    }
+
+    /// A copy of `payload` to [`deliver`](Network::deliver), made in a
+    /// recycled buffer when one is free.
+    pub fn buffer(&mut self, payload: &[Word]) -> Vec<Word> {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    /// Hand back the payload buffer of a consumed message for reuse.
+    pub fn recycle(&mut self, buf: Vec<Word>) {
+        self.free.push(buf);
     }
 
     /// Pop the oldest message matching `(src, dst, tag)`, if any.
     pub fn take(&mut self, src: ProcId, dst: ProcId, tag: Tag) -> Option<Message> {
-        self.queues.get_mut(&(src, dst, tag))?.pop_front()
+        let at = self.find(src, dst, tag)?;
+        let msg = self.channels[at].queue.pop_front()?;
+        self.in_flight -= 1;
+        Some(msg)
     }
 
     /// Is a matching message pending?
     pub fn has_pending(&self, src: ProcId, dst: ProcId, tag: Tag) -> bool {
-        self.queues
-            .get(&(src, dst, tag))
-            .is_some_and(|q| !q.is_empty())
+        self.find(src, dst, tag)
+            .is_some_and(|at| !self.channels[at].queue.is_empty())
     }
 
     /// Number of messages currently queued (all triples).
     pub fn in_flight(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.in_flight
     }
 
     /// Cumulative traffic statistics.
@@ -64,26 +155,33 @@ impl Network {
     }
 
     /// Cumulative per-`(src, dst, tag)` message counts.
-    pub fn pair_counts(&self) -> &BTreeMap<(ProcId, ProcId, Tag), u64> {
-        &self.sent
+    pub fn pair_counts(&self) -> BTreeMap<(ProcId, ProcId, Tag), u64> {
+        self.channels
+            .iter()
+            .map(|ch| ((ch.src, ch.dst, ch.tag), ch.delivered))
+            .collect()
+    }
+
+    /// Drop the queued messages of every channel `doomed` selects,
+    /// returning how many were discarded. The cumulative counts are *not*
+    /// rewound — deliveries happened, recovery merely invalidates them.
+    fn discard(&mut self, doomed: impl Fn(&Channel) -> bool) -> usize {
+        let mut dropped = 0;
+        for ch in self.channels.iter_mut().filter(|ch| doomed(ch)) {
+            dropped += ch.queue.len();
+            self.free.extend(ch.queue.drain(..).map(|m| m.payload));
+        }
+        self.in_flight -= dropped;
+        dropped
     }
 
     /// Drop every queued message destined for `dst`, returning how many
     /// were discarded. Used by crash recovery: frames in flight toward a
     /// crashed processor are addressed to its dead incarnation and must
     /// not survive into the restored one (the reliable layer's
-    /// retransmit path regenerates them). The cumulative `sent` counts
-    /// are *not* rewound — deliveries happened, recovery merely
-    /// invalidates them.
+    /// retransmit path regenerates them).
     pub fn discard_to(&mut self, dst: ProcId) -> usize {
-        let mut dropped = 0;
-        for (&(_, d, _), q) in self.queues.iter_mut() {
-            if d == dst {
-                dropped += q.len();
-                q.clear();
-            }
-        }
-        dropped
+        self.discard(|ch| ch.dst == dst)
     }
 
     /// Drop every queued message (all triples), returning how many were
@@ -91,22 +189,17 @@ impl Network {
     /// whole machine rolls back to a consistent cut and deterministic
     /// re-execution regenerates all in-flight traffic.
     pub fn discard_all(&mut self) -> usize {
-        let mut dropped = 0;
-        for q in self.queues.values_mut() {
-            dropped += q.len();
-            q.clear();
-        }
-        dropped
+        self.discard(|_| true)
     }
 
-    /// All triples that still hold undelivered messages — used in error
-    /// reporting when a run finishes with orphaned traffic.
+    /// All triples that still hold undelivered messages, sorted — used in
+    /// error reporting when a run finishes with orphaned traffic.
     pub fn pending_triples(&self) -> Vec<(ProcId, ProcId, Tag, usize)> {
         let mut v: Vec<_> = self
-            .queues
+            .channels
             .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&(s, d, t), q)| (s, d, t, q.len()))
+            .filter(|ch| !ch.queue.is_empty())
+            .map(|ch| (ch.src, ch.dst, ch.tag, ch.queue.len()))
             .collect();
         v.sort();
         v
@@ -131,7 +224,7 @@ mod tests {
 
     #[test]
     fn fifo_within_triple() {
-        let mut n = Network::new();
+        let mut n = Network::new(2);
         n.deliver(msg(0, 1, 5, 10));
         n.deliver(msg(0, 1, 5, 20));
         assert_eq!(n.take(ProcId(0), ProcId(1), Tag(5)).unwrap().payload, [10]);
@@ -141,7 +234,7 @@ mod tests {
 
     #[test]
     fn tags_are_independent_streams() {
-        let mut n = Network::new();
+        let mut n = Network::new(2);
         n.deliver(msg(0, 1, 1, 100));
         n.deliver(msg(0, 1, 2, 200));
         // Taking tag 2 first does not disturb tag 1.
@@ -151,7 +244,7 @@ mod tests {
 
     #[test]
     fn stats_count_messages_and_words() {
-        let mut n = Network::new();
+        let mut n = Network::new(2);
         n.deliver(Message {
             payload: vec![1, 2, 3],
             ..msg(0, 1, 0, 0)
@@ -165,8 +258,35 @@ mod tests {
     }
 
     #[test]
+    fn counters_follow_takes_and_discards() {
+        let mut n = Network::new(3);
+        for tag in [7, 7, 1 << 31, 2] {
+            n.deliver(msg(0, 1, tag, 0));
+        }
+        n.deliver(msg(2, 1, 7, 0));
+        n.deliver(msg(1, 0, 7, 0));
+        assert_eq!(n.in_flight(), 6);
+        assert!(n.has_pending(ProcId(0), ProcId(1), Tag(1 << 31)));
+        assert!(!n.has_pending(ProcId(0), ProcId(2), Tag(7)));
+        assert!(n.take(ProcId(0), ProcId(1), Tag(3)).is_none());
+        n.take(ProcId(0), ProcId(1), Tag(7)).unwrap();
+        assert_eq!(n.in_flight(), 5);
+        assert_eq!(n.discard_to(ProcId(1)), 4);
+        assert_eq!(n.in_flight(), 1);
+        assert_eq!(n.pending_triples(), [(ProcId(1), ProcId(0), Tag(7), 1)]);
+        assert_eq!(n.discard_all(), 1);
+        assert_eq!(n.in_flight(), 0);
+        // Cumulative counts and the high-water mark are not rewound.
+        assert_eq!(n.pair_counts()[&(ProcId(0), ProcId(1), Tag(7))], 2);
+        assert_eq!(n.pair_counts().values().sum::<u64>(), 6);
+        assert_eq!(n.stats().max_in_flight, 6);
+        // A (recycled) buffer carries exactly the new payload.
+        assert_eq!(n.buffer(&[5, 6]), [5, 6]);
+    }
+
+    #[test]
     fn pending_triples_sorted() {
-        let mut n = Network::new();
+        let mut n = Network::new(2);
         n.deliver(msg(1, 0, 2, 0));
         n.deliver(msg(0, 1, 1, 0));
         let p = n.pending_triples();

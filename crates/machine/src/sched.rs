@@ -36,7 +36,8 @@ pub enum Step {
 /// The process is called with a view of the machine fabric and its own
 /// processor id; it performs some bounded amount of work (typically one
 /// instruction), charging costs via [`Fabric::tick`] / [`Fabric::send`] /
-/// [`Fabric::try_recv`], and reports a [`Step`].
+/// [`Fabric::try_recv`], and reports a [`Step`]. [`step`](Process::step)
+/// is the only required method.
 ///
 /// # Errors
 ///
@@ -46,6 +47,34 @@ pub enum Step {
 pub trait Process {
     /// Execute one step on processor `me`.
     fn step(&mut self, fabric: &mut dyn Fabric, me: ProcId) -> Result<Step, MachineError>;
+
+    /// Execute up to `max` steps (`max >= 1`) and return how many were
+    /// executed and what the last one reported. The call must be
+    /// indistinguishable from that many calls of [`step`](Process::step):
+    /// every step but the last reported [`Step::Ran`], the batch ends at
+    /// the first step that blocks, finishes or fails (a send to itself,
+    /// which the fabric records for the driver, is a failure), and every
+    /// charge is with the fabric before each of the batch's fabric
+    /// operations and before the call returns (also with an error) — so
+    /// logical clocks at every communication point, instruction counts
+    /// and traces do not depend on how a run is cut into batches. What a
+    /// batch may do is keep its compute charges to itself between those
+    /// points and hand them over in one [`Fabric::tick_n`].
+    ///
+    /// The default is a batch of one `step`. The raw-fabric run loops
+    /// ([`Scheduler::run`] and the threaded backend's) call this with the
+    /// rest of the quantum or step budget; the reliable-delivery and
+    /// checkpoint loops call `step`, because checkpoint pacing and "crash
+    /// at op k" are defined per step.
+    fn step_batch(
+        &mut self,
+        fabric: &mut dyn Fabric,
+        me: ProcId,
+        max: u64,
+    ) -> Result<(u64, Step), MachineError> {
+        let _ = max;
+        Ok((1, self.step(fabric, me)?))
+    }
 
     /// Serialize the process's complete execution state — program
     /// counter, registers, memory, everything [`restore`](Process::restore)
@@ -199,20 +228,25 @@ impl Scheduler {
                             budget: self.step_budget,
                         });
                     }
-                    steps += 1;
-                    let step = processes[p].step(&mut *machine, me)?;
+                    let max = quantum.min(self.step_budget - steps);
+                    let (ran, step) = processes[p].step_batch(&mut *machine, me, max)?;
+                    steps += ran;
                     if let Some(sp) = machine.take_self_send() {
                         return Err(MachineError::SelfSend { proc: sp });
                     }
+                    // Only steps that ran use up the quantum: all of the
+                    // batch, or all but a last one that blocked.
                     match step {
                         Step::Ran => {
                             progressed = true;
-                            quantum -= 1;
+                            quantum -= ran;
                             if quantum == 0 {
                                 break;
                             }
                         }
                         Step::BlockedOnRecv { src, tag } => {
+                            progressed |= ran > 1;
+                            quantum -= ran - 1;
                             if machine.has_pending(me, src, tag) {
                                 // The message exists; let the process retry
                                 // immediately (the recv will now succeed).
@@ -686,6 +720,10 @@ impl Wire<Time> for SimWire<'_> {
         }
     }
 
+    fn recycle(&mut self, buf: Vec<Word>) {
+        self.m.recycle(buf);
+    }
+
     fn busy(&mut self, cycles: u64) {
         self.m.busy(self.me, cycles);
     }
@@ -746,7 +784,7 @@ impl Fabric for ReliableView<'_> {
     fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
         if src == dst {
             // Delegate so the self-send fault is recorded uniformly.
-            self.m.send(src, dst, tag, payload.to_vec());
+            self.m.send_ref(src, dst, tag, payload);
             return;
         }
         let (ep, mut wire) = self.split(src);
@@ -771,6 +809,7 @@ impl Fabric for ReliableView<'_> {
         out.clear();
         out.extend_from_slice(&frame[1..]);
         self.m.charge_recv(dst, src, tag, arrives, out.len());
+        self.m.recycle(frame);
         true
     }
 
@@ -811,6 +850,16 @@ mod tests {
                 pc: 0,
                 received: Vec::new(),
             }
+        }
+
+        /// The action the next step executes, if the script has one left.
+        pub(super) fn next_action(&self) -> Option<&Action> {
+            self.script.get(self.pc)
+        }
+
+        /// Move past the next action without executing it.
+        pub(super) fn skip_action(&mut self) {
+            self.pc += 1;
         }
     }
 
@@ -1008,6 +1057,165 @@ mod tests {
         }
         for w in results.windows(2) {
             assert_eq!(w[0], w[1]);
+        }
+    }
+}
+
+/// The batch contract of [`Process::step_batch`], on toy processes: a
+/// process that only implements `step` gets batches of one, and a process
+/// that keeps its compute charges to itself between fabric operations is
+/// indistinguishable from one that ticks at every step.
+#[cfg(test)]
+mod batch_tests {
+    use super::tests::{Action, Scripted};
+    use super::*;
+    use crate::cost::CostModel;
+    use crate::trace::Event;
+
+    /// [`Scripted`] with a real `step_batch`: compute actions are summed
+    /// locally and handed to the fabric in one `tick_n` before the next
+    /// send or receive and before the batch returns.
+    struct Batching(Scripted);
+
+    impl Process for Batching {
+        fn step(&mut self, fabric: &mut dyn Fabric, me: ProcId) -> Result<Step, MachineError> {
+            self.0.step(fabric, me)
+        }
+
+        fn step_batch(
+            &mut self,
+            fabric: &mut dyn Fabric,
+            me: ProcId,
+            max: u64,
+        ) -> Result<(u64, Step), MachineError> {
+            let (mut cycles, mut ops, mut ran) = (0, 0, 0);
+            let last = loop {
+                ran += 1;
+                let step = match self.0.next_action() {
+                    Some(Action::Compute(c)) => {
+                        cycles += *c;
+                        ops += 1;
+                        self.0.skip_action();
+                        Step::Ran
+                    }
+                    _ => {
+                        fabric.tick_n(me, cycles, ops);
+                        (cycles, ops) = (0, 0);
+                        self.0.step(fabric, me)?
+                    }
+                };
+                if step != Step::Ran || ran == max {
+                    break step;
+                }
+            };
+            fabric.tick_n(me, cycles, ops);
+            Ok((ran, last))
+        }
+    }
+
+    /// A three-stage pipeline with compute between the messages, so
+    /// every quantum cuts it somewhere else.
+    fn pipeline() -> Vec<Vec<Action>> {
+        let mut stages = vec![Vec::new(), Vec::new(), Vec::new()];
+        for i in 0..6 {
+            stages[0].extend([
+                Action::Compute(3),
+                Action::Compute(0),
+                Action::Compute(4),
+                Action::Send(1, 0, vec![i]),
+            ]);
+            stages[1].extend([
+                Action::Recv(0, 0),
+                Action::Compute(5),
+                Action::Send(2, 1, vec![i, i]),
+                Action::Compute(2),
+            ]);
+            stages[2].extend([Action::Compute(1), Action::Recv(1, 1), Action::Compute(9)]);
+        }
+        stages
+    }
+
+    /// Everything a report says, comparable.
+    type Said = (
+        MachineStats,
+        u64,
+        usize,
+        BTreeMap<(ProcId, ProcId, Tag), u64>,
+        pdc_metrics::MetricsSnapshot,
+        Vec<Event>,
+    );
+
+    fn run_pipeline(sched: &Scheduler, batching: bool) -> Result<Said, MachineError> {
+        let mut m = Machine::new(3, CostModel::ipsc2())
+            .with_trace(4096)
+            .with_metrics()
+            .with_slowdowns(vec![1, 2, 1]);
+        let mut stepping: Vec<Scripted> = pipeline().into_iter().map(Scripted::new).collect();
+        let mut batched: Vec<Batching> = pipeline()
+            .into_iter()
+            .map(|s| Batching(Scripted::new(s)))
+            .collect();
+        let mut ps: Vec<&mut dyn Process> = if batching {
+            batched.iter_mut().map(|p| p as &mut dyn Process).collect()
+        } else {
+            stepping.iter_mut().map(|p| p as &mut dyn Process).collect()
+        };
+        let r = sched.run(&mut m, &mut ps)?;
+        assert_eq!(r.trace.dropped(), 0);
+        Ok((
+            r.stats,
+            r.steps,
+            r.undelivered,
+            r.pair_messages,
+            r.metrics,
+            r.trace.events().cloned().collect(),
+        ))
+    }
+
+    #[test]
+    fn default_batch_is_one_step_whatever_the_limit() {
+        let mut m = Machine::new(1, CostModel::ipsc2());
+        let mut p = Scripted::new(vec![Action::Compute(2), Action::Compute(3)]);
+        assert_eq!(p.step_batch(&mut m, ProcId(0), 100), Ok((1, Step::Ran)));
+        assert_eq!(m.clock(ProcId(0)), Time(2));
+        assert_eq!(p.step_batch(&mut m, ProcId(0), 100), Ok((1, Step::Ran)));
+        assert_eq!(p.step_batch(&mut m, ProcId(0), 100), Ok((1, Step::Done)));
+    }
+
+    #[test]
+    fn batches_are_indistinguishable_from_steps_at_any_quantum() {
+        for sched in [
+            Scheduler::new().with_quantum(1),
+            Scheduler::new().with_quantum(7),
+            Scheduler::new(),
+        ] {
+            let stepped = run_pipeline(&sched, false).unwrap();
+            let batched = run_pipeline(&sched, true).unwrap();
+            assert_eq!(batched, stepped, "{sched:?}");
+        }
+    }
+
+    #[test]
+    fn step_budget_runs_out_at_the_same_step_either_way() {
+        let total = run_pipeline(&Scheduler::new(), false).unwrap().1;
+        for quantum in [1, 7, 4096] {
+            for budget in [1, 2, total / 2, total - 1] {
+                let sched = Scheduler::new()
+                    .with_quantum(quantum)
+                    .with_step_budget(budget);
+                for batching in [false, true] {
+                    assert_eq!(
+                        run_pipeline(&sched, batching).unwrap_err(),
+                        MachineError::StepBudgetExceeded { budget },
+                        "quantum {quantum}, batching {batching}"
+                    );
+                }
+            }
+            // The whole budget is usable: not one step is lost to batching.
+            let sched = Scheduler::new().with_quantum(quantum);
+            let needed = run_pipeline(&sched, true).unwrap().1;
+            let exact = sched.with_step_budget(needed);
+            assert_eq!(run_pipeline(&exact, true).unwrap().1, needed);
         }
     }
 }

@@ -731,12 +731,21 @@ impl Fabric for Endpoint {
     }
 
     fn tick(&mut self, p: ProcId, cycles: u64) {
+        self.tick_n(p, cycles, 1);
+    }
+
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
         debug_assert_eq!(p, self.me, "an endpoint only drives its own clock");
-        let extra = self.rel.as_mut().map_or(0, |r| r.fault.stall_cycles(p));
+        // The fault plan stalls a processor at given ops, so it sees
+        // every one of them.
+        let extra: u64 = match self.rel.as_mut() {
+            Some(r) => (0..ops).map(|_| r.fault.stall_cycles(p)).sum(),
+            None => 0,
+        };
         let before = self.clock;
         self.clock = before.plus((cycles + extra) * self.slowdown);
-        self.stats.ops += 1;
-        self.metrics.count(p.0, Ctr::Ops, 1);
+        self.stats.ops += ops;
+        self.metrics.count(p.0, Ctr::Ops, ops);
         self.trace.record_compute(p, before, self.clock);
     }
 
@@ -978,8 +987,14 @@ fn drive_loop<P: Process>(
         if *steps >= budget {
             return Err(MachineError::StepBudgetExceeded { budget });
         }
-        *steps += 1;
-        let step = process.step(ep, me)?;
+        // The raw fabric runs in batches. The protocol shell goes step by
+        // step: it checkpoints and rolls the crash dice at every op.
+        let (ran, step) = if ep.rel.is_some() {
+            (1, process.step(ep, me)?)
+        } else {
+            process.step_batch(ep, me, budget - *steps)?
+        };
+        *steps += ran;
         if let Some(sp) = ep.take_self_send() {
             return Err(MachineError::SelfSend { proc: sp });
         }

@@ -176,15 +176,155 @@ impl LocalIndex {
     }
 }
 
+/// How one (zero-based) dimension of an array is dealt over one
+/// dimension of the processor grid: the closed form of that dimension's
+/// share of Map and Local, with every divisor fixed at instantiation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Axis {
+    /// Not distributed along this dimension.
+    Whole,
+    /// Index `z` on coordinate `z mod s`.
+    Cyclic { s: i64 },
+    /// Panels of `block` indices over `nprocs` coordinates.
+    Block { block: usize, nprocs: usize },
+    /// Blocks of `b` indices dealt cyclically over `s` coordinates.
+    BlockCyclic { b: usize, s: usize },
+}
+
+impl Axis {
+    /// Processor coordinate of zero-based index `z`, with the
+    /// `rem_euclid`/`max(0)`/clamp semantics of [`OwnerExpr::eval`].
+    #[inline]
+    fn coord(self, z: i64) -> usize {
+        match self {
+            Axis::Whole => 0,
+            Axis::Cyclic { s } => z.rem_euclid(s) as usize,
+            Axis::Block { block, nprocs } => (z.max(0) as usize / block).min(nprocs - 1),
+            Axis::BlockCyclic { b, s } => (z.max(0) as usize / b) % s,
+        }
+    }
+
+    /// One-based local index of zero-based global index `z`, with the
+    /// `div_euclid`/`rem_euclid` semantics of [`LocalIndex::eval`].
+    #[inline]
+    fn local(self, z: i64) -> i64 {
+        1 + match self {
+            Axis::Whole => z,
+            Axis::Cyclic { s } => z.div_euclid(s),
+            Axis::Block { block, .. } => z.rem_euclid(block as i64),
+            Axis::BlockCyclic { b, s } => {
+                let b = b as i64;
+                b * z.div_euclid(b * s as i64) + z.rem_euclid(b)
+            }
+        }
+    }
+}
+
+/// The evaluable Map/Local pair of a [`DistInstance`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Form {
+    /// The same owner set for every element; Local is the identity.
+    Fixed(OwnerSet),
+    /// Owner `row.coord * pcols + col.coord`; Local per dimension.
+    Grid { row: Axis, col: Axis, pcols: usize },
+    /// [`Dist::ColumnAssigned`]: the owner table, and per table position
+    /// the columns with the same owner earlier in the period (`before`)
+    /// and in a whole period (`per_period`), which together rank a column
+    /// among its owner's columns.
+    Table {
+        owners: Arc<Vec<usize>>,
+        before: Vec<i64>,
+        per_period: Vec<i64>,
+    },
+}
+
+impl Form {
+    fn new(dist: &Dist, rows: usize, cols: usize, nprocs: usize) -> Form {
+        let one_dim = |row, col| Form::Grid { row, col, pcols: 1 };
+        let s = nprocs as i64;
+        match dist {
+            Dist::Replicated => Form::Fixed(OwnerSet::All),
+            Dist::OnProcessor(p) => Form::Fixed(OwnerSet::One(*p)),
+            Dist::ColumnCyclic => one_dim(Axis::Whole, Axis::Cyclic { s }),
+            Dist::RowCyclic => one_dim(Axis::Cyclic { s }, Axis::Whole),
+            Dist::ColumnBlock => one_dim(
+                Axis::Whole,
+                Axis::Block {
+                    block: ceil_div(cols, nprocs),
+                    nprocs,
+                },
+            ),
+            Dist::RowBlock => one_dim(
+                Axis::Block {
+                    block: ceil_div(rows, nprocs),
+                    nprocs,
+                },
+                Axis::Whole,
+            ),
+            Dist::ColumnBlockCyclic { block } => one_dim(
+                Axis::Whole,
+                Axis::BlockCyclic {
+                    b: *block,
+                    s: nprocs,
+                },
+            ),
+            Dist::RowBlockCyclic { block } => one_dim(
+                Axis::BlockCyclic {
+                    b: *block,
+                    s: nprocs,
+                },
+                Axis::Whole,
+            ),
+            Dist::Block2d { prows, pcols } => Form::Grid {
+                row: Axis::Block {
+                    block: ceil_div(rows, *prows),
+                    nprocs: *prows,
+                },
+                col: Axis::Block {
+                    block: ceil_div(cols, *pcols),
+                    nprocs: *pcols,
+                },
+                pcols: *pcols,
+            },
+            Dist::ColumnAssigned { table } => {
+                let mut seen = vec![0i64; nprocs];
+                let before = table
+                    .iter()
+                    .map(|&p| {
+                        seen[p] += 1;
+                        seen[p] - 1
+                    })
+                    .collect();
+                Form::Table {
+                    owners: Arc::clone(table),
+                    before,
+                    per_period: table.iter().map(|&p| seen[p]).collect(),
+                }
+            }
+        }
+    }
+}
+
 /// A [`Dist`] instantiated with concrete array extents and a concrete
-/// machine size: the paper's `<map, local, alloc>` triple, both in
-/// directly-evaluable and in symbolic form.
+/// machine size: the paper's `<map, local, alloc>` triple. [`owner`],
+/// [`local`] and [`alloc`] are the evaluable triple — closed-form integer
+/// arithmetic, what every run-time path calls; [`owner_expr`] and
+/// [`local_expr`] are the symbolic one the compiler reasons about and
+/// emits. The two agree on every index, inside the array bounds and
+/// outside (`tests/distribution_laws.rs`).
+///
+/// [`owner`]: DistInstance::owner
+/// [`local`]: DistInstance::local
+/// [`alloc`]: DistInstance::alloc
+/// [`owner_expr`]: DistInstance::owner_expr
+/// [`local_expr`]: DistInstance::local_expr
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistInstance {
     dist: Dist,
     rows: usize,
     cols: usize,
     nprocs: usize,
+    form: Form,
 }
 
 /// `ceil(a / b)` for positive operands.
@@ -220,11 +360,13 @@ impl DistInstance {
             }
             _ => {}
         }
+        let form = Form::new(&dist, rows, cols, nprocs);
         DistInstance {
             dist,
             rows,
             cols,
             nprocs,
+            form,
         }
     }
 
@@ -259,18 +401,15 @@ impl DistInstance {
     }
 
     /// **Map**: the owner of element `(i, j)` (1-based global indices).
+    #[inline]
     pub fn owner(&self, i: i64, j: i64) -> OwnerSet {
-        if let Dist::ColumnAssigned { table } = &self.dist {
-            return OwnerSet::One(Self::assigned_owner(table, j));
+        match &self.form {
+            Form::Fixed(set) => *set,
+            Form::Grid { row, col, pcols } => {
+                OwnerSet::One(row.coord(i - 1) * pcols + col.coord(j - 1))
+            }
+            Form::Table { owners, .. } => OwnerSet::One(Self::assigned_owner(owners, j)),
         }
-        let env = move |name: &str| match name {
-            "i" => i,
-            "j" => j,
-            other => panic!("unbound index variable {other}"),
-        };
-        self.owner_expr(&Affine::var("i"), &Affine::var("j"))
-            .expect("table assignments were handled above")
-            .eval(&env)
     }
 
     /// Symbolic **Map**: owner of `(i_expr, j_expr)`.
@@ -337,23 +476,28 @@ impl DistInstance {
 
     /// **Local**: position of global `(i, j)` within its owner's local
     /// array (1-based local indices).
+    #[inline]
     pub fn local(&self, i: i64, j: i64) -> (i64, i64) {
-        if let Dist::ColumnAssigned { table } = &self.dist {
-            let owner = Self::assigned_owner(table, j);
-            let rank = (1..j)
-                .filter(|c| Self::assigned_owner(table, *c) == owner)
-                .count() as i64;
-            return (i, rank + 1);
+        match &self.form {
+            Form::Fixed(_) => (i, j),
+            Form::Grid { row, col, .. } => (row.local(i - 1), col.local(j - 1)),
+            Form::Table {
+                owners,
+                before,
+                per_period,
+            } => {
+                // Columns 1..j with j's owner: whole periods of the table,
+                // then the part of the last one before j.
+                let rank = if j < 1 {
+                    0
+                } else {
+                    let len = owners.len() as i64;
+                    let at = ((j - 1) % len) as usize;
+                    (j - 1) / len * per_period[at] + before[at]
+                };
+                (i, rank + 1)
+            }
         }
-        let env = move |name: &str| match name {
-            "i" => i,
-            "j" => j,
-            other => panic!("unbound index variable {other}"),
-        };
-        let (li, lj) = self
-            .local_expr(&Affine::var("i"), &Affine::var("j"))
-            .expect("table assignments were handled above");
-        (li.eval(&env), lj.eval(&env))
     }
 
     /// Symbolic **Local**.
@@ -697,6 +841,27 @@ mod assigned_tests {
         assert_eq!(d.local(1, 4), (1, 2)); // P1's second column
         let (lr, lc) = d.alloc();
         assert_eq!((lr, lc), (3, 2));
+    }
+
+    #[test]
+    fn assigned_local_rank_equals_counting_earlier_columns() {
+        // Local's column is the definition — 1 + the columns before `j`
+        // with `j`'s owner — at every `j`, past the table's period and
+        // outside the array.
+        let table = vec![2, 0, 1, 0, 0, 2, 1];
+        let d = DistInstance::new(
+            Dist::ColumnAssigned {
+                table: Arc::new(table.clone()),
+            },
+            2,
+            17,
+            3,
+        );
+        let owner = |c: i64| table[(c - 1).rem_euclid(table.len() as i64) as usize];
+        for j in -3..=30 {
+            let rank = (1..j).filter(|&c| owner(c) == owner(j)).count() as i64;
+            assert_eq!(d.local(4, j), (4, rank + 1), "column {j}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::ir::SpmdProgram;
 use crate::lower::lower;
 use crate::scalar::Scalar;
-use crate::vm::ProcVm;
+use crate::vm::{DistArray, ProcVm};
 use crate::SpmdError;
 use pdc_istructure::IMatrix;
 use pdc_machine::{
@@ -68,7 +68,7 @@ impl SpmdMachine {
         let mut vms = Vec::with_capacity(program.n_procs());
         for p in 0..program.n_procs() {
             let code = Arc::new(lower(program.body(p))?);
-            vms.push(ProcVm::new(code));
+            vms.push(ProcVm::new(code, machine.cost_model()));
         }
         Ok(SpmdMachine {
             machine,
@@ -276,17 +276,29 @@ impl SpmdMachine {
     /// empty in the segments.
     pub fn preload_array(&mut self, name: &str, dist: pdc_mapping::Dist, data: &IMatrix<Scalar>) {
         let n = self.vms.len();
-        for (p, vm) in self.vms.iter_mut().enumerate() {
-            let mut arr = crate::vm::DistArray::alloc(dist.clone(), data.rows(), data.cols(), n);
-            for (i, j) in arr.inst.owned_cells(p).collect::<Vec<_>>() {
-                if let Some(v) = data.peek(i, j) {
-                    let (li, lj) = arr.inst.local(i, j);
-                    arr.local
+        let mut segments: Vec<DistArray> = (0..n)
+            .map(|_| DistArray::alloc(dist.clone(), data.rows(), data.cols(), n))
+            .collect();
+        let inst = segments[0].inst.clone();
+        // One sweep of the grid, each full cell routed to its owner's
+        // segment (a replicated cell to every segment).
+        for i in 1..=data.rows() as i64 {
+            for j in 1..=data.cols() as i64 {
+                let Some(v) = data.peek(i, j) else { continue };
+                let (li, lj) = inst.local(i, j);
+                let owners = match inst.owner(i, j) {
+                    OwnerSet::One(p) => p..p + 1,
+                    OwnerSet::All => 0..n,
+                };
+                for seg in &mut segments[owners] {
+                    seg.local
                         .write(li, lj, *v)
                         .expect("fresh segment accepts first writes");
                 }
             }
-            vm.preload_array(name, arr);
+        }
+        for (vm, seg) in self.vms.iter_mut().zip(segments) {
+            vm.preload_array(name, seg);
         }
     }
 
@@ -306,41 +318,40 @@ impl SpmdMachine {
     /// [`SpmdError::Gather`] if no processor allocated `name`, or if the
     /// owners' segments disagree on extents.
     pub fn gather(&self, name: &str) -> Result<IMatrix<Scalar>, SpmdError> {
-        let mut extents: Option<(usize, usize)> = None;
-        for vm in &self.vms {
-            if let Some(a) = vm.array(name) {
-                let e = a.inst.extents();
-                match extents {
-                    None => extents = Some(e),
-                    Some(prev) if prev != e => {
-                        return Err(SpmdError::Gather {
-                            message: format!(
-                                "array `{name}` has inconsistent extents {prev:?} vs {e:?}"
-                            ),
-                        })
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        let Some((rows, cols)) = extents else {
+        // Each processor's segment, resolved by name once.
+        let segments: Vec<Option<&DistArray>> = self.vms.iter().map(|vm| vm.array(name)).collect();
+        let mut allocated = segments.iter().flatten();
+        let Some(first) = allocated.next() else {
             return Err(SpmdError::Gather {
                 message: format!("array `{name}` was never allocated"),
             });
         };
+        let (rows, cols) = first.inst.extents();
+        if let Some(other) = allocated.find(|a| a.inst.extents() != (rows, cols)) {
+            return Err(SpmdError::Gather {
+                message: format!(
+                    "array `{name}` has inconsistent extents {:?} vs {:?}",
+                    (rows, cols),
+                    other.inst.extents()
+                ),
+            });
+        }
         let mut out = IMatrix::new(rows, cols);
         for i in 1..=rows as i64 {
             for j in 1..=cols as i64 {
-                // Find the owning processor's segment.
-                let owner = self.vms.iter().enumerate().find_map(|(p, vm)| {
-                    let a = vm.array(name)?;
-                    match a.inst.owner(i, j) {
-                        OwnerSet::One(q) if q == p => Some((p, a)),
-                        OwnerSet::All if p == 0 => Some((p, a)),
-                        _ => None,
-                    }
-                });
-                let Some((_, a)) = owner else { continue };
+                // The owner's segment (P0's copy of a replicated cell) —
+                // taken only if that processor's own instance agrees it
+                // is the owner.
+                let p = match first.inst.owner(i, j) {
+                    OwnerSet::One(p) => p,
+                    OwnerSet::All => 0,
+                };
+                let Some(a) = segments.get(p).copied().flatten() else {
+                    continue;
+                };
+                if !a.inst.owner(i, j).contains(p) {
+                    continue;
+                }
                 let (li, lj) = a.inst.local(i, j);
                 if let Some(v) = a.local.peek(li, lj) {
                     out.write(i, j, *v).expect("fresh gather target");

@@ -1,10 +1,10 @@
 //! The per-processor virtual machine.
 
 use crate::ir::{SBinOp, SUnOp};
-use crate::lower::{Code, Instr};
+use crate::lower::{Code, Instr, Symbols};
 use crate::scalar::{decode_into, encode_into, Scalar};
 use pdc_istructure::IMatrix;
-use pdc_machine::{Ctr, Fabric, MachineError, ProcId, Process, Step, Tag, Word};
+use pdc_machine::{CostModel, Ctr, Fabric, MachineError, ProcId, Process, Step, Tag, Word};
 use pdc_mapping::{Dist, DistInstance, OwnerSet};
 use std::sync::Arc;
 
@@ -31,15 +31,28 @@ impl DistArray {
     }
 }
 
-/// One processor's interpreter state. Implements [`Process`] so the
-/// machine scheduler can drive it one instruction at a time; a blocking
-/// receive leaves the state untouched and reports itself blocked. The
-/// code is behind an [`Arc`] (and the rest of the state is plain data)
-/// so a `ProcVm` is `Send` and can run on its own OS thread under the
-/// threaded backend.
+/// One processor's interpreter. Implements [`Process`] so the machine
+/// scheduler can drive it one instruction at a time, or a batch of them
+/// ([`Process::step_batch`]); a blocking receive leaves the state
+/// untouched and reports itself blocked. The code is behind an [`Arc`]
+/// (and the rest of the state is plain data) so a `ProcVm` is `Send` and
+/// can run on its own OS thread under the threaded backend.
 #[derive(Debug)]
 pub struct ProcVm {
     code: Arc<Code>,
+    /// The cost model of the machine this VM runs on (debug builds check
+    /// every fabric it is stepped on against it), and the cycle cost of
+    /// each instruction of `code` under it.
+    cost: CostModel,
+    costs: Box<[u64]>,
+    st: State,
+}
+
+/// Everything that changes while the program runs, apart from the code
+/// and its cost table, so an instruction can be decoded by reference
+/// while it executes.
+#[derive(Debug)]
+struct State {
     pc: usize,
     stack: Vec<Scalar>,
     locals: Vec<Option<Scalar>>,
@@ -55,45 +68,50 @@ pub struct ProcVm {
 }
 
 impl ProcVm {
-    /// A fresh interpreter for `code`.
-    pub fn new(code: Arc<Code>) -> Self {
+    /// A fresh interpreter for `code` on a machine charging by `cost`: the
+    /// per-instruction cycle costs are tabulated here, once.
+    pub fn new(code: Arc<Code>, cost: &CostModel) -> Self {
         let nv = code.syms.vars.len();
         let na = code.syms.arrays.len();
         let nb = code.syms.bufs.len();
         ProcVm {
+            cost: *cost,
+            costs: code.instrs.iter().map(|i| instr_cost(i, cost)).collect(),
             code,
-            pc: 0,
-            stack: Vec::with_capacity(16),
-            locals: vec![None; nv],
-            arrays: vec![None; na],
-            bufs: vec![None; nb],
-            msg_vals: Vec::new(),
-            recv_vals: Vec::new(),
-            wire: Vec::new(),
+            st: State {
+                pc: 0,
+                stack: Vec::with_capacity(16),
+                locals: vec![None; nv],
+                arrays: vec![None; na],
+                bufs: vec![None; nb],
+                msg_vals: Vec::new(),
+                recv_vals: Vec::new(),
+                wire: Vec::new(),
+            },
         }
     }
 
     /// The value of local variable `name`, if assigned.
     pub fn var(&self, name: &str) -> Option<Scalar> {
         let slot = self.code.syms.var_slot(name)?;
-        self.locals[slot as usize]
+        self.st.locals[slot as usize]
     }
 
     /// The distributed-array segment called `name`, if allocated.
     pub fn array(&self, name: &str) -> Option<&DistArray> {
         let slot = self.code.syms.array_slot(name)?;
-        self.arrays[slot as usize].as_ref()
+        self.st.arrays[slot as usize].as_ref()
     }
 
     /// The buffer called `name`, if allocated.
     pub fn buf(&self, name: &str) -> Option<&[Scalar]> {
         let slot = self.code.syms.buf_slot(name)?;
-        self.bufs[slot as usize].as_deref()
+        self.st.bufs[slot as usize].as_deref()
     }
 
     /// Has the program halted?
     pub fn is_done(&self) -> bool {
-        matches!(self.code.instrs.get(self.pc), Some(Instr::Halt) | None)
+        matches!(self.code.instrs.get(self.st.pc), Some(Instr::Halt) | None)
     }
 
     /// Install a pre-distributed array segment before execution (input
@@ -103,7 +121,7 @@ impl ProcVm {
     pub fn preload_array(&mut self, name: &str, arr: DistArray) -> bool {
         match self.code.syms.array_slot(name) {
             Some(slot) => {
-                self.arrays[slot as usize] = Some(arr);
+                self.st.arrays[slot as usize] = Some(arr);
                 true
             }
             None => false,
@@ -115,18 +133,22 @@ impl ProcVm {
     pub fn preset_var(&mut self, name: &str, value: Scalar) -> bool {
         match self.code.syms.var_slot(name) {
             Some(slot) => {
-                self.locals[slot as usize] = Some(value);
+                self.st.locals[slot as usize] = Some(value);
                 true
             }
             None => false,
         }
     }
+}
 
+/// A fault of the process on `me` that names no program location.
+fn fault_of(me: ProcId, message: String) -> MachineError {
+    MachineError::ProcessFault { proc: me, message }
+}
+
+impl State {
     fn fault(&self, me: ProcId, message: impl Into<String>) -> MachineError {
-        MachineError::ProcessFault {
-            proc: me,
-            message: format!("{} (pc {})", message.into(), self.pc),
-        }
+        fault_of(me, format!("{} (pc {})", message.into(), self.pc))
     }
 
     fn pop(&mut self, me: ProcId) -> Result<Scalar, MachineError> {
@@ -156,38 +178,28 @@ impl ProcVm {
         }
     }
 
-    fn array_at(&mut self, me: ProcId, slot: u32) -> Result<&mut DistArray, MachineError> {
-        let name = self
-            .code
-            .syms
-            .arrays
-            .get(slot as usize)
-            .cloned()
-            .unwrap_or_default();
-        match &mut self.arrays[slot as usize] {
-            Some(a) => Ok(a),
-            None => Err(MachineError::ProcessFault {
-                proc: me,
-                message: format!("array `{name}` used before allocation"),
-            }),
-        }
+    fn array_at(
+        &mut self,
+        syms: &Symbols,
+        me: ProcId,
+        slot: u32,
+    ) -> Result<&mut DistArray, MachineError> {
+        self.arrays[slot as usize].as_mut().ok_or_else(|| {
+            let name = syms.arrays.get(slot as usize).map_or("", String::as_str);
+            fault_of(me, format!("array `{name}` used before allocation"))
+        })
     }
 
-    fn buf_at(&mut self, me: ProcId, slot: u32) -> Result<&mut Vec<Scalar>, MachineError> {
-        let name = self
-            .code
-            .syms
-            .bufs
-            .get(slot as usize)
-            .cloned()
-            .unwrap_or_default();
-        match &mut self.bufs[slot as usize] {
-            Some(b) => Ok(b),
-            None => Err(MachineError::ProcessFault {
-                proc: me,
-                message: format!("buffer `{name}` used before allocation"),
-            }),
-        }
+    fn buf_at(
+        &mut self,
+        syms: &Symbols,
+        me: ProcId,
+        slot: u32,
+    ) -> Result<&mut Vec<Scalar>, MachineError> {
+        self.bufs[slot as usize].as_mut().ok_or_else(|| {
+            let name = syms.bufs.get(slot as usize).map_or("", String::as_str);
+            fault_of(me, format!("buffer `{name}` used before allocation"))
+        })
     }
 }
 
@@ -327,13 +339,13 @@ impl<'a> Rd<'a> {
 impl ProcVm {
     fn snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u64(&mut out, self.pc as u64);
-        put_u64(&mut out, self.stack.len() as u64);
-        for s in &self.stack {
+        put_u64(&mut out, self.st.pc as u64);
+        put_u64(&mut out, self.st.stack.len() as u64);
+        for s in &self.st.stack {
             put_scalar(&mut out, *s);
         }
-        put_u64(&mut out, self.locals.len() as u64);
-        for slot in &self.locals {
+        put_u64(&mut out, self.st.locals.len() as u64);
+        for slot in &self.st.locals {
             match slot {
                 None => out.push(0),
                 Some(v) => {
@@ -342,8 +354,8 @@ impl ProcVm {
                 }
             }
         }
-        put_u64(&mut out, self.bufs.len() as u64);
-        for slot in &self.bufs {
+        put_u64(&mut out, self.st.bufs.len() as u64);
+        for slot in &self.st.bufs {
             match slot {
                 None => out.push(0),
                 Some(b) => {
@@ -355,8 +367,8 @@ impl ProcVm {
                 }
             }
         }
-        put_u64(&mut out, self.arrays.len() as u64);
-        for slot in &self.arrays {
+        put_u64(&mut out, self.st.arrays.len() as u64);
+        for slot in &self.st.arrays {
             match slot {
                 None => out.push(0),
                 Some(a) => {
@@ -399,22 +411,22 @@ impl ProcVm {
         for _ in 0..n_stack {
             stack.push(r.scalar()?);
         }
-        if r.usize()? != self.locals.len() {
+        if r.usize()? != self.st.locals.len() {
             return None;
         }
-        let mut locals = Vec::with_capacity(self.locals.len());
-        for _ in 0..self.locals.len() {
+        let mut locals = Vec::with_capacity(self.st.locals.len());
+        for _ in 0..self.st.locals.len() {
             locals.push(match r.u8()? {
                 0 => None,
                 1 => Some(r.scalar()?),
                 _ => return None,
             });
         }
-        if r.usize()? != self.bufs.len() {
+        if r.usize()? != self.st.bufs.len() {
             return None;
         }
-        let mut bufs = Vec::with_capacity(self.bufs.len());
-        for _ in 0..self.bufs.len() {
+        let mut bufs = Vec::with_capacity(self.st.bufs.len());
+        for _ in 0..self.st.bufs.len() {
             bufs.push(match r.u8()? {
                 0 => None,
                 1 => {
@@ -431,11 +443,11 @@ impl ProcVm {
                 _ => return None,
             });
         }
-        if r.usize()? != self.arrays.len() {
+        if r.usize()? != self.st.arrays.len() {
             return None;
         }
-        let mut arrays = Vec::with_capacity(self.arrays.len());
-        for _ in 0..self.arrays.len() {
+        let mut arrays = Vec::with_capacity(self.st.arrays.len());
+        for _ in 0..self.st.arrays.len() {
             arrays.push(match r.u8()? {
                 0 => None,
                 1 => {
@@ -469,11 +481,11 @@ impl ProcVm {
         if r.at != state.len() {
             return None;
         }
-        self.pc = pc;
-        self.stack = stack;
-        self.locals = locals;
-        self.bufs = bufs;
-        self.arrays = arrays;
+        self.st.pc = pc;
+        self.st.stack = stack;
+        self.st.locals = locals;
+        self.st.bufs = bufs;
+        self.st.arrays = arrays;
         Some(())
     }
 }
@@ -496,7 +508,7 @@ fn note_scratch(machine: &mut dyn Fabric, me: ProcId, grew: bool) {
 
 /// Cycle cost of one instruction under the machine's cost model.
 /// Communication instructions charge through `send`/`try_recv` instead.
-fn instr_cost(instr: &Instr, c: &pdc_machine::CostModel) -> u64 {
+fn instr_cost(instr: &Instr, c: &CostModel) -> u64 {
     match instr {
         Instr::PushInt(_) | Instr::PushFloat(_) | Instr::PushBool(_) => 0,
         Instr::PushMyNode | Instr::PushNProcs => 0,
@@ -600,35 +612,59 @@ pub(crate) fn scalar_binop(op: SBinOp, l: Scalar, r: Scalar) -> Result<Scalar, S
     }
 }
 
-impl Process for ProcVm {
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        Some(self.snapshot_bytes())
-    }
+/// Compute charges a run of instructions has earned and not yet handed
+/// to the fabric. They are handed over before every fabric operation and
+/// before control returns to the driver, which is what keeps logical time
+/// independent of how a run is cut into steps and batches.
+#[derive(Default)]
+struct Charges {
+    cycles: u64,
+    ops: u64,
+}
 
-    fn restore(&mut self, state: &[u8]) -> bool {
-        self.restore_bytes(state).is_some()
+impl Charges {
+    #[inline]
+    fn flush(&mut self, machine: &mut dyn Fabric, me: ProcId) {
+        if self.ops > 0 {
+            machine.tick_n(me, self.cycles, self.ops);
+            *self = Charges::default();
+        }
     }
+}
 
-    fn step(&mut self, machine: &mut dyn Fabric, me: ProcId) -> Result<Step, MachineError> {
-        let Some(instr) = self.code.instrs.get(self.pc).cloned() else {
+impl State {
+    /// Execute the instruction at `pc`, adding what it costs to `charges`.
+    /// A blocked receive and a halt cost nothing and leave the state as it
+    /// was, so they can be retried; a fault ends the program.
+    #[inline(always)]
+    fn exec(
+        &mut self,
+        code: &Code,
+        costs: &[u64],
+        machine: &mut dyn Fabric,
+        me: ProcId,
+        charges: &mut Charges,
+    ) -> Result<Step, MachineError> {
+        let (Some(instr), Some(&cost)) = (code.instrs.get(self.pc), costs.get(self.pc)) else {
             return Ok(Step::Done);
         };
-        let cost = instr_cost(&instr, machine.cost_model());
+        let syms = &code.syms;
+        let mut next = self.pc + 1;
         match instr {
             Instr::Halt => return Ok(Step::Done),
-            Instr::Fault(msg) => return Err(self.fault(me, msg)),
-            Instr::PushInt(v) => self.stack.push(Scalar::Int(v)),
-            Instr::PushFloat(v) => self.stack.push(Scalar::Float(v)),
-            Instr::PushBool(v) => self.stack.push(Scalar::Bool(v)),
+            Instr::Fault(msg) => return Err(self.fault(me, msg.as_str())),
+            Instr::PushInt(v) => self.stack.push(Scalar::Int(*v)),
+            Instr::PushFloat(v) => self.stack.push(Scalar::Float(*v)),
+            Instr::PushBool(v) => self.stack.push(Scalar::Bool(*v)),
             Instr::PushMyNode => self.stack.push(Scalar::Int(me.0 as i64)),
             Instr::PushNProcs => self.stack.push(Scalar::Int(machine.n_procs() as i64)),
             Instr::Load(slot) => {
-                let v = self.locals[slot as usize].ok_or_else(|| {
+                let v = self.locals[*slot as usize].ok_or_else(|| {
                     self.fault(
                         me,
                         format!(
                             "variable `{}` read before assignment",
-                            self.code.syms.vars[slot as usize]
+                            syms.vars[*slot as usize]
                         ),
                     )
                 })?;
@@ -636,17 +672,17 @@ impl Process for ProcVm {
             }
             Instr::Store(slot) => {
                 let v = self.pop(me)?;
-                self.locals[slot as usize] = Some(v);
+                self.locals[*slot as usize] = Some(v);
             }
             Instr::Bin(op) => {
                 let r = self.pop(me)?;
                 let l = self.pop(me)?;
-                let v = scalar_binop(op, l, r).map_err(|m| self.fault(me, m))?;
+                let v = scalar_binop(*op, l, r).map_err(|m| self.fault(me, m))?;
                 self.stack.push(v);
             }
             Instr::Un(op) => {
                 let v = self.pop(me)?;
-                let out = match (op, v) {
+                let out = match (*op, v) {
                     (SUnOp::Neg, Scalar::Int(x)) => Scalar::Int(-x),
                     (SUnOp::Neg, Scalar::Float(x)) => Scalar::Float(-x),
                     (SUnOp::Not, Scalar::Bool(b)) => Scalar::Bool(!b),
@@ -658,19 +694,15 @@ impl Process for ProcVm {
                 };
                 self.stack.push(out);
             }
-            Instr::Jump(t) => {
-                self.pc = t;
-                machine.tick(me, cost);
-                return Ok(Step::Ran);
-            }
+            Instr::Jump(t) => next = *t,
             Instr::JumpIfFalse(t) => {
                 let v = self.pop(me)?;
                 let b = v
                     .as_bool()
                     .ok_or_else(|| self.fault(me, "branch on non-boolean"))?;
-                machine.tick(me, cost);
-                self.pc = if b { self.pc + 1 } else { t };
-                return Ok(Step::Ran);
+                if !b {
+                    next = *t;
+                }
             }
             Instr::AllocDist { arr, dist } => {
                 let cols = self.pop_int(me)?;
@@ -678,8 +710,8 @@ impl Process for ProcVm {
                 if rows < 0 || cols < 0 {
                     return Err(self.fault(me, "negative array extent"));
                 }
-                self.arrays[arr as usize] = Some(DistArray::alloc(
-                    dist,
+                self.arrays[*arr as usize] = Some(DistArray::alloc(
+                    dist.clone(),
                     rows as usize,
                     cols as usize,
                     machine.n_procs(),
@@ -690,73 +722,61 @@ impl Process for ProcVm {
                 if len < 0 {
                     return Err(self.fault(me, "negative buffer length"));
                 }
-                self.bufs[buf as usize] = Some(vec![Scalar::Int(0); len as usize]);
+                self.bufs[*buf as usize] = Some(vec![Scalar::Int(0); len as usize]);
             }
             Instr::ARead { arr, nd } => {
-                let (li, lj) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
+                let (li, lj) = self.pop_indices(me, *nd)?;
+                let a = self.array_at(syms, me, *arr)?;
                 let v = a
                     .local
                     .read(li, lj)
                     .copied()
-                    .map_err(|e| MachineError::ProcessFault {
-                        proc: me,
-                        message: e.to_string(),
-                    })?;
+                    .map_err(|e| fault_of(me, e.to_string()))?;
                 self.stack.push(v);
             }
             Instr::AWrite { arr, nd } => {
                 let v = self.pop(me)?;
-                let (li, lj) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
+                let (li, lj) = self.pop_indices(me, *nd)?;
+                let a = self.array_at(syms, me, *arr)?;
                 a.local
                     .write(li, lj, v)
-                    .map_err(|e| MachineError::ProcessFault {
-                        proc: me,
-                        message: e.to_string(),
-                    })?;
+                    .map_err(|e| fault_of(me, e.to_string()))?;
             }
             Instr::AReadGlobal { arr, nd } => {
-                let (i, j) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
+                let (i, j) = self.pop_indices(me, *nd)?;
+                let a = self.array_at(syms, me, *arr)?;
                 if !a.inst.owner(i, j).contains(me.0) {
-                    return Err(MachineError::ProcessFault {
-                        proc: me,
-                        message: format!("global read of ({i},{j}) on non-owner {me}"),
-                    });
+                    return Err(fault_of(
+                        me,
+                        format!("global read of ({i},{j}) on non-owner {me}"),
+                    ));
                 }
                 let (li, lj) = a.inst.local(i, j);
                 let v = a
                     .local
                     .read(li, lj)
                     .copied()
-                    .map_err(|e| MachineError::ProcessFault {
-                        proc: me,
-                        message: e.to_string(),
-                    })?;
+                    .map_err(|e| fault_of(me, e.to_string()))?;
                 self.stack.push(v);
             }
             Instr::AWriteGlobal { arr, nd } => {
                 let v = self.pop(me)?;
-                let (i, j) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
+                let (i, j) = self.pop_indices(me, *nd)?;
+                let a = self.array_at(syms, me, *arr)?;
                 if !a.inst.owner(i, j).contains(me.0) {
-                    return Err(MachineError::ProcessFault {
-                        proc: me,
-                        message: format!("global write of ({i},{j}) on non-owner {me}"),
-                    });
+                    return Err(fault_of(
+                        me,
+                        format!("global write of ({i},{j}) on non-owner {me}"),
+                    ));
                 }
                 let (li, lj) = a.inst.local(i, j);
                 a.local
                     .write(li, lj, v)
-                    .map_err(|e| MachineError::ProcessFault {
-                        proc: me,
-                        message: e.to_string(),
-                    })?;
+                    .map_err(|e| fault_of(me, e.to_string()))?;
             }
             Instr::OwnerOf { arr, nd } => {
-                let (i, j) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
+                let (i, j) = self.pop_indices(me, *nd)?;
+                let a = self.array_at(syms, me, *arr)?;
                 let owner = match a.inst.owner(i, j) {
                     OwnerSet::One(p) => p as i64,
                     // Replicated data is owned locally for coercion
@@ -766,55 +786,43 @@ impl Process for ProcVm {
                 self.stack.push(Scalar::Int(owner));
             }
             Instr::LocalOf { arr, nd, dim } => {
-                let (i, j) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
+                let (i, j) = self.pop_indices(me, *nd)?;
+                let a = self.array_at(syms, me, *arr)?;
                 let (li, lj) = a.inst.local(i, j);
-                self.stack.push(Scalar::Int(if dim == 0 { li } else { lj }));
+                self.stack
+                    .push(Scalar::Int(if *dim == 0 { li } else { lj }));
             }
             Instr::BufRead { buf } => {
                 let idx = self.pop_int(me)?;
-                let b = self.buf_at(me, buf)?;
-                let v = *b
-                    .get(idx.max(0) as usize)
-                    .ok_or_else(|| MachineError::ProcessFault {
-                        proc: me,
-                        message: format!("buffer index {idx} out of bounds ({})", b.len()),
-                    })?;
+                let b = self.buf_at(syms, me, *buf)?;
+                let v = *buf_cell(b, idx).map_err(|len| {
+                    fault_of(me, format!("buffer index {idx} out of bounds ({len})"))
+                })?;
                 self.stack.push(v);
             }
             Instr::BufWrite { buf } => {
                 let idx = self.pop_int(me)?;
                 let v = self.pop(me)?;
-                let b = self.buf_at(me, buf)?;
-                let len = b.len();
-                let cell =
-                    b.get_mut(idx.max(0) as usize)
-                        .ok_or_else(|| MachineError::ProcessFault {
-                            proc: me,
-                            message: format!("buffer index {idx} out of bounds ({len})"),
-                        })?;
-                *cell = v;
+                let b = self.buf_at(syms, me, *buf)?;
+                *buf_cell(b, idx).map_err(|len| {
+                    fault_of(me, format!("buffer index {idx} out of bounds ({len})"))
+                })? = v;
             }
             Instr::Send { tag, n } => {
                 let mut vals = std::mem::take(&mut self.msg_vals);
                 vals.clear();
-                for _ in 0..n {
+                for _ in 0..*n {
                     vals.push(self.pop(me)?);
                 }
                 vals.reverse();
-                let dst = self.pop_int(me)?;
-                if dst == me.0 as i64 {
-                    return Err(self.fault(me, "send to self (coerce must be a local read)"));
-                }
-                if dst < 0 || dst as usize >= machine.n_procs() {
-                    return Err(self.fault(me, format!("send to invalid processor {dst}")));
-                }
+                let dst = self.send_target(machine, me)?;
                 let mut wire = std::mem::take(&mut self.wire);
                 wire.clear();
                 let cap = wire.capacity();
                 encode_into(&vals, &mut wire);
                 note_scratch(machine, me, wire.capacity() > cap);
-                machine.send_ref(me, ProcId(dst as usize), Tag(tag), &wire);
+                charges.flush(machine, me);
+                machine.send_ref(me, dst, Tag(*tag), &wire);
                 self.msg_vals = vals;
                 self.wire = wire;
             }
@@ -824,17 +832,15 @@ impl Process for ProcVm {
                 let Some(&src_v) = self.stack.last() else {
                     return Err(self.fault(me, "operand stack underflow"));
                 };
-                let src = src_v
-                    .as_int()
-                    .ok_or_else(|| self.fault(me, "receive source must be an int"))?;
-                if src < 0 || src as usize >= machine.n_procs() {
-                    return Err(self.fault(me, format!("receive from invalid processor {src}")));
-                }
-                let src = ProcId(src as usize);
+                let src = self.recv_source(machine, me, src_v)?;
                 let mut words = std::mem::take(&mut self.wire);
-                if !machine.try_recv_into(me, src, Tag(tag), &mut words) {
+                charges.flush(machine, me);
+                if !machine.try_recv_into(me, src, Tag(*tag), &mut words) {
                     self.wire = words;
-                    return Ok(Step::BlockedOnRecv { src, tag: Tag(tag) });
+                    return Ok(Step::BlockedOnRecv {
+                        src,
+                        tag: Tag(*tag),
+                    });
                 }
                 self.stack.pop(); // consume the source
                 let mut vals = std::mem::take(&mut self.recv_vals);
@@ -844,7 +850,7 @@ impl Process for ProcVm {
                     return Err(self.fault(me, "malformed message payload"));
                 }
                 note_scratch(machine, me, vals.capacity() > cap);
-                if vals.len() != n as usize {
+                if vals.len() != *n as usize {
                     return Err(self.fault(
                         me,
                         format!("expected {n} value(s), message has {}", vals.len()),
@@ -857,29 +863,24 @@ impl Process for ProcVm {
             Instr::SendBuf { tag, buf } => {
                 let hi = self.pop_int(me)?;
                 let lo = self.pop_int(me)?;
-                let dst = self.pop_int(me)?;
-                if dst == me.0 as i64 {
-                    return Err(self.fault(me, "send to self (coerce must be a local read)"));
-                }
-                if dst < 0 || dst as usize >= machine.n_procs() {
-                    return Err(self.fault(me, format!("send to invalid processor {dst}")));
-                }
+                let dst = self.send_target(machine, me)?;
                 if lo < 0 || hi < lo {
                     return Err(self.fault(me, format!("bad buffer slice {lo}..={hi}")));
                 }
                 let mut wire = std::mem::take(&mut self.wire);
                 wire.clear();
-                let b = self.buf_at(me, buf)?;
+                let b = self.buf_at(syms, me, *buf)?;
                 if hi as usize >= b.len() {
-                    return Err(MachineError::ProcessFault {
-                        proc: me,
-                        message: format!("buffer slice {lo}..={hi} out of bounds"),
-                    });
+                    return Err(fault_of(
+                        me,
+                        format!("buffer slice {lo}..={hi} out of bounds"),
+                    ));
                 }
                 let cap = wire.capacity();
                 encode_into(&b[lo as usize..=hi as usize], &mut wire);
                 note_scratch(machine, me, wire.capacity() > cap);
-                machine.send_ref(me, ProcId(dst as usize), Tag(tag), &wire);
+                charges.flush(machine, me);
+                machine.send_ref(me, dst, Tag(*tag), &wire);
                 self.wire = wire;
             }
             Instr::RecvBuf { tag, buf } => {
@@ -887,17 +888,15 @@ impl Process for ProcVm {
                 if len < 3 {
                     return Err(self.fault(me, "operand stack underflow"));
                 }
-                let src = self.stack[len - 3]
-                    .as_int()
-                    .ok_or_else(|| self.fault(me, "receive source must be an int"))?;
-                if src < 0 || src as usize >= machine.n_procs() {
-                    return Err(self.fault(me, format!("receive from invalid processor {src}")));
-                }
-                let src = ProcId(src as usize);
+                let src = self.recv_source(machine, me, self.stack[len - 3])?;
                 let mut words = std::mem::take(&mut self.wire);
-                if !machine.try_recv_into(me, src, Tag(tag), &mut words) {
+                charges.flush(machine, me);
+                if !machine.try_recv_into(me, src, Tag(*tag), &mut words) {
                     self.wire = words;
-                    return Ok(Step::BlockedOnRecv { src, tag: Tag(tag) });
+                    return Ok(Step::BlockedOnRecv {
+                        src,
+                        tag: Tag(*tag),
+                    });
                 }
                 let hi = self.pop_int(me)?;
                 let lo = self.pop_int(me)?;
@@ -919,21 +918,111 @@ impl Process for ProcVm {
                         format!("expected {want} value(s), message has {}", vals.len()),
                     ));
                 }
-                let b = self.buf_at(me, buf)?;
+                let b = self.buf_at(syms, me, *buf)?;
                 if hi as usize >= b.len() {
-                    return Err(MachineError::ProcessFault {
-                        proc: me,
-                        message: format!("buffer slice {lo}..={hi} out of bounds"),
-                    });
+                    return Err(fault_of(
+                        me,
+                        format!("buffer slice {lo}..={hi} out of bounds"),
+                    ));
                 }
                 b[lo as usize..=hi as usize].copy_from_slice(&vals);
                 self.recv_vals = vals;
                 self.wire = words;
             }
         }
-        machine.tick(me, cost);
-        self.pc += 1;
+        charges.cycles += cost;
+        charges.ops += 1;
+        self.pc = next;
         Ok(Step::Ran)
+    }
+
+    /// Pop the destination of a send and validate it.
+    fn send_target(&mut self, machine: &dyn Fabric, me: ProcId) -> Result<ProcId, MachineError> {
+        let dst = self.pop_int(me)?;
+        if dst == me.0 as i64 {
+            return Err(self.fault(me, "send to self (coerce must be a local read)"));
+        }
+        if dst < 0 || dst as usize >= machine.n_procs() {
+            return Err(self.fault(me, format!("send to invalid processor {dst}")));
+        }
+        Ok(ProcId(dst as usize))
+    }
+
+    /// Validate the (peeked) source operand of a receive.
+    fn recv_source(
+        &self,
+        machine: &dyn Fabric,
+        me: ProcId,
+        operand: Scalar,
+    ) -> Result<ProcId, MachineError> {
+        let src = operand
+            .as_int()
+            .ok_or_else(|| self.fault(me, "receive source must be an int"))?;
+        if src < 0 || src as usize >= machine.n_procs() {
+            return Err(self.fault(me, format!("receive from invalid processor {src}")));
+        }
+        Ok(ProcId(src as usize))
+    }
+}
+
+/// Cell `idx` of a buffer, or the buffer's length when `idx` is outside
+/// it (below zero included: a negative index is a fault, not cell 0).
+fn buf_cell(buf: &mut [Scalar], idx: i64) -> Result<&mut Scalar, usize> {
+    let len = buf.len();
+    usize::try_from(idx)
+        .ok()
+        .and_then(|i| buf.get_mut(i))
+        .ok_or(len)
+}
+
+impl Process for ProcVm {
+    fn snapshot(&self) -> Option<Vec<u8>> {
+        Some(self.snapshot_bytes())
+    }
+
+    fn restore(&mut self, state: &[u8]) -> bool {
+        self.restore_bytes(state).is_some()
+    }
+
+    fn step(&mut self, machine: &mut dyn Fabric, me: ProcId) -> Result<Step, MachineError> {
+        debug_assert_eq!(
+            machine.cost_model(),
+            &self.cost,
+            "built for another machine"
+        );
+        let mut charges = Charges::default();
+        let step = self
+            .st
+            .exec(&self.code, &self.costs, machine, me, &mut charges);
+        charges.flush(machine, me);
+        step
+    }
+
+    fn step_batch(
+        &mut self,
+        machine: &mut dyn Fabric,
+        me: ProcId,
+        max: u64,
+    ) -> Result<(u64, Step), MachineError> {
+        debug_assert_eq!(
+            machine.cost_model(),
+            &self.cost,
+            "built for another machine"
+        );
+        let mut charges = Charges::default();
+        let mut ran = 0;
+        let last = loop {
+            ran += 1;
+            match self
+                .st
+                .exec(&self.code, &self.costs, machine, me, &mut charges)
+            {
+                Ok(Step::Ran) if ran < max => {}
+                last => break last,
+            }
+        };
+        charges.flush(machine, me);
+        Ok((ran, last?))
     }
 }
 
@@ -943,11 +1032,11 @@ mod tests {
     use crate::ir::{SExpr, SStmt};
     use crate::lower::lower;
     use crate::scalar::encode;
-    use pdc_machine::{CostModel, Machine};
+    use pdc_machine::Machine;
 
     fn run_single(body: Vec<SStmt>) -> (ProcVm, Machine) {
         let code = Arc::new(lower(&body).unwrap());
-        let mut vm = ProcVm::new(code);
+        let mut vm = ProcVm::new(code, &CostModel::zero());
         let mut machine = Machine::new(1, CostModel::zero());
         loop {
             match vm.step(&mut machine, ProcId(0)).unwrap() {
@@ -1020,6 +1109,52 @@ mod tests {
         assert_eq!(vm.buf("b").unwrap()[2], Scalar::Int(9));
     }
 
+    /// Run `body` on one processor until it faults; the fault's message.
+    fn fault_of_single(body: Vec<SStmt>) -> String {
+        let code = Arc::new(lower(&body).unwrap());
+        let mut vm = ProcVm::new(code, &CostModel::zero());
+        let mut machine = Machine::new(1, CostModel::zero());
+        loop {
+            match vm.step(&mut machine, ProcId(0)) {
+                Ok(Step::Ran) => {}
+                Ok(other) => panic!("expected a fault, got {other:?}"),
+                Err(e) => return e.to_string(),
+            }
+        }
+    }
+
+    #[test]
+    fn buffer_index_outside_the_buffer_faults_on_either_side() {
+        let alloc = SStmt::AllocBuf {
+            buf: "b".into(),
+            len: SExpr::int(4),
+        };
+        // -1 used to alias cell 0.
+        for idx in [-1, 4] {
+            let read = fault_of_single(vec![
+                alloc.clone(),
+                SStmt::Let {
+                    var: "x".into(),
+                    value: SExpr::BufRead {
+                        buf: "b".into(),
+                        idx: Box::new(SExpr::int(idx)),
+                    },
+                },
+            ]);
+            let write = fault_of_single(vec![
+                alloc.clone(),
+                SStmt::BufWrite {
+                    buf: "b".into(),
+                    idx: SExpr::int(idx),
+                    value: SExpr::int(9),
+                },
+            ]);
+            let expected = format!("buffer index {idx} out of bounds (4)");
+            assert!(read.contains(&expected), "read at {idx}: {read}");
+            assert!(write.contains(&expected), "write at {idx}: {write}");
+        }
+    }
+
     #[test]
     fn dist_array_local_access_on_single_proc() {
         let (vm, _) = run_single(vec![
@@ -1077,7 +1212,7 @@ mod tests {
             ])
             .unwrap(),
         );
-        let mut vm = ProcVm::new(code);
+        let mut vm = ProcVm::new(code, &CostModel::zero());
         let mut machine = Machine::new(1, CostModel::zero());
         let mut result = Ok(Step::Ran);
         for _ in 0..100 {
@@ -1099,7 +1234,7 @@ mod tests {
             }])
             .unwrap(),
         );
-        let mut vm = ProcVm::new(code);
+        let mut vm = ProcVm::new(code, &CostModel::zero());
         let mut machine = Machine::new(1, CostModel::zero());
         let err = vm.step(&mut machine, ProcId(0)).unwrap_err();
         assert!(err.to_string().contains("read before assignment"));
@@ -1115,7 +1250,7 @@ mod tests {
             }])
             .unwrap(),
         );
-        let mut vm = ProcVm::new(code);
+        let mut vm = ProcVm::new(code, &CostModel::zero());
         let mut machine = Machine::new(2, CostModel::zero());
         let mut last = Ok(Step::Ran);
         for _ in 0..10 {
@@ -1170,7 +1305,7 @@ mod tests {
             },
         ];
         let code = Arc::new(lower(&body).unwrap());
-        let mut vm = ProcVm::new(code.clone());
+        let mut vm = ProcVm::new(code.clone(), &CostModel::zero());
         let mut machine = Machine::new(2, CostModel::zero());
         // Run to the blocked receive; the pending source operand is on
         // the stack when we snapshot.
@@ -1193,7 +1328,7 @@ mod tests {
         };
         finish(&mut vm, &mut machine);
 
-        let mut restored = ProcVm::new(code);
+        let mut restored = ProcVm::new(code, &CostModel::zero());
         assert!(restored.restore(&image), "image must be accepted");
         let mut machine2 = Machine::new(2, CostModel::zero());
         finish(&mut restored, &mut machine2);
@@ -1208,8 +1343,9 @@ mod tests {
         assert_eq!(a.local.peek(1, 1).copied(), b.local.peek(1, 1).copied());
 
         // A truncated or corrupt image is rejected, not misparsed.
-        assert!(!ProcVm::new(Arc::new(lower(&body).unwrap())).restore(&image[..image.len() - 1]));
-        assert!(!ProcVm::new(Arc::new(lower(&body).unwrap())).restore(b"garbage"));
+        let fresh = || ProcVm::new(Arc::new(lower(&body).unwrap()), &CostModel::zero());
+        assert!(!fresh().restore(&image[..image.len() - 1]));
+        assert!(!fresh().restore(b"garbage"));
     }
 
     #[test]
@@ -1222,7 +1358,7 @@ mod tests {
             }])
             .unwrap(),
         );
-        let mut vm = ProcVm::new(code);
+        let mut vm = ProcVm::new(code, &CostModel::zero());
         let mut machine = Machine::new(2, CostModel::zero());
         // Source expression evaluates, then the receive blocks.
         loop {

@@ -87,7 +87,7 @@ fn eval(e: &SExpr, x: i64, y: i64, me: i64, nprocs: i64) -> Option<i64> {
 /// Run a single-processor program to completion; return `result`.
 fn run_vm(body: Vec<SStmt>) -> Result<Option<Scalar>, String> {
     let code = Arc::new(lower(&body).map_err(|e| e.to_string())?);
-    let mut vm = ProcVm::new(code);
+    let mut vm = ProcVm::new(code, &CostModel::zero());
     let mut machine = Machine::new(3, CostModel::zero());
     for _ in 0..100_000 {
         match vm.step(&mut machine, ProcId(1)) {

@@ -132,3 +132,59 @@ fn block2d_round_trip() {
         assert_eq!(total, rows * cols);
     });
 }
+
+/// The evaluable triple equals the symbolic one: the compiler emits
+/// `owner_expr`/`local_expr` into the target program and the VM, preload
+/// and gather evaluate `owner`/`local`, so the two must agree on every
+/// index — also outside the array bounds, where generated code can probe
+/// ownership (halo references such as `A[i, j+1]` at `j = n`).
+#[test]
+fn closed_form_equals_symbolic_form() {
+    use pdc_mapping::Affine;
+    let (vi, vj) = (Affine::var("i"), Affine::var("j"));
+    for nprocs in [1usize, 3, 4, 8] {
+        let mut dists = vec![
+            Dist::Replicated,
+            Dist::OnProcessor(0),
+            Dist::OnProcessor(nprocs - 1),
+            Dist::ColumnCyclic,
+            Dist::RowCyclic,
+            Dist::ColumnBlock,
+            Dist::RowBlock,
+        ];
+        for block in [2, 4] {
+            dists.push(Dist::ColumnBlockCyclic { block });
+            dists.push(Dist::RowBlockCyclic { block });
+        }
+        for prows in (1..=nprocs).filter(|p| nprocs % p == 0) {
+            dists.push(Dist::Block2d {
+                prows,
+                pcols: nprocs / prows,
+            });
+        }
+        for dist in dists {
+            assert!(dist.is_analyzable());
+            for (rows, cols) in [(5usize, 3usize), (7, 9), (16, 16), (128, 128)] {
+                let inst = DistInstance::new(dist.clone(), rows, cols, nprocs);
+                let owner = inst.owner_expr(&vi, &vj).unwrap();
+                let (li, lj) = inst.local_expr(&vi, &vj).unwrap();
+                for i in -2..=rows as i64 + 3 {
+                    for j in -2..=cols as i64 + 3 {
+                        let env = move |v: &str| match v {
+                            "i" => i,
+                            "j" => j,
+                            other => panic!("unbound index variable {other}"),
+                        };
+                        let at = format!("{dist} {rows}x{cols} on {nprocs} at ({i},{j})");
+                        assert_eq!(inst.owner(i, j), owner.eval(&env), "Map, {at}");
+                        assert_eq!(
+                            inst.local(i, j),
+                            (li.eval(&env), lj.eval(&env)),
+                            "Local, {at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -36,10 +36,10 @@
 //! freedom and matched communication for the given problem size.
 
 use pdc_mapping::DistInstance;
-use pdc_report::interp::{self, Events, RecvSink};
+use pdc_report::interp::{self, ArrayId, BufId, Channels, Events, Names, RecvSink, Target, VarId};
 use pdc_report::{Phase, Remark, RemarkKind};
-use pdc_spmd::ir::{RecvTarget, SpmdProgram};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use pdc_spmd::ir::SpmdProgram;
+use std::collections::{BTreeMap, BTreeSet};
 
 mod depend;
 pub use depend::depend_remarks;
@@ -212,49 +212,135 @@ impl AnalysisReport {
 /// note so a degenerate program cannot flood the remark stream.
 const MAX_DIAGS: usize = 64;
 
-/// One communication event in a processor's abstract program order.
+/// One communication event in a processor's abstract program order, on
+/// the channel with this id in [`Analyzer::flows`].
 #[derive(Debug, Clone, Copy)]
 enum CommEv {
-    Send { dst: usize, tag: u32 },
-    Recv { src: usize, tag: u32 },
+    Send(u32),
+    Recv(u32),
 }
 
-/// Event-recording sink over the shared walk.
-#[derive(Default)]
-struct Recorder {
-    nprocs: usize,
+/// Message sizes in channel order, run-length encoded: a channel carries
+/// thousands of messages of one or two sizes.
+#[derive(Debug, Clone, Default)]
+struct Shapes(Vec<(u64, u64)>);
+
+impl Shapes {
+    fn push(&mut self, words: u64) {
+        match self.0.last_mut() {
+            Some((w, n)) if *w == words => *n += 1,
+            _ => self.0.push((words, 1)),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0
+            .iter()
+            .flat_map(|&(w, n)| std::iter::repeat_n(w, n as usize))
+    }
+}
+
+/// Both sides of one channel (self-sends excluded).
+#[derive(Debug, Clone, Default)]
+struct Flow {
+    flow: ChannelFlow,
+    /// Ordered per-message sizes, send side / receive side.
+    sent_shapes: Shapes,
+    recv_shapes: Shapes,
+}
+
+/// One statically placed write to an element of some array. Ordered
+/// column-major within a home: generated code sweeps columns in its outer
+/// loops, so a processor's writes arrive as a few long sorted runs and
+/// sorting the log costs little more than checking it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Write {
+    home: usize,
+    lj: i64,
+    li: i64,
+    writer: usize,
+}
+
+/// The analyzer as a sink over the shared walk: record, then
+/// [`finish`](Analyzer::finish) into the [`AnalysisReport`]. Nameable so
+/// the driver can ride it on the cost model's walk through an
+/// [`interp::Tee`]; [`analyze`] is the stand-alone form.
+///
+/// Everything the walk hits per event is indexed by slot: per-processor
+/// pending-read flags by [`VarId`]/[`BufId`], channel flows by a dense
+/// [`Channels`] table, element writes in one flat log per [`ArrayId`].
+pub struct Analyzer<'n> {
+    names: &'n Names,
     /// Per-processor communication streams, in abstract program order.
     streams: Vec<Vec<CommEv>>,
-    /// Aggregate per-channel flow (self-sends excluded).
-    channels: BTreeMap<(usize, usize, u32), ChannelFlow>,
-    /// Ordered per-channel message sizes, send side / receive side.
-    sent_shapes: HashMap<(usize, usize, u32), Vec<u64>>,
-    recv_shapes: HashMap<(usize, usize, u32), Vec<u64>>,
+    flows: Channels<Flow>,
     /// Self-send message counts per (proc, tag).
     self_sends: BTreeMap<(usize, u32), u64>,
-    /// Writes per (array, owner, local row, local col) → writer → count.
-    writes: BTreeMap<(String, usize, i64, i64), BTreeMap<usize, u64>>,
-    /// Arrays with at least one write the walk could not place.
-    unplaced_writes: BTreeSet<String>,
-    /// Per (proc, variable or buffer name): tag of the last receive into
-    /// it that has not been read since.
-    pending_reads: BTreeMap<(usize, String), u32>,
+    /// Per array: every statically placed write, in walk order.
+    writes: Vec<Vec<Write>>,
+    /// Per array: did the walk meet a write it could not place?
+    unplaced: Vec<bool>,
+    /// For the processor being walked, per scalar and per buffer: tag of
+    /// the last receive into it that has not been read since. Scalars
+    /// and buffers are separate namespaces.
+    pending_vars: Vec<Option<u32>>,
+    pending_bufs: Vec<Option<u32>>,
+    /// Receives never read — `(proc, target name, tag)` — per finished
+    /// processor, ordered by name, a scalar before a buffer of its name.
+    unused: Vec<(usize, String, u32)>,
     exact: bool,
     notes: Vec<String>,
 }
 
-impl Recorder {
-    fn note(&mut self, msg: String) {
-        self.exact = false;
-        if self.notes.len() < 32 && !self.notes.contains(&msg) {
-            self.notes.push(msg);
+impl<'n> Analyzer<'n> {
+    /// An empty analyzer for the walk of `resolved`.
+    pub fn new(resolved: &'n interp::Resolved<'_>) -> Self {
+        let names = resolved.names();
+        Analyzer {
+            names,
+            streams: Vec::with_capacity(resolved.n_procs()),
+            flows: Channels::new(resolved.n_procs()),
+            self_sends: BTreeMap::new(),
+            writes: vec![Vec::new(); names.arrays().len()],
+            unplaced: vec![false; names.arrays().len()],
+            pending_vars: vec![None; names.vars().len()],
+            pending_bufs: vec![None; names.bufs().len()],
+            unused: Vec::new(),
+            exact: true,
+            notes: Vec::new(),
         }
+    }
+
+    fn lose(&mut self, msg: String) {
+        self.exact = false;
+        interp::keep_note(&mut self.notes, msg);
+    }
+
+    /// Move what is still pending on the processor just walked into
+    /// `unused`, leaving the flags clear for the next one.
+    fn close_proc(&mut self) {
+        let Some(proc) = self.streams.len().checked_sub(1) else {
+            return;
+        };
+        let names = self.names;
+        let vars = self.pending_vars.iter_mut().zip(names.vars());
+        let bufs = self.pending_bufs.iter_mut().zip(names.bufs());
+        let mut left: Vec<(&String, bool, u32)> = vars
+            .filter_map(|(tag, name)| Some((name, false, tag.take()?)))
+            .chain(bufs.filter_map(|(tag, name)| Some((name, true, tag.take()?))))
+            .collect();
+        left.sort();
+        self.unused.extend(
+            left.into_iter()
+                .map(|(name, _, tag)| (proc, name.clone(), tag)),
+        );
     }
 }
 
-impl Events for Recorder {
+impl Events for Analyzer<'_> {
     fn proc_begin(&mut self, proc: usize) {
         debug_assert_eq!(proc, self.streams.len());
+        self.close_proc();
         self.streams.push(Vec::new());
     }
 
@@ -264,71 +350,63 @@ impl Events for Recorder {
             *self.self_sends.entry((proc, tag)).or_default() += 1;
             return;
         }
-        self.streams[proc].push(CommEv::Send { dst, tag });
-        let c = self.channels.entry((proc, dst, tag)).or_default();
-        c.sent += 1;
-        c.sent_words += words;
-        self.sent_shapes
-            .entry((proc, dst, tag))
-            .or_default()
-            .push(words);
+        let chan = self.flows.id(proc, dst, tag);
+        self.streams[proc].push(CommEv::Send(chan as u32));
+        let c = self.flows.get_mut(chan);
+        c.flow.sent += 1;
+        c.flow.sent_words += words;
+        c.sent_shapes.push(words);
     }
 
     fn recv(&mut self, proc: usize, src: usize, tag: u32, words: u64, sink: RecvSink<'_>) {
-        self.streams[proc].push(CommEv::Recv { src, tag });
-        let c = self.channels.entry((src, proc, tag)).or_default();
-        c.received += 1;
-        c.recv_words += words;
-        self.recv_shapes
-            .entry((src, proc, tag))
-            .or_default()
-            .push(words);
+        let chan = self.flows.id(src, proc, tag);
+        self.streams[proc].push(CommEv::Recv(chan as u32));
+        let c = self.flows.get_mut(chan);
+        c.flow.received += 1;
+        c.flow.recv_words += words;
+        c.recv_shapes.push(words);
         match sink {
             RecvSink::Targets(targets) => {
                 for t in targets {
-                    let name = match t {
-                        RecvTarget::Var(v) => v.clone(),
-                        RecvTarget::Buf { buf, .. } => buf.clone(),
-                    };
-                    self.pending_reads.insert((proc, name), tag);
+                    match t {
+                        Target::Var(v) => self.pending_vars[v.index()] = Some(tag),
+                        Target::Buf(b) => self.pending_bufs[b.index()] = Some(tag),
+                    }
                 }
             }
-            RecvSink::Buffer(buf) => {
-                self.pending_reads.insert((proc, buf.to_string()), tag);
-            }
+            RecvSink::Buffer(b) => self.pending_bufs[b.index()] = Some(tag),
         }
     }
 
-    fn array_write(&mut self, proc: usize, array: &str, element: Option<(usize, i64, i64)>) {
+    fn array_write(&mut self, proc: usize, array: ArrayId, element: Option<(usize, i64, i64)>) {
         match element {
-            Some((home, li, lj)) => {
-                *self
-                    .writes
-                    .entry((array.to_string(), home, li, lj))
-                    .or_default()
-                    .entry(proc)
-                    .or_default() += 1;
-            }
+            Some((home, li, lj)) => self.writes[array.index()].push(Write {
+                home,
+                li,
+                lj,
+                writer: proc,
+            }),
             None => {
-                if self.unplaced_writes.insert(array.to_string()) {
-                    self.note(format!(
-                        "P{proc}: write to `{array}` at a statically unknown element"
+                if !std::mem::replace(&mut self.unplaced[array.index()], true) {
+                    self.lose(format!(
+                        "P{proc}: write to `{}` at a statically unknown element",
+                        self.names.array(array)
                     ));
                 }
             }
         }
     }
 
-    fn var_read(&mut self, proc: usize, name: &str) {
-        self.pending_reads.remove(&(proc, name.to_string()));
+    fn var_read(&mut self, _proc: usize, var: VarId) {
+        self.pending_vars[var.index()] = None;
     }
 
-    fn buf_read(&mut self, proc: usize, buf: &str) {
-        self.pending_reads.remove(&(proc, buf.to_string()));
+    fn buf_read(&mut self, _proc: usize, buf: BufId) {
+        self.pending_bufs[buf.index()] = None;
     }
 
     fn note(&mut self, _proc: usize, msg: String) {
-        Recorder::note(self, msg);
+        self.lose(msg);
     }
 }
 
@@ -343,57 +421,70 @@ pub fn analyze(
     env: &BTreeMap<String, i64>,
     arrays: &BTreeMap<String, DistInstance>,
 ) -> AnalysisReport {
-    let mut rec = Recorder {
-        nprocs: prog.n_procs(),
-        exact: true,
-        ..Recorder::default()
-    };
-    interp::walk(prog, env, arrays, &mut rec);
+    let resolved = interp::resolve(prog, env, arrays);
+    let mut analyzer = Analyzer::new(&resolved);
+    resolved.walk(&mut analyzer);
+    analyzer.finish()
+}
 
-    let mut diags: Vec<Diagnostic> = Vec::new();
+impl Analyzer<'_> {
+    /// Run the checks over what the walk recorded.
+    pub fn finish(mut self) -> AnalysisReport {
+        self.close_proc();
+        let mut diags: Vec<Diagnostic> = Vec::new();
 
-    // Self-sends are real faults whether or not the walk was exact: each
-    // one was actually witnessed.
-    for (&(p, tag), &n) in &rec.self_sends {
-        diags.push(Diagnostic {
-            kind: DiagKind::SelfSend,
-            severity: Severity::Error,
-            message: format!(
-                "P{p} sends tag {tag} to itself ({n} message(s)); the machine faults on self-sends"
-            ),
-            tag: Some(tag),
-            array: None,
-            proc: Some(p),
-        });
-    }
+        // Self-sends are real faults whether or not the walk was exact:
+        // each one was actually witnessed.
+        for (&(p, tag), &n) in &self.self_sends {
+            diags.push(Diagnostic {
+                kind: DiagKind::SelfSend,
+                severity: Severity::Error,
+                message: format!(
+                    "P{p} sends tag {tag} to itself ({n} message(s)); the machine faults on \
+                     self-sends"
+                ),
+                tag: Some(tag),
+                array: None,
+                proc: Some(p),
+            });
+        }
 
-    // Every other check is only sound on exact event streams.
-    if rec.exact {
-        check_channels(&rec, &mut diags);
-        check_deadlock(&rec, &mut diags);
-        check_single_assignment(&rec, &mut diags);
-        check_unused_recvs(&rec, &mut diags);
-    }
+        // Every other check is only sound on exact event streams.
+        if self.exact {
+            check_channels(&self.flows, &mut diags);
+            check_deadlock(&self.streams, &self.flows, &mut diags);
+            check_single_assignment(self.names, &mut self.writes, &mut diags);
+            check_unused_recvs(&self.unused, &mut diags);
+        }
 
-    let mut notes = rec.notes;
-    if diags.len() > MAX_DIAGS {
-        notes.push(format!(
-            "{} further diagnostic(s) truncated",
-            diags.len() - MAX_DIAGS
-        ));
-        diags.truncate(MAX_DIAGS);
-    }
-    AnalysisReport {
-        diagnostics: diags,
-        channels: rec.channels,
-        exact: rec.exact,
-        notes,
+        let mut notes = self.notes;
+        if diags.len() > MAX_DIAGS {
+            notes.push(format!(
+                "{} further diagnostic(s) truncated",
+                diags.len() - MAX_DIAGS
+            ));
+            diags.truncate(MAX_DIAGS);
+        }
+        AnalysisReport {
+            diagnostics: diags,
+            channels: self
+                .flows
+                .into_sorted()
+                .into_iter()
+                .map(|(k, f)| (k, f.flow))
+                .collect(),
+            exact: self.exact,
+            notes,
+        }
     }
 }
 
 /// Multiset send/recv matching plus per-message shape checking.
-fn check_channels(rec: &Recorder, diags: &mut Vec<Diagnostic>) {
-    for (&(src, dst, tag), flow) in &rec.channels {
+fn check_channels(flows: &Channels<Flow>, diags: &mut Vec<Diagnostic>) {
+    let mut by_key: Vec<_> = flows.iter().collect();
+    by_key.sort_by_key(|(key, _)| *key);
+    for ((src, dst, tag), channel) in by_key {
+        let flow = channel.flow;
         if flow.sent > flow.received && flow.received == 0 {
             diags.push(Diagnostic {
                 kind: DiagKind::DeadSend,
@@ -437,46 +528,47 @@ fn check_channels(rec: &Recorder, diags: &mut Vec<Diagnostic>) {
         }
         // The i-th message on a channel is consumed by the i-th receive
         // (per-channel FIFO), so shapes compare positionally.
-        let sent = rec.sent_shapes.get(&(src, dst, tag));
-        let recvd = rec.recv_shapes.get(&(src, dst, tag));
-        if let (Some(sent), Some(recvd)) = (sent, recvd) {
-            for (i, (sw, rw)) in sent.iter().zip(recvd.iter()).enumerate() {
-                if sw != rw {
-                    diags.push(Diagnostic {
-                        kind: DiagKind::ShapeMismatch,
-                        severity: Severity::Error,
-                        message: format!(
-                            "channel P{src}->P{dst} tag {tag}: message {} carries {sw} word(s) \
-                             but the receive expects {rw}",
-                            i + 1
-                        ),
-                        tag: Some(tag),
-                        array: None,
-                        proc: Some(dst),
-                    });
-                    break; // one shape report per channel is enough
-                }
-            }
+        if channel.sent_shapes.0 == channel.recv_shapes.0 {
+            continue;
+        }
+        let mismatch = channel
+            .sent_shapes
+            .iter()
+            .zip(channel.recv_shapes.iter())
+            .enumerate()
+            .find(|(_, (sw, rw))| sw != rw);
+        // One shape report per channel is enough.
+        if let Some((i, (sw, rw))) = mismatch {
+            diags.push(Diagnostic {
+                kind: DiagKind::ShapeMismatch,
+                severity: Severity::Error,
+                message: format!(
+                    "channel P{src}->P{dst} tag {tag}: message {} carries {sw} word(s) \
+                     but the receive expects {rw}",
+                    i + 1
+                ),
+                tag: Some(tag),
+                array: None,
+                proc: Some(dst),
+            });
         }
     }
 }
 
 /// Replay the event streams to a stuck state; report the wait-for graph.
-fn check_deadlock(rec: &Recorder, diags: &mut Vec<Diagnostic>) {
-    let nprocs = rec.nprocs;
-    let mut idx = vec![0usize; nprocs];
-    let mut pending: HashMap<(usize, usize, u32), u64> = HashMap::new();
+fn check_deadlock(streams: &[Vec<CommEv>], flows: &Channels<Flow>, diags: &mut Vec<Diagnostic>) {
+    let mut idx = vec![0usize; streams.len()];
+    // Messages in flight per channel.
+    let mut pending = vec![0u64; flows.len()];
     loop {
         let mut progressed = false;
         for (p, ix) in idx.iter_mut().enumerate() {
-            while let Some(ev) = rec.streams[p].get(*ix) {
+            while let Some(ev) = streams[p].get(*ix) {
                 match *ev {
-                    CommEv::Send { dst, tag } => {
-                        *pending.entry((p, dst, tag)).or_default() += 1;
-                    }
-                    CommEv::Recv { src, tag } => match pending.get_mut(&(src, p, tag)) {
-                        Some(c) if *c > 0 => *c -= 1,
-                        _ => break,
+                    CommEv::Send(chan) => pending[chan as usize] += 1,
+                    CommEv::Recv(chan) => match &mut pending[chan as usize] {
+                        0 => break,
+                        c => *c -= 1,
                     },
                 }
                 *ix += 1;
@@ -492,8 +584,9 @@ fn check_deadlock(rec: &Recorder, diags: &mut Vec<Diagnostic>) {
     // receive.
     let mut blocked: BTreeMap<usize, (usize, u32)> = BTreeMap::new();
     for (p, &ix) in idx.iter().enumerate() {
-        if let Some(CommEv::Recv { src, tag }) = rec.streams[p].get(ix) {
-            blocked.insert(p, (*src, *tag));
+        if let Some(CommEv::Recv(chan)) = streams[p].get(ix) {
+            let (src, _, tag) = flows.key(*chan as usize);
+            blocked.insert(p, (src, tag));
         }
     }
     if blocked.is_empty() {
@@ -505,9 +598,10 @@ fn check_deadlock(rec: &Recorder, diags: &mut Vec<Diagnostic>) {
     // scheduling.
     let mut unsatisfied: BTreeSet<usize> = BTreeSet::new();
     for (&p, &(src, tag)) in &blocked {
-        let has_future_send = rec.streams[src][idx[src]..]
+        let chan = flows.find(src, p, tag);
+        let has_future_send = streams[src][idx[src]..]
             .iter()
-            .any(|ev| matches!(ev, CommEv::Send { dst, tag: t } if *dst == p && *t == tag));
+            .any(|ev| matches!(ev, CommEv::Send(c) if Some(*c as usize) == chan));
         if !has_future_send {
             unsatisfied.insert(p);
             diags.push(Diagnostic {
@@ -592,41 +686,49 @@ fn check_deadlock(rec: &Recorder, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Two statically placed writes to one I-structure element.
-fn check_single_assignment(rec: &Recorder, diags: &mut Vec<Diagnostic>) {
-    for ((array, home, li, lj), writers) in &rec.writes {
-        let total: u64 = writers.values().sum();
-        if total < 2 {
-            continue;
+/// Two statically placed writes to one I-structure element. Sorts each
+/// array's write log so the writes to one element sit together.
+fn check_single_assignment(names: &Names, writes: &mut [Vec<Write>], diags: &mut Vec<Diagnostic>) {
+    let mut by_name: Vec<usize> = (0..writes.len()).collect();
+    by_name.sort_by_key(|&a| &names.arrays()[a]);
+    for a in by_name {
+        let array = &names.arrays()[a];
+        writes[a].sort();
+        let mut doubles: Vec<&[Write]> = writes[a]
+            .chunk_by(|x, y| (x.home, x.li, x.lj) == (y.home, y.li, y.lj))
+            .filter(|element| element.len() >= 2)
+            .collect();
+        // Reported row-major, whatever order found them.
+        doubles.sort_by_key(|element| (element[0].home, element[0].li, element[0].lj));
+        for element in doubles {
+            let total = element.len();
+            let Write { home, li, lj, .. } = element[0];
+            let who = element
+                .chunk_by(|x, y| x.writer == y.writer)
+                .map(|by_writer| match (by_writer[0].writer, by_writer.len()) {
+                    (p, 1) => format!("P{p}"),
+                    (p, n) => format!("P{p} x{n}"),
+                })
+                .collect::<Vec<_>>()
+                .join(", ");
+            diags.push(Diagnostic {
+                kind: DiagKind::DoubleWrite,
+                severity: Severity::Error,
+                message: format!(
+                    "element ({li}, {lj}) of `{array}` on P{home} is written {total} times \
+                     (writers: {who})"
+                ),
+                tag: None,
+                array: Some(array.clone()),
+                proc: Some(home),
+            });
         }
-        let who = writers
-            .iter()
-            .map(|(p, n)| {
-                if *n > 1 {
-                    format!("P{p} x{n}")
-                } else {
-                    format!("P{p}")
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        diags.push(Diagnostic {
-            kind: DiagKind::DoubleWrite,
-            severity: Severity::Error,
-            message: format!(
-                "element ({li}, {lj}) of `{array}` on P{home} is written {total} times \
-                 (writers: {who})"
-            ),
-            tag: None,
-            array: Some(array.clone()),
-            proc: Some(*home),
-        });
     }
 }
 
 /// Receives whose target variable or buffer is never read afterwards.
-fn check_unused_recvs(rec: &Recorder, diags: &mut Vec<Diagnostic>) {
-    for ((p, name), tag) in &rec.pending_reads {
+fn check_unused_recvs(unused: &[(usize, String, u32)], diags: &mut Vec<Diagnostic>) {
+    for (p, name, tag) in unused {
         diags.push(Diagnostic {
             kind: DiagKind::UnusedRecv,
             severity: Severity::Warning,
@@ -835,6 +937,87 @@ mod tests {
         assert!(lint.message.contains("`x`"));
         // A warning alone does not block verification.
         assert!(r.verified());
+    }
+
+    #[test]
+    fn scalar_used_only_as_a_receive_buffer_index_counts_as_read() {
+        // P1 receives `k`, then receives into `b[k]`: the VM loads `k`
+        // after the second `Recv`, so `k` is not an unused receive.
+        let prog = SpmdProgram::new(vec![
+            vec![send(1, 7, SExpr::int(2)), send(1, 8, SExpr::int(9))],
+            vec![
+                SStmt::AllocBuf {
+                    buf: "b".into(),
+                    len: SExpr::int(4),
+                },
+                recv(0, 7, "k"),
+                SStmt::Recv {
+                    from: SExpr::int(0),
+                    tag: 8,
+                    into: vec![RecvTarget::Buf {
+                        buf: "b".into(),
+                        idx: SExpr::var("k"),
+                    }],
+                },
+                SStmt::Let {
+                    var: "use_b".into(),
+                    value: SExpr::BufRead {
+                        buf: "b".into(),
+                        idx: Box::new(SExpr::int(2)),
+                    },
+                },
+            ],
+        ]);
+        let r = report(prog);
+        assert!(r.verified());
+        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
+    }
+
+    #[test]
+    fn a_scalar_and_a_buffer_of_one_name_are_tracked_apart() {
+        // P1 receives into scalar `x` and into buffer `x`, then reads
+        // only the buffer: they are different storage (the lowering keeps
+        // separate symbol tables), so the scalar stays unread — and is
+        // reported before the buffer would be.
+        let both = |read: SStmt| {
+            SpmdProgram::new(vec![
+                vec![send(1, 7, SExpr::int(1)), send(1, 8, SExpr::int(2))],
+                vec![
+                    SStmt::AllocBuf {
+                        buf: "x".into(),
+                        len: SExpr::int(1),
+                    },
+                    recv(0, 7, "x"),
+                    SStmt::Recv {
+                        from: SExpr::int(0),
+                        tag: 8,
+                        into: vec![RecvTarget::Buf {
+                            buf: "x".into(),
+                            idx: SExpr::int(0),
+                        }],
+                    },
+                    read,
+                ],
+            ])
+        };
+        let unused = |r: &AnalysisReport| -> Vec<Option<u32>> {
+            r.diagnostics
+                .iter()
+                .filter(|d| d.kind == DiagKind::UnusedRecv)
+                .map(|d| d.tag)
+                .collect()
+        };
+        let read_buffer = SStmt::Let {
+            var: "y".into(),
+            value: SExpr::BufRead {
+                buf: "x".into(),
+                idx: Box::new(SExpr::int(0)),
+            },
+        };
+        assert_eq!(unused(&report(both(read_buffer))), vec![Some(7)]);
+        assert_eq!(unused(&report(both(use_var("x")))), vec![Some(8)]);
+        let neither = report(both(SStmt::Comment("reads nothing".into())));
+        assert_eq!(unused(&neither), vec![Some(7), Some(8)]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::compile_time;
 use crate::inline::{inline_program, Inlined, ParamMapMode, ParamMaps};
 use crate::runtime_res;
 use crate::CoreError;
-use pdc_analyze::AnalysisReport;
+use pdc_analyze::{AnalysisReport, Analyzer};
 use pdc_istructure::IMatrix;
 use pdc_lang::ast::{Block, Stmt};
 use pdc_lang::interp::Interpreter;
@@ -15,7 +15,8 @@ use pdc_lang::Program;
 use pdc_machine::{Backend, CheckpointCfg, CostModel, FaultPlan, ProcId, RelConfig, Tag};
 use pdc_mapping::{Decomposition, DistInstance};
 use pdc_opt::{optimize_with_remarks, OptLevel, OptReport};
-use pdc_report::{Phase, Prediction, Remark, RemarkKind, RemarkSink};
+use pdc_report::interp::{self, Events, Tee};
+use pdc_report::{CostSink, Phase, Prediction, Remark, RemarkKind, RemarkSink};
 use pdc_spmd::ir::SpmdProgram;
 use pdc_spmd::run::{RunOutcome, SpmdMachine};
 use pdc_spmd::{Scalar, SpmdError};
@@ -321,15 +322,38 @@ impl Compiled {
     }
 }
 
-/// Run the front half of the pipeline: inline, analyze, generate.
+/// Compile `job`: inline, analyze, generate, optimize, then run the
+/// static models over the final code.
 ///
 /// # Errors
 ///
-/// Any [`CoreError`] from inlining, analysis, or code generation.
+/// Any [`CoreError`] from inlining, analysis, or code generation, and
+/// [`CoreError::StaticAnalysis`] when the safety analyzer proves the
+/// generated code faulty.
 pub fn compile(job: &Job<'_>, strategy: Strategy) -> Result<Compiled, CoreError> {
     if job.auto_decomposition.is_some() {
         return compile_auto(job, strategy);
     }
+    back_half(front_half(job, strategy)?, job, &mut ())
+}
+
+/// The final code of one compile, before any static model has looked at
+/// it — all a tuner candidate needs, since the search scores the code
+/// itself.
+struct Front {
+    inlined: Inlined,
+    analysis: Analysis,
+    spmd: SpmdProgram,
+    stmt_spans: BTreeMap<u32, pdc_lang::Span>,
+    opt_report: OptReport,
+    /// Analysis, dependence, resolution and optimization remarks, spans
+    /// resolved.
+    remarks: Vec<Remark>,
+}
+
+/// The front half of the pipeline: inline, analyze, generate, optimize.
+/// Walks nothing.
+fn front_half(job: &Job<'_>, strategy: Strategy) -> Result<Front, CoreError> {
     let inlined = inline_program(
         job.program,
         job.entry,
@@ -377,43 +401,85 @@ pub fn compile(job: &Job<'_>, strategy: Strategy) -> Result<Compiled, CoreError>
             }
         }
     }
-    let prediction = predict_compiled(&spmd, &analysis, &job.const_params, &mut remarks);
+    Ok(Front {
+        inlined,
+        analysis,
+        spmd,
+        stmt_spans,
+        opt_report,
+        remarks,
+    })
+}
+
+/// The back half: the static models over the final code — the cost
+/// model always, the safety analyzer when the job verifies — as sinks of
+/// **one** abstract walk. `tap` rides on that walk too (`()` in
+/// production; the unit tests count processor walks with it), so every
+/// walk this function makes must include it.
+fn back_half<T: Events>(front: Front, job: &Job<'_>, tap: &mut T) -> Result<Compiled, CoreError> {
+    let Front {
+        inlined,
+        analysis,
+        spmd,
+        stmt_spans,
+        opt_report,
+        mut remarks,
+    } = front;
     let verify = job
         .verify_static
         .unwrap_or(!matches!(job.opt_level, None | Some(OptLevel::O0)));
-    let verification = if verify {
-        let (env, arrays) = static_env(&analysis, &job.const_params);
-        let report = pdc_analyze::analyze(&spmd, &env, &arrays);
-        for mut r in report.remarks() {
-            // Tag-carrying findings resolve spans like optimizer remarks;
-            // double writes carry the array instead — anchor them to the
-            // first source write of that array.
-            if r.span.is_none() {
-                if let Some(tag) = r.tag {
-                    r.span = stmt_spans.get(&(tag / compile_time::TAG_STRIDE)).copied();
+    let (env, arrays) = static_env(&analysis, &job.const_params);
+    let resolved = interp::resolve(&spmd, &env, &arrays);
+    let mut cost = CostSink::new(resolved.n_procs());
+    let mut analyzer = verify.then(|| Analyzer::new(&resolved));
+    match &mut analyzer {
+        Some(analyzer) => resolved.walk(&mut Tee {
+            a: tap,
+            b: &mut Tee {
+                a: &mut cost,
+                b: analyzer,
+            },
+        }),
+        None => resolved.walk(&mut Tee {
+            a: tap,
+            b: &mut cost,
+        }),
+    }
+    let prediction = cost.finish();
+    cost_remarks(&prediction, &mut remarks);
+    let verification = match analyzer {
+        Some(analyzer) => {
+            let report = analyzer.finish();
+            for mut r in report.remarks() {
+                // Tag-carrying findings resolve spans like optimizer
+                // remarks; double writes carry the array instead — anchor
+                // them to the first source write of that array.
+                if r.span.is_none() {
+                    if let Some(tag) = r.tag {
+                        r.span = stmt_spans.get(&(tag / compile_time::TAG_STRIDE)).copied();
+                    }
                 }
+                remarks.push(r);
             }
-            remarks.push(r);
-        }
-        for d in &report.diagnostics {
-            if let (None, Some(array)) = (d.tag, &d.array) {
-                if let Some(span) = array_write_span(&inlined.body, array) {
-                    if let Some(r) = remarks.iter_mut().rev().find(|r| {
-                        r.phase == Phase::Analyze && r.span.is_none() && r.message == d.message
-                    }) {
-                        r.span = Some(span);
+            for d in &report.diagnostics {
+                if let (None, Some(array)) = (d.tag, &d.array) {
+                    if let Some(span) = array_write_span(&inlined.body, array) {
+                        if let Some(r) = remarks.iter_mut().rev().find(|r| {
+                            r.phase == Phase::Analyze && r.span.is_none() && r.message == d.message
+                        }) {
+                            r.span = Some(span);
+                        }
                     }
                 }
             }
+            if report.exact && report.has_errors() {
+                return Err(CoreError::StaticAnalysis {
+                    diagnostics: report.errors().cloned().collect(),
+                });
+            }
+            Some(report)
         }
-        if report.exact && report.has_errors() {
-            return Err(CoreError::StaticAnalysis {
-                diagnostics: report.errors().cloned().collect(),
-            });
-        }
-        Some(report)
-    } else {
-        None
+        None => None,
     };
     Ok(Compiled {
         spmd,
@@ -438,8 +504,9 @@ pub fn compile(job: &Job<'_>, strategy: Strategy) -> Result<Compiled, CoreError>
 /// Run the automatic decomposition search ([`Job::auto_decomposition`])
 /// and compile the winner.
 ///
-/// Candidates are compiled with static verification off (the winner is
-/// re-verified) and scored by [`pdc_tune::search`]; the winning
+/// Candidates are compiled through the front half only and scored by
+/// [`pdc_tune::search`], whose single walk per candidate yields both the
+/// message counts and the makespan; the winning
 /// decomposition and optimization level are then compiled under the
 /// job's own settings. The whole search is appended to the remark
 /// stream as [`Phase::Tune`]: one `applied` remark for the selection,
@@ -484,22 +551,7 @@ fn compile_auto(job: &Job<'_>, strategy: Strategy) -> Result<Compiled, CoreError
                 return Err(format!("illegal: dependence analysis inexact: {why}"));
             }
         }
-        let mut cjob = job.clone();
-        cjob.auto_decomposition = None;
-        cjob.decomp = cand.decomp.clone();
-        cjob.opt_level = cand.opt_level;
-        // Candidate compiles skip the safety analyzer: exactness pruning
-        // already rejects anything the models cannot fully evaluate, and
-        // the winner is re-verified below under the job's own settings.
-        cjob.verify_static = Some(false);
-        let compiled = compile(&cjob, strategy).map_err(|e| format!("compile failed: {e}"))?;
-        let (env, arrays) = compiled.static_env(&cjob.const_params);
-        Ok(pdc_tune::CandidateProgram {
-            spmd: compiled.spmd,
-            env,
-            arrays,
-            prediction: Some(compiled.prediction),
-        })
+        candidate_program(job, strategy, cand)
     })
     .map_err(|e| CoreError::Tune {
         message: e.to_string(),
@@ -544,6 +596,30 @@ fn compile_auto(job: &Job<'_>, strategy: Strategy) -> Result<Compiled, CoreError
     }
     compiled.tune = Some(result);
     Ok(compiled)
+}
+
+/// One candidate of the decomposition search, compiled as far as the
+/// search needs: the final code and its static environment. No model
+/// runs here — exactness pruning in the search already rejects anything
+/// the models cannot fully evaluate, and the winner is compiled again,
+/// and verified, under the job's own settings.
+fn candidate_program(
+    job: &Job<'_>,
+    strategy: Strategy,
+    cand: &pdc_tune::Candidate,
+) -> Result<pdc_tune::CandidateProgram, String> {
+    let mut cjob = job.clone();
+    cjob.auto_decomposition = None;
+    cjob.decomp = cand.decomp.clone();
+    cjob.opt_level = cand.opt_level;
+    let front = front_half(&cjob, strategy).map_err(|e| format!("compile failed: {e}"))?;
+    let (env, arrays) = static_env(&front.analysis, &cjob.const_params);
+    Ok(pdc_tune::CandidateProgram {
+        spmd: front.spmd,
+        env,
+        arrays,
+        prediction: None,
+    })
 }
 
 /// The scalar environment and preloaded-array instances the static
@@ -648,15 +724,8 @@ fn emit_analysis_remarks(block: &Block, analysis: &Analysis, sink: &mut RemarkSi
     }
 }
 
-/// Run the static cost model over the final code and append its remarks.
-fn predict_compiled(
-    spmd: &SpmdProgram,
-    analysis: &Analysis,
-    const_params: &HashMap<String, i64>,
-    remarks: &mut Vec<Remark>,
-) -> Prediction {
-    let (env, arrays) = static_env(analysis, const_params);
-    let prediction = pdc_report::predict(spmd, &env, &arrays);
+/// Append the cost model's remarks for `prediction`.
+fn cost_remarks(prediction: &Prediction, remarks: &mut Vec<Remark>) {
     remarks.push(
         Remark::new(
             Phase::CostModel,
@@ -678,7 +747,6 @@ fn predict_compiled(
             note.clone(),
         ));
     }
-    prediction
 }
 
 /// Input bindings for an execution.
@@ -1112,6 +1180,77 @@ mod tests {
         assert_eq!(exec.machine.vm(3).var("c"), Some(Scalar::Int(12)));
         // Non-evaluators never define c.
         assert_eq!(exec.machine.vm(0).var("c"), None);
+    }
+
+    /// A tap for [`back_half`]: which processors' walks it rode on.
+    #[derive(Default)]
+    struct WalkedProcs(Vec<usize>);
+
+    impl Events for WalkedProcs {
+        fn proc_begin(&mut self, proc: usize) {
+            self.0.push(proc);
+        }
+    }
+
+    #[test]
+    fn verified_compile_walks_each_processor_once() {
+        let program = programs::gauss_seidel();
+        let s = 4usize;
+        let job = Job::new(
+            &program,
+            "gs_iteration",
+            programs::wavefront_decomposition(s),
+        )
+        .with_const("n", 16)
+        .with_opt_level(OptLevel::O2);
+        let mut tap = WalkedProcs::default();
+        let compiled = back_half(
+            front_half(&job, Strategy::CompileTime).unwrap(),
+            &job,
+            &mut tap,
+        )
+        .unwrap();
+        // Both models ran …
+        assert!(compiled.prediction.exact);
+        assert!(compiled.verification.as_ref().unwrap().verified());
+        // … on one walk: every processor begun once, in order.
+        assert_eq!(tap.0, (0..s).collect::<Vec<_>>());
+        // And the walk they shared tells each what its own would have.
+        let (env, arrays) = compiled.static_env(&job.const_params);
+        let solo = pdc_report::predict(&compiled.spmd, &env, &arrays);
+        assert_eq!(compiled.prediction.sends, solo.sends);
+        assert_eq!(compiled.prediction.recvs, solo.recvs);
+        let solo = pdc_analyze::analyze(&compiled.spmd, &env, &arrays);
+        let fused = compiled.verification.unwrap();
+        assert_eq!(fused.channels, solo.channels);
+        assert_eq!(fused.diagnostics, solo.diagnostics);
+    }
+
+    #[test]
+    fn tuner_candidate_is_compiled_without_a_walk() {
+        // The candidate closure hands the search unscored code; the
+        // search's own `predict_and_estimate` is then the candidate's one
+        // walk. Nothing on the way here takes a sink, so nothing walked.
+        let program = programs::gauss_seidel();
+        let job = Job::new(
+            &program,
+            "gs_iteration",
+            programs::wavefront_decomposition(4),
+        )
+        .with_const("n", 16)
+        .with_auto_decomposition();
+        let space = pdc_tune::SearchSpace::from_seed(&job.decomp, Some(OptLevel::O2));
+        let cand = &pdc_tune::enumerate(&space)[0];
+        let prog = candidate_program(&job, Strategy::CompileTime, cand).unwrap();
+        assert!(prog.prediction.is_none());
+        // It is the code a full compile of the candidate produces.
+        let mut cjob = job.clone();
+        cjob.auto_decomposition = None;
+        cjob.decomp = cand.decomp.clone();
+        cjob.opt_level = cand.opt_level;
+        let full = compile(&cjob, Strategy::CompileTime).unwrap();
+        assert_eq!(prog.spmd, full.spmd);
+        assert_eq!((prog.env, prog.arrays), full.static_env(&cjob.const_params));
     }
 }
 

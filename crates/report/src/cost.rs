@@ -24,7 +24,7 @@
 //! independent of array data — all five of the paper's Fig. 6/7 wavefront
 //! variants, at every optimization level — the prediction is **exact**.
 
-use crate::interp;
+use crate::interp::{self, Channels};
 use pdc_mapping::DistInstance;
 use pdc_spmd::ir::SpmdProgram;
 use std::collections::BTreeMap;
@@ -73,41 +73,55 @@ impl Prediction {
 }
 
 /// Counting sink over the shared abstract walk ([`crate::interp`]).
-/// Shared with [`crate::makespan`] so prediction and timing can ride the
-/// same walk.
-pub(crate) struct CostSink {
-    pub(crate) out: Prediction,
+/// Nameable so a caller can ride it on one walk together with other
+/// sinks (timing in [`crate::makespan`], the safety analyzer in
+/// `pdc-analyze`) through an [`interp::Tee`]; [`CostSink::finish`] hands
+/// back the [`Prediction`].
+pub struct CostSink {
+    sends: Channels<ChannelCost>,
+    recvs: Channels<ChannelCost>,
+    exact: bool,
+    notes: Vec<String>,
 }
 
 impl CostSink {
-    pub(crate) fn new() -> Self {
+    /// An empty count for a program of `nprocs` processors.
+    pub fn new(nprocs: usize) -> Self {
         CostSink {
-            out: Prediction {
-                exact: true,
-                ..Prediction::default()
-            },
+            sends: Channels::new(nprocs),
+            recvs: Channels::new(nprocs),
+            exact: true,
+            notes: Vec::new(),
+        }
+    }
+
+    /// The prediction counted so far.
+    pub fn finish(self) -> Prediction {
+        Prediction {
+            sends: self.sends.into_sorted(),
+            recvs: self.recvs.into_sorted(),
+            exact: self.exact,
+            notes: self.notes,
         }
     }
 }
 
 impl interp::Events for CostSink {
     fn send(&mut self, proc: usize, dst: usize, tag: u32, words: u64) {
-        let c = self.out.sends.entry((proc, dst, tag)).or_default();
+        let c = self.sends.slot(proc, dst, tag);
         c.messages += 1;
         c.words += words;
     }
 
     fn recv(&mut self, proc: usize, src: usize, tag: u32, words: u64, _sink: interp::RecvSink<'_>) {
-        let c = self.out.recvs.entry((src, proc, tag)).or_default();
+        let c = self.recvs.slot(src, proc, tag);
         c.messages += 1;
         c.words += words;
     }
 
     fn note(&mut self, _proc: usize, msg: String) {
-        self.out.exact = false;
-        if self.out.notes.len() < 32 && !self.out.notes.contains(&msg) {
-            self.out.notes.push(msg);
-        }
+        self.exact = false;
+        interp::keep_note(&mut self.notes, msg);
     }
 }
 
@@ -122,9 +136,9 @@ pub fn predict(
     env: &BTreeMap<String, i64>,
     arrays: &BTreeMap<String, DistInstance>,
 ) -> Prediction {
-    let mut sink = CostSink::new();
-    interp::walk(prog, env, arrays, &mut sink);
-    sink.out
+    let mut sink = CostSink::new(prog.n_procs());
+    interp::resolve(prog, env, arrays).walk(&mut sink);
+    sink.finish()
 }
 
 #[cfg(test)]

@@ -8,6 +8,18 @@
 //! module owns that walk; clients observe it through the [`Events`] sink
 //! trait and never duplicate the iteration-space logic.
 //!
+//! The walk is *resolve once, run per processor*. [`resolve`] interns
+//! every scalar, array and buffer name of the program to a dense slot
+//! ([`VarId`], [`ArrayId`], [`BufId`]; the [`Names`] table maps them back
+//! for messages), folds `mynode`/`nprocs` and constant subexpressions,
+//! precomputes each statement's syntactic [`Work`], and shrinks every
+//! expression whose value is statically ⊤ or unused to the reads it
+//! makes. [`Resolved::walk`] then runs every processor over a `Vec<Abs>`
+//! environment and borrowed `DistInstance`s — no name is hashed, cloned
+//! or compared while walking — and the [`Events`] hooks carry the ids, so
+//! sinks index their own tables by slot. DESIGN §8c places this module in
+//! the static models' architecture (resolve → one walk → sinks → replay).
+//!
 //! The interpreter mirrors the VM exactly where it matters:
 //!
 //! * integer arithmetic is Euclidean (`div_euclid`/`rem_euclid`), with
@@ -18,7 +30,9 @@
 //!   the *executing* processor (replicated data is locally owned);
 //! * a `csend` of `k` scalars carries `2k` payload words (the VM encodes
 //!   each scalar as a type-tag word plus a value word); a `SendBuf` of
-//!   `b[lo..=hi]` carries `2(hi-lo+1)` words.
+//!   `b[lo..=hi]` carries `2(hi-lo+1)` words;
+//! * a `crecv` evaluates its source before the message is consumed and
+//!   the buffer indices of its targets after it.
 //!
 //! Array and buffer *contents* are opaque: `ARead`/`AReadGlobal`/
 //! `BufRead` evaluate to ⊤ (unknown). When an unknown value reaches
@@ -26,13 +40,17 @@
 //! communication cannot be counted and the walk reports why through
 //! [`Events::note`]; sinks treat any note as loss of exactness.
 
-use pdc_mapping::{DistInstance, OwnerSet};
-use pdc_spmd::ir::{RecvTarget, SBinOp, SExpr, SStmt, SUnOp, SpmdProgram};
-use std::collections::{BTreeMap, HashMap};
+use pdc_spmd::ir::{SBinOp, SUnOp};
+use std::collections::BTreeMap;
+
+mod resolve;
+mod walk;
+
+pub use resolve::{resolve, Resolved};
 
 /// Per-statement fuel per processor: a backstop against runaway loop
 /// bounds, far above anything the paper's programs execute at
-/// analysis-relevant sizes.
+/// analysis-relevant sizes. Comments execute nothing and burn none.
 pub const FUEL: u64 = 50_000_000;
 
 /// The abstract value domain: concrete scalars plus ⊤ (unknown).
@@ -58,14 +76,95 @@ impl Abs {
     }
 }
 
-/// Where a counted receive lands: named scalar/buffer-slot targets
-/// (`crecv`) or a contiguous buffer slice (`brecv`).
+macro_rules! slot_id {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub struct $name(u32);
+
+        impl $name {
+            /// The dense slot number — what a sink indexes its own
+            /// per-name tables with.
+            pub fn index(self) -> usize {
+                self.0 as usize
+            }
+        }
+    };
+}
+
+slot_id!(
+    /// A scalar variable of the resolved program.
+    VarId
+);
+slot_id!(
+    /// A distributed (I-structure) array of the resolved program.
+    ArrayId
+);
+slot_id!(
+    /// A plain local buffer of the resolved program. Buffers and scalars
+    /// are separate namespaces, as in the lowering's symbol tables.
+    BufId
+);
+
+/// The id → name tables of a resolved program, one per namespace, shared
+/// by all processors. Sinks keep ids while the walk runs and come here
+/// only to word a message.
+#[derive(Debug, Clone, Default)]
+pub struct Names {
+    vars: Vec<String>,
+    arrays: Vec<String>,
+    bufs: Vec<String>,
+}
+
+impl Names {
+    /// The scalar variable behind `id`.
+    pub fn var(&self, id: VarId) -> &str {
+        &self.vars[id.index()]
+    }
+
+    /// The array behind `id`.
+    pub fn array(&self, id: ArrayId) -> &str {
+        &self.arrays[id.index()]
+    }
+
+    /// The buffer behind `id`.
+    pub fn buf(&self, id: BufId) -> &str {
+        &self.bufs[id.index()]
+    }
+
+    /// Every scalar variable, indexed by [`VarId::index`].
+    pub fn vars(&self) -> &[String] {
+        &self.vars
+    }
+
+    /// Every array, indexed by [`ArrayId::index`].
+    pub fn arrays(&self) -> &[String] {
+        &self.arrays
+    }
+
+    /// Every buffer, indexed by [`BufId::index`].
+    pub fn bufs(&self) -> &[String] {
+        &self.bufs
+    }
+}
+
+/// One target of a counted `crecv`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target {
+    /// The scalar is stored into a variable.
+    Var(VarId),
+    /// The scalar is stored into one cell of a buffer.
+    Buf(BufId),
+}
+
+/// Where a counted receive lands: scalar/buffer-cell targets (`crecv`)
+/// or a contiguous buffer slice (`brecv`).
 #[derive(Debug, Clone, Copy)]
 pub enum RecvSink<'a> {
     /// `Recv { into }` — one scalar per target.
-    Targets(&'a [RecvTarget]),
+    Targets(&'a [Target]),
     /// `RecvBuf { buf }` — a block received into `buf`.
-    Buffer(&'a str),
+    Buffer(BufId),
 }
 
 /// Local compute the VM would execute between two communication events,
@@ -106,51 +205,122 @@ impl std::ops::AddAssign for Work {
     }
 }
 
-/// Instruction-cost classes of evaluating `e`, mirroring the lowering:
-/// every expression compiles to pushes (free), loads, ALU operations,
-/// and array/buffer accesses whose count depends only on the syntax,
-/// never on the values.
-pub fn expr_work(e: &SExpr, w: &mut Work) {
-    match e {
-        SExpr::Int(_) | SExpr::Float(_) | SExpr::Bool(_) | SExpr::MyNode | SExpr::NProcs => {}
-        SExpr::Var(_) => w.mem += 1,
-        SExpr::Bin(_, a, b) => {
-            expr_work(a, w);
-            expr_work(b, w);
-            w.alu += 1;
+/// A table over `(src, dst, tag)` channels that the sinks hit once per
+/// message: `(src, dst)` indexes a dense head array and the few tags a
+/// processor pair uses chain off it, so a lookup is an index plus a
+/// comparison or two. Entries get ids `0, 1, …` in first-use order;
+/// streams store the id and replays index plain vectors with it.
+#[derive(Debug, Clone)]
+pub struct Channels<T> {
+    nprocs: usize,
+    /// `heads[src * nprocs + dst]`: first entry of the pair's chain.
+    heads: Vec<u32>,
+    entries: Vec<ChannelEntry<T>>,
+}
+
+#[derive(Debug, Clone)]
+struct ChannelEntry<T> {
+    key: (usize, usize, u32),
+    next: u32,
+    value: T,
+}
+
+const NO_ENTRY: u32 = u32::MAX;
+
+impl<T: Default> Channels<T> {
+    /// An empty table for `nprocs` processors.
+    pub fn new(nprocs: usize) -> Self {
+        Channels {
+            nprocs,
+            heads: vec![NO_ENTRY; nprocs * nprocs],
+            entries: Vec::new(),
         }
-        SExpr::Un(_, a) => {
-            expr_work(a, w);
-            w.alu += 1;
+    }
+
+    /// The id of channel `(src, dst, tag)`, entered with a default value
+    /// on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` is not below `nprocs` (the walk only
+    /// emits in-range endpoints).
+    pub fn id(&mut self, src: usize, dst: usize, tag: u32) -> usize {
+        if let Some(id) = self.find(src, dst, tag) {
+            return id;
         }
-        SExpr::ARead { idx, .. } => {
-            for i in idx {
-                expr_work(i, w);
+        let head = &mut self.heads[src * self.nprocs + dst];
+        let id = self.entries.len();
+        self.entries.push(ChannelEntry {
+            key: (src, dst, tag),
+            next: *head,
+            value: T::default(),
+        });
+        *head = u32::try_from(id).expect("fewer than 2^32 channels");
+        id
+    }
+
+    /// The value of channel `(src, dst, tag)`, entered on first use.
+    pub fn slot(&mut self, src: usize, dst: usize, tag: u32) -> &mut T {
+        let id = self.id(src, dst, tag);
+        &mut self.entries[id].value
+    }
+}
+
+impl<T> Channels<T> {
+    /// The id of channel `(src, dst, tag)` if it was ever entered.
+    pub fn find(&self, src: usize, dst: usize, tag: u32) -> Option<usize> {
+        assert!(src < self.nprocs && dst < self.nprocs);
+        let mut at = self.heads[src * self.nprocs + dst];
+        while at != NO_ENTRY {
+            let e = &self.entries[at as usize];
+            if e.key.2 == tag {
+                return Some(at as usize);
             }
-            w.istruct += 1;
+            at = e.next;
         }
-        SExpr::AReadGlobal { idx, .. } => {
-            for i in idx {
-                expr_work(i, w);
-            }
-            w.istruct += 1;
-            w.alu += 2;
-        }
-        SExpr::OwnerOf { idx, .. } | SExpr::LocalOf { idx, .. } => {
-            for i in idx {
-                expr_work(i, w);
-            }
-            w.alu += 2;
-        }
-        SExpr::BufRead { idx, .. } => {
-            expr_work(idx, w);
-            w.mem += 1;
-        }
+        None
+    }
+
+    /// Number of channels entered.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// No channel entered yet?
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The `(src, dst, tag)` behind an id.
+    pub fn key(&self, id: usize) -> (usize, usize, u32) {
+        self.entries[id].key
+    }
+
+    /// The value behind an id.
+    pub fn get(&self, id: usize) -> &T {
+        &self.entries[id].value
+    }
+
+    /// The value behind an id, mutably.
+    pub fn get_mut(&mut self, id: usize) -> &mut T {
+        &mut self.entries[id].value
+    }
+
+    /// Every channel with its value, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = ((usize, usize, u32), &T)> {
+        self.entries.iter().map(|e| (e.key, &e.value))
+    }
+
+    /// Every channel with its value, ordered by `(src, dst, tag)` — the
+    /// order reports and diagnostics are rendered in.
+    pub fn into_sorted(self) -> BTreeMap<(usize, usize, u32), T> {
+        self.entries.into_iter().map(|e| (e.key, e.value)).collect()
     }
 }
 
 /// Observer of the abstract walk. All hooks default to no-ops so sinks
-/// implement only what they consume.
+/// implement only what they consume; `()` is the sink that consumes
+/// nothing.
 ///
 /// Event order within one processor is program order under the abstract
 /// semantics; processors are walked in increasing id.
@@ -184,17 +354,17 @@ pub trait Events {
     /// A write to an I-structure element. `element` is the element's home
     /// — `(owning processor, local row, local col)` — or `None` when the
     /// indices or the distribution are not statically known.
-    fn array_write(&mut self, proc: usize, array: &str, element: Option<(usize, i64, i64)>) {
+    fn array_write(&mut self, proc: usize, array: ArrayId, element: Option<(usize, i64, i64)>) {
         let _ = (proc, array, element);
     }
 
     /// A scalar variable was read.
-    fn var_read(&mut self, proc: usize, name: &str) {
-        let _ = (proc, name);
+    fn var_read(&mut self, proc: usize, var: VarId) {
+        let _ = (proc, var);
     }
 
     /// A buffer was read (element read or block send out of it).
-    fn buf_read(&mut self, proc: usize, buf: &str) {
+    fn buf_read(&mut self, proc: usize, buf: BufId) {
         let _ = (proc, buf);
     }
 
@@ -205,8 +375,19 @@ pub trait Events {
     }
 }
 
-/// Fan one walk out to two sinks — e.g. message counting and timing in a
-/// single pass over the program.
+impl Events for () {}
+
+/// What every sink does with a [`Events::note`] beyond dropping its
+/// claim to exactness: keep the first 32 distinct reasons.
+pub fn keep_note(notes: &mut Vec<String>, msg: String) {
+    if notes.len() < 32 && !notes.contains(&msg) {
+        notes.push(msg);
+    }
+}
+
+/// Fan one walk out to two sinks — e.g. message counting and timing, or
+/// message counting and safety analysis, in a single pass over the
+/// program. Nests for three.
 pub struct Tee<'a, A: Events, B: Events> {
     /// First sink; sees every event before `b`.
     pub a: &'a mut A,
@@ -231,15 +412,15 @@ impl<A: Events, B: Events> Events for Tee<'_, A, B> {
         self.a.recv(proc, src, tag, words, sink);
         self.b.recv(proc, src, tag, words, sink);
     }
-    fn array_write(&mut self, proc: usize, array: &str, element: Option<(usize, i64, i64)>) {
+    fn array_write(&mut self, proc: usize, array: ArrayId, element: Option<(usize, i64, i64)>) {
         self.a.array_write(proc, array, element);
         self.b.array_write(proc, array, element);
     }
-    fn var_read(&mut self, proc: usize, name: &str) {
-        self.a.var_read(proc, name);
-        self.b.var_read(proc, name);
+    fn var_read(&mut self, proc: usize, var: VarId) {
+        self.a.var_read(proc, var);
+        self.b.var_read(proc, var);
     }
-    fn buf_read(&mut self, proc: usize, buf: &str) {
+    fn buf_read(&mut self, proc: usize, buf: BufId) {
         self.a.buf_read(proc, buf);
         self.b.buf_read(proc, buf);
     }
@@ -249,550 +430,67 @@ impl<A: Events, B: Events> Events for Tee<'_, A, B> {
     }
 }
 
-/// Run the abstract walk of `prog` over every processor, reporting to
-/// `events`.
-///
-/// `env` seeds every processor's scalar environment (the compile-time
-/// constants, e.g. `n = 16`); `arrays` provides distribution instances
-/// for arrays that are *preloaded* rather than allocated by the program
-/// (an `AllocDist` in the program overrides the seed).
-pub fn walk<E: Events>(
-    prog: &SpmdProgram,
-    env: &BTreeMap<String, i64>,
-    arrays: &BTreeMap<String, DistInstance>,
-    events: &mut E,
-) {
-    let nprocs = prog.n_procs();
-    for p in 0..nprocs {
-        events.proc_begin(p);
-        let mut interp = Interp {
-            p,
-            nprocs,
-            env: env.iter().map(|(k, v)| (k.clone(), Abs::Int(*v))).collect(),
-            arrays: arrays
-                .iter()
-                .map(|(k, v)| (k.clone(), Some(v.clone())))
-                .collect(),
-            fuel: FUEL,
-            pending: Work::default(),
-            events,
-        };
-        interp.block(prog.body(p));
-        interp.flush_work();
-    }
-}
-
-struct Interp<'a, E: Events> {
-    p: usize,
-    nprocs: usize,
-    env: HashMap<String, Abs>,
-    /// Per-array distribution instances; `None` marks an array whose
-    /// extents could not be evaluated (owner queries go to ⊤).
-    arrays: HashMap<String, Option<DistInstance>>,
-    fuel: u64,
-    /// Compute accumulated since the last emitted event, mirroring the
-    /// instruction stream the lowering would produce; flushed through
-    /// [`Events::work`] before each communication event.
-    pending: Work,
-    events: &'a mut E,
-}
-
-impl<E: Events> Interp<'_, E> {
-    fn note(&mut self, msg: String) {
-        self.events.note(self.p, msg);
-    }
-
-    fn flush_work(&mut self) {
-        if !self.pending.is_zero() {
-            let w = std::mem::take(&mut self.pending);
-            self.events.work(self.p, w);
-        }
-    }
-
-    fn block(&mut self, body: &[SStmt]) {
-        for s in body {
-            if self.fuel == 0 {
-                self.note(format!("P{}: fuel exhausted, prediction truncated", self.p));
-                return;
-            }
-            self.fuel -= 1;
-            self.stmt(s);
-        }
-    }
-
-    fn stmt(&mut self, s: &SStmt) {
-        match s {
-            SStmt::Let { var, value } => {
-                let v = self.eval(value);
-                expr_work(value, &mut self.pending);
-                self.pending.mem += 1; // Store
-                self.env.insert(var.clone(), v);
-            }
-            SStmt::AllocDist {
-                array,
-                rows,
-                cols,
-                dist,
-            } => {
-                let inst = match (self.eval(rows), self.eval(cols)) {
-                    (Abs::Int(r), Abs::Int(c)) => Some(DistInstance::new(
-                        dist.clone(),
-                        r.max(0) as usize,
-                        c.max(0) as usize,
-                        self.nprocs,
-                    )),
-                    _ => {
-                        self.note(format!(
-                            "P{}: extents of `{array}` are not statically known",
-                            self.p
-                        ));
-                        None
-                    }
-                };
-                expr_work(rows, &mut self.pending);
-                expr_work(cols, &mut self.pending);
-                self.pending.mem += 1; // AllocDist
-                self.arrays.insert(array.clone(), inst);
-            }
-            SStmt::AllocBuf { len, .. } => {
-                self.eval(len);
-                expr_work(len, &mut self.pending);
-                self.pending.mem += 1; // AllocBuf
-            }
-            SStmt::AWrite { array, idx, value } => {
-                let element = self.indices(idx).map(|(li, lj)| (self.p, li, lj));
-                self.eval(value);
-                for i in idx {
-                    expr_work(i, &mut self.pending);
-                }
-                expr_work(value, &mut self.pending);
-                self.pending.istruct += 1; // AWrite
-                self.events.array_write(self.p, array, element);
-            }
-            SStmt::AWriteGlobal { array, idx, value } => {
-                let element = self.global_element(array, idx);
-                self.eval(value);
-                for i in idx {
-                    expr_work(i, &mut self.pending);
-                }
-                expr_work(value, &mut self.pending);
-                self.pending.istruct += 1; // AWriteGlobal …
-                self.pending.alu += 2; // … plus its owner/local maps
-                self.events.array_write(self.p, array, element);
-            }
-            SStmt::BufWrite { idx, value, .. } => {
-                self.eval(idx);
-                self.eval(value);
-                expr_work(value, &mut self.pending);
-                expr_work(idx, &mut self.pending);
-                self.pending.mem += 1; // BufWrite
-            }
-            SStmt::Comment(_) => {}
-            SStmt::Send { to, tag, values } => {
-                for v in values {
-                    self.eval(v);
-                }
-                // The VM evaluates the destination and payload before
-                // the zero-cost `Send` instruction itself.
-                expr_work(to, &mut self.pending);
-                for v in values {
-                    expr_work(v, &mut self.pending);
-                }
-                // Payload size depends only on arity, not on the values.
-                let words = 2 * values.len() as u64;
-                match self.eval(to) {
-                    Abs::Int(dst) if dst >= 0 && (dst as usize) < self.nprocs => {
-                        self.flush_work();
-                        self.events.send(self.p, dst as usize, *tag, words);
-                    }
-                    _ => self.note(format!(
-                        "P{}: destination of send tag {tag} is not statically known",
-                        self.p
-                    )),
-                }
-            }
-            SStmt::SendBuf {
-                to,
-                tag,
-                buf,
-                lo,
-                hi,
-            } => {
-                self.events.buf_read(self.p, buf);
-                expr_work(to, &mut self.pending);
-                expr_work(lo, &mut self.pending);
-                expr_work(hi, &mut self.pending);
-                match (self.eval(to), self.eval(lo), self.eval(hi)) {
-                    (Abs::Int(dst), Abs::Int(l), Abs::Int(h))
-                        if dst >= 0 && (dst as usize) < self.nprocs && h >= l =>
-                    {
-                        self.flush_work();
-                        self.events
-                            .send(self.p, dst as usize, *tag, 2 * (h - l + 1) as u64);
-                    }
-                    _ => self.note(format!(
-                        "P{}: block send tag {tag} has unknown destination or slice",
-                        self.p
-                    )),
-                }
-            }
-            SStmt::Recv { from, tag, into } => {
-                for t in into {
-                    self.havoc_target(t);
-                }
-                // The source is evaluated before the (zero-cost) `Recv`
-                // instruction; the stores into the targets execute only
-                // after the message has been consumed.
-                expr_work(from, &mut self.pending);
-                match self.eval(from) {
-                    Abs::Int(src) if src >= 0 && (src as usize) < self.nprocs => {
-                        self.flush_work();
-                        self.events.recv(
-                            self.p,
-                            src as usize,
-                            *tag,
-                            2 * into.len() as u64,
-                            RecvSink::Targets(into),
-                        );
-                        for t in into {
-                            match t {
-                                RecvTarget::Var(_) => self.pending.mem += 1, // Store
-                                RecvTarget::Buf { idx, .. } => {
-                                    expr_work(idx, &mut self.pending);
-                                    self.pending.mem += 1; // BufWrite
-                                }
-                            }
-                        }
-                    }
-                    _ => self.note(format!(
-                        "P{}: source of receive tag {tag} is not statically known",
-                        self.p
-                    )),
-                }
-            }
-            SStmt::RecvBuf {
-                from,
-                tag,
-                buf,
-                lo,
-                hi,
-            } => {
-                expr_work(from, &mut self.pending);
-                expr_work(lo, &mut self.pending);
-                expr_work(hi, &mut self.pending);
-                match (self.eval(from), self.eval(lo), self.eval(hi)) {
-                    (Abs::Int(src), Abs::Int(l), Abs::Int(h))
-                        if src >= 0 && (src as usize) < self.nprocs && h >= l =>
-                    {
-                        self.flush_work();
-                        self.events.recv(
-                            self.p,
-                            src as usize,
-                            *tag,
-                            2 * (h - l + 1) as u64,
-                            RecvSink::Buffer(buf),
-                        );
-                    }
-                    _ => self.note(format!(
-                        "P{}: block receive tag {tag} has unknown source or slice",
-                        self.p
-                    )),
-                }
-            }
-            SStmt::For {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => {
-                // The VM evaluates lo/hi once, before the first test.
-                let lo_v = self.eval(lo);
-                let hi_v = self.eval(hi);
-                let step_v = self.eval(step);
-                let (Abs::Int(lo_v), Abs::Int(hi_v), Abs::Int(step_v)) = (lo_v, hi_v, step_v)
-                else {
-                    self.note(format!(
-                        "P{}: bounds of loop over `{var}` are not statically known",
-                        self.p
-                    ));
-                    self.havoc_block(body);
-                    self.env.insert(var.clone(), Abs::Top);
-                    return;
-                };
-                if step_v == 0 {
-                    // The VM faults here; nothing further executes.
-                    self.note(format!("P{}: loop over `{var}` has zero step", self.p));
-                    return;
-                }
-                // Loop administration mirrors the lowering: init stores
-                // `var` and `$hi` (and `$step` for a dynamic step); a
-                // constant step's direction is picked at lowering time so
-                // its head is a 2-load compare, while a dynamic step pays
-                // the two-sided test on every iteration.
-                let const_step = matches!(step, SExpr::Int(_));
-                expr_work(lo, &mut self.pending);
-                self.pending.mem += 1; // Store var
-                expr_work(hi, &mut self.pending);
-                self.pending.mem += 1; // Store $hi
-                if !const_step {
-                    expr_work(step, &mut self.pending);
-                    self.pending.mem += 1; // Store $step
-                }
-                let (head, incr) = if const_step {
-                    (
-                        Work {
-                            mem: 2,
-                            alu: 1,
-                            branch: 1,
-                            ..Work::default()
-                        },
-                        Work {
-                            mem: 2,
-                            alu: 1,
-                            ..Work::default()
-                        },
-                    )
-                } else {
-                    (
-                        Work {
-                            mem: 6,
-                            alu: 7,
-                            branch: 1,
-                            ..Work::default()
-                        },
-                        Work {
-                            mem: 3,
-                            alu: 1,
-                            ..Work::default()
-                        },
-                    )
-                };
-                let mut v = lo_v;
-                loop {
-                    // The head test runs once per iteration *and* once
-                    // more to fail and exit the loop.
-                    self.pending += head;
-                    if !(if step_v > 0 { v <= hi_v } else { v >= hi_v }) {
-                        break;
-                    }
-                    if self.fuel == 0 {
-                        self.note(format!("P{}: fuel exhausted, prediction truncated", self.p));
-                        return;
-                    }
-                    self.env.insert(var.clone(), Abs::Int(v));
-                    self.block(body);
-                    self.pending += incr;
-                    match v.checked_add(step_v) {
-                        Some(next) => v = next,
-                        None => break,
-                    }
-                }
-                self.env.insert(var.clone(), Abs::Int(v));
-            }
-            SStmt::If { cond, then, els } => {
-                let c = self.eval(cond);
-                expr_work(cond, &mut self.pending);
-                self.pending.branch += 1; // JumpIfFalse (the trailing Jump is free)
-                match c {
-                    Abs::Bool(true) => self.block(then),
-                    Abs::Bool(false) => self.block(els),
-                    _ => {
-                        self.note(format!(
-                            "P{}: branch condition is not statically known",
-                            self.p
-                        ));
-                        self.havoc_block(then);
-                        self.havoc_block(els);
-                    }
-                }
-            }
-        }
-    }
-
-    fn havoc_target(&mut self, t: &RecvTarget) {
-        if let RecvTarget::Var(v) = t {
-            self.env.insert(v.clone(), Abs::Top);
-        }
-    }
-
-    /// A block skipped under unknown control: forget everything it could
-    /// assign, and flag any communication it contains as uncounted.
-    fn havoc_block(&mut self, body: &[SStmt]) {
-        for s in body {
-            match s {
-                SStmt::Let { var, .. } => {
-                    self.env.insert(var.clone(), Abs::Top);
-                }
-                SStmt::AllocDist { array, .. } => {
-                    self.arrays.insert(array.clone(), None);
-                }
-                SStmt::AWrite { array, .. } | SStmt::AWriteGlobal { array, .. } => {
-                    // A write we cannot place: the sink loses single-
-                    // assignment coverage for this array.
-                    let array = array.clone();
-                    self.events.array_write(self.p, &array, None);
-                }
-                SStmt::Send { tag, .. } | SStmt::SendBuf { tag, .. } => self.note(format!(
-                    "P{}: send tag {tag} under unknown control cannot be counted",
-                    self.p
-                )),
-                SStmt::Recv { tag, into, .. } => {
-                    for t in into {
-                        self.havoc_target(t);
-                    }
-                    self.note(format!(
-                        "P{}: receive tag {tag} under unknown control cannot be counted",
-                        self.p
-                    ));
-                }
-                SStmt::RecvBuf { tag, .. } => self.note(format!(
-                    "P{}: receive tag {tag} under unknown control cannot be counted",
-                    self.p
-                )),
-                SStmt::For { var, body, .. } => {
-                    self.env.insert(var.clone(), Abs::Top);
-                    self.havoc_block(body);
-                }
-                SStmt::If { then, els, .. } => {
-                    self.havoc_block(then);
-                    self.havoc_block(els);
-                }
-                SStmt::AllocBuf { .. } | SStmt::BufWrite { .. } | SStmt::Comment(_) => {}
-            }
-        }
-    }
-
-    /// Resolve a global array reference to its home `(owner, li, lj)`.
-    fn global_element(&mut self, array: &str, idx: &[SExpr]) -> Option<(usize, i64, i64)> {
-        let (i, j) = self.indices(idx)?;
-        let inst = self.arrays.get(array)?.clone()?;
-        let home = match inst.owner(i, j) {
-            OwnerSet::One(q) => q,
-            // Replicated data is owned locally (VM rule).
-            OwnerSet::All => self.p,
-        };
-        let (li, lj) = inst.local(i, j);
-        Some((home, li, lj))
-    }
-
-    fn indices(&mut self, idx: &[SExpr]) -> Option<(i64, i64)> {
-        match idx {
-            [j] => match self.eval(j) {
-                Abs::Int(j) => Some((1, j)),
-                _ => None,
-            },
-            [i, j] => match (self.eval(i), self.eval(j)) {
-                (Abs::Int(i), Abs::Int(j)) => Some((i, j)),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    fn eval(&mut self, e: &SExpr) -> Abs {
-        match e {
-            SExpr::Int(v) => Abs::Int(*v),
-            SExpr::Float(v) => Abs::Float(*v),
-            SExpr::Bool(v) => Abs::Bool(*v),
-            SExpr::Var(v) => {
-                self.events.var_read(self.p, v);
-                self.env.get(v).copied().unwrap_or(Abs::Top)
-            }
-            SExpr::MyNode => Abs::Int(self.p as i64),
-            SExpr::NProcs => Abs::Int(self.nprocs as i64),
-            SExpr::Bin(op, a, b) => {
-                let a = self.eval(a);
-                let b = self.eval(b);
-                binop(*op, a, b)
-            }
-            SExpr::Un(op, a) => match (op, self.eval(a)) {
-                (SUnOp::Neg, Abs::Int(v)) => v.checked_neg().map(Abs::Int).unwrap_or(Abs::Top),
-                (SUnOp::Neg, Abs::Float(v)) => Abs::Float(-v),
-                (SUnOp::Not, Abs::Bool(v)) => Abs::Bool(!v),
-                _ => Abs::Top,
-            },
-            // Array and buffer contents are opaque to the abstract walk,
-            // but the reads themselves are observable (unused-receive
-            // lint).
-            SExpr::ARead { idx, .. } | SExpr::AReadGlobal { idx, .. } => {
-                for ix in idx {
-                    self.eval(ix);
-                }
-                Abs::Top
-            }
-            SExpr::BufRead { buf, idx } => {
-                self.events.buf_read(self.p, buf);
-                self.eval(idx);
-                Abs::Top
-            }
-            SExpr::OwnerOf { array, idx } => {
-                let Some((i, j)) = self.indices(idx) else {
-                    return Abs::Top;
-                };
-                match self.arrays.get(array) {
-                    Some(Some(inst)) => match inst.owner(i, j) {
-                        OwnerSet::One(q) => Abs::Int(q as i64),
-                        // Replicated data is owned locally (VM rule).
-                        OwnerSet::All => Abs::Int(self.p as i64),
-                    },
-                    _ => Abs::Top,
-                }
-            }
-            SExpr::LocalOf { array, idx, dim } => {
-                let Some((i, j)) = self.indices(idx) else {
-                    return Abs::Top;
-                };
-                match self.arrays.get(array) {
-                    Some(Some(inst)) => {
-                        let (li, lj) = inst.local(i, j);
-                        Abs::Int(if *dim == 0 { li } else { lj })
-                    }
-                    _ => Abs::Top,
-                }
-            }
-        }
+/// Mirror of the VM's unary operators, lifted to the abstract domain.
+fn unop(op: SUnOp, v: Abs) -> Abs {
+    match (op, v) {
+        (SUnOp::Neg, Abs::Int(v)) => v.checked_neg().map(Abs::Int).unwrap_or(Abs::Top),
+        (SUnOp::Neg, Abs::Float(v)) => Abs::Float(-v),
+        (SUnOp::Not, Abs::Bool(v)) => Abs::Bool(!v),
+        _ => Abs::Top,
     }
 }
 
 /// Mirror of the VM's `scalar_binop`, lifted to the abstract domain.
+#[inline]
 pub fn binop(op: SBinOp, l: Abs, r: Abs) -> Abs {
+    use SBinOp::*;
+    // Nearly everything the walk computes is index arithmetic.
+    if let (Abs::Int(a), Abs::Int(b)) = (l, r) {
+        let v = match op {
+            Add => a.checked_add(b),
+            Sub => a.checked_sub(b),
+            Mul => a.checked_mul(b),
+            Div | FloorDiv => (b != 0).then(|| a.div_euclid(b)),
+            Mod => (b != 0).then(|| a.rem_euclid(b)),
+            Min => Some(a.min(b)),
+            Max => Some(a.max(b)),
+            // The VM compares numbers as floats, integers included.
+            Eq => return Abs::Bool(a as f64 == b as f64),
+            Ne => return Abs::Bool(a as f64 != b as f64),
+            Lt => return Abs::Bool((a as f64) < b as f64),
+            Le => return Abs::Bool(a as f64 <= b as f64),
+            Gt => return Abs::Bool(a as f64 > b as f64),
+            Ge => return Abs::Bool(a as f64 >= b as f64),
+            And | Or => return Abs::Top,
+        };
+        return v.map_or(Abs::Top, Abs::Int);
+    }
+    binop_mixed(op, l, r)
+}
+
+/// [`binop`] on anything but two integers.
+fn binop_mixed(op: SBinOp, l: Abs, r: Abs) -> Abs {
     use SBinOp::*;
     if l == Abs::Top || r == Abs::Top {
         return Abs::Top;
     }
     match op {
-        Add | Sub | Mul | Div | FloorDiv | Mod | Min | Max => match (l, r) {
-            (Abs::Int(a), Abs::Int(b)) => {
-                let v = match op {
-                    Add => a.checked_add(b),
-                    Sub => a.checked_sub(b),
-                    Mul => a.checked_mul(b),
-                    Div | FloorDiv => (b != 0).then(|| a.div_euclid(b)),
-                    Mod => (b != 0).then(|| a.rem_euclid(b)),
-                    Min => Some(a.min(b)),
-                    Max => Some(a.max(b)),
-                    _ => unreachable!(),
-                };
-                v.map(Abs::Int).unwrap_or(Abs::Top)
-            }
-            _ => {
-                let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
-                    return Abs::Top;
-                };
-                Abs::Float(match op {
-                    Add => a + b,
-                    Sub => a - b,
-                    Mul => a * b,
-                    Div => a / b,
-                    FloorDiv => (a / b).floor(),
-                    Mod => a - b * (a / b).floor(),
-                    Min => a.min(b),
-                    Max => a.max(b),
-                    _ => unreachable!(),
-                })
-            }
-        },
+        Add | Sub | Mul | Div | FloorDiv | Mod | Min | Max => {
+            let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
+                return Abs::Top;
+            };
+            Abs::Float(match op {
+                Add => a + b,
+                Sub => a - b,
+                Mul => a * b,
+                Div => a / b,
+                FloorDiv => (a / b).floor(),
+                Mod => a - b * (a / b).floor(),
+                Min => a.min(b),
+                Max => a.max(b),
+                _ => unreachable!(),
+            })
+        }
         Eq | Ne => {
             let eq = match (l, r) {
                 (Abs::Bool(a), Abs::Bool(b)) => a == b,
@@ -827,30 +525,67 @@ pub fn binop(op: SBinOp, l: Abs, r: Abs) -> Abs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdc_mapping::Dist;
+    use pdc_spmd::ir::{RecvTarget, SExpr, SStmt, SpmdProgram};
 
     type WriteEv = (usize, String, Option<(usize, i64, i64)>);
 
-    #[derive(Default)]
-    struct Recorder {
-        sends: Vec<(usize, usize, u32, u64)>,
-        recvs: Vec<(usize, usize, u32, u64)>,
+    /// What the walk reported, in order, with ids turned back into names.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Ev {
+        Send(usize, usize, u32, u64),
+        Recv(usize, usize, u32, u64),
+        VarRead(usize, String),
+        BufRead(usize, String),
+    }
+
+    struct Recorder<'n> {
+        names: &'n Names,
+        evs: Vec<Ev>,
         writes: Vec<WriteEv>,
         notes: Vec<String>,
     }
 
-    impl Events for Recorder {
+    impl Events for Recorder<'_> {
         fn send(&mut self, proc: usize, dst: usize, tag: u32, words: u64) {
-            self.sends.push((proc, dst, tag, words));
+            self.evs.push(Ev::Send(proc, dst, tag, words));
         }
         fn recv(&mut self, proc: usize, src: usize, tag: u32, words: u64, _sink: RecvSink<'_>) {
-            self.recvs.push((proc, src, tag, words));
+            self.evs.push(Ev::Recv(proc, src, tag, words));
         }
-        fn array_write(&mut self, proc: usize, array: &str, element: Option<(usize, i64, i64)>) {
-            self.writes.push((proc, array.to_string(), element));
+        fn array_write(&mut self, proc: usize, array: ArrayId, element: Option<(usize, i64, i64)>) {
+            self.writes
+                .push((proc, self.names.array(array).to_owned(), element));
+        }
+        fn var_read(&mut self, proc: usize, var: VarId) {
+            self.evs
+                .push(Ev::VarRead(proc, self.names.var(var).to_owned()));
+        }
+        fn buf_read(&mut self, proc: usize, buf: BufId) {
+            self.evs
+                .push(Ev::BufRead(proc, self.names.buf(buf).to_owned()));
         }
         fn note(&mut self, _proc: usize, msg: String) {
             self.notes.push(msg);
         }
+    }
+
+    /// Walk `prog` with no seeds; hand back events, writes and notes.
+    fn record(prog: &SpmdProgram) -> (Vec<Ev>, Vec<WriteEv>, Vec<String>) {
+        let arrays = BTreeMap::new();
+        let resolved = resolve(prog, &BTreeMap::new(), &arrays);
+        let mut rec = Recorder {
+            names: resolved.names(),
+            evs: Vec::new(),
+            writes: Vec::new(),
+            notes: Vec::new(),
+        };
+        resolved.walk(&mut rec);
+        (rec.evs, rec.writes, rec.notes)
+    }
+
+    fn var_read(p: usize, name: &str) -> Ev {
+        Ev::VarRead(p, name.to_owned())
     }
 
     #[test]
@@ -873,20 +608,15 @@ mod tests {
                 into: vec![RecvTarget::Var("x".into())],
             }],
         ]);
-        let mut rec = Recorder::default();
-        walk(&prog, &BTreeMap::new(), &BTreeMap::new(), &mut rec);
-        assert_eq!(
-            rec.sends,
-            vec![(0, 1, 5, 2), (0, 1, 5, 2), (0, 1, 5, 2)],
-            "three unrolled sends from P0"
-        );
-        assert_eq!(rec.recvs, vec![(1, 0, 5, 2)]);
-        assert!(rec.notes.is_empty(), "{:?}", rec.notes);
+        let (evs, _, notes) = record(&prog);
+        let mut want = vec![[var_read(0, "i"), Ev::Send(0, 1, 5, 2)]; 3].concat();
+        want.push(Ev::Recv(1, 0, 5, 2));
+        assert_eq!(evs, want, "three unrolled sends from P0, one receive on P1");
+        assert!(notes.is_empty(), "{notes:?}");
     }
 
     #[test]
     fn array_writes_resolve_to_their_home() {
-        use pdc_mapping::Dist;
         // A 4x4 column-cyclic matrix on 2 procs: column 2 lives on P1.
         let prog = SpmdProgram::new(vec![
             vec![
@@ -904,10 +634,9 @@ mod tests {
             ],
             vec![],
         ]);
-        let mut rec = Recorder::default();
-        walk(&prog, &BTreeMap::new(), &BTreeMap::new(), &mut rec);
-        assert_eq!(rec.writes.len(), 1);
-        let (proc, array, element) = &rec.writes[0];
+        let (_, writes, _) = record(&prog);
+        assert_eq!(writes.len(), 1);
+        let (proc, array, element) = &writes[0];
         assert_eq!((*proc, array.as_str()), (0, "A"));
         let (home, _li, _lj) = element.expect("statically resolvable");
         assert_eq!(home, 1, "column 2 is owned by P1 under column-cyclic");
@@ -934,9 +663,90 @@ mod tests {
                 els: vec![],
             },
         ]]);
-        let mut rec = Recorder::default();
-        walk(&prog, &BTreeMap::new(), &BTreeMap::new(), &mut rec);
-        assert_eq!(rec.writes, vec![(0, "A".to_string(), None)]);
-        assert!(!rec.notes.is_empty());
+        let (_, writes, notes) = record(&prog);
+        assert_eq!(writes, vec![(0, "A".to_string(), None)]);
+        assert!(!notes.is_empty());
+    }
+
+    #[test]
+    fn receive_reads_its_source_before_overwriting_it() {
+        // `recv from x into x`: the VM loads `x` before the `Recv`
+        // instruction, so the source is the old value and the walk stays
+        // exact.
+        let prog = SpmdProgram::new(vec![
+            vec![SStmt::Send {
+                to: SExpr::int(1),
+                tag: 4,
+                values: vec![SExpr::int(7)],
+            }],
+            vec![
+                SStmt::Let {
+                    var: "x".into(),
+                    value: SExpr::int(0),
+                },
+                SStmt::Recv {
+                    from: SExpr::var("x"),
+                    tag: 4,
+                    into: vec![RecvTarget::Var("x".into())],
+                },
+            ],
+        ]);
+        let (evs, _, notes) = record(&prog);
+        assert!(notes.is_empty(), "{notes:?}");
+        assert_eq!(
+            evs,
+            vec![Ev::Send(0, 1, 4, 2), var_read(1, "x"), Ev::Recv(1, 0, 4, 2)]
+        );
+    }
+
+    #[test]
+    fn buffer_target_index_is_read_after_the_receive() {
+        // `recv into b[k]`: the VM emits the index's loads after the
+        // `Recv` instruction.
+        let prog = SpmdProgram::new(vec![vec![SStmt::Recv {
+            from: SExpr::int(0),
+            tag: 4,
+            into: vec![RecvTarget::Buf {
+                buf: "b".into(),
+                idx: SExpr::var("k"),
+            }],
+        }]]);
+        let (evs, _, _) = record(&prog);
+        assert_eq!(evs, vec![Ev::Recv(0, 0, 4, 2), var_read(0, "k")]);
+    }
+
+    #[test]
+    fn scalars_and_buffers_are_separate_namespaces() {
+        let prog = SpmdProgram::new(vec![vec![SStmt::Let {
+            var: "x".into(),
+            value: SExpr::BufRead {
+                buf: "x".into(),
+                idx: Box::new(SExpr::var("x")),
+            },
+        }]]);
+        let arrays = BTreeMap::new();
+        let resolved = resolve(&prog, &BTreeMap::new(), &arrays);
+        assert_eq!(resolved.names().vars(), ["x"]);
+        assert_eq!(resolved.names().bufs(), ["x"]);
+        let (evs, _, _) = record(&prog);
+        assert_eq!(evs, vec![Ev::BufRead(0, "x".to_owned()), var_read(0, "x")]);
+    }
+
+    #[test]
+    fn channel_ids_are_dense_and_stable() {
+        let mut ch: Channels<u64> = Channels::new(3);
+        assert!(ch.is_empty());
+        let a = ch.id(0, 1, 7);
+        let b = ch.id(0, 1, 9);
+        let c = ch.id(2, 0, 7);
+        assert_eq!((a, b, c), (0, 1, 2));
+        assert_eq!(ch.id(0, 1, 7), a, "second use finds the first entry");
+        *ch.slot(0, 1, 9) += 5;
+        assert_eq!(*ch.get(b), 5);
+        assert_eq!(ch.find(1, 0, 7), None, "direction matters");
+        assert_eq!(ch.key(c), (2, 0, 7));
+        assert_eq!(ch.len(), 3);
+        let sorted: Vec<_> = ch.into_sorted().into_iter().collect();
+        assert_eq!(sorted, vec![((0, 1, 7), 0), ((0, 1, 9), 5), ((2, 0, 7), 0)]);
     }
 }

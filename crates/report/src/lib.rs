@@ -22,8 +22,8 @@ pub mod cost;
 pub mod interp;
 pub mod makespan;
 
-pub use cost::{predict, ChannelCost, Prediction};
-pub use makespan::{estimate, predict_and_estimate, MakespanEstimate};
+pub use cost::{predict, ChannelCost, CostSink, Prediction};
+pub use makespan::{estimate, predict_and_estimate, MakespanEstimate, TimingSink};
 
 use pdc_lang::Span;
 use std::collections::BTreeMap;

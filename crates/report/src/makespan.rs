@@ -31,21 +31,22 @@
 //! pruned rather than guessed at.
 
 use crate::cost::{CostSink, Prediction};
-use crate::interp::{self, Events, RecvSink, Work};
+use crate::interp::{self, Channels, Events, RecvSink, Work};
 use pdc_machine::CostModel;
 use pdc_mapping::DistInstance;
 use pdc_spmd::ir::SpmdProgram;
 use std::collections::{BTreeMap, VecDeque};
 
-/// One event of a processor's program-order stream.
+/// One event of a processor's program-order stream. `chan` is the id of
+/// the `(src, dst, tag)` channel in the sink's [`Channels`] table.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Local compute, already converted to cycles.
     Work(u64),
     /// A send on channel `(self, dst, tag)`.
-    Send { dst: usize, tag: u32, words: u64 },
+    Send { chan: u32, words: u64 },
     /// A receive on channel `(src, self, tag)`.
-    Recv { src: usize, tag: u32, words: u64 },
+    Recv { chan: u32, words: u64 },
 }
 
 /// Statically predicted execution-time profile of one compiled program
@@ -72,18 +73,24 @@ impl MakespanEstimate {
 
 /// Stream-collecting sink: converts [`Work`] to cycles under the cost
 /// model and records communication in program order per processor.
-struct TimingSink<'c> {
+/// Nameable, like [`CostSink`], so it can share a walk;
+/// [`TimingSink::finish`] replays the streams into the estimate.
+pub struct TimingSink<'c> {
     cost: &'c CostModel,
     streams: Vec<Vec<Ev>>,
+    channels: Channels<()>,
     exact: bool,
     notes: Vec<String>,
 }
 
 impl<'c> TimingSink<'c> {
-    fn new(cost: &'c CostModel, nprocs: usize) -> Self {
+    /// An empty sink for a program of `nprocs` processors, timed under
+    /// `cost`.
+    pub fn new(cost: &'c CostModel, nprocs: usize) -> Self {
         TimingSink {
             cost,
             streams: vec![Vec::new(); nprocs],
+            channels: Channels::new(nprocs),
             exact: true,
             notes: Vec::new(),
         }
@@ -91,9 +98,7 @@ impl<'c> TimingSink<'c> {
 
     fn lose(&mut self, msg: String) {
         self.exact = false;
-        if self.notes.len() < 32 && !self.notes.contains(&msg) {
-            self.notes.push(msg);
-        }
+        interp::keep_note(&mut self.notes, msg);
     }
 }
 
@@ -122,11 +127,13 @@ impl Events for TimingSink<'_> {
             self.lose(format!("P{proc}: self-send on tag {tag}"));
             return;
         }
-        self.streams[proc].push(Ev::Send { dst, tag, words });
+        let chan = self.channels.id(proc, dst, tag) as u32;
+        self.streams[proc].push(Ev::Send { chan, words });
     }
 
     fn recv(&mut self, proc: usize, src: usize, tag: u32, words: u64, _sink: RecvSink<'_>) {
-        self.streams[proc].push(Ev::Recv { src, tag, words });
+        let chan = self.channels.id(src, proc, tag) as u32;
+        self.streams[proc].push(Ev::Recv { chan, words });
     }
 
     fn note(&mut self, _proc: usize, msg: String) {
@@ -135,10 +142,12 @@ impl Events for TimingSink<'_> {
 }
 
 impl TimingSink<'_> {
-    fn finish(self) -> MakespanEstimate {
+    /// Replay the collected streams into the estimate.
+    pub fn finish(self) -> MakespanEstimate {
         let TimingSink {
             cost,
             streams,
+            channels,
             exact,
             mut notes,
         } = self;
@@ -149,7 +158,7 @@ impl TimingSink<'_> {
                 notes,
             };
         }
-        match replay(&streams, cost) {
+        match replay(&streams, channels.len(), cost) {
             Some(clocks) => MakespanEstimate {
                 clocks,
                 exact: true,
@@ -172,13 +181,13 @@ impl TimingSink<'_> {
 /// Run the simulator's max-plus recurrence over the collected streams.
 /// Returns `None` when a full round makes no progress (some receive can
 /// never be satisfied).
-fn replay(streams: &[Vec<Ev>], cost: &CostModel) -> Option<Vec<u64>> {
+fn replay(streams: &[Vec<Ev>], n_channels: usize, cost: &CostModel) -> Option<Vec<u64>> {
     let nprocs = streams.len();
     let mut clocks = vec![0u64; nprocs];
     let mut pcs = vec![0usize; nprocs];
-    // Arrival stamps per (src, dst, tag), FIFO: within one typed channel
-    // delivery order is send order (program order on the sender).
-    let mut channels: BTreeMap<(usize, usize, u32), VecDeque<u64>> = BTreeMap::new();
+    // Arrival stamps per channel, FIFO: within one typed channel delivery
+    // order is send order (program order on the sender).
+    let mut channels: Vec<VecDeque<u64>> = vec![VecDeque::new(); n_channels];
     loop {
         let mut progressed = false;
         let mut all_done = true;
@@ -187,17 +196,12 @@ fn replay(streams: &[Vec<Ev>], cost: &CostModel) -> Option<Vec<u64>> {
             while pcs[p] < stream.len() {
                 match stream[pcs[p]] {
                     Ev::Work(c) => clocks[p] = clocks[p].saturating_add(c),
-                    Ev::Send { dst, tag, words } => {
+                    Ev::Send { chan, words } => {
                         clocks[p] = clocks[p].saturating_add(cost.send_cost(words as usize));
-                        channels
-                            .entry((p, dst, tag))
-                            .or_default()
-                            .push_back(clocks[p].saturating_add(cost.flight));
+                        channels[chan as usize].push_back(clocks[p].saturating_add(cost.flight));
                     }
-                    Ev::Recv { src, tag, words } => {
-                        let Some(arrives) =
-                            channels.get_mut(&(src, p, tag)).and_then(|q| q.pop_front())
-                        else {
+                    Ev::Recv { chan, words } => {
+                        let Some(arrives) = channels[chan as usize].pop_front() else {
                             break; // blocked: the message is not sent yet
                         };
                         clocks[p] = clocks[p]
@@ -231,7 +235,7 @@ pub fn estimate(
     cost: &CostModel,
 ) -> MakespanEstimate {
     let mut sink = TimingSink::new(cost, prog.n_procs());
-    interp::walk(prog, env, arrays, &mut sink);
+    interp::resolve(prog, env, arrays).walk(&mut sink);
     sink.finish()
 }
 
@@ -243,14 +247,13 @@ pub fn predict_and_estimate(
     arrays: &BTreeMap<String, DistInstance>,
     cost: &CostModel,
 ) -> (Prediction, MakespanEstimate) {
-    let mut counts = CostSink::new();
+    let mut counts = CostSink::new(prog.n_procs());
     let mut timing = TimingSink::new(cost, prog.n_procs());
-    let mut tee = interp::Tee {
+    interp::resolve(prog, env, arrays).walk(&mut interp::Tee {
         a: &mut counts,
         b: &mut timing,
-    };
-    interp::walk(prog, env, arrays, &mut tee);
-    (counts.out, timing.finish())
+    });
+    (counts.finish(), timing.finish())
 }
 
 #[cfg(test)]
@@ -430,6 +433,50 @@ mod tests {
                         var: "acc".into(),
                         value: SExpr::int(0),
                     }],
+                }],
+            },
+        ];
+        assert_exactly_matches(&SpmdProgram::new(vec![p0, p1]), &[]);
+    }
+
+    #[test]
+    fn receive_that_overwrites_its_own_source_matches_simulator_exactly() {
+        // `recv from x into x`, then a receive into `b[x]`: the VM loads
+        // the source before the `Recv` instruction and the buffer index
+        // after it, and so must the walk — exactly, with no "source not
+        // statically known".
+        let p0 = vec![
+            SStmt::Send {
+                to: SExpr::int(1),
+                tag: 4,
+                values: vec![SExpr::int(2)],
+            },
+            SStmt::Send {
+                to: SExpr::int(1),
+                tag: 5,
+                values: vec![SExpr::int(9)],
+            },
+        ];
+        let p1 = vec![
+            SStmt::AllocBuf {
+                buf: "b".into(),
+                len: SExpr::int(4),
+            },
+            SStmt::Let {
+                var: "x".into(),
+                value: SExpr::int(0),
+            },
+            SStmt::Recv {
+                from: SExpr::var("x"),
+                tag: 4,
+                into: vec![RecvTarget::Var("x".into())],
+            },
+            SStmt::Recv {
+                from: SExpr::int(0),
+                tag: 5,
+                into: vec![RecvTarget::Buf {
+                    buf: "b".into(),
+                    idx: SExpr::var("x"),
                 }],
             },
         ];

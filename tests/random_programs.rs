@@ -565,3 +565,136 @@ fn strategies_agree_on_message_counts() {
         assert_eq!(counts[0], counts[1], "src:\n{src}");
     });
 }
+
+/// Walk `prog` once into the cost, safety and timing sinks together and
+/// require, field by field, what three separate walks give.
+fn assert_one_walk_equals_three(
+    label: &str,
+    prog: &SpmdProgram,
+    env: &BTreeMap<String, i64>,
+    arrays: &BTreeMap<String, pdc_mapping::DistInstance>,
+) -> (pdc_report::Prediction, pdc_analyze::AnalysisReport) {
+    use pdc_report::interp::{self, Tee};
+    let cost = CostModel::ipsc2();
+    let resolved = interp::resolve(prog, env, arrays);
+    let mut counts = pdc_report::CostSink::new(prog.n_procs());
+    let mut safety = pdc_analyze::Analyzer::new(&resolved);
+    let mut timing = pdc_report::TimingSink::new(&cost, prog.n_procs());
+    resolved.walk(&mut Tee {
+        a: &mut counts,
+        b: &mut Tee {
+            a: &mut safety,
+            b: &mut timing,
+        },
+    });
+    let (pred, report, est) = (counts.finish(), safety.finish(), timing.finish());
+
+    let solo = pdc_report::predict(prog, env, arrays);
+    assert_eq!(
+        (&pred.sends, &pred.recvs, pred.exact, &pred.notes),
+        (&solo.sends, &solo.recvs, solo.exact, &solo.notes),
+        "{label}: prediction"
+    );
+    let solo = pdc_analyze::analyze(prog, env, arrays);
+    assert_eq!(
+        (
+            &report.diagnostics,
+            &report.channels,
+            report.exact,
+            &report.notes
+        ),
+        (&solo.diagnostics, &solo.channels, solo.exact, &solo.notes),
+        "{label}: analysis"
+    );
+    let solo = pdc_report::estimate(prog, env, arrays, &cost);
+    assert_eq!(
+        (&est.clocks, est.exact, &est.notes),
+        (&solo.clocks, solo.exact, &solo.notes),
+        "{label}: makespan"
+    );
+    (pred, report)
+}
+
+/// The static models share one walk wherever the pipeline runs them
+/// (`driver::compile`: cost + safety; the tuner: cost + timing). Sharing
+/// must be invisible: on the five Fig. 6/7 versions at n = 16 and
+/// n = 128, on random communication patterns (deadlocks, orphans and
+/// starved receives included) and on compiled random scalar programs,
+/// one walk into all three sinks reports exactly what three walks do —
+/// and the driver's own fused walk reports the same again.
+#[test]
+fn one_walk_into_three_sinks_equals_three_separate_walks() {
+    use pdc_opt::OptLevel;
+    let program = programs::gauss_seidel();
+    for n in [16i64, 128] {
+        for (strategy, level) in [
+            (CodegenStrategy::Runtime, None),
+            (CodegenStrategy::CompileTime, Some(OptLevel::O0)),
+            (CodegenStrategy::CompileTime, Some(OptLevel::O1)),
+            (CodegenStrategy::CompileTime, Some(OptLevel::O2)),
+            (
+                CodegenStrategy::CompileTime,
+                Some(OptLevel::O3 { blksize: 4 }),
+            ),
+        ] {
+            let label = format!("wavefront {strategy:?} {level:?} n={n}");
+            let mut job = Job::new(
+                &program,
+                "gs_iteration",
+                programs::wavefront_decomposition(4),
+            )
+            .with_const("n", n)
+            .with_verify_static(true);
+            if let Some(level) = level {
+                job = job.with_opt_level(level);
+            }
+            let compiled = driver::compile(&job, strategy).expect("wavefront compiles");
+            let (env, arrays) = compiled.static_env(&job.const_params);
+            let (pred, report) =
+                assert_one_walk_equals_three(&label, &compiled.spmd, &env, &arrays);
+            assert!(pred.exact && report.verified(), "{label}");
+            let driver_report = compiled.verification.expect("verification forced on");
+            assert_eq!(
+                (&compiled.prediction.sends, &compiled.prediction.recvs),
+                (&pred.sends, &pred.recvs),
+                "{label}: driver prediction"
+            );
+            assert_eq!(
+                (&driver_report.diagnostics, &driver_report.channels),
+                (&report.diagnostics, &report.channels),
+                "{label}: driver verification"
+            );
+        }
+    }
+
+    cases(
+        64,
+        "one_walk_into_three_sinks_equals_three_separate_walks/comm",
+        |rng| {
+            let prog = random_comm_program(rng);
+            assert_one_walk_equals_three(
+                &prog.to_string(),
+                &prog,
+                &BTreeMap::new(),
+                &BTreeMap::new(),
+            );
+        },
+    );
+
+    cases(
+        32,
+        "one_walk_into_three_sinks_equals_three_separate_walks/scalar",
+        |rng| {
+            let nprocs = rng.range_usize(2, 4);
+            let specs = random_specs(rng, nprocs);
+            let (src, _) = build(&specs);
+            let program = pdc_lang::parse(&src).expect("generated source parses");
+            for strategy in [CodegenStrategy::Runtime, CodegenStrategy::CompileTime] {
+                let job = Job::new(&program, "main", decomposition_for(&specs, nprocs));
+                let compiled = driver::compile(&job, strategy).expect("compiles");
+                let (env, arrays) = compiled.static_env(&job.const_params);
+                assert_one_walk_equals_three(&src, &compiled.spmd, &env, &arrays);
+            }
+        },
+    );
+}

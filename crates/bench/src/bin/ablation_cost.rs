@@ -12,14 +12,7 @@ use pdc_bench::{print_table, run_wavefront, Variant};
 use pdc_machine::CostModel;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(64);
-    let s: usize = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(8);
+    let [n, s] = pdc_bench::args([("n", 64), ("s", 8)]);
     let variants = [
         Variant::RuntimeRes,
         Variant::CompileTime,

@@ -61,10 +61,7 @@ struct Row {
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1024);
+    let [n] = pdc_bench::args([("n", 1024)]);
     println!("Backend wall-clock race — {n}x{n} wavefront, median of {SAMPLES} runs\n");
     println!(
         "{:>6} {:>16} {:>16} {:>8}",

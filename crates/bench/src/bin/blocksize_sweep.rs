@@ -11,10 +11,7 @@ use pdc_bench::{print_table, run_wavefront, Variant};
 use pdc_machine::CostModel;
 
 fn main() {
-    let s: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(16);
+    let [s] = pdc_bench::args([("s", 16)]);
     let cost = CostModel::ipsc2();
     let blocks = [1usize, 2, 4, 8, 16, 32, 64];
     let col_names: Vec<String> = blocks.iter().map(|b| format!("b={b}")).collect();

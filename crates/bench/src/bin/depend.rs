@@ -22,6 +22,7 @@
 use pdc_bench::{compile_wavefront, print_table, Variant};
 use pdc_core::programs;
 use pdc_depend::ast::{analyze_for_env, nests};
+use pdc_machine::metrics::json_escape;
 use pdc_machine::trace_chrome::{parse_json, Json};
 use pdc_report::{Phase, Remark, RemarkKind};
 use std::collections::BTreeMap;
@@ -117,10 +118,6 @@ fn summarize(program: &'static str, variant: String, remarks: &[Remark]) -> Row 
     row
 }
 
-fn json_str(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
     let mut rows: Vec<Row> = Vec::new();
 
@@ -191,7 +188,7 @@ fn main() {
         let witnesses = r
             .witnesses
             .iter()
-            .map(|w| format!("\"{}\"", json_str(w)))
+            .map(|w| format!("\"{}\"", json_escape(w)))
             .collect::<Vec<_>>()
             .join(", ");
         let _ = write!(
@@ -199,15 +196,15 @@ fn main() {
             "    {{\"program\": \"{}\", \"variant\": \"{}\", \"n\": {N}, \"s\": {S}, \
              \"nests\": {}, \"exact_nests\": {}, \"exact\": {}, \"carried\": {}, \
              \"hotspots\": {}, \"witnesses\": [{witnesses}], \"reason\": {}}}",
-            r.program,
-            r.variant,
+            json_escape(r.program),
+            json_escape(&r.variant),
             r.nests,
             r.exact_nests,
             r.exact,
             r.carried,
             r.hotspots,
             match &r.reason {
-                Some(why) => format!("\"{}\"", json_str(why)),
+                Some(why) => format!("\"{}\"", json_escape(why)),
                 None => "null".into(),
             },
         );

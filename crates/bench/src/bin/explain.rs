@@ -17,8 +17,9 @@
 
 use pdc_bench::{compile_wavefront, print_table, Variant};
 use pdc_core::driver::{self, Inputs};
+use pdc_machine::metrics::json_escape;
 use pdc_machine::trace_chrome::parse_json;
-use pdc_machine::CostModel;
+use pdc_machine::{CostModel, MetricsMode};
 use pdc_spmd::Scalar;
 use std::fmt::Write as _;
 
@@ -34,11 +35,8 @@ fn slug(v: Variant) -> &'static str {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let metrics = argv.iter().any(|a| a == "--metrics");
-    let mut pos = argv.iter().filter(|a| !a.starts_with("--"));
-    let n: usize = pos.next().and_then(|a| a.parse().ok()).unwrap_or(16);
-    let s: usize = pos.next().and_then(|a| a.parse().ok()).unwrap_or(4);
+    let metrics = std::env::args().any(|a| a == "--metrics");
+    let [n, s] = pdc_bench::args([("n", 16), ("s", 4)]);
     let variants = [
         Variant::RuntimeRes,
         Variant::CompileTime,
@@ -52,8 +50,10 @@ fn main() {
     let mut doc = format!("{{\n  \"n\": {n},\n  \"s\": {s},\n  \"runs\": [\n");
     for (i, v) in variants.into_iter().enumerate() {
         let mut compiled = compile_wavefront(v, n, s).expect("compiler variant");
-        compiled.trace_cap = Some(1 << 20);
-        compiled.metrics = metrics;
+        compiled.run.trace_cap = Some(1 << 20);
+        if metrics {
+            compiled.run.metrics = MetricsMode::Full;
+        }
 
         println!("==== {v} ====");
         println!("{}", compiled.remarks_text());
@@ -120,7 +120,7 @@ fn main() {
              \"observed_words\": {observed_words}, \"channels\": {}, \"exact\": {}, \
              \"verified\": {}, \"vectorized\": {}, \"jammed\": {}, \"stripped\": {}, \
              \"remarks\": {}}}",
-            slug(v),
+            json_escape(slug(v)),
             report.checked_channels,
             report.statically_exact,
             report.ok(),

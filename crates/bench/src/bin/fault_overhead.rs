@@ -76,10 +76,7 @@ fn measure(
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(24);
+    let [n] = pdc_bench::args([("n", 24)]);
     let nprocs = 4usize;
     let cfg = RelConfig::default();
     let lossy = FaultPlan::seeded(0xBE2C)

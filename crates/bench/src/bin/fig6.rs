@@ -11,10 +11,7 @@ use pdc_bench::{print_table, processor_sweep, run_wavefront, speedups, Variant};
 use pdc_machine::CostModel;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(128);
+    let [n] = pdc_bench::args([("n", 128)]);
     let cost = CostModel::ipsc2();
     let sweep = processor_sweep(n);
     let variants = [

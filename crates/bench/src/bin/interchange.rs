@@ -43,14 +43,7 @@ fn run(program: &pdc_lang::Program, n: usize, s: usize) -> (u64, u64, bool) {
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(64);
-    let s: usize = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(8);
+    let [n, s] = pdc_bench::args([("n", 64), ("s", 8)]);
     let reversed = programs::gauss_seidel_interchanged();
     let (fixed, swapped) = interchange(&reversed);
     let normal = programs::gauss_seidel();

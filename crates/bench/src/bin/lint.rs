@@ -26,6 +26,7 @@
 use pdc_bench::{compile_wavefront, print_table, Variant};
 use pdc_core::driver::{self, Compiled, Job, Strategy};
 use pdc_core::programs;
+use pdc_machine::metrics::json_escape;
 use pdc_machine::trace_chrome::{parse_json, Json};
 use pdc_opt::OptLevel;
 use std::collections::HashMap;
@@ -165,8 +166,8 @@ fn main() {
             "    {{\"program\": \"{}\", \"variant\": \"{}\", \"n\": {}, \"s\": {}, \
              \"exact\": {}, \"verified\": {}, \"channels\": {}, \"messages\": {messages}, \
              \"diagnostics\": {}}}",
-            run.program,
-            run.variant,
+            json_escape(run.program),
+            json_escape(&run.variant),
             run.n,
             run.s,
             report.exact,

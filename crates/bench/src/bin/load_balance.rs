@@ -15,7 +15,7 @@
 
 use pdc_core::driver::{self, Inputs, Job, Strategy};
 use pdc_core::programs;
-use pdc_machine::{CostModel, Machine};
+use pdc_machine::{CostModel, RunConfig};
 use pdc_mapping::{Decomposition, Dist};
 use pdc_spmd::run::SpmdMachine;
 use pdc_spmd::Scalar;
@@ -29,8 +29,12 @@ fn run(label: &str, dist: Dist, slowdowns: Vec<u64>, n: usize) {
     let mut job = Job::new(&program, "jacobi", decomp).with_const("n", n as i64);
     job.extent_overrides.insert("Old".into(), (n, n));
     let compiled = driver::compile(&job, Strategy::CompileTime).expect("compiles");
-    let machine = Machine::new(s, CostModel::ipsc2()).with_slowdowns(slowdowns);
-    let mut m = SpmdMachine::with_machine(&compiled.spmd, machine).expect("lowers");
+    let mut m = SpmdMachine::new(&compiled.spmd, CostModel::ipsc2())
+        .expect("lowers")
+        .with_config(RunConfig {
+            slowdowns,
+            ..RunConfig::default()
+        });
     m.preset_var("n", Scalar::Int(n as i64));
     m.preload_array("Old", dist, &driver::standard_input(n, n));
     let out = m.run().expect("runs");
@@ -49,10 +53,7 @@ fn run(label: &str, dist: Dist, slowdowns: Vec<u64>, n: usize) {
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(48);
+    let [n] = pdc_bench::args([("n", 48)]);
     // P0 is 4x slower than its three peers.
     let slowdowns = vec![4u64, 1, 1, 1];
     println!(

@@ -2,7 +2,7 @@
 //!
 //! Runs the five compiler variants of the wavefront program on the
 //! threaded backend while *live-sampling* a shared
-//! [`MetricsRegistry`](pdc_machine::MetricsRegistry) from a monitor
+//! [`MetricsRegistry`] from a monitor
 //! thread — the registry is lock-free, so sampling never perturbs the
 //! run — and refreshes a per-processor dashboard on a TTY. After each
 //! run it cross-validates three fully independent accounts of the same
@@ -28,7 +28,8 @@
 use pdc_bench::{compile_wavefront, Variant};
 use pdc_core::driver;
 use pdc_machine::{
-    Backend, CostModel, Ctr, MetricsRegistry, MetricsSnapshot, ProcId, RunReport, Tag,
+    Backend, CostModel, Ctr, MetricsMode, MetricsRegistry, MetricsSnapshot, ProcId, RunConfig,
+    RunReport, Tag,
 };
 use pdc_spmd::ir::SpmdProgram;
 use pdc_spmd::run::SpmdMachine;
@@ -130,8 +131,11 @@ fn live_run(prog: &SpmdProgram, n: usize) -> RunReport {
             }
         })
     });
-    let mut m = machine_for(prog, n, Backend::threaded());
-    m = m.with_metrics_registry(Arc::clone(&registry));
+    let mut m = machine_for(prog, n, Backend::threaded()).with_config(RunConfig {
+        backend: Backend::threaded(),
+        metrics: MetricsMode::Shared(Arc::clone(&registry)),
+        ..RunConfig::default()
+    });
     let out = m.run().expect("threaded run succeeds");
     stop.store(true, Ordering::Release);
     if let Some(h) = sampler {
@@ -172,10 +176,7 @@ struct VariantRow {
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1024);
+    let [n] = pdc_bench::args([("n", 1024)]);
     println!("Runtime metrics monitor — {n}x{n} wavefront on {NPROCS} processors\n");
 
     let mut rows = Vec::new();

@@ -8,14 +8,7 @@ use pdc_bench::{print_table, run_wavefront, Variant};
 use pdc_machine::CostModel;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(128);
-    let s: usize = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(32);
+    let [n, s] = pdc_bench::args([("n", 128), ("s", 32)]);
     let cost = CostModel::zero(); // counts only
     let variants = [
         Variant::RuntimeRes,

@@ -24,7 +24,10 @@
 use pdc_bench::{build_wavefront, print_table, Variant};
 use pdc_core::driver::{self, Inputs};
 use pdc_core::programs;
-use pdc_machine::{CheckpointCfg, CostModel, FaultPlan, ProcId, RecoveryReport, RelConfig};
+use pdc_machine::metrics::json_escape;
+use pdc_machine::{
+    CheckpointCfg, CostModel, FaultPlan, ProcId, RecoveryReport, RelConfig, RunConfig,
+};
 use pdc_spmd::run::SpmdMachine;
 use pdc_spmd::Scalar;
 
@@ -60,19 +63,16 @@ fn run_one(
 ) -> RunResult {
     let label = format!("{variant} ckpt={ckpt:?} crash={crash:?}");
     let prog = build_wavefront(variant, n, NPROCS);
-    let mut m = SpmdMachine::new(&prog, CostModel::ipsc2()).expect("program lowers");
-    if reliable && ckpt.is_none() && crash.is_none() {
-        m = m.with_reliable_delivery(RelConfig::default());
-    }
-    if let Some(cfg) = ckpt {
-        m = m.with_checkpoints(cfg);
-    }
-    if let Some((proc, at_op)) = crash {
-        m = m.with_faults_cfg(
-            FaultPlan::seeded(0xC2A5).with_crash(proc, at_op),
-            RelConfig::default(),
-        );
-    }
+    let mut m = SpmdMachine::new(&prog, CostModel::ipsc2())
+        .expect("program lowers")
+        .with_config(RunConfig {
+            reliable: reliable.then(RelConfig::default),
+            checkpoints: ckpt,
+            faults: crash.map_or_else(FaultPlan::none, |(proc, at_op)| {
+                FaultPlan::seeded(0xC2A5).with_crash(proc, at_op)
+            }),
+            ..RunConfig::default()
+        });
     m.preset_var("n", Scalar::Int(n as i64));
     m.preload_array(
         "Old",
@@ -114,10 +114,7 @@ fn run_one(
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(32);
+    let [n] = pdc_bench::args([("n", 32)]);
     let mut errors: Vec<String> = Vec::new();
     let mut json = String::from("{\n");
     json.push_str(&format!(
@@ -204,9 +201,11 @@ fn main() {
         ));
 
         json.push_str(&format!(
-            "    {{\"version\": \"{variant}\", \"baseline_makespan\": {}, \
+            "    {{\"version\": \"{}\", \"baseline_makespan\": {}, \
              \"reliable_baseline_makespan\": {},\n      \"overhead\": [\n",
-            base.makespan, rel_base.makespan
+            json_escape(&variant.to_string()),
+            base.makespan,
+            rel_base.makespan
         ));
         for (i, (interval, mk, ov, rec)) in per_interval.iter().enumerate() {
             json.push_str(&format!(
@@ -258,7 +257,7 @@ fn main() {
     for (i, e) in errors.iter().enumerate() {
         json.push_str(&format!(
             "\n    \"{}\"{}",
-            e.replace('"', "'"),
+            json_escape(e),
             if i + 1 < errors.len() { "," } else { "\n  " }
         ));
     }

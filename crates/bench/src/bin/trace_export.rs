@@ -38,9 +38,7 @@ fn backend_slug(b: Backend) -> &'static str {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(16);
-    let s: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
+    let [n, s] = pdc_bench::args([("n", 16), ("s", 4)]);
     let cost = CostModel::ipsc2();
     let cap = 1 << 20;
     let variants = [

@@ -22,6 +22,7 @@
 use pdc_bench::print_table;
 use pdc_core::driver::{self, Inputs, Job, Strategy};
 use pdc_core::programs;
+use pdc_machine::metrics::json_escape;
 use pdc_machine::trace_chrome::{parse_json, Json};
 use pdc_machine::{Backend, CostModel};
 use pdc_spmd::Scalar;
@@ -211,12 +212,12 @@ fn main() {
              \"viable\": {}, \"search_secs\": {:.6}, \"winner\": \"{}\", \
              \"predicted_makespan\": {}, \"measured_makespan\": {}, \
              \"best_measured_makespan\": {}, \"predicted_best_is_measured_best\": {}}}",
-            o.name,
+            json_escape(o.name),
             o.n,
             o.candidates,
             o.viable,
             o.search_secs,
-            o.winner,
+            json_escape(&o.winner),
             o.predicted,
             o.measured,
             o.best_measured,

@@ -207,6 +207,37 @@ pub fn run_wavefront_traced(
     out.report
 }
 
+/// The binary's positional `usize` arguments, `spec`'s `(name, default)`
+/// pairs in order (`--flags` do not count). A missing argument takes its
+/// default; one that is not a non-negative integer prints a usage line
+/// on stderr and exits with code 2.
+pub fn args<const N: usize>(spec: [(&str, usize); N]) -> [usize; N] {
+    let mut argv = std::env::args();
+    let bin = argv.next().unwrap_or_default();
+    let bin = bin.rsplit(['/', '\\']).next().unwrap_or_default();
+    parse_args(spec, argv).unwrap_or_else(|bad| {
+        let names: Vec<String> = spec.iter().map(|(name, _)| format!("[{name}]")).collect();
+        eprintln!("usage: {bin} {}\n{bad}", names.join(" "));
+        std::process::exit(2);
+    })
+}
+
+/// [`args`] over an explicit argument list; the error says which
+/// argument is not a number.
+fn parse_args<const N: usize>(
+    spec: [(&str, usize); N],
+    argv: impl Iterator<Item = String>,
+) -> Result<[usize; N], String> {
+    let mut values = spec.map(|(_, default)| default);
+    let positional = argv.filter(|a| !a.starts_with("--"));
+    for ((value, (name, _)), arg) in values.iter_mut().zip(spec).zip(positional) {
+        *value = arg
+            .parse()
+            .map_err(|_| format!("{name}: `{arg}` is not a non-negative integer"))?;
+    }
+    Ok(values)
+}
+
 /// Default processor counts swept by Figures 6 and 7.
 pub fn processor_sweep(n: usize) -> Vec<usize> {
     [1usize, 2, 4, 8, 16, 32]
@@ -299,6 +330,26 @@ mod tests {
             (0.5..=2.0).contains(&ratio),
             "optimized III ({o3}) should be close to handwritten ({hw})"
         );
+    }
+
+    #[test]
+    fn arguments_default_when_missing_and_fail_when_unparsable() {
+        let spec = [("n", 128), ("s", 8)];
+        let argv = |a: &[&str]| {
+            a.iter()
+                .map(|s| s.to_string())
+                .collect::<Vec<_>>()
+                .into_iter()
+        };
+        assert_eq!(parse_args(spec, argv(&[])), Ok([128, 8]));
+        assert_eq!(parse_args(spec, argv(&["16"])), Ok([16, 8]));
+        assert_eq!(
+            parse_args(spec, argv(&["--metrics", "16", "4"])),
+            Ok([16, 4])
+        );
+        let err = parse_args(spec, argv(&["12x"])).unwrap_err();
+        assert!(err.contains("n: `12x`"), "{err}");
+        assert!(parse_args(spec, argv(&["16", "-4"])).is_err());
     }
 
     #[test]

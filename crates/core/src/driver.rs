@@ -12,7 +12,7 @@ use pdc_lang::ast::{Block, Stmt};
 use pdc_lang::interp::Interpreter;
 use pdc_lang::value::Value;
 use pdc_lang::Program;
-use pdc_machine::{Backend, CheckpointCfg, CostModel, FaultPlan, ProcId, RelConfig, Tag};
+use pdc_machine::{Backend, CostModel, ProcId, RunConfig, Tag};
 use pdc_mapping::{Decomposition, DistInstance};
 use pdc_opt::{optimize_with_remarks, OptLevel, OptReport};
 use pdc_report::interp::{self, Events, Tee};
@@ -50,32 +50,12 @@ pub struct Job<'a> {
     pub const_params: HashMap<String, i64>,
     /// Explicit extents for input arrays (alternative to `const_params`).
     pub extent_overrides: HashMap<String, (usize, usize)>,
-    /// Execution backend for the compiled program (simulated by default).
-    pub backend: Backend,
-    /// Fault plan and retransmission policy the execution should run
-    /// under. `None` (the default) runs the raw, fault-free fabric.
-    pub fault_plan: Option<(FaultPlan, RelConfig)>,
-    /// Checkpoint/restart policy; `None` (the default) takes no
-    /// checkpoints, so an injected crash kills the run. See
-    /// [`Job::with_checkpoints`].
-    pub checkpoints: Option<CheckpointCfg>,
-    /// Retransmission-policy override for the reliable-delivery layer
-    /// (§ satellite: service-level callers could not reach [`RelConfig`]
-    /// before). `Some` forces the reliable protocol on even without a
-    /// fault plan and wins over the [`RelConfig`] bundled into
-    /// [`Job::with_fault_plan`].
-    pub retransmit: Option<RelConfig>,
-    /// Wall-clock receive timeout for the threaded backend; `None` uses
-    /// [`DEFAULT_RECV_TIMEOUT`](pdc_machine::DEFAULT_RECV_TIMEOUT).
-    /// Ignored by the simulator, which detects deadlock exactly.
-    pub recv_timeout: Option<std::time::Duration>,
-    /// Event-trace buffer cap; `None` (the default) disables tracing.
-    pub trace_cap: Option<usize>,
-    /// Record full runtime metrics (lock-free counters, histograms,
-    /// per-channel tables) during execution; read the snapshot back with
-    /// [`Execution::metrics`]. The flight recorder is always on
-    /// regardless. Off by default.
-    pub metrics: bool,
+    /// How [`execute`] runs the compiled program: backend, fault plan,
+    /// reliable-delivery and checkpoint policies, tracing, metrics (see
+    /// [`RunConfig`] and DESIGN §5b "Run configuration"). The default is
+    /// a fault-free, unobserved run on the simulator. Compilation does
+    /// not read it.
+    pub run: RunConfig,
     /// Optimization level for the generated code; `None` (the default)
     /// leaves the resolver output untouched (equivalent to
     /// [`OptLevel::O0`] but skips the pipeline entirely).
@@ -109,13 +89,7 @@ impl<'a> Job<'a> {
             mode: ParamMapMode::Monomorphic,
             const_params: HashMap::new(),
             extent_overrides: HashMap::new(),
-            backend: Backend::Simulated,
-            fault_plan: None,
-            checkpoints: None,
-            retransmit: None,
-            recv_timeout: None,
-            trace_cap: None,
-            metrics: false,
+            run: RunConfig::default(),
             opt_level: None,
             verify_static: None,
             auto_decomposition: None,
@@ -128,79 +102,9 @@ impl<'a> Job<'a> {
         self
     }
 
-    /// Select the execution backend for this job (simulated by default).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Inject faults from `plan` during execution, running the machine's
-    /// reliable-delivery protocol. Outputs are unchanged (the protocol
-    /// recovers every message); timing and the
-    /// [`FaultReport`](pdc_machine::FaultReport) reflect the damage.
-    pub fn with_fault_plan(mut self, plan: FaultPlan, cfg: RelConfig) -> Self {
-        self.fault_plan = Some((plan, cfg));
-        self
-    }
-
-    /// Inject processor *crashes* from `plan` (built with
-    /// [`FaultPlan::with_crash`] or
-    /// [`FaultPlan::with_crash_rate`](pdc_machine::FaultPlan::with_crash_rate))
-    /// under the default retransmission policy — tune it with
-    /// [`Job::with_retransmit_cfg`]. Combine with
-    /// [`Job::with_checkpoints`] so the crashes are survivable; without
-    /// checkpoints a crash fails the run with
-    /// [`MachineError::Crashed`](pdc_machine::MachineError::Crashed).
-    pub fn with_crash_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some((plan, RelConfig::default()));
-        self
-    }
-
-    /// Checkpoint every processor's complete execution state every
-    /// `interval_ops` charged operations and restart crashed processors
-    /// from their last snapshot. For the full knob set (coordinated
-    /// mode, reboot cost, per-word snapshot cost) use
-    /// [`Job::with_checkpoint_cfg`].
-    pub fn with_checkpoints(self, interval_ops: u64) -> Self {
-        self.with_checkpoint_cfg(CheckpointCfg::every(interval_ops))
-    }
-
-    /// Like [`Job::with_checkpoints`] with an explicit [`CheckpointCfg`].
-    pub fn with_checkpoint_cfg(mut self, cfg: CheckpointCfg) -> Self {
-        self.checkpoints = Some(cfg);
-        self
-    }
-
-    /// Override the reliable-delivery retransmission policy (timeouts,
-    /// backoff, retry budget). Forces the reliable protocol on even when
-    /// no fault plan is set; when a [`Job::with_fault_plan`] bundled its
-    /// own [`RelConfig`], this one wins.
-    pub fn with_retransmit_cfg(mut self, cfg: RelConfig) -> Self {
-        self.retransmit = Some(cfg);
-        self
-    }
-
-    /// Override the threaded backend's wall-clock receive timeout
-    /// (defaults to
-    /// [`DEFAULT_RECV_TIMEOUT`](pdc_machine::DEFAULT_RECV_TIMEOUT)).
-    /// Ignored on the simulator, which detects deadlock exactly.
-    pub fn with_recv_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.recv_timeout = Some(timeout);
-        self
-    }
-
-    /// Record an event trace (up to `cap` events) during execution; read
-    /// it back with [`Execution::trace`]. Works on both backends.
-    pub fn with_trace(mut self, cap: usize) -> Self {
-        self.trace_cap = Some(cap);
-        self
-    }
-
-    /// Record full runtime metrics during execution (counters,
-    /// histograms, per-channel traffic tables) on either backend; read
-    /// the snapshot back with [`Execution::metrics`].
-    pub fn with_metrics(mut self) -> Self {
-        self.metrics = true;
+    /// Set how [`execute`] runs the compiled program.
+    pub fn with_run(mut self, run: RunConfig) -> Self {
+        self.run = run;
         self
     }
 
@@ -243,21 +147,8 @@ pub struct Compiled {
     pub analysis: Analysis,
     /// The inlined source (kept for diagnostics and tests).
     pub inlined: Inlined,
-    /// The execution backend the job requested (used by [`execute`]).
-    pub backend: Backend,
-    /// Fault plan the job requested (used by [`execute`]).
-    pub fault_plan: Option<(FaultPlan, RelConfig)>,
-    /// Checkpoint policy the job requested (used by [`execute`]).
-    pub checkpoints: Option<CheckpointCfg>,
-    /// Retransmission override the job requested (used by [`execute`]).
-    pub retransmit: Option<RelConfig>,
-    /// Threaded receive timeout the job requested (used by [`execute`]).
-    pub recv_timeout: Option<std::time::Duration>,
-    /// Trace cap the job requested (used by [`execute`]).
-    pub trace_cap: Option<usize>,
-    /// Whether the job requested full runtime metrics (used by
-    /// [`execute`]).
-    pub metrics: bool,
+    /// The run configuration the job requested (used by [`execute`]).
+    pub run: RunConfig,
     /// The full remark stream, in pipeline order: analysis, resolution,
     /// optimization passes, cost model.
     pub remarks: Vec<Remark>,
@@ -485,13 +376,7 @@ fn back_half<T: Events>(front: Front, job: &Job<'_>, tap: &mut T) -> Result<Comp
         spmd,
         analysis,
         inlined,
-        backend: job.backend,
-        fault_plan: job.fault_plan.clone(),
-        checkpoints: job.checkpoints,
-        retransmit: job.retransmit,
-        recv_timeout: job.recv_timeout,
-        trace_cap: job.trace_cap,
-        metrics: job.metrics,
+        run: job.run.clone(),
         remarks,
         opt_report,
         prediction,
@@ -838,15 +723,15 @@ impl Execution {
         self.outcome.report.stats.makespan().0
     }
 
-    /// The event trace of the run (empty unless the job enabled tracing
-    /// with [`Job::with_trace`]).
+    /// The event trace of the run (empty unless the job's
+    /// [`RunConfig::trace_cap`] enabled tracing).
     pub fn trace(&self) -> &pdc_machine::Trace {
         &self.outcome.report.trace
     }
 
     /// The runtime-metrics snapshot of the run. Always present; unless
-    /// the job enabled [`Job::with_metrics`] only the always-on flight
-    /// recorder has content (`full` is false).
+    /// the job's [`RunConfig::metrics`] asked for more, only the always-on
+    /// flight recorder has content (`full` is false).
     pub fn metrics(&self) -> &pdc_machine::MetricsSnapshot {
         &self.outcome.report.metrics
     }
@@ -924,9 +809,7 @@ impl Execution {
     }
 }
 
-/// Run a compiled program on the backend its [`Job`] selected
-/// ([`Backend::Simulated`] unless overridden with
-/// [`Job::with_backend`]).
+/// Run a compiled program as its [`Job::run`] configuration says.
 ///
 /// # Errors
 ///
@@ -936,11 +819,11 @@ pub fn execute(
     inputs: &Inputs,
     cost: CostModel,
 ) -> Result<Execution, SpmdError> {
-    execute_on(compiled, inputs, cost, compiled.backend)
+    execute_on(compiled, inputs, cost, compiled.run.backend)
 }
 
-/// Like [`execute`] but with an explicit backend, for differential tests
-/// that run one compilation on both backends.
+/// Like [`execute`] but on `backend` whatever the job selected, for
+/// differential tests that run one compilation on both backends.
 ///
 /// # Errors
 ///
@@ -951,31 +834,10 @@ pub fn execute_on(
     cost: CostModel,
     backend: Backend,
 ) -> Result<Execution, SpmdError> {
-    // The job-level receive timeout applies whenever this compilation
-    // runs on the threaded backend, however the backend was chosen.
-    let backend = match (backend, compiled.recv_timeout) {
-        (Backend::Threaded { .. }, Some(recv_timeout)) => Backend::Threaded { recv_timeout },
-        (b, _) => b,
-    };
-    let mut machine = SpmdMachine::new(&compiled.spmd, cost)?.with_backend(backend);
-    match (&compiled.fault_plan, compiled.retransmit) {
-        // A retransmit override wins over the fault plan's bundled
-        // config, and alone it forces the reliable protocol on.
-        (Some((plan, cfg)), rel) => {
-            machine = machine.with_faults_cfg(plan.clone(), rel.unwrap_or(*cfg));
-        }
-        (None, Some(cfg)) => machine = machine.with_reliable_delivery(cfg),
-        (None, None) => {}
-    }
-    if let Some(ckpt) = compiled.checkpoints {
-        machine = machine.with_checkpoints(ckpt);
-    }
-    if let Some(cap) = compiled.trace_cap {
-        machine = machine.with_trace(cap);
-    }
-    if compiled.metrics {
-        machine = machine.with_metrics();
-    }
+    let mut machine = SpmdMachine::new(&compiled.spmd, cost)?.with_config(RunConfig {
+        backend,
+        ..compiled.run.clone()
+    });
     for (name, v) in &inputs.scalars {
         machine.preset_var(name, *v);
     }

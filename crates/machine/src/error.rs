@@ -14,6 +14,15 @@ pub enum MachineError {
         /// Number of processors in the machine.
         n: usize,
     },
+    /// The [`RunConfig`](crate::RunConfig) cannot describe a run of this
+    /// machine: a slowdown vector of the wrong length or with a zero
+    /// factor, a ring capacity that is not a power of two ≥ 8,
+    /// coordinated checkpoints on OS threads, … Reported by both run
+    /// loops on entry, before anything executes.
+    InvalidConfig {
+        /// What is wrong.
+        reason: String,
+    },
     /// A processor attempted to send a message to itself. The compiler is
     /// expected to turn same-processor coercions into local reads (§3.1),
     /// so a self-send indicates a code-generation bug.
@@ -160,6 +169,9 @@ impl fmt::Display for MachineError {
         match self {
             MachineError::InvalidProcessor { proc, n } => {
                 write!(f, "processor {proc} out of range (machine has {n})")
+            }
+            MachineError::InvalidConfig { reason } => {
+                write!(f, "invalid run configuration: {reason}")
             }
             MachineError::SelfSend { proc } => {
                 write!(f, "processor {proc} sent a message to itself")

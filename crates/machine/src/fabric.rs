@@ -1,5 +1,6 @@
 //! The machine fabric: clocks + network + statistics.
 
+use crate::config::{MetricsMode, RunConfig};
 use crate::cost::CostModel;
 use crate::error::MachineError;
 use crate::message::{Message, ProcId, Tag, Time, Word};
@@ -59,45 +60,24 @@ pub trait Fabric {
         }
     }
 
-    /// Asynchronous typed send (`csend`): charge the sender and hand the
-    /// message to the transport stamped with its arrival time.
-    fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>);
-
-    /// Borrowing variant of [`send`](Fabric::send): semantically
-    /// identical, but the fabric copies (or serializes) the payload
-    /// itself instead of taking ownership. Both machines override this
-    /// (the simulator copies into recycled buffers, the threaded backend
-    /// into its rings) so steady-state sends never allocate; the default
-    /// just clones.
-    fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
-        self.send(src, dst, tag, payload.to_vec());
-    }
+    /// Asynchronous typed send (`csend`): charge the sender and hand a
+    /// copy of `payload` to the transport, stamped with its arrival time.
+    /// The payload is borrowed so the fabric copies (or serializes) it
+    /// into storage it recycles: steady-state sends never allocate.
+    fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]);
 
     /// Typed receive attempt (`crecv`): consume the oldest matching
-    /// message if one is pending, else `None` (caller must block).
-    fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>>;
-
-    /// Receive into a caller-owned buffer: like
-    /// [`try_recv`](Fabric::try_recv) but the payload lands in `out`
-    /// (cleared first), letting the fabric recycle its own buffer.
-    /// Returns whether a message was consumed. The default copies from
-    /// `try_recv`.
-    fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool {
-        match self.try_recv(dst, src, tag) {
-            Some(payload) => {
-                out.clear();
-                out.extend_from_slice(&payload);
-                true
-            }
-            None => false,
-        }
-    }
+    /// message if one is pending — the payload lands in the caller-owned
+    /// `out` (cleared first), letting the fabric recycle its own buffer —
+    /// and return whether one was consumed. `false` means the caller must
+    /// block; `out` is then unspecified.
+    fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool;
 
     /// A send whose frame the transport loses: charge the sender exactly
-    /// as [`send`](Fabric::send) would (the words left the CPU) but
-    /// deliver nothing. Fault-injection hook — the default implementation
-    /// charges nobody and delivers nothing, which is correct for fabrics
-    /// that do not model send cost.
+    /// as [`send_ref`](Fabric::send_ref) would (the words left the CPU)
+    /// but deliver nothing. Fault-injection hook — the default
+    /// implementation charges nobody and delivers nothing, which is
+    /// correct for fabrics that do not model send cost.
     fn send_lost(&mut self, src: ProcId, dst: ProcId, tag: Tag, words: usize) {
         let _ = (src, dst, tag, words);
     }
@@ -105,16 +85,10 @@ pub trait Fabric {
     /// Deposit a transport-manufactured frame — a duplicate or a delayed
     /// copy — without charging the sender, arriving `extra` cycles later
     /// than a regular send issued now would. The default implementation
-    /// falls back to a plain [`send`](Fabric::send).
-    fn inject(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>, extra: u64) {
-        let _ = extra;
-        self.send(src, dst, tag, payload);
-    }
-
-    /// Borrowing variant of [`inject`](Fabric::inject); the default
-    /// clones into the owned form.
+    /// falls back to a plain [`send_ref`](Fabric::send_ref).
     fn inject_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word], extra: u64) {
-        self.inject(src, dst, tag, payload.to_vec(), extra);
+        let _ = extra;
+        self.send_ref(src, dst, tag, payload);
     }
 
     /// The metrics registry this fabric records into, when it has one.
@@ -126,69 +100,16 @@ pub trait Fabric {
     }
 }
 
-/// A mutable reference to a fabric is itself a fabric, so wrappers like
-/// [`FaultyFabric`](crate::FaultyFabric) can borrow rather than own.
-/// Every method — including the provided ones — delegates explicitly so
-/// an implementation's overrides are never bypassed.
-impl<F: Fabric + ?Sized> Fabric for &mut F {
-    fn n_procs(&self) -> usize {
-        (**self).n_procs()
-    }
-
-    fn cost_model(&self) -> &CostModel {
-        (**self).cost_model()
-    }
-
-    fn tick(&mut self, p: ProcId, cycles: u64) {
-        (**self).tick(p, cycles);
-    }
-
-    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
-        (**self).tick_n(p, cycles, ops);
-    }
-
-    fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
-        (**self).send(src, dst, tag, payload);
-    }
-
-    fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
-        (**self).send_ref(src, dst, tag, payload);
-    }
-
-    fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
-        (**self).try_recv(dst, src, tag)
-    }
-
-    fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool {
-        (**self).try_recv_into(dst, src, tag, out)
-    }
-
-    fn send_lost(&mut self, src: ProcId, dst: ProcId, tag: Tag, words: usize) {
-        (**self).send_lost(src, dst, tag, words);
-    }
-
-    fn inject(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>, extra: u64) {
-        (**self).inject(src, dst, tag, payload, extra);
-    }
-
-    fn inject_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word], extra: u64) {
-        (**self).inject_ref(src, dst, tag, payload, extra);
-    }
-
-    fn metrics(&self) -> Option<&MetricsRegistry> {
-        (**self).metrics()
-    }
-}
-
 /// The simulated multiprocessor: `n` logical clocks, a typed-channel
 /// network, a [`CostModel`], and statistics.
 ///
 /// A `Machine` is passive — it does not run anything by itself. A client
 /// (normally the [`Scheduler`](crate::Scheduler) driving
 /// [`Process`](crate::Process) implementations) charges instruction costs
-/// with [`tick`](Machine::tick), moves data with [`send`](Machine::send) /
-/// [`try_recv`](Machine::try_recv), and reads the final clocks from
-/// [`stats`](Machine::stats).
+/// with [`tick`](Machine::tick), moves data with
+/// [`send_ref`](Machine::send_ref) /
+/// [`try_recv_into`](Machine::try_recv_into), and reads the final clocks
+/// from [`stats`](Machine::stats).
 #[derive(Debug)]
 pub struct Machine {
     n: usize,
@@ -247,20 +168,6 @@ impl Machine {
         self
     }
 
-    /// Install a shared registry (e.g. one a live sampler also holds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry's shard count differs from `n_procs`.
-    pub fn enable_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        assert_eq!(
-            registry.n_procs(),
-            self.n,
-            "one metrics shard per processor"
-        );
-        self.metrics = registry;
-    }
-
     /// The registry this machine records into.
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
@@ -301,6 +208,23 @@ impl Machine {
         assert!(factors.iter().all(|&f| f > 0), "factors must be positive");
         self.slowdown = factors;
         self
+    }
+
+    /// Install what `config` sets of the machine's own state — slowdown
+    /// factors, a trace buffer, a metrics registry. The scheduler calls
+    /// this at run entry, after validating `config` against the machine's
+    /// size; whatever `config` leaves at its default stays as the machine
+    /// was built.
+    pub(crate) fn configure(&mut self, config: &RunConfig) {
+        if !config.slowdowns.is_empty() {
+            self.slowdown.clone_from(&config.slowdowns);
+        }
+        if let Some(cap) = config.trace_cap {
+            self.trace = Trace::bounded(cap);
+        }
+        if !matches!(config.metrics, MetricsMode::FlightOnly) {
+            self.metrics = config.metrics.registry(self.n);
+        }
     }
 
     /// The slowdown factor of processor `p`.
@@ -344,22 +268,15 @@ impl Machine {
     }
 
     /// Asynchronous typed send (`csend`): charges the sender the start-up
-    /// plus per-word cost and deposits the message with an arrival stamp of
-    /// `sender clock + flight`.
+    /// plus per-word cost and deposits a copy of the payload (in a
+    /// recycled buffer: no allocation in the steady state) with an
+    /// arrival stamp of `sender clock + flight`.
     ///
     /// A self-send (`src == dst`) is a code-generation bug — the compiler
     /// must turn same-processor coercions into local reads (§3.1). The
     /// fabric records it (see [`take_self_send`](Machine::take_self_send))
     /// and delivers nothing; the scheduler surfaces it as
     /// [`MachineError::SelfSend`] in every build profile.
-    pub fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
-        if let Some(msg) = self.charge_send(src, dst, tag, payload.len()) {
-            self.network.deliver(Message { payload, ..msg });
-        }
-    }
-
-    /// [`send`](Machine::send) of a borrowed payload, copied into a
-    /// recycled buffer: no allocation in the steady state.
     pub fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
         if let Some(msg) = self.charge_send(src, dst, tag, payload.len()) {
             let payload = self.network.buffer(payload);
@@ -407,18 +324,11 @@ impl Machine {
     }
 
     /// Typed receive attempt (`crecv`): if a matching message is pending,
-    /// consume it, advance the receiver's clock past the arrival time plus
-    /// the unpacking cost, and return the payload. `None` means the caller
-    /// must block until the sender has progressed.
-    pub fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
-        let msg = self.network.take(src, dst, tag)?;
-        self.charge_recv(dst, src, tag, msg.arrives_at, msg.payload.len());
-        Some(msg.payload)
-    }
-
-    /// [`try_recv`](Machine::try_recv) into a caller-owned buffer
-    /// (cleared first); the message's own buffer is recycled. Returns
-    /// whether a message was consumed.
+    /// consume it into the caller-owned `out` (cleared first; the
+    /// message's own buffer is recycled), advance the receiver's clock
+    /// past the arrival time plus the unpacking cost, and return `true`.
+    /// `false` means the caller must block until the sender has
+    /// progressed.
     pub fn try_recv_into(
         &mut self,
         dst: ProcId,
@@ -473,12 +383,13 @@ impl Machine {
     /// copy — without charging the sender. It arrives at
     /// `sender clock + flight + extra`, as if the transport had been
     /// holding it since the matching [`send_lost`](Machine::send_lost).
-    pub fn inject(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>, extra: u64) {
+    pub fn inject_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word], extra: u64) {
         let sent_at = self.clocks[src.0];
         let arrives_at = sent_at.plus(self.cost.flight).plus(extra);
         self.metrics.count(src.0, Ctr::WireFrames, 1);
         self.metrics
             .count(src.0, Ctr::WireWords, payload.len() as u64);
+        let payload = self.network.buffer(payload);
         self.network.deliver(Message {
             src,
             dst,
@@ -487,13 +398,6 @@ impl Machine {
             sent_at,
             arrives_at,
         });
-    }
-
-    /// [`inject`](Machine::inject) of a borrowed payload, copied into a
-    /// recycled buffer.
-    pub fn inject_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word], extra: u64) {
-        let payload = self.network.buffer(payload);
-        self.inject(src, dst, tag, payload, extra);
     }
 
     /// Hand back the payload buffer of a message consumed through
@@ -512,8 +416,9 @@ impl Machine {
 
     /// Charge `dst` for receiving a `words`-long payload that arrived at
     /// `arrives_at`: idle until the arrival if necessary, then pay the
-    /// unpacking cost. The accounting half of [`try_recv`](Machine::try_recv),
-    /// for payloads already pulled out via [`take_raw`](Machine::take_raw).
+    /// unpacking cost. The accounting half of
+    /// [`try_recv_into`](Machine::try_recv_into), for payloads already
+    /// pulled out via [`take_raw`](Machine::take_raw).
     pub fn charge_recv(
         &mut self,
         dst: ProcId,
@@ -668,16 +573,8 @@ impl Fabric for Machine {
         Machine::tick_n(self, p, cycles, ops);
     }
 
-    fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
-        Machine::send(self, src, dst, tag, payload);
-    }
-
     fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
         Machine::send_ref(self, src, dst, tag, payload);
-    }
-
-    fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
-        Machine::try_recv(self, dst, src, tag)
     }
 
     fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool {
@@ -686,10 +583,6 @@ impl Fabric for Machine {
 
     fn send_lost(&mut self, src: ProcId, dst: ProcId, tag: Tag, words: usize) {
         Machine::send_lost(self, src, dst, tag, words);
-    }
-
-    fn inject(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>, extra: u64) {
-        Machine::inject(self, src, dst, tag, payload, extra);
     }
 
     fn inject_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word], extra: u64) {
@@ -705,6 +598,13 @@ impl Fabric for Machine {
 mod tests {
     use super::*;
 
+    /// Receive into a fresh buffer.
+    fn recv(m: &mut Machine, dst: usize, src: usize, tag: u32) -> Option<Vec<Word>> {
+        let mut out = Vec::new();
+        m.try_recv_into(ProcId(dst), ProcId(src), Tag(tag), &mut out)
+            .then_some(out)
+    }
+
     #[test]
     fn tick_advances_one_clock() {
         let mut m = Machine::new(3, CostModel::ipsc2());
@@ -717,11 +617,11 @@ mod tests {
     fn send_charges_sender_and_stamps_arrival() {
         let c = CostModel::ipsc2();
         let mut m = Machine::new(2, c);
-        m.send(ProcId(0), ProcId(1), Tag(0), vec![1, 2, 3]);
+        m.send_ref(ProcId(0), ProcId(1), Tag(0), &[1, 2, 3]);
         assert_eq!(m.clock(ProcId(0)), Time(c.send_cost(3)));
         // Receiver has not moved yet.
         assert_eq!(m.clock(ProcId(1)), Time(0));
-        let got = m.try_recv(ProcId(1), ProcId(0), Tag(0)).unwrap();
+        let got = recv(&mut m, 1, 0, 0).unwrap();
         assert_eq!(got, vec![1, 2, 3]);
         // Receiver clock jumped to arrival + unpack cost.
         let expected = c.send_cost(3) + c.flight + c.recv_cost(3);
@@ -732,7 +632,7 @@ mod tests {
     #[test]
     fn recv_of_missing_message_returns_none() {
         let mut m = Machine::new(2, CostModel::zero());
-        assert!(m.try_recv(ProcId(1), ProcId(0), Tag(9)).is_none());
+        assert!(recv(&mut m, 1, 0, 9).is_none());
         // A miss does not touch the clock or stats.
         assert_eq!(m.clock(ProcId(1)), Time(0));
         assert_eq!(m.stats().procs[1].recvs, 0);
@@ -742,10 +642,10 @@ mod tests {
     fn busy_receiver_does_not_idle() {
         let c = CostModel::ipsc2();
         let mut m = Machine::new(2, c);
-        m.send(ProcId(0), ProcId(1), Tag(0), vec![5]);
+        m.send_ref(ProcId(0), ProcId(1), Tag(0), &[5]);
         // Receiver is busy well past the arrival time.
         m.tick(ProcId(1), 1_000_000);
-        m.try_recv(ProcId(1), ProcId(0), Tag(0)).unwrap();
+        recv(&mut m, 1, 0, 0).unwrap();
         assert_eq!(m.stats().procs[1].idle_cycles, 0);
         assert_eq!(m.clock(ProcId(1)), Time(1_000_000 + c.recv_cost(1)));
     }
@@ -763,8 +663,8 @@ mod tests {
     #[test]
     fn trace_records_send_recv_finish() {
         let mut m = Machine::new(2, CostModel::zero()).with_trace(16);
-        m.send(ProcId(0), ProcId(1), Tag(1), vec![1]);
-        m.try_recv(ProcId(1), ProcId(0), Tag(1)).unwrap();
+        m.send_ref(ProcId(0), ProcId(1), Tag(1), &[1]);
+        recv(&mut m, 1, 0, 1).unwrap();
         m.finish(ProcId(0));
         let kinds: Vec<_> = m.trace().events().map(|e| &e.kind).collect();
         assert!(matches!(kinds[0], EventKind::Send { .. }));
@@ -778,8 +678,8 @@ mod tests {
         let mut m = Machine::new(2, c).with_trace(16);
         m.tick(ProcId(0), 3);
         m.tick(ProcId(0), 4);
-        m.send(ProcId(0), ProcId(1), Tag(0), vec![1, 2]);
-        m.try_recv(ProcId(1), ProcId(0), Tag(0)).unwrap();
+        m.send_ref(ProcId(0), ProcId(1), Tag(0), &[1, 2]);
+        recv(&mut m, 1, 0, 0).unwrap();
         let evs: Vec<_> = m.snapshot_trace().events().cloned().collect();
         // Two ticks coalesced into one compute interval, flushed by the send.
         assert_eq!(evs[0].kind, EventKind::Compute { cycles: 7 });
@@ -807,63 +707,44 @@ mod tests {
 
     #[test]
     fn tick_n_equals_that_many_ticks() {
-        fn tally(mut f: impl Fabric, batched: bool) {
-            if batched {
-                f.tick_n(ProcId(0), 7, 3);
-                f.tick_n(ProcId(0), 0, 0);
-            } else {
-                f.tick(ProcId(0), 3);
-                f.tick(ProcId(0), 0);
-                f.tick(ProcId(0), 4);
-            }
-            f.send_ref(ProcId(0), ProcId(1), Tag(0), &[1]);
-        }
         let machine = || {
             Machine::new(2, CostModel::ipsc2())
                 .with_trace(16)
                 .with_metrics()
                 .with_slowdowns(vec![3, 1])
         };
-        // Natively, and through a wrapper that relies on the provided
-        // method while stalling the processor at its second op.
-        let plan = crate::fault::FaultPlan::seeded(0).with_stall(ProcId(0), 1, 50);
-        for wrapped in [false, true] {
-            let (mut a, mut b) = (machine(), machine());
-            if wrapped {
-                tally(crate::FaultyFabric::new(&mut a, plan.clone()), false);
-                tally(crate::FaultyFabric::new(&mut b, plan.clone()), true);
-            } else {
-                tally(&mut a, false);
-                tally(&mut b, true);
-            }
-            assert_eq!(a.stats(), b.stats(), "wrapped {wrapped}");
-            assert_eq!(a.stats().procs[0].ops, 3);
-            assert_eq!(a.metrics_snapshot(), b.metrics_snapshot());
-            let events = |m: &mut Machine| m.snapshot_trace().events().cloned().collect::<Vec<_>>();
-            assert_eq!(events(&mut a), events(&mut b));
+        let (mut a, mut b) = (machine(), machine());
+        a.tick(ProcId(0), 3);
+        a.tick(ProcId(0), 0);
+        a.tick(ProcId(0), 4);
+        b.tick_n(ProcId(0), 7, 3);
+        b.tick_n(ProcId(0), 0, 0);
+        for m in [&mut a, &mut b] {
+            m.send_ref(ProcId(0), ProcId(1), Tag(0), &[1]);
         }
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.stats().procs[0].ops, 3);
+        assert_eq!(a.metrics_snapshot(), b.metrics_snapshot());
+        let events = |m: &mut Machine| m.snapshot_trace().events().cloned().collect::<Vec<_>>();
+        assert_eq!(events(&mut a), events(&mut b));
     }
 
     #[test]
-    fn borrowed_and_owned_messaging_agree() {
-        let c = CostModel::ipsc2();
-        let (mut a, mut b) = (Machine::new(2, c), Machine::new(2, c));
+    fn try_recv_into_reuses_the_callers_buffer() {
+        let mut m = Machine::new(2, CostModel::ipsc2());
         let mut out = vec![99; 8];
         for round in 0..3 {
-            a.send(ProcId(0), ProcId(1), Tag(4), vec![round, 7]);
-            b.send_ref(ProcId(0), ProcId(1), Tag(4), &[round, 7]);
-            let owned = a.try_recv(ProcId(1), ProcId(0), Tag(4)).unwrap();
-            assert!(b.try_recv_into(ProcId(1), ProcId(0), Tag(4), &mut out));
-            assert_eq!(out, owned);
+            m.send_ref(ProcId(0), ProcId(1), Tag(4), &[round, 7]);
+            assert!(m.try_recv_into(ProcId(1), ProcId(0), Tag(4), &mut out));
+            assert_eq!(out, [round, 7]);
         }
-        assert!(!b.try_recv_into(ProcId(1), ProcId(0), Tag(4), &mut out));
+        assert!(!m.try_recv_into(ProcId(1), ProcId(0), Tag(4), &mut out));
         assert_eq!(out, [2, 7], "a miss leaves the buffer alone");
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.pair_counts(), b.pair_counts());
-        // A self-send is recorded on the borrowing path too.
-        b.send_ref(ProcId(1), ProcId(1), Tag(0), &[1]);
-        assert_eq!(b.take_self_send(), Some(ProcId(1)));
-        assert_eq!(b.undelivered(), 0);
+        assert_eq!(m.stats().procs[1].recvs, 3);
+        // A self-send is recorded, not delivered.
+        m.send_ref(ProcId(1), ProcId(1), Tag(0), &[1]);
+        assert_eq!(m.take_self_send(), Some(ProcId(1)));
+        assert_eq!(m.undelivered(), 0);
     }
 
     #[test]
@@ -886,10 +767,10 @@ mod tests {
     #[test]
     fn self_send_is_recorded_not_delivered() {
         let mut m = Machine::new(2, CostModel::ipsc2());
-        m.send(ProcId(1), ProcId(1), Tag(0), vec![1, 2]);
+        m.send_ref(ProcId(1), ProcId(1), Tag(0), &[1, 2]);
         assert_eq!(m.take_self_send(), Some(ProcId(1)));
         assert_eq!(m.take_self_send(), None, "take clears the fault");
-        assert!(m.try_recv(ProcId(1), ProcId(1), Tag(0)).is_none());
+        assert!(recv(&mut m, 1, 1, 0).is_none());
         assert_eq!(m.undelivered(), 0);
         // No charge either: a self-send is a bug, not a machine event.
         assert_eq!(m.clock(ProcId(1)), Time(0));
@@ -903,7 +784,7 @@ mod tests {
         assert_eq!(m.clock(ProcId(0)), Time(c.send_cost(3)));
         assert_eq!(m.stats().procs[0].sends, 1);
         assert_eq!(m.stats().procs[0].words_sent, 3);
-        assert!(m.try_recv(ProcId(1), ProcId(0), Tag(0)).is_none());
+        assert!(recv(&mut m, 1, 0, 0).is_none());
         assert_eq!(m.undelivered(), 0);
     }
 
@@ -911,10 +792,10 @@ mod tests {
     fn inject_delivers_without_charging_sender() {
         let c = CostModel::ipsc2();
         let mut m = Machine::new(2, c);
-        m.inject(ProcId(0), ProcId(1), Tag(0), vec![9], 250);
+        m.inject_ref(ProcId(0), ProcId(1), Tag(0), &[9], 250);
         assert_eq!(m.clock(ProcId(0)), Time(0));
         assert_eq!(m.stats().procs[0].sends, 0);
-        assert_eq!(m.try_recv(ProcId(1), ProcId(0), Tag(0)), Some(vec![9]));
+        assert_eq!(recv(&mut m, 1, 0, 0), Some(vec![9]));
         // Arrival = sender clock (0) + flight + extra.
         assert_eq!(m.clock(ProcId(1)), Time(c.flight + 250 + c.recv_cost(1)));
     }
@@ -924,9 +805,9 @@ mod tests {
         let c = CostModel::ipsc2();
         let mut a = Machine::new(2, c);
         let mut b = Machine::new(2, c);
-        a.send(ProcId(0), ProcId(1), Tag(0), vec![1, 2]);
-        b.send(ProcId(0), ProcId(1), Tag(0), vec![1, 2]);
-        a.try_recv(ProcId(1), ProcId(0), Tag(0)).unwrap();
+        a.send_ref(ProcId(0), ProcId(1), Tag(0), &[1, 2]);
+        b.send_ref(ProcId(0), ProcId(1), Tag(0), &[1, 2]);
+        recv(&mut a, 1, 0, 0).unwrap();
         let msg = b.take_raw(ProcId(1), ProcId(0), Tag(0)).unwrap();
         // take_raw alone moves nothing.
         assert_eq!(b.clock(ProcId(1)), Time(0));
@@ -956,23 +837,18 @@ mod tests {
         m.advance_clock_to(ProcId(0), Time(120));
         assert_eq!(m.clock(ProcId(0)), Time(120));
     }
-
-    #[test]
-    fn mut_ref_fabric_delegates_overrides() {
-        fn lose<F: Fabric>(mut f: F) {
-            f.send_lost(ProcId(0), ProcId(1), Tag(0), 2);
-        }
-        let c = CostModel::ipsc2();
-        let mut m = Machine::new(2, c);
-        lose(&mut m);
-        // Machine's override ran (charged the sender), not the no-op default.
-        assert_eq!(m.clock(ProcId(0)), Time(c.send_cost(2)));
-    }
 }
 
 #[cfg(test)]
 mod slowdown_tests {
     use super::*;
+
+    /// Receive into a fresh buffer.
+    fn recv(m: &mut Machine, dst: usize, src: usize, tag: u32) -> Option<Vec<Word>> {
+        let mut out = Vec::new();
+        m.try_recv_into(ProcId(dst), ProcId(src), Tag(tag), &mut out)
+            .then_some(out)
+    }
 
     #[test]
     fn slowdown_scales_local_work() {
@@ -988,10 +864,10 @@ mod slowdown_tests {
     fn slowdown_scales_packing_but_not_flight() {
         let c = CostModel::ipsc2();
         let mut m = Machine::new(2, c).with_slowdowns(vec![2, 1]);
-        m.send(ProcId(0), ProcId(1), Tag(0), vec![1]);
+        m.send_ref(ProcId(0), ProcId(1), Tag(0), &[1]);
         // Sender pays doubled packing cost.
         assert_eq!(m.clock(ProcId(0)), Time(2 * c.send_cost(1)));
-        m.try_recv(ProcId(1), ProcId(0), Tag(0)).unwrap();
+        recv(&mut m, 1, 0, 0).unwrap();
         // Arrival = send completion + unscaled flight; receiver unpacks
         // at nominal speed (factor 1).
         assert_eq!(

@@ -23,13 +23,13 @@
 //!
 //! # Composition
 //!
-//! [`FaultyFabric`] wraps any [`Fabric`] — the simulator's
-//! [`Machine`](crate::Machine), the threaded backend's
-//! [`Endpoint`](crate::threaded::Endpoint), or a test double — so every
-//! unmodified [`Process`](crate::Process) composes with it. Fault plans are
-//! normally paired with the reliable-delivery layer (see
-//! [`Scheduler::run_recoverable`](crate::Scheduler::run_recoverable)); a
-//! lossy plan without reliability simply loses data, exactly like a real
+//! A plan is applied where a frame meets the wire: both backends hand
+//! every transmission to [`FaultState::dispatch`], which works over any
+//! [`Fabric`] — the simulator's [`Machine`](crate::Machine), the threaded
+//! backend's [`Endpoint`](crate::threaded::Endpoint), or a test double.
+//! A non-empty plan puts the run under the reliable-delivery protocol
+//! (see [`RunConfig::protocol`](crate::RunConfig::protocol)); dispatching
+//! through a plan without it simply loses data, exactly like a real
 //! datagram network.
 
 use crate::fabric::Fabric;
@@ -133,7 +133,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// The empty plan: a perfectly reliable fabric. Runs configured with
     /// it take the exact same code path as runs with no plan at all.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         FaultPlan {
             seed: 0,
             drop_pm: 0,
@@ -363,8 +363,8 @@ impl FaultCounts {
 /// and fault budgets, held (reordered) frames, per-processor instruction
 /// counters for stalls, and the injected-fault tally.
 #[derive(Debug, Clone)]
-pub struct FaultState {
-    plan: FaultPlan,
+pub struct FaultState<'p> {
+    plan: &'p FaultPlan,
     xmit: HashMap<(ProcId, ProcId, Tag), u64>,
     spent: HashMap<(ProcId, ProcId, Tag), u32>,
     held: HashMap<(ProcId, ProcId, Tag), Vec<Word>>,
@@ -375,9 +375,9 @@ pub struct FaultState {
     counts: FaultCounts,
 }
 
-impl FaultState {
+impl<'p> FaultState<'p> {
     /// Fresh state for `plan`.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub fn new(plan: &'p FaultPlan) -> Self {
         let fired = vec![false; plan.stalls.len()];
         let crash_fired = vec![false; plan.crashes.len()];
         FaultState {
@@ -391,11 +391,6 @@ impl FaultState {
             crashes_spent: 0,
             counts: FaultCounts::default(),
         }
-    }
-
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Faults injected so far.
@@ -529,90 +524,8 @@ impl FaultState {
         // A transmission went out on this triple: release any held
         // predecessor *after* it, completing the reorder.
         if let Some(h) = self.held.remove(&key) {
-            fabric.inject(src, dst, tag, h, 0);
+            fabric.inject_ref(src, dst, tag, &h, 0);
         }
-    }
-}
-
-/// A [`Fabric`] that applies a [`FaultPlan`] to every send and tick,
-/// leaving receives untouched. Wraps any fabric — including a
-/// `&mut Machine` — so unmodified processes run over a lossy network.
-#[derive(Debug)]
-pub struct FaultyFabric<F: Fabric> {
-    inner: F,
-    state: FaultState,
-}
-
-impl<F: Fabric> FaultyFabric<F> {
-    /// Wrap `inner` under `plan`.
-    pub fn new(inner: F, plan: FaultPlan) -> Self {
-        FaultyFabric {
-            inner,
-            state: FaultState::new(plan),
-        }
-    }
-
-    /// The wrapped fabric.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-
-    /// Faults injected so far.
-    pub fn counts(&self) -> FaultCounts {
-        self.state.counts()
-    }
-
-    /// Unwrap, returning the inner fabric.
-    pub fn into_inner(self) -> F {
-        self.inner
-    }
-}
-
-impl<F: Fabric> Fabric for FaultyFabric<F> {
-    fn n_procs(&self) -> usize {
-        self.inner.n_procs()
-    }
-
-    fn cost_model(&self) -> &crate::cost::CostModel {
-        self.inner.cost_model()
-    }
-
-    fn tick(&mut self, p: ProcId, cycles: u64) {
-        let extra = self.state.stall_cycles(p);
-        self.inner.tick(p, cycles + extra);
-    }
-
-    fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
-        self.state
-            .dispatch(&mut self.inner, src, dst, tag, &payload);
-    }
-
-    fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
-        self.state.dispatch(&mut self.inner, src, dst, tag, payload);
-    }
-
-    fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
-        self.inner.try_recv(dst, src, tag)
-    }
-
-    fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool {
-        self.inner.try_recv_into(dst, src, tag, out)
-    }
-
-    fn send_lost(&mut self, src: ProcId, dst: ProcId, tag: Tag, words: usize) {
-        self.inner.send_lost(src, dst, tag, words);
-    }
-
-    fn inject(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>, extra: u64) {
-        self.inner.inject(src, dst, tag, payload, extra);
-    }
-
-    fn inject_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word], extra: u64) {
-        self.inner.inject_ref(src, dst, tag, payload, extra);
-    }
-
-    fn metrics(&self) -> Option<&pdc_metrics::MetricsRegistry> {
-        self.inner.metrics()
     }
 }
 
@@ -681,7 +594,7 @@ mod tests {
     #[test]
     fn budget_caps_faults_per_triple() {
         let plan = FaultPlan::seeded(3).with_drops(1000).with_fault_budget(2);
-        let mut st = FaultState::new(plan);
+        let mut st = FaultState::new(&plan);
         let drops = (0..50)
             .filter(|_| st.next_decision(ProcId(0), ProcId(1), Tag(0)) == FaultDecision::Drop)
             .count();
@@ -699,7 +612,7 @@ mod tests {
             FaultPlan::seeded(0)
                 .with_fault_budget(1)
                 .with_black_hole(ProcId(0), ProcId(1), Tag(5));
-        let mut st = FaultState::new(plan);
+        let mut st = FaultState::new(&plan);
         for _ in 0..20 {
             assert_eq!(
                 st.next_decision(ProcId(0), ProcId(1), Tag(5)),
@@ -718,60 +631,75 @@ mod tests {
         let _ = FaultPlan::seeded(0).with_drops(700).with_dups(400);
     }
 
+    /// Send `frame` 0 → 1 on tag 0 through the plan.
+    fn dispatch(st: &mut FaultState<'_>, m: &mut Machine, frame: &[Word]) {
+        st.dispatch(m, ProcId(0), ProcId(1), Tag(0), frame);
+    }
+
+    /// What processor 1 can receive from 0 on tag 0 right now, in order.
+    fn drain(m: &mut Machine) -> Vec<Vec<Word>> {
+        let mut got = Vec::new();
+        let mut out = Vec::new();
+        while m.try_recv_into(ProcId(1), ProcId(0), Tag(0), &mut out) {
+            got.push(out.clone());
+        }
+        got
+    }
+
     #[test]
-    fn faulty_fabric_drops_on_machine() {
+    fn dispatch_drops_on_machine() {
         let plan = FaultPlan::seeded(0).with_black_hole(ProcId(0), ProcId(1), Tag(0));
-        let mut f = FaultyFabric::new(Machine::new(2, CostModel::ipsc2()), plan);
-        f.send(ProcId(0), ProcId(1), Tag(0), vec![1, 2]);
+        let mut st = FaultState::new(&plan);
+        let mut m = Machine::new(2, CostModel::ipsc2());
+        dispatch(&mut st, &mut m, &[1, 2]);
         // Sender paid for the send...
-        assert_eq!(
-            f.inner().clock(ProcId(0)),
-            Time(CostModel::ipsc2().send_cost(2))
-        );
+        assert_eq!(m.clock(ProcId(0)), Time(CostModel::ipsc2().send_cost(2)));
         // ...but nothing was delivered.
-        assert!(f.try_recv(ProcId(1), ProcId(0), Tag(0)).is_none());
-        assert_eq!(f.counts().drops, 1);
+        assert!(drain(&mut m).is_empty());
+        assert_eq!(st.counts().drops, 1);
     }
 
     #[test]
-    fn faulty_fabric_duplicates_on_machine() {
+    fn dispatch_duplicates_on_machine() {
         let plan = FaultPlan::seeded(0).with_dups(1000);
-        let mut f = FaultyFabric::new(Machine::new(2, CostModel::zero()), plan);
-        f.send(ProcId(0), ProcId(1), Tag(0), vec![7]);
-        assert_eq!(f.try_recv(ProcId(1), ProcId(0), Tag(0)), Some(vec![7]));
-        assert_eq!(f.try_recv(ProcId(1), ProcId(0), Tag(0)), Some(vec![7]));
-        assert!(f.try_recv(ProcId(1), ProcId(0), Tag(0)).is_none());
-        assert_eq!(f.counts().dups, 1);
+        let mut st = FaultState::new(&plan);
+        let mut m = Machine::new(2, CostModel::zero());
+        dispatch(&mut st, &mut m, &[7]);
+        assert_eq!(drain(&mut m), [[7], [7]]);
+        assert_eq!(st.counts().dups, 1);
     }
 
     #[test]
-    fn faulty_fabric_reorders_within_triple() {
+    fn dispatch_reorders_within_triple() {
         let plan = FaultPlan::seeded(11).with_reorders(1000);
-        let mut f = FaultyFabric::new(Machine::new(2, CostModel::zero()), plan);
-        f.send(ProcId(0), ProcId(1), Tag(0), vec![1]); // held
-        f.send(ProcId(0), ProcId(1), Tag(0), vec![2]); // delivered, then releases [1]
-        assert_eq!(f.try_recv(ProcId(1), ProcId(0), Tag(0)), Some(vec![2]));
-        assert_eq!(f.try_recv(ProcId(1), ProcId(0), Tag(0)), Some(vec![1]));
-        assert!(f.counts().reorders >= 1);
+        let mut st = FaultState::new(&plan);
+        let mut m = Machine::new(2, CostModel::zero());
+        dispatch(&mut st, &mut m, &[1]); // held
+        assert_eq!(st.held_frames(), 1);
+        dispatch(&mut st, &mut m, &[2]); // delivered, then releases [1]
+        assert_eq!(drain(&mut m), [[2], [1]]);
+        assert_eq!(st.held_frames(), 0);
+        assert!(st.counts().reorders >= 1);
     }
 
     #[test]
     fn delay_shifts_arrival_stamp() {
         let plan = FaultPlan::seeded(0).with_delays(1000, 500);
+        let mut st = FaultState::new(&plan);
         let cost = CostModel::ipsc2();
-        let mut f = FaultyFabric::new(Machine::new(2, cost), plan);
-        f.send(ProcId(0), ProcId(1), Tag(0), vec![1]);
-        f.try_recv(ProcId(1), ProcId(0), Tag(0)).unwrap();
+        let mut m = Machine::new(2, cost);
+        dispatch(&mut st, &mut m, &[1]);
+        assert_eq!(drain(&mut m), [[1]]);
         let expected = cost.send_cost(1) + cost.flight + 500 + cost.recv_cost(1);
-        assert_eq!(f.inner().clock(ProcId(1)), Time(expected));
-        assert_eq!(f.counts().delays, 1);
+        assert_eq!(m.clock(ProcId(1)), Time(expected));
+        assert_eq!(st.counts().delays, 1);
     }
 
     #[test]
     fn scripted_crash_fires_once_at_first_boundary_past_at_op() {
         let plan = FaultPlan::seeded(0).with_crash(ProcId(1), 3);
         assert!(!plan.is_none());
-        let mut st = FaultState::new(plan);
+        let mut st = FaultState::new(&plan);
         // Boundary before the op counter reaches 3: nothing.
         assert_eq!(st.take_crash(ProcId(1)), None);
         for _ in 0..5 {
@@ -789,7 +717,7 @@ mod tests {
     fn probabilistic_crashes_respect_budget_and_seed() {
         let plan = FaultPlan::seeded(77).with_crash_rate(1000, 2);
         assert!(!plan.is_none());
-        let mut st = FaultState::new(plan);
+        let mut st = FaultState::new(&plan);
         let mut fired = 0;
         for op in 0..100 {
             if st.take_crash(ProcId(0)).is_some() {
@@ -811,12 +739,15 @@ mod tests {
     #[test]
     fn stalls_charge_extra_cycles_once() {
         let plan = FaultPlan::seeded(0).with_stall(ProcId(0), 1, 1_000);
-        let mut f = FaultyFabric::new(Machine::new(2, CostModel::zero()), plan);
-        f.tick(ProcId(0), 1); // op 0: no stall
-        f.tick(ProcId(0), 1); // op 1: stall fires
-        f.tick(ProcId(0), 1); // op 2: no stall (fires once)
-        assert_eq!(f.inner().clock(ProcId(0)), Time(3 + 1_000));
-        assert_eq!(f.counts().stalls, 1);
-        assert_eq!(f.counts().stall_cycles, 1_000);
+        let mut st = FaultState::new(&plan);
+        let mut m = Machine::new(2, CostModel::zero());
+        // Op 0: no stall; op 1: the stall fires; op 2: it fired already.
+        for _ in 0..3 {
+            let extra = st.stall_cycles(ProcId(0));
+            m.tick(ProcId(0), 1 + extra);
+        }
+        assert_eq!(m.clock(ProcId(0)), Time(3 + 1_000));
+        assert_eq!(st.counts().stalls, 1);
+        assert_eq!(st.counts().stall_cycles, 1_000);
     }
 }

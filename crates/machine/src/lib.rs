@@ -34,15 +34,15 @@
 //! use pdc_machine::{CostModel, Machine, ProcId, Tag};
 //!
 //! let mut m = Machine::new(2, CostModel::ipsc2());
-//! m.send(ProcId(0), ProcId(1), Tag(7), vec![41, 42]);
-//! let words = m
-//!     .try_recv(ProcId(1), ProcId(0), Tag(7))
-//!     .expect("message is available");
-//! assert_eq!(words, vec![41, 42]);
+//! m.send_ref(ProcId(0), ProcId(1), Tag(7), &[41, 42]);
+//! let mut words = Vec::new();
+//! assert!(m.try_recv_into(ProcId(1), ProcId(0), Tag(7), &mut words));
+//! assert_eq!(words, [41, 42]);
 //! assert_eq!(m.stats().network.messages, 1);
 //! ```
 
 pub mod checkpoint;
+mod config;
 mod cost;
 mod error;
 mod fabric;
@@ -59,10 +59,11 @@ pub mod trace_analysis;
 pub mod trace_chrome;
 
 pub use checkpoint::{Checkpoint, CheckpointCfg, RecoveryReport};
+pub use config::{MetricsMode, RunConfig};
 pub use cost::CostModel;
 pub use error::MachineError;
 pub use fabric::{Fabric, Machine};
-pub use fault::{Crash, FaultCounts, FaultDecision, FaultPlan, FaultState, FaultyFabric, Stall};
+pub use fault::{Crash, FaultCounts, FaultDecision, FaultPlan, FaultState, Stall};
 pub use message::{Message, ProcId, Tag, Time, Word};
 pub use network::Network;
 pub use reliable::{ack_tag, RelConfig, ACK_TAG_BIT};

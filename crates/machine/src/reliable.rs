@@ -11,8 +11,8 @@
 //! *decision* is made here; a backend is a shell that decides only when
 //! to call the core and how frames move, and reaches it through the
 //! `Wire` trait. `T` is the deadline clock: the simulator's
-//! [`Scheduler::run_recoverable`](crate::Scheduler::run_recoverable)
-//! runs the core on logical time ([`Time`]), the threaded backend on
+//! [`Scheduler`](crate::Scheduler) runs the core on logical time
+//! ([`Time`]), the threaded backend on
 //! `std::time::Instant`, and the tests below run it over an in-memory
 //! wire under seeded adversarial schedules.
 //!

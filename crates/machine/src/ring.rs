@@ -12,7 +12,7 @@
 //!
 //! * one preallocated power-of-two ring of raw `u64` words per ordered
 //!   `(src, dst)` processor pair — no allocation on the wire, ever;
-//! * head and tail indices on separate cache lines ([`CachePadded`]),
+//! * head and tail indices on separate cache lines (`CachePadded`),
 //!   each written by exactly one side, read by the other through a
 //!   cached copy that is only refreshed on apparent-full / apparent-
 //!   empty, so the steady state is plain loads and stores;

@@ -1,10 +1,11 @@
 //! The deterministic scheduler.
 
-use crate::checkpoint::{CheckpointCfg, RecoveryReport};
+use crate::checkpoint::RecoveryReport;
+use crate::config::{RunConfig, DEFAULT};
 use crate::cost::CostModel;
 use crate::error::MachineError;
 use crate::fabric::{Fabric, Machine};
-use crate::fault::{FaultPlan, FaultState};
+use crate::fault::FaultState;
 use crate::message::{ProcId, Tag, Time, Word};
 use crate::reliable::{is_ack_tag, pending_triples, RelConfig, RelEndpoint, Wire};
 use crate::stats::{FaultReport, MachineStats};
@@ -35,9 +36,9 @@ pub enum Step {
 ///
 /// The process is called with a view of the machine fabric and its own
 /// processor id; it performs some bounded amount of work (typically one
-/// instruction), charging costs via [`Fabric::tick`] / [`Fabric::send`] /
-/// [`Fabric::try_recv`], and reports a [`Step`]. [`step`](Process::step)
-/// is the only required method.
+/// instruction), charging costs via [`Fabric::tick`] /
+/// [`Fabric::send_ref`] / [`Fabric::try_recv_into`], and reports a
+/// [`Step`]. [`step`](Process::step) is the only required method.
 ///
 /// # Errors
 ///
@@ -62,8 +63,8 @@ pub trait Process {
     /// points and hand them over in one [`Fabric::tick_n`].
     ///
     /// The default is a batch of one `step`. The raw-fabric run loops
-    /// ([`Scheduler::run`] and the threaded backend's) call this with the
-    /// rest of the quantum or step budget; the reliable-delivery and
+    /// (the [`Scheduler`]'s and the threaded backend's) call this with
+    /// the rest of the quantum or step budget; the reliable-delivery and
     /// checkpoint loops call `step`, because checkpoint pacing and "crash
     /// at op k" are defined per step.
     fn step_batch(
@@ -120,26 +121,24 @@ pub struct RunReport {
     /// Fault-injection and reliable-delivery accounting; `None` when the
     /// run used the raw fabric.
     pub fault: Option<FaultReport>,
-    /// Checkpoint/restart accounting; `None` unless checkpointing was
-    /// configured ([`Scheduler::run_recoverable`] with a
-    /// [`CheckpointCfg`], or `Job::with_checkpoints` at the driver).
+    /// Checkpoint/restart accounting; `None` unless
+    /// [`RunConfig::checkpoints`] was set.
     pub recovery: Option<RecoveryReport>,
-    /// The event trace of the run — empty unless tracing was enabled
-    /// ([`Machine::with_trace`](crate::Machine::with_trace) on the
-    /// simulator, [`ThreadedRunner::with_trace`](crate::ThreadedRunner::with_trace)
-    /// on real threads). Check [`Trace::dropped`] before treating it as
-    /// complete: a bounded trace silently truncates at its cap.
+    /// The event trace of the run — empty unless
+    /// [`RunConfig::trace_cap`] was set. Check [`Trace::dropped`] before
+    /// treating it as complete: a bounded trace silently truncates at
+    /// its cap.
     pub trace: Trace,
     /// Metrics snapshot at the end of the run. Always present: the
     /// flight recorder is always on, so even a metrics-off run carries
     /// each processor's recent history. Full counters/histograms need
-    /// [`Machine::with_metrics`](crate::Machine::with_metrics) /
-    /// `ThreadedRunner::with_metrics` (check
+    /// [`RunConfig::metrics`] (check
     /// [`MetricsSnapshot::full`](pdc_metrics::MetricsSnapshot)).
     pub metrics: pdc_metrics::MetricsSnapshot,
 }
 
-/// Drives a set of [`Process`]es over a [`Machine`] until all finish.
+/// Drives a set of [`Process`]es over a [`Machine`] until all finish,
+/// under a borrowed [`RunConfig`].
 ///
 /// Scheduling is round-robin: each live process runs until it blocks on a
 /// receive whose message has not been sent yet, terminates, or exhausts a
@@ -147,48 +146,74 @@ pub struct RunReport {
 /// only on FIFO order within typed channels (never on global interleaving),
 /// results and logical-clock times are independent of the quantum; the
 /// quantum exists only to bound memory growth of in-flight traffic.
-#[derive(Debug)]
-pub struct Scheduler {
-    quantum: u64,
-    step_budget: u64,
+#[derive(Debug, Clone, Copy)]
+pub struct Scheduler<'a> {
+    config: &'a RunConfig,
 }
 
-impl Scheduler {
-    /// A scheduler with the default quantum (4096 steps per turn) and step
-    /// budget (`u64::MAX`, effectively unbounded).
+impl Scheduler<'static> {
+    /// A scheduler under the default [`RunConfig`]: raw fabric, a quantum
+    /// of 4096 steps per turn, no step budget.
     pub fn new() -> Self {
-        Scheduler {
-            quantum: 4096,
-            step_budget: u64::MAX,
-        }
+        Scheduler { config: &DEFAULT }
     }
+}
 
-    /// Limit the total number of steps (guards tests against runaway
-    /// generated programs).
-    pub fn with_step_budget(mut self, budget: u64) -> Self {
-        self.step_budget = budget;
-        self
-    }
-
-    /// Set the per-turn quantum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum == 0`.
-    pub fn with_quantum(mut self, quantum: u64) -> Self {
-        assert!(quantum > 0, "quantum must be positive");
-        self.quantum = quantum;
-        self
+impl<'a> Scheduler<'a> {
+    /// A scheduler under `config`. [`RunConfig::backend`] and
+    /// [`RunConfig::ring_words`] mean nothing here.
+    pub fn with_config(config: &'a RunConfig) -> Self {
+        Scheduler { config }
     }
 
     /// Run `processes[p]` on processor `p` until every process is done.
     ///
+    /// The configuration is validated against the machine, and what it
+    /// sets of the machine's own state (slowdowns, trace cap, metrics
+    /// mode) is installed on `machine`. Then
+    /// [`RunConfig::protocol`] picks the loop. On the raw fabric
+    /// processes talk to `machine` directly. Under the reliable-delivery
+    /// protocol every program send is sequence-numbered and retransmitted
+    /// on a logical-clock timeout until acknowledged, every program
+    /// receive is deduplicated and reordered back into sequence, and
+    /// [`RunConfig::faults`] decides which frames the transport
+    /// mistreats (acks included — they travel through the same faulty
+    /// fabric under [`ack_tag`](crate::ack_tag)).
+    ///
+    /// With [`RunConfig::checkpoints`] set, every processor's complete
+    /// state (process image, reliable-delivery windows, logical counters)
+    /// is checkpointed at the configured charged-op interval, and a
+    /// processor the plan crashes is restarted from its last
+    /// [`Checkpoint`](crate::Checkpoint) — the reliable layer's
+    /// retransmissions replay the lost suffix and the peers' duplicate
+    /// suppression makes the recovery transparent. In independent mode
+    /// (the default) only the crashed processor rolls back: receivers
+    /// advertise *lagged* acks (the position of their last checkpoint),
+    /// so peers' retransmission windows always hold the replay suffix. In
+    /// [`coordinated`](crate::CheckpointCfg::coordinated) mode all
+    /// processors snapshot at one scheduler round boundary and all roll
+    /// back together, with in-flight traffic discarded and regenerated by
+    /// deterministic re-execution.
+    ///
+    /// Everything stays deterministic: fault decisions are pure functions
+    /// of the plan, and retransmission timers and the reboot delay run in
+    /// logical time, so identical inputs give identical outputs, clocks,
+    /// and [`FaultReport`]s run after run, crashes and all.
+    ///
     /// # Errors
     ///
+    /// * [`MachineError::InvalidConfig`] if the configuration does not
+    ///   fit the machine;
     /// * [`MachineError::Deadlock`] if every unfinished process is blocked
     ///   on a receive that no pending message satisfies;
     /// * [`MachineError::StepBudgetExceeded`] if the budget runs out;
-    /// * any [`MachineError::ProcessFault`] raised by a process.
+    /// * any [`MachineError::ProcessFault`] raised by a process;
+    /// * under the protocol, [`MachineError::RetriesExhausted`] when a
+    ///   frame is retransmitted `max_retries` times without an
+    ///   acknowledgement, [`MachineError::CheckpointUnsupported`] when a
+    ///   process cannot snapshot, and [`MachineError::Crashed`] when a
+    ///   processor crashes with no checkpointing configured and everyone
+    ///   else still finishes.
     ///
     /// # Panics
     ///
@@ -203,6 +228,21 @@ impl Scheduler {
             machine.n_procs(),
             "one process per processor"
         );
+        self.config.validate(machine.n_procs(), false)?;
+        machine.configure(self.config);
+        match self.config.protocol() {
+            None => self.run_raw(machine, processes),
+            Some(rel) => self.run_protocol(machine, processes, rel),
+        }
+    }
+
+    /// The raw-fabric loop.
+    fn run_raw(
+        &self,
+        machine: &mut Machine,
+        processes: &mut [&mut dyn Process],
+    ) -> Result<RunReport, MachineError> {
+        let (turn, step_budget) = (self.config.quantum, self.config.step_budget);
         let n = processes.len();
         let mut done = vec![false; n];
         let mut blocked: Vec<Option<(ProcId, Tag)>> = vec![None; n];
@@ -221,14 +261,14 @@ impl Scheduler {
                     }
                     blocked[p] = None;
                 }
-                let mut quantum = self.quantum;
+                let mut quantum = turn;
                 loop {
-                    if steps >= self.step_budget {
+                    if steps >= step_budget {
                         return Err(MachineError::StepBudgetExceeded {
-                            budget: self.step_budget,
+                            budget: step_budget,
                         });
                     }
-                    let max = quantum.min(self.step_budget - steps);
+                    let max = quantum.min(step_budget - steps);
                     let (ran, step) = processes[p].step_batch(&mut *machine, me, max)?;
                     steps += ran;
                     if let Some(sp) = machine.take_self_send() {
@@ -291,89 +331,24 @@ impl Scheduler {
         })
     }
 
-    /// Run `processes[p]` on processor `p` over a faulty fabric, with the
-    /// reliable-delivery protocol interposed: every program send is
-    /// sequence-numbered and retransmitted on a logical-clock timeout
-    /// until acknowledged; every program receive is deduplicated and
-    /// reordered back into sequence. The `plan` decides which frames the
-    /// transport mistreats (acks included — they travel through the same
-    /// faulty fabric under [`ack_tag`](crate::ack_tag)).
-    ///
-    /// Everything stays deterministic: fault decisions are pure functions
-    /// of the plan, and retransmission timers fire in logical time, so
-    /// identical inputs give identical outputs, clocks, and
-    /// [`FaultReport`]s run after run.
-    ///
-    /// # Errors
-    ///
-    /// The vanilla [`run`](Scheduler::run) errors, plus
-    /// [`MachineError::RetriesExhausted`] when a frame is retransmitted
-    /// `cfg.max_retries` times without an acknowledgement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `processes.len() != machine.n_procs()`.
-    pub fn run_faulty(
+    /// The reliable-delivery / checkpoint loop, under retransmission
+    /// policy `cfg`.
+    fn run_protocol(
         &self,
         machine: &mut Machine,
         processes: &mut [&mut dyn Process],
-        plan: &FaultPlan,
         cfg: RelConfig,
     ) -> Result<RunReport, MachineError> {
-        self.run_recoverable(machine, processes, plan, cfg, None)
-    }
-
-    /// [`run_faulty`](Scheduler::run_faulty) with crash recovery: when
-    /// `ckpt` is set, every processor's complete state (process image,
-    /// reliable-delivery windows, logical counters) is checkpointed at
-    /// the configured charged-op interval, and a processor the `plan`
-    /// crashes is restarted from its last
-    /// [`Checkpoint`](crate::Checkpoint) — the reliable layer's
-    /// retransmissions replay the lost suffix and the peers' duplicate
-    /// suppression makes the recovery transparent.
-    ///
-    /// In independent mode (the default) only the crashed processor rolls
-    /// back: receivers advertise *lagged* acks (the position of their
-    /// last checkpoint), so peers' retransmission windows always hold the
-    /// replay suffix. In [`coordinated`](CheckpointCfg::coordinated) mode
-    /// all processors snapshot at one scheduler round boundary and all
-    /// roll back together, with in-flight traffic discarded and
-    /// regenerated by deterministic re-execution.
-    ///
-    /// Everything, the reboot delay included, runs in logical time:
-    /// identical inputs give bit-identical reports, crashes and all.
-    ///
-    /// # Errors
-    ///
-    /// The [`run_faulty`](Scheduler::run_faulty) errors, plus
-    /// [`MachineError::CheckpointUnsupported`] when a process cannot
-    /// snapshot, and [`MachineError::Crashed`] when a processor crashes
-    /// with no checkpointing configured and everyone else still finishes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `processes.len() != machine.n_procs()`.
-    pub fn run_recoverable(
-        &self,
-        machine: &mut Machine,
-        processes: &mut [&mut dyn Process],
-        plan: &FaultPlan,
-        cfg: RelConfig,
-        ckpt: Option<CheckpointCfg>,
-    ) -> Result<RunReport, MachineError> {
-        assert_eq!(
-            processes.len(),
-            machine.n_procs(),
-            "one process per processor"
-        );
+        let (turn, step_budget) = (self.config.quantum, self.config.step_budget);
+        let ckpt = self.config.checkpoints;
         let n = processes.len();
         // In reliable mode every wire frame — data, retransmission, ack,
-        // keepalive — goes through `Machine::send` via `FaultState::
+        // keepalive — goes through `Machine::send_ref` via `FaultState::
         // dispatch`. Logical sends are recorded by the protocol core
         // instead, so tell the machine its send path is raw transport
         // only.
         machine.set_raw_transport(true);
-        let mut fault = FaultState::new(plan.clone());
+        let mut fault = FaultState::new(&self.config.faults);
         let ack_cost = machine.cost_model().recv_cost(1);
         let mut eps: Vec<RelEndpoint<Time>> = (0..n)
             .map(|p| RelEndpoint::new(ProcId(p), cfg, ack_cost, ckpt))
@@ -432,11 +407,11 @@ impl Scheduler {
                     }
                     continue;
                 }
-                let mut quantum = self.quantum;
+                let mut quantum = turn;
                 loop {
-                    if steps >= self.step_budget {
+                    if steps >= step_budget {
                         return Err(MachineError::StepBudgetExceeded {
-                            budget: self.step_budget,
+                            budget: step_budget,
                         });
                     }
                     steps += 1;
@@ -676,15 +651,15 @@ fn activity(eps: &[RelEndpoint<Time>]) -> u64 {
 /// logical clock is the deadline clock, frames move through the
 /// machine's network under the run's one [`FaultState`], and a peer's
 /// program is done when the scheduler has seen its `Step::Done`.
-struct SimWire<'a> {
+struct SimWire<'a, 'p> {
     m: &'a mut Machine,
-    fault: &'a mut FaultState,
+    fault: &'a mut FaultState<'p>,
     done: &'a [bool],
     me: ProcId,
 }
 
-impl<'a> SimWire<'a> {
-    fn new(m: &'a mut Machine, fault: &'a mut FaultState, done: &'a [bool], me: usize) -> Self {
+impl<'a, 'p> SimWire<'a, 'p> {
+    fn new(m: &'a mut Machine, fault: &'a mut FaultState<'p>, done: &'a [bool], me: usize) -> Self {
         SimWire {
             m,
             fault,
@@ -694,7 +669,7 @@ impl<'a> SimWire<'a> {
     }
 }
 
-impl Wire<Time> for SimWire<'_> {
+impl Wire<Time> for SimWire<'_, '_> {
     fn now(&self) -> Time {
         self.m.clock(self.me)
     }
@@ -742,28 +717,28 @@ impl Wire<Time> for SimWire<'_> {
     }
 }
 
-/// The fabric a process sees during [`Scheduler::run_recoverable`]: the
-/// shell around the protocol core. Sends are framed, tracked, and
+/// The fabric a process sees on the protocol loop: the shell around the
+/// protocol core. Sends are framed, tracked, and
 /// dispatched through the fault plan; receives pop reassembled in-order
 /// payloads and charge the receiver exactly as a vanilla receive would.
 /// Every program operation first lets the NIC catch up: pump acks, then
 /// service timers, then (on a receive) pump the stream being read.
-struct ReliableView<'a> {
+struct ReliableView<'a, 'p> {
     m: &'a mut Machine,
-    fault: &'a mut FaultState,
+    fault: &'a mut FaultState<'p>,
     eps: &'a mut [RelEndpoint<Time>],
     done: &'a [bool],
 }
 
-impl ReliableView<'_> {
+impl<'p> ReliableView<'_, 'p> {
     /// Processor `p`'s protocol core and the wire it runs on.
-    fn split(&mut self, p: ProcId) -> (&mut RelEndpoint<Time>, SimWire<'_>) {
+    fn split(&mut self, p: ProcId) -> (&mut RelEndpoint<Time>, SimWire<'_, 'p>) {
         let wire = SimWire::new(self.m, self.fault, self.done, p.0);
         (&mut self.eps[p.0], wire)
     }
 }
 
-impl Fabric for ReliableView<'_> {
+impl Fabric for ReliableView<'_, '_> {
     fn n_procs(&self) -> usize {
         self.m.n_procs()
     }
@@ -777,10 +752,6 @@ impl Fabric for ReliableView<'_> {
         self.m.tick(p, cycles + extra);
     }
 
-    fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
-        self.send_ref(src, dst, tag, &payload);
-    }
-
     fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
         if src == dst {
             // Delegate so the self-send fault is recorded uniformly.
@@ -791,11 +762,6 @@ impl Fabric for ReliableView<'_> {
         ep.pump_acks(&mut wire);
         ep.service_timers(&mut wire);
         ep.send(&mut wire, dst, tag, payload);
-    }
-
-    fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
-        let mut out = Vec::new();
-        self.try_recv_into(dst, src, tag, &mut out).then_some(out)
     }
 
     fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool {
@@ -818,7 +784,7 @@ impl Fabric for ReliableView<'_> {
     }
 }
 
-impl Default for Scheduler {
+impl Default for Scheduler<'static> {
     fn default() -> Self {
         Scheduler::new()
     }
@@ -920,21 +886,23 @@ mod tests {
                     Ok(Step::Ran)
                 }
                 Action::Send(dst, tag, payload) => {
-                    machine.send(me, ProcId(*dst), Tag(*tag), payload.clone());
+                    machine.send_ref(me, ProcId(*dst), Tag(*tag), payload);
                     self.pc += 1;
                     Ok(Step::Ran)
                 }
-                Action::Recv(src, tag) => match machine.try_recv(me, ProcId(*src), Tag(*tag)) {
-                    Some(words) => {
+                Action::Recv(src, tag) => {
+                    let mut words = Vec::new();
+                    if machine.try_recv_into(me, ProcId(*src), Tag(*tag), &mut words) {
                         self.received.push(words);
                         self.pc += 1;
                         Ok(Step::Ran)
+                    } else {
+                        Ok(Step::BlockedOnRecv {
+                            src: ProcId(*src),
+                            tag: Tag(*tag),
+                        })
                     }
-                    None => Ok(Step::BlockedOnRecv {
-                        src: ProcId(*src),
-                        tag: Tag(*tag),
-                    }),
-                },
+                }
             }
         }
     }
@@ -1008,8 +976,11 @@ mod tests {
         let mut m = Machine::new(1, CostModel::zero());
         let mut fv = Forever;
         let mut ps: Vec<&mut dyn Process> = vec![&mut fv];
-        let err = Scheduler::new()
-            .with_step_budget(1000)
+        let config = RunConfig {
+            step_budget: 1000,
+            ..RunConfig::default()
+        };
+        let err = Scheduler::with_config(&config)
             .run(&mut m, &mut ps)
             .unwrap_err();
         assert!(matches!(err, MachineError::StepBudgetExceeded { .. }));
@@ -1049,8 +1020,11 @@ mod tests {
             let mut pa = Scripted::new(a);
             let mut pb = Scripted::new(b);
             let mut ps: Vec<&mut dyn Process> = vec![&mut pa, &mut pb];
-            let report = Scheduler::new()
-                .with_quantum(quantum)
+            let config = RunConfig {
+                quantum,
+                ..RunConfig::default()
+            };
+            let report = Scheduler::with_config(&config)
                 .run(&mut m, &mut ps)
                 .unwrap();
             results.push((report.stats.makespan(), report.stats.network));
@@ -1145,7 +1119,7 @@ mod batch_tests {
         Vec<Event>,
     );
 
-    fn run_pipeline(sched: &Scheduler, batching: bool) -> Result<Said, MachineError> {
+    fn run_pipeline(config: &RunConfig, batching: bool) -> Result<Said, MachineError> {
         let mut m = Machine::new(3, CostModel::ipsc2())
             .with_trace(4096)
             .with_metrics()
@@ -1160,7 +1134,7 @@ mod batch_tests {
         } else {
             stepping.iter_mut().map(|p| p as &mut dyn Process).collect()
         };
-        let r = sched.run(&mut m, &mut ps)?;
+        let r = Scheduler::with_config(config).run(&mut m, &mut ps)?;
         assert_eq!(r.trace.dropped(), 0);
         Ok((
             r.stats,
@@ -1182,40 +1156,83 @@ mod batch_tests {
         assert_eq!(p.step_batch(&mut m, ProcId(0), 100), Ok((1, Step::Done)));
     }
 
+    /// The protocol shell stalls a processor at given ops, so it keeps the
+    /// provided `tick_n`, which shows it every one of them.
+    #[test]
+    fn provided_tick_n_charges_a_stall_at_its_op() {
+        let plan = crate::fault::FaultPlan::seeded(0).with_stall(ProcId(0), 1, 50);
+        let run = |batched: bool| {
+            let mut m = Machine::new(2, CostModel::ipsc2())
+                .with_trace(16)
+                .with_metrics()
+                .with_slowdowns(vec![3, 1]);
+            let mut fault = FaultState::new(&plan);
+            let mut eps: Vec<RelEndpoint<Time>> = (0..2)
+                .map(|p| RelEndpoint::new(ProcId(p), RelConfig::default(), 1, None))
+                .collect();
+            let mut view = ReliableView {
+                m: &mut m,
+                fault: &mut fault,
+                eps: &mut eps,
+                done: &[false; 2],
+            };
+            if batched {
+                view.tick_n(ProcId(0), 7, 3);
+                view.tick_n(ProcId(0), 0, 0);
+            } else {
+                view.tick(ProcId(0), 3);
+                view.tick(ProcId(0), 0);
+                view.tick(ProcId(0), 4);
+            }
+            assert_eq!(fault.counts().stalls, 1);
+            let events: Vec<Event> = m.snapshot_trace().events().cloned().collect();
+            (m.stats(), m.metrics_snapshot(), events)
+        };
+        let (stepped, batched) = (run(false), run(true));
+        assert_eq!(batched, stepped);
+        assert_eq!(stepped.0.procs[0].ops, 3);
+        assert_eq!(stepped.0.clocks[0], Time((7 + 50) * 3));
+    }
+
     #[test]
     fn batches_are_indistinguishable_from_steps_at_any_quantum() {
-        for sched in [
-            Scheduler::new().with_quantum(1),
-            Scheduler::new().with_quantum(7),
-            Scheduler::new(),
-        ] {
-            let stepped = run_pipeline(&sched, false).unwrap();
-            let batched = run_pipeline(&sched, true).unwrap();
-            assert_eq!(batched, stepped, "{sched:?}");
+        for quantum in [1, 7, 4096] {
+            let config = RunConfig {
+                quantum,
+                ..RunConfig::default()
+            };
+            let stepped = run_pipeline(&config, false).unwrap();
+            let batched = run_pipeline(&config, true).unwrap();
+            assert_eq!(batched, stepped, "quantum {quantum}");
         }
     }
 
     #[test]
     fn step_budget_runs_out_at_the_same_step_either_way() {
-        let total = run_pipeline(&Scheduler::new(), false).unwrap().1;
+        let total = run_pipeline(&RunConfig::default(), false).unwrap().1;
         for quantum in [1, 7, 4096] {
             for budget in [1, 2, total / 2, total - 1] {
-                let sched = Scheduler::new()
-                    .with_quantum(quantum)
-                    .with_step_budget(budget);
+                let config = RunConfig {
+                    quantum,
+                    step_budget: budget,
+                    ..RunConfig::default()
+                };
                 for batching in [false, true] {
                     assert_eq!(
-                        run_pipeline(&sched, batching).unwrap_err(),
+                        run_pipeline(&config, batching).unwrap_err(),
                         MachineError::StepBudgetExceeded { budget },
                         "quantum {quantum}, batching {batching}"
                     );
                 }
             }
             // The whole budget is usable: not one step is lost to batching.
-            let sched = Scheduler::new().with_quantum(quantum);
-            let needed = run_pipeline(&sched, true).unwrap().1;
-            let exact = sched.with_step_budget(needed);
-            assert_eq!(run_pipeline(&exact, true).unwrap().1, needed);
+            let mut config = RunConfig {
+                quantum,
+                ..RunConfig::default()
+            };
+            let needed = run_pipeline(&config, true).unwrap().1;
+            config.step_budget = needed;
+            assert_eq!(run_pipeline(&config, true).unwrap().1, needed);
         }
     }
 }
@@ -1242,7 +1259,7 @@ mod faulty_tests {
         (a, b)
     }
 
-    fn run_faulty2(
+    fn run_reliable2(
         a: Vec<Action>,
         b: Vec<Action>,
         plan: &FaultPlan,
@@ -1252,7 +1269,12 @@ mod faulty_tests {
         let mut pa = Scripted::new(a);
         let mut pb = Scripted::new(b);
         let mut ps: Vec<&mut dyn Process> = vec![&mut pa, &mut pb];
-        let report = Scheduler::new().run_faulty(&mut m, &mut ps, plan, cfg)?;
+        let config = RunConfig {
+            faults: plan.clone(),
+            reliable: Some(cfg),
+            ..RunConfig::default()
+        };
+        let report = Scheduler::with_config(&config).run(&mut m, &mut ps)?;
         Ok((report, pb.received))
     }
 
@@ -1260,7 +1282,7 @@ mod faulty_tests {
     fn empty_plan_delivers_in_order_with_quiet_report() {
         let (a, b) = stream_scripts();
         let (report, received) =
-            run_faulty2(a, b, &FaultPlan::none(), RelConfig::default()).unwrap();
+            run_reliable2(a, b, &FaultPlan::none(), RelConfig::default()).unwrap();
         let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
         assert_eq!(received, expected);
         assert_eq!(report.undelivered, 0);
@@ -1287,7 +1309,7 @@ mod faulty_tests {
             .with_reorders(100)
             .with_fault_budget(6);
         let (a, b) = stream_scripts();
-        let (report, received) = run_faulty2(a, b, &plan, RelConfig::default()).unwrap();
+        let (report, received) = run_reliable2(a, b, &plan, RelConfig::default()).unwrap();
         let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
         assert_eq!(received, expected, "exactly-once, in-order delivery");
         assert_eq!(report.undelivered, 0);
@@ -1307,7 +1329,7 @@ mod faulty_tests {
             .with_fault_budget(8);
         let run = || {
             let (a, b) = stream_scripts();
-            let (report, received) = run_faulty2(a, b, &plan, RelConfig::default()).unwrap();
+            let (report, received) = run_reliable2(a, b, &plan, RelConfig::default()).unwrap();
             (
                 received,
                 report.stats.makespan(),
@@ -1323,9 +1345,9 @@ mod faulty_tests {
         let quiet = FaultPlan::none();
         let stalled = FaultPlan::seeded(0).with_stall(ProcId(0), 2, 1_000_000);
         let (a, b) = stream_scripts();
-        let (base, _) = run_faulty2(a, b, &quiet, RelConfig::default()).unwrap();
+        let (base, _) = run_reliable2(a, b, &quiet, RelConfig::default()).unwrap();
         let (a, b) = stream_scripts();
-        let (slow, received) = run_faulty2(a, b, &stalled, RelConfig::default()).unwrap();
+        let (slow, received) = run_reliable2(a, b, &stalled, RelConfig::default()).unwrap();
         let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
         assert_eq!(received, expected);
         assert_eq!(slow.fault.unwrap().injected.stall_cycles, 1_000_000);
@@ -1343,7 +1365,7 @@ mod faulty_tests {
             max_retries: 3,
             ..RelConfig::default()
         };
-        let err = run_faulty2(
+        let err = run_reliable2(
             vec![Action::Send(1, 0, vec![1])],
             vec![Action::Recv(0, 0)],
             &plan,
@@ -1364,7 +1386,7 @@ mod faulty_tests {
 
     #[test]
     fn cyclic_deadlock_still_detected_under_reliability() {
-        let err = run_faulty2(
+        let err = run_reliable2(
             vec![Action::Recv(1, 0)],
             vec![Action::Recv(0, 0)],
             &FaultPlan::none(),
@@ -1379,7 +1401,7 @@ mod faulty_tests {
 
     #[test]
     fn self_send_surfaces_under_reliability() {
-        let err = run_faulty2(
+        let err = run_reliable2(
             vec![Action::Send(0, 0, vec![1])],
             vec![],
             &FaultPlan::none(),
@@ -1395,6 +1417,7 @@ mod recovery_tests {
     use super::faulty_tests::stream_scripts;
     use super::tests::{Action, Scripted};
     use super::*;
+    use crate::checkpoint::CheckpointCfg;
     use crate::cost::CostModel;
     use crate::fault::FaultPlan;
 
@@ -1411,7 +1434,13 @@ mod recovery_tests {
         let mut pa = Scripted::new(a);
         let mut pb = Scripted::new(b);
         let mut ps: Vec<&mut dyn Process> = vec![&mut pa, &mut pb];
-        let report = Scheduler::new().run_recoverable(&mut m, &mut ps, plan, cfg, ckpt)?;
+        let config = RunConfig {
+            faults: plan.clone(),
+            reliable: Some(cfg),
+            checkpoints: ckpt,
+            ..RunConfig::default()
+        };
+        let report = Scheduler::with_config(&config).run(&mut m, &mut ps)?;
         Ok((report, pa.received, pb.received))
     }
 
@@ -1514,9 +1543,14 @@ mod recovery_tests {
         let mut ps: Vec<&mut dyn Process> = vec![&mut pa, &mut pb];
         // Quantum 1 interleaves the processors step by step, so P1 dies
         // after consuming (and acking) exactly one message.
-        let err = Scheduler::new()
-            .with_quantum(1)
-            .run_recoverable(&mut m, &mut ps, &plan, cfg, None)
+        let config = RunConfig {
+            faults: plan,
+            reliable: Some(cfg),
+            quantum: 1,
+            ..RunConfig::default()
+        };
+        let err = Scheduler::with_config(&config)
+            .run(&mut m, &mut ps)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1542,8 +1576,12 @@ mod recovery_tests {
             Action::Compute(5),
         ]);
         let mut ps: Vec<&mut dyn Process> = vec![&mut pa, &mut pb, &mut pc];
-        let err = Scheduler::new()
-            .run_recoverable(&mut m, &mut ps, &plan, RelConfig::default(), None)
+        let config = RunConfig {
+            faults: plan,
+            ..RunConfig::default()
+        };
+        let err = Scheduler::with_config(&config)
+            .run(&mut m, &mut ps)
             .unwrap_err();
         assert_eq!(
             err,

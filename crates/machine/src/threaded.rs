@@ -2,8 +2,8 @@
 //! preallocated lock-free SPSC word ring ([`ring`](crate::ring)) per
 //! ordered processor pair as the interconnect.
 //!
-//! The simulator in [`fabric`](crate::fabric) interleaves every processor
-//! on one thread and keeps the whole network in a single `HashMap`. This
+//! The simulator ([`Machine`](crate::Machine)) interleaves every processor
+//! on one thread and keeps the whole network in one in-memory table. This
 //! module executes the *same* [`Process`] implementations preemptively:
 //! each processor's process runs on its own thread against an
 //! [`Endpoint`] — a per-thread [`Fabric`] holding that processor's logical
@@ -47,15 +47,16 @@
 //! [`MachineError::Deadlock`]; one whose peer *died* fails immediately
 //! as [`MachineError::PeerDied`] — no waiter ever burns its full
 //! receive-timeout window discovering a terminated peer. If no traffic
-//! at all arrives for [`recv_timeout`](ThreadedRunner::with_recv_timeout)
-//! while peers are still running, the receive fails with
+//! at all arrives for the [`Backend::Threaded`] receive timeout while
+//! peers are still running, the receive fails with
 //! [`MachineError::RecvTimeout`] (a cyclic deadlock).
 
 use crate::checkpoint::{CheckpointCfg, RecoveryReport};
+use crate::config::{RunConfig, DEFAULT};
 use crate::cost::CostModel;
 use crate::error::MachineError;
 use crate::fabric::Fabric;
-use crate::fault::{FaultPlan, FaultState};
+use crate::fault::FaultState;
 use crate::message::{ProcId, Tag, Time, Word};
 use crate::reliable::{is_ack_tag, pending_triples, Deadline, RelConfig, RelEndpoint, Wire};
 use crate::ring::{ring, BufPool, Doorbell, FrameRx, FrameTx};
@@ -219,9 +220,9 @@ impl Drop for StatusGuard {
 /// endpoint only dispatches frames it sends, so per-triple decision
 /// streams stay private).
 #[derive(Debug)]
-struct Reliable {
+struct Reliable<'p> {
     core: RelEndpoint<Instant>,
-    fault: FaultState,
+    fault: FaultState<'p>,
 }
 
 /// Per-`(src, tag)` demultiplexing FIFOs of `(arrival stamp, payload)`.
@@ -232,7 +233,7 @@ type Stash = HashMap<(ProcId, Tag), VecDeque<(Time, Vec<Word>)>>;
 /// end of every peer's ring to it, and the per-`(src, tag)`
 /// demultiplexing stash.
 #[derive(Debug)]
-pub struct Endpoint {
+pub struct Endpoint<'p> {
     me: ProcId,
     n: usize,
     cost: CostModel,
@@ -264,7 +265,7 @@ pub struct Endpoint {
     /// Reliable-delivery state; `None` runs the raw fabric — or the
     /// protocol core is running right now with this endpoint as its
     /// wire (see [`with_core`](Endpoint::with_core)).
-    rel: Option<Box<Reliable>>,
+    rel: Option<Box<Reliable<'p>>>,
     /// One doorbell per processor; `bells[me]` is parked on, peers' are
     /// rung after publishing frames for them.
     bells: Arc<Vec<Doorbell>>,
@@ -278,16 +279,12 @@ pub struct Endpoint {
     /// traffic arrived, and the liveness signal that resets a blocked
     /// *raw* receive's timeout window.
     ingested: u64,
-    /// Parks performed (the wakeup-batching effectiveness metric).
-    wakes: u64,
     /// Spin briefly before parking. On when the host has ≥ 2 hardware
     /// threads: the peer may be publishing *right now*, and a short spin
     /// dodges the futex round-trip. On one core the peer cannot be
     /// running concurrently, so spinning only burns the time slice it
     /// needs — park immediately instead.
     spin: bool,
-    /// Test probe: accumulates `wakes` at thread exit when set.
-    wake_probe: Option<Arc<AtomicU64>>,
     gauge: Arc<Gauge>,
     recv_timeout: Duration,
     /// Checkpoint/restart policy; `None` runs without crash recovery.
@@ -308,7 +305,7 @@ pub struct Endpoint {
     reliable: bool,
 }
 
-impl Endpoint {
+impl<'p> Endpoint<'p> {
     /// Move every fully-arrived frame off the rings into the stash.
     fn drain(&mut self) {
         let Endpoint {
@@ -332,7 +329,7 @@ impl Endpoint {
 
     /// Charge a program-level receive: idle until the arrival stamp if
     /// necessary, then pay the unpacking cost — clock advance identical
-    /// to [`Machine::try_recv`](crate::Machine::try_recv).
+    /// to [`Machine::try_recv_into`](crate::Machine::try_recv_into).
     fn charge_recv(&mut self, src: ProcId, tag: Tag, arrives_at: Time, words: usize) {
         let waited = arrives_at.0.saturating_sub(self.clock.0);
         let ready = if arrives_at > self.clock {
@@ -454,7 +451,6 @@ impl Endpoint {
             self.metrics.count(self.me.0, Ctr::Wakes, 1);
             return;
         }
-        self.wakes += 1;
         self.metrics.count(self.me.0, Ctr::Parks, 1);
         self.metrics
             .flight(self.me.0, FlightKind::Park, NO_PEER, 0, 0, self.clock.0);
@@ -468,7 +464,7 @@ impl Endpoint {
     /// send, and takes the raw path.
     fn with_core<R>(
         &mut self,
-        f: impl FnOnce(&mut RelEndpoint<Instant>, &mut RingWire<'_>) -> R,
+        f: impl FnOnce(&mut RelEndpoint<Instant>, &mut RingWire<'_, 'p>) -> R,
     ) -> R {
         let mut rel = self.rel.take().expect("reliable mode");
         let Reliable { core, fault } = &mut *rel;
@@ -721,7 +717,7 @@ impl Endpoint {
     }
 }
 
-impl Fabric for Endpoint {
+impl Fabric for Endpoint<'_> {
     fn n_procs(&self) -> usize {
         self.n
     }
@@ -747,10 +743,6 @@ impl Fabric for Endpoint {
         self.stats.ops += ops;
         self.metrics.count(p.0, Ctr::Ops, ops);
         self.trace.record_compute(p, before, self.clock);
-    }
-
-    fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
-        self.send_ref(src, dst, tag, &payload);
     }
 
     fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
@@ -797,11 +789,6 @@ impl Fabric for Endpoint {
         }
         self.gauge.inc();
         self.ring_send(dst, tag, arrives_at, payload);
-    }
-
-    fn try_recv(&mut self, dst: ProcId, src: ProcId, tag: Tag) -> Option<Vec<Word>> {
-        let mut out = Vec::new();
-        self.try_recv_into(dst, src, tag, &mut out).then_some(out)
     }
 
     fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool {
@@ -855,10 +842,6 @@ impl Fabric for Endpoint {
         );
     }
 
-    fn inject(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>, extra: u64) {
-        self.inject_ref(src, dst, tag, &payload, extra);
-    }
-
     fn inject_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word], extra: u64) {
         debug_assert_eq!(src, self.me, "an endpoint only sends as itself");
         let sent_at = self.clock;
@@ -876,12 +859,12 @@ impl Fabric for Endpoint {
 /// deadlines, frames that move through the stash and the rings under the
 /// endpoint's own fault plan, and the shared status board for peers'
 /// fates.
-struct RingWire<'a> {
-    ep: &'a mut Endpoint,
-    fault: &'a mut FaultState,
+struct RingWire<'a, 'p> {
+    ep: &'a mut Endpoint<'p>,
+    fault: &'a mut FaultState<'p>,
 }
 
-impl Wire<Instant> for RingWire<'_> {
+impl Wire<Instant> for RingWire<'_, '_> {
     fn now(&self) -> Instant {
         Instant::now()
     }
@@ -937,14 +920,14 @@ impl Wire<Instant> for RingWire<'_> {
 }
 
 /// What one finished thread hands back for merging.
-struct ThreadDone {
+struct ThreadDone<'p> {
     clock: Time,
     stats: ProcStats,
     sent: BTreeMap<(ProcId, Tag), u64>,
     recvd: BTreeMap<(ProcId, Tag), u64>,
     steps: u64,
     trace: Trace,
-    rel: Option<Box<Reliable>>,
+    rel: Option<Box<Reliable<'p>>>,
 }
 
 /// Run one process against its endpoint: the per-thread step loop shared
@@ -952,11 +935,11 @@ struct ThreadDone {
 /// — on an error the partial tallies (clock, traffic counts, trace, the
 /// flight recorder's recent history) are exactly the diagnostics the
 /// failure report needs, so they must not be dropped with the thread.
-fn drive<P: Process>(
+fn drive<'p, P: Process>(
     process: &mut P,
-    ep: &mut Endpoint,
+    ep: &mut Endpoint<'p>,
     budget: u64,
-) -> (ThreadDone, Option<MachineError>) {
+) -> (ThreadDone<'p>, Option<MachineError>) {
     let mut steps: u64 = 0;
     let err = drive_loop(process, ep, budget, &mut steps).err();
     let done = ThreadDone {
@@ -973,7 +956,7 @@ fn drive<P: Process>(
 
 fn drive_loop<P: Process>(
     process: &mut P,
-    ep: &mut Endpoint,
+    ep: &mut Endpoint<'_>,
     budget: u64,
     steps: &mut u64,
 ) -> Result<(), MachineError> {
@@ -1027,166 +1010,41 @@ fn drive_loop<P: Process>(
     Ok(())
 }
 
-/// Drives one [`Process`] per OS thread to completion and merges the
-/// per-thread tallies into the same [`RunReport`] the
-/// [`Scheduler`](crate::Scheduler) produces.
-#[derive(Debug, Clone)]
-pub struct ThreadedRunner {
+/// Drives one [`Process`] per OS thread to completion, under a borrowed
+/// [`RunConfig`], and merges the per-thread tallies into the same
+/// [`RunReport`] the [`Scheduler`](crate::Scheduler) produces.
+#[derive(Debug, Clone, Copy)]
+pub struct ThreadedRunner<'a> {
     cost: CostModel,
-    recv_timeout: Duration,
-    step_budget: u64,
-    slowdowns: Option<Vec<u64>>,
-    faults: Option<(FaultPlan, RelConfig)>,
-    ckpt: Option<CheckpointCfg>,
-    /// Trace configuration template, cloned (empty) onto each endpoint.
-    /// Disabled by default. Note the cap applies *per processor* here —
-    /// each thread bounds its own memory — where the simulator's cap is
-    /// global.
-    trace: Trace,
-    /// Ring capacity override in words; `None` sizes from the pair count.
-    ring_words: Option<usize>,
-    /// Test probe accumulating every endpoint's park count.
-    wake_probe: Option<Arc<AtomicU64>>,
-    /// Record full metrics (counters/histograms/channel tables), not just
-    /// the always-on flight recorder.
-    metrics_full: bool,
-    /// Caller-owned registry to record into — the live-sampling hook.
-    metrics_shared: Option<Arc<MetricsRegistry>>,
+    config: &'a RunConfig,
 }
 
-impl ThreadedRunner {
-    /// A runner with the default receive timeout and no step budget.
+impl ThreadedRunner<'static> {
+    /// A runner under the default [`RunConfig`]: raw fabric, the default
+    /// receive timeout, no step budget.
     pub fn new(cost: CostModel) -> Self {
         ThreadedRunner {
             cost,
-            recv_timeout: DEFAULT_RECV_TIMEOUT,
-            step_budget: u64::MAX,
-            slowdowns: None,
-            faults: None,
-            ckpt: None,
-            trace: Trace::disabled(),
-            ring_words: None,
-            wake_probe: None,
-            metrics_full: false,
-            metrics_shared: None,
+            config: &DEFAULT,
         }
     }
+}
 
-    /// Enable full metrics recording: lock-free per-processor counters,
-    /// histograms, and per-channel traffic tables, snapshotted into
-    /// [`RunReport::metrics`]. The flight recorder is on regardless.
-    pub fn with_metrics(mut self) -> Self {
-        self.metrics_full = true;
-        self
-    }
-
-    /// Record into a caller-owned registry instead of a private one — the
-    /// live-sampling hook: another thread may
-    /// [`snapshot`](MetricsRegistry::snapshot) it while the run executes
-    /// (the `monitor` bench's refreshing dashboard does exactly that).
-    ///
-    /// # Panics
-    ///
-    /// Panics at [`run`](Self::run) time if the registry's shard count
-    /// differs from the process count.
-    pub fn with_metrics_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics_shared = Some(registry);
-        self
-    }
-
-    /// Enable bounded event tracing, `cap` events *per processor*
-    /// (keep-oldest policy; see [`with_trace_config`](Self::with_trace_config)).
-    pub fn with_trace(mut self, cap: usize) -> Self {
-        self.trace = Trace::bounded(cap);
-        self
-    }
-
-    /// Enable tracing with the cap/policy of a configured [`Trace`] — how
-    /// a simulator machine's trace configuration is carried over to the
-    /// threaded backend.
-    pub fn with_trace_config(mut self, template: &Trace) -> Self {
-        self.trace = template.like();
-        self
-    }
-
-    /// Run over a faulty fabric with the reliable-delivery protocol
-    /// interposed (wall-clock retransmission deadlines). The plan's
-    /// per-transmission decisions stay deterministic, but *how many*
-    /// transmissions occur depends on real-time retransmission races, so
-    /// only program-visible results — outputs and logical pair counts —
-    /// are reproducible, not the protocol tallies.
-    pub fn with_faults(mut self, plan: FaultPlan, cfg: RelConfig) -> Self {
-        self.faults = Some((plan, cfg));
-        self
-    }
-
-    /// Periodic checkpoints with crash restart. Implies the reliable
-    /// protocol (an empty fault plan if none was configured): the
-    /// ack-lagging consistent cut and the replay path both live there.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a coordinated-mode configuration — barrier-aligned
-    /// global snapshots need the simulator's round structure; real
-    /// threads have no global step boundary to align on.
-    pub fn with_checkpoints(mut self, cfg: CheckpointCfg) -> Self {
-        assert!(
-            !cfg.coordinated,
-            "coordinated checkpoints are simulator-only; use independent mode here"
-        );
-        self.ckpt = Some(cfg);
-        self
-    }
-
-    /// Fail a blocked receive after `timeout` without any arrival.
-    pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = timeout;
-        self
-    }
-
-    /// Limit the number of steps *per processor* (runaway guard). The
-    /// simulator budgets total steps instead; threads cannot share a
-    /// counter without serializing on it.
-    pub fn with_step_budget(mut self, budget: u64) -> Self {
-        self.step_budget = budget;
-        self
-    }
-
-    /// Per-processor slowdown factors, as
-    /// [`Machine::with_slowdowns`](crate::Machine::with_slowdowns).
-    ///
-    /// # Panics
-    ///
-    /// Panics (at [`run`](Self::run) time) if the length differs from the
-    /// process count, or here if any factor is zero.
-    pub fn with_slowdowns(mut self, factors: Vec<u64>) -> Self {
-        assert!(factors.iter().all(|&f| f > 0), "factors must be positive");
-        self.slowdowns = Some(factors);
-        self
-    }
-
-    /// Override the per-pair ring capacity in words (power of two, at
-    /// least 8). A tiny capacity forces every frame through the chunked
-    /// slow path — results must not change; primarily a test hook.
-    pub fn with_ring_capacity(mut self, words: usize) -> Self {
-        assert!(
-            words.is_power_of_two() && words >= 8,
-            "ring capacity must be a power of two >= 8"
-        );
-        self.ring_words = Some(words);
-        self
-    }
-
-    /// Accumulate every thread's park count into `probe` at exit — the
-    /// regression hook for wakeup batching (a polling implementation
-    /// shows hundreds of wakes where a parked one shows a handful).
-    pub fn with_wake_probe(mut self, probe: Arc<AtomicU64>) -> Self {
-        self.wake_probe = Some(probe);
-        self
+impl<'a> ThreadedRunner<'a> {
+    /// A runner under `config`. Whatever [`RunConfig::backend`] says,
+    /// this runs threads; [`RunConfig::quantum`] means nothing here.
+    pub fn with_config(cost: CostModel, config: &'a RunConfig) -> Self {
+        ThreadedRunner { cost, config }
     }
 
     /// Run `processes[p]` on its own thread as processor `p` until every
-    /// process finishes.
+    /// process finishes — on the raw fabric or, when
+    /// [`RunConfig::protocol`] says so, under the reliable-delivery
+    /// protocol with wall-clock retransmission deadlines. Under a fault
+    /// plan the per-transmission decisions stay deterministic, but *how
+    /// many* transmissions occur depends on real-time retransmission
+    /// races, so only program-visible results — outputs and logical pair
+    /// counts — are reproducible, not the protocol tallies.
     ///
     /// # Errors
     ///
@@ -1201,10 +1059,12 @@ impl ThreadedRunner {
     /// are usually cascades of earlier ones, and which *thread* fails
     /// first is a wall-clock race the ranking hides.
     ///
+    /// A configuration that does not fit (see
+    /// [`MachineError::InvalidConfig`]) fails before any thread starts.
+    ///
     /// # Panics
     ///
-    /// Panics if `processes` is empty or a slowdown vector of the wrong
-    /// length was supplied.
+    /// Panics if `processes` is empty.
     pub fn run<P: Process + Send>(&self, processes: &mut [P]) -> Result<RunReport, MachineError> {
         let (report, err) = self.run_with_report(processes);
         match err {
@@ -1228,135 +1088,15 @@ impl ThreadedRunner {
     ) -> (RunReport, Option<MachineError>) {
         let n = processes.len();
         assert!(n > 0, "a machine needs at least one processor");
-        if let Some(f) = &self.slowdowns {
-            assert_eq!(f.len(), n, "one factor per processor");
-        }
         let gauge = Arc::new(Gauge::default());
-        let bells: Arc<Vec<Doorbell>> = Arc::new((0..n).map(|_| Doorbell::new()).collect());
-        let status: Arc<Vec<AtomicU8>> =
-            Arc::new((0..n).map(|_| AtomicU8::new(PEER_RUNNING)).collect());
-        let epoch = Arc::new(AtomicU64::new(0));
-        // One preallocated SPSC ring per ordered pair: txs[s][d] produces
-        // into the ring rxs[d][s] consumes.
-        let ring_words = self.ring_words.unwrap_or_else(|| default_ring_words(n));
-        let multicore = std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);
-        let mut txs: Vec<Vec<Option<FrameTx>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut rxs: Vec<Vec<Option<FrameRx>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for src in 0..n {
-            for dst in 0..n {
-                if src != dst {
-                    let (tx, rx) = ring(ring_words);
-                    txs[src][dst] = Some(FrameTx::new(tx));
-                    rxs[dst][src] = Some(FrameRx::new(rx));
-                }
-            }
-        }
-        // Checkpointing rides on the reliable protocol; enable it with an
-        // empty fault plan when only checkpoints were requested.
-        let faults = self
-            .faults
-            .clone()
-            .or_else(|| self.ckpt.map(|_| (FaultPlan::none(), RelConfig::default())));
-        let registry = match &self.metrics_shared {
-            Some(r) => {
-                assert_eq!(r.n_procs(), n, "one metrics shard per processor");
-                Arc::clone(r)
-            }
-            None if self.metrics_full => Arc::new(MetricsRegistry::new(n)),
-            None => Arc::new(MetricsRegistry::flight_only(n)),
+        let registry = self.config.metrics.registry(n);
+        let results = match self.config.validate(n, true) {
+            Ok(()) => self.run_threads(processes, &gauge, &registry),
+            // Nothing ran: every processor holds an empty slot.
+            Err(e) => (0..n)
+                .map(|p| (None, (p == 0).then(|| e.clone())))
+                .collect(),
         };
-        let mut endpoints: Vec<Endpoint> = txs
-            .into_iter()
-            .zip(rxs)
-            .enumerate()
-            .map(|(p, (tx, rx))| Endpoint {
-                me: ProcId(p),
-                n,
-                cost: self.cost,
-                slowdown: self.slowdowns.as_ref().map_or(1, |f| f[p]),
-                clock: Time::ZERO,
-                stats: ProcStats::default(),
-                tx,
-                rx,
-                stash: HashMap::new(),
-                pool: BufPool::new(),
-                sent: BTreeMap::new(),
-                recvd: BTreeMap::new(),
-                self_send: None,
-                rel: faults.as_ref().map(|(plan, cfg)| {
-                    let ack_cost = self.cost.recv_cost(1);
-                    Box::new(Reliable {
-                        core: RelEndpoint::new(ProcId(p), *cfg, ack_cost, self.ckpt),
-                        fault: FaultState::new(plan.clone()),
-                    })
-                }),
-                bells: Arc::clone(&bells),
-                status: Arc::clone(&status),
-                epoch: Arc::clone(&epoch),
-                ingested: 0,
-                wakes: 0,
-                spin: multicore,
-                wake_probe: self.wake_probe.clone(),
-                gauge: Arc::clone(&gauge),
-                recv_timeout: self.recv_timeout,
-                ckpt: self.ckpt,
-                trace: self.trace.like(),
-                metrics: Arc::clone(&registry),
-                reliable: faults.is_some(),
-            })
-            .collect();
-
-        let budget = self.step_budget;
-        let results: Vec<(Option<ThreadDone>, Option<MachineError>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = processes
-                .iter_mut()
-                .zip(endpoints.drain(..))
-                .enumerate()
-                .map(|(p, (process, mut ep))| {
-                    s.spawn(move || {
-                        ep.bells[p].register();
-                        // The guard posts `finished` only on the success
-                        // path; an error return or a panic unwind drops
-                        // it unfinished and posts `dead`, waking every
-                        // blocked peer immediately.
-                        let mut guard = StatusGuard {
-                            status: Arc::clone(&ep.status),
-                            bells: Arc::clone(&ep.bells),
-                            epoch: Arc::clone(&ep.epoch),
-                            me: p,
-                            finished: false,
-                        };
-                        let (done, err) = drive(process, &mut ep, budget);
-                        if let Some(probe) = &ep.wake_probe {
-                            probe.fetch_add(ep.wakes, Ordering::Relaxed);
-                        }
-                        if err.is_none() {
-                            guard.finish();
-                        }
-                        (done, err)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(p, h)| {
-                    // A panicked thread harvested nothing; everything it
-                    // recorded into the shared registry survives.
-                    h.join().map(|(d, e)| (Some(d), e)).unwrap_or_else(|_| {
-                        (
-                            None,
-                            Some(MachineError::ProcessFault {
-                                proc: ProcId(p),
-                                message: "process thread panicked".into(),
-                            }),
-                        )
-                    })
-                })
-                .collect()
-        });
 
         // When one thread fails, its peers cascade into secondary errors,
         // so rank the causes: a fault or an exhausted budget is always the
@@ -1394,8 +1134,8 @@ impl ThreadedRunner {
             }
         }
 
-        let reliable = faults.is_some();
-        let mut recovery_total = self.ckpt.map(|_| RecoveryReport::default());
+        let reliable = self.config.protocol().is_some();
+        let mut recovery_total = self.config.checkpoints.map(|_| RecoveryReport::default());
         let mut pair_messages: BTreeMap<(ProcId, ProcId, Tag), u64> = BTreeMap::new();
         let mut recvd_by_triple: BTreeMap<(ProcId, ProcId, Tag), u64> = BTreeMap::new();
         let mut network = NetworkStats::default();
@@ -1409,7 +1149,7 @@ impl ThreadedRunner {
             let Some(d) = d else {
                 // Panicked thread: hold its slots so the per-processor
                 // vectors stay index-aligned with processor ids.
-                traces.push(self.trace.like());
+                traces.push(self.config.trace());
                 clocks.push(Time::ZERO);
                 procs.push(ProcStats::default());
                 continue;
@@ -1459,12 +1199,153 @@ impl ThreadedRunner {
         };
         (report, worst)
     }
+
+    /// Wire up the rings and endpoints, run every process on its own
+    /// scoped thread, and hand back what each thread harvested with the
+    /// error it ended on. A panicked thread harvested nothing.
+    fn run_threads<P: Process + Send>(
+        &self,
+        processes: &mut [P],
+        gauge: &Arc<Gauge>,
+        registry: &Arc<MetricsRegistry>,
+    ) -> Vec<(Option<ThreadDone<'a>>, Option<MachineError>)> {
+        let n = processes.len();
+        let config = self.config;
+        let bells: Arc<Vec<Doorbell>> = Arc::new((0..n).map(|_| Doorbell::new()).collect());
+        let status: Arc<Vec<AtomicU8>> =
+            Arc::new((0..n).map(|_| AtomicU8::new(PEER_RUNNING)).collect());
+        let epoch = Arc::new(AtomicU64::new(0));
+        // One preallocated SPSC ring per ordered pair: txs[s][d] produces
+        // into the ring rxs[d][s] consumes.
+        let ring_words = config.ring_words.unwrap_or_else(|| default_ring_words(n));
+        let multicore = std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);
+        let mut txs: Vec<Vec<Option<FrameTx>>> =
+            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+        let mut rxs: Vec<Vec<Option<FrameRx>>> =
+            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+        for src in 0..n {
+            for dst in 0..n {
+                if src != dst {
+                    let (tx, rx) = ring(ring_words);
+                    txs[src][dst] = Some(FrameTx::new(tx));
+                    rxs[dst][src] = Some(FrameRx::new(rx));
+                }
+            }
+        }
+        let protocol = config.protocol();
+        let mut endpoints: Vec<Endpoint<'a>> = txs
+            .into_iter()
+            .zip(rxs)
+            .enumerate()
+            .map(|(p, (tx, rx))| Endpoint {
+                me: ProcId(p),
+                n,
+                cost: self.cost,
+                slowdown: config.slowdowns.get(p).copied().unwrap_or(1),
+                clock: Time::ZERO,
+                stats: ProcStats::default(),
+                tx,
+                rx,
+                stash: HashMap::new(),
+                pool: BufPool::new(),
+                sent: BTreeMap::new(),
+                recvd: BTreeMap::new(),
+                self_send: None,
+                rel: protocol.map(|cfg| {
+                    let ack_cost = self.cost.recv_cost(1);
+                    Box::new(Reliable {
+                        core: RelEndpoint::new(ProcId(p), cfg, ack_cost, config.checkpoints),
+                        fault: FaultState::new(&config.faults),
+                    })
+                }),
+                bells: Arc::clone(&bells),
+                status: Arc::clone(&status),
+                epoch: Arc::clone(&epoch),
+                ingested: 0,
+                spin: multicore,
+                gauge: Arc::clone(gauge),
+                recv_timeout: config.recv_timeout(),
+                ckpt: config.checkpoints,
+                trace: config.trace(),
+                metrics: Arc::clone(registry),
+                reliable: protocol.is_some(),
+            })
+            .collect();
+
+        let budget = config.step_budget;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = processes
+                .iter_mut()
+                .zip(endpoints.drain(..))
+                .enumerate()
+                .map(|(p, (process, mut ep))| {
+                    s.spawn(move || {
+                        ep.bells[p].register();
+                        // The guard posts `finished` only on the success
+                        // path; an error return or a panic unwind drops
+                        // it unfinished and posts `dead`, waking every
+                        // blocked peer immediately.
+                        let mut guard = StatusGuard {
+                            status: Arc::clone(&ep.status),
+                            bells: Arc::clone(&ep.bells),
+                            epoch: Arc::clone(&ep.epoch),
+                            me: p,
+                            finished: false,
+                        };
+                        let (done, err) = drive(process, &mut ep, budget);
+                        if err.is_none() {
+                            guard.finish();
+                        }
+                        (done, err)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(p, h)| {
+                    // A panicked thread harvested nothing; everything it
+                    // recorded into the shared registry survives.
+                    h.join().map(|(d, e)| (Some(d), e)).unwrap_or_else(|_| {
+                        (
+                            None,
+                            Some(MachineError::ProcessFault {
+                                proc: ProcId(p),
+                                message: "process thread panicked".into(),
+                            }),
+                        )
+                    })
+                })
+                .collect()
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MetricsMode;
+    use crate::fault::FaultPlan;
+    use crate::reliable::RelConfig;
     use pdc_testkit::{within, THREADS_DEADLINE};
+
+    /// The default configuration with a receive timeout of `recv_timeout`.
+    fn timeout(recv_timeout: Duration) -> RunConfig {
+        RunConfig {
+            backend: Backend::Threaded { recv_timeout },
+            ..RunConfig::default()
+        }
+    }
+
+    /// A short-RTO reliable run under `faults`, checkpointed as `checkpoints` says.
+    fn faulty(faults: FaultPlan, checkpoints: Option<CheckpointCfg>) -> RunConfig {
+        RunConfig {
+            faults,
+            reliable: Some(fast_rel()),
+            checkpoints,
+            ..RunConfig::default()
+        }
+    }
 
     /// The Scripted toy process from the scheduler tests, replayed on
     /// real threads.
@@ -1554,21 +1435,23 @@ mod tests {
                     Ok(Step::Ran)
                 }
                 Action::Send(dst, tag, payload) => {
-                    fabric.send(me, ProcId(*dst), Tag(*tag), payload.clone());
+                    fabric.send_ref(me, ProcId(*dst), Tag(*tag), payload);
                     self.pc += 1;
                     Ok(Step::Ran)
                 }
-                Action::Recv(src, tag) => match fabric.try_recv(me, ProcId(*src), Tag(*tag)) {
-                    Some(words) => {
+                Action::Recv(src, tag) => {
+                    let mut words = Vec::new();
+                    if fabric.try_recv_into(me, ProcId(*src), Tag(*tag), &mut words) {
                         self.received.push(words);
                         self.pc += 1;
                         Ok(Step::Ran)
+                    } else {
+                        Ok(Step::BlockedOnRecv {
+                            src: ProcId(*src),
+                            tag: Tag(*tag),
+                        })
                     }
-                    None => Ok(Step::BlockedOnRecv {
-                        src: ProcId(*src),
-                        tag: Tag(*tag),
-                    }),
-                },
+                }
                 Action::Sleep(d) => {
                     std::thread::sleep(*d);
                     self.pc += 1;
@@ -1635,10 +1518,10 @@ mod tests {
             Scripted::new(vec![Action::Recv(1, 0)]),
             Scripted::new(vec![Action::Recv(0, 0)]),
         ];
-        let err = ThreadedRunner::new(CostModel::zero())
-            .with_recv_timeout(Duration::from_millis(50))
-            .run(&mut procs)
-            .unwrap_err();
+        let err =
+            ThreadedRunner::with_config(CostModel::zero(), &timeout(Duration::from_millis(50)))
+                .run(&mut procs)
+                .unwrap_err();
         assert!(
             matches!(err, MachineError::RecvTimeout { .. }),
             "expected timeout, got {err}"
@@ -1654,8 +1537,7 @@ mod tests {
             Scripted::new(vec![]),
             Scripted::new(vec![Action::Recv(0, 7)]),
         ];
-        let err = ThreadedRunner::new(CostModel::zero())
-            .with_recv_timeout(Duration::from_secs(30))
+        let err = ThreadedRunner::with_config(CostModel::zero(), &timeout(Duration::from_secs(30)))
             .run(&mut procs)
             .unwrap_err();
         match err {
@@ -1677,8 +1559,7 @@ mod tests {
             Scripted::new(vec![Action::Recv(0, 0)]),
         ];
         let t0 = Instant::now();
-        let err = ThreadedRunner::new(CostModel::zero())
-            .with_recv_timeout(Duration::from_secs(60))
+        let err = ThreadedRunner::with_config(CostModel::zero(), &timeout(Duration::from_secs(60)))
             .run(&mut procs)
             .unwrap_err();
         let elapsed = t0.elapsed();
@@ -1706,9 +1587,9 @@ mod tests {
             Scripted::new(vec![Action::Send(1, 3, vec![1, 2]), Action::Recv(1, 9)]),
             Scripted::new(vec![Action::Recv(0, 3), Action::Fail]),
         ];
-        let (report, err) = ThreadedRunner::new(CostModel::ipsc2())
-            .with_recv_timeout(Duration::from_secs(60))
-            .run_with_report(&mut procs);
+        let (report, err) =
+            ThreadedRunner::with_config(CostModel::ipsc2(), &timeout(Duration::from_secs(60)))
+                .run_with_report(&mut procs);
         let err = err.expect("the run fails");
         assert!(
             matches!(
@@ -1746,9 +1627,9 @@ mod tests {
             Scripted::new(vec![Action::Send(1, 3, vec![7]), Action::Recv(1, 9)]),
             Scripted::new(vec![Action::Panic]),
         ];
-        let (report, err) = ThreadedRunner::new(CostModel::ipsc2())
-            .with_recv_timeout(Duration::from_secs(60))
-            .run_with_report(&mut procs);
+        let (report, err) =
+            ThreadedRunner::with_config(CostModel::ipsc2(), &timeout(Duration::from_secs(60)))
+                .run_with_report(&mut procs);
         assert!(err.is_some(), "the run fails");
         assert_eq!(
             report.pair_messages.get(&(ProcId(0), ProcId(1), Tag(3))),
@@ -1772,8 +1653,7 @@ mod tests {
             Scripted::new(vec![Action::Recv(0, 0)]),
         ];
         let t0 = Instant::now();
-        let err = ThreadedRunner::new(CostModel::zero())
-            .with_recv_timeout(Duration::from_secs(60))
+        let err = ThreadedRunner::with_config(CostModel::zero(), &timeout(Duration::from_secs(60)))
             .run(&mut procs)
             .unwrap_err();
         let elapsed = t0.elapsed();
@@ -1812,8 +1692,11 @@ mod tests {
             }
         }
         let mut procs = vec![Forever];
-        let err = ThreadedRunner::new(CostModel::zero())
-            .with_step_budget(1000)
+        let config = RunConfig {
+            step_budget: 1000,
+            ..RunConfig::default()
+        };
+        let err = ThreadedRunner::with_config(CostModel::zero(), &config)
             .run(&mut procs)
             .unwrap_err();
         assert!(matches!(err, MachineError::StepBudgetExceeded { .. }));
@@ -1825,8 +1708,11 @@ mod tests {
             Scripted::new(vec![Action::Compute(10)]),
             Scripted::new(vec![Action::Compute(10)]),
         ];
-        let report = ThreadedRunner::new(CostModel::zero())
-            .with_slowdowns(vec![3, 1])
+        let config = RunConfig {
+            slowdowns: vec![3, 1],
+            ..RunConfig::default()
+        };
+        let report = ThreadedRunner::with_config(CostModel::zero(), &config)
             .run(&mut procs)
             .unwrap();
         assert_eq!(report.stats.clocks[0], Time(30));
@@ -1879,8 +1765,11 @@ mod tests {
             vec![Scripted::new(a), Scripted::new(b)]
         };
         let mut tiny = build();
-        let tiny_report = ThreadedRunner::new(c)
-            .with_ring_capacity(8)
+        let config = RunConfig {
+            ring_words: Some(8),
+            ..RunConfig::default()
+        };
+        let tiny_report = ThreadedRunner::with_config(c, &config)
             .run(&mut tiny)
             .unwrap();
         let mut dflt = build();
@@ -1918,8 +1807,8 @@ mod tests {
     fn reliable_empty_plan_delivers_in_order() {
         within(THREADS_DEADLINE, || {
             let mut procs = stream_scripts();
-            let report = ThreadedRunner::new(CostModel::ipsc2())
-                .with_faults(FaultPlan::none(), fast_rel())
+            let config = faulty(FaultPlan::none(), None);
+            let report = ThreadedRunner::with_config(CostModel::ipsc2(), &config)
                 .run(&mut procs)
                 .unwrap();
             let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
@@ -1946,8 +1835,8 @@ mod tests {
                 .with_reorders(100)
                 .with_fault_budget(6);
             let mut procs = stream_scripts();
-            let report = ThreadedRunner::new(CostModel::ipsc2())
-                .with_faults(plan, fast_rel())
+            let config = faulty(plan, None);
+            let report = ThreadedRunner::with_config(CostModel::ipsc2(), &config)
                 .run(&mut procs)
                 .unwrap();
             let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
@@ -1969,9 +1858,11 @@ mod tests {
                 .with_dups(150)
                 .with_fault_budget(4);
             let mut procs = stream_scripts();
-            let report = ThreadedRunner::new(CostModel::ipsc2())
-                .with_faults(plan, fast_rel())
-                .with_ring_capacity(16)
+            let config = RunConfig {
+                ring_words: Some(16),
+                ..faulty(plan, None)
+            };
+            let report = ThreadedRunner::with_config(CostModel::ipsc2(), &config)
                 .run(&mut procs)
                 .unwrap();
             let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
@@ -1993,9 +1884,12 @@ mod tests {
                 Scripted::new(vec![Action::Send(1, 0, vec![1])]),
                 Scripted::new(vec![Action::Recv(0, 0)]),
             ];
-            let err = ThreadedRunner::new(CostModel::zero())
-                .with_recv_timeout(Duration::from_secs(30))
-                .with_faults(plan, cfg)
+            let config = RunConfig {
+                faults: plan,
+                reliable: Some(cfg),
+                ..timeout(Duration::from_secs(30))
+            };
+            let err = ThreadedRunner::with_config(CostModel::zero(), &config)
                 .run(&mut procs)
                 .unwrap_err();
             assert_eq!(
@@ -2038,7 +1932,6 @@ mod tests {
             // until P1's final live acks, which P1 delays behind a 150 ms
             // sleep. The old linger polled that state at 1 ms (~150 wakes
             // here); the parked linger wakes only on real events.
-            let probe = Arc::new(AtomicU64::new(0));
             let mut procs = vec![
                 Scripted::new(vec![Action::Send(1, 0, vec![1])]),
                 Scripted::new(vec![
@@ -2046,14 +1939,17 @@ mod tests {
                     Action::Sleep(Duration::from_millis(150)),
                 ]),
             ];
-            let report = ThreadedRunner::new(CostModel::zero())
-                .with_checkpoints(CheckpointCfg::every(1_000_000))
-                .with_wake_probe(Arc::clone(&probe))
+            let config = RunConfig {
+                checkpoints: Some(CheckpointCfg::every(1_000_000)),
+                metrics: MetricsMode::Full,
+                ..RunConfig::default()
+            };
+            let report = ThreadedRunner::with_config(CostModel::zero(), &config)
                 .run(&mut procs)
                 .unwrap();
             assert_eq!(report.undelivered, 0);
             assert_eq!(procs[1].received, vec![vec![1]]);
-            let wakes = probe.load(Ordering::Relaxed);
+            let wakes = report.metrics.total(Ctr::Parks);
             assert!(
                 wakes < 25,
                 "linger should park, not poll: {wakes} wakes across both threads"
@@ -2081,8 +1977,8 @@ mod tests {
     fn sender_crash_recovery_is_transparent_on_threads() {
         within(THREADS_DEADLINE, || {
             let mut clean = crash_scripts();
-            let clean_report = ThreadedRunner::new(CostModel::ipsc2())
-                .with_faults(FaultPlan::none(), fast_rel())
+            let config = faulty(FaultPlan::none(), None);
+            let clean_report = ThreadedRunner::with_config(CostModel::ipsc2(), &config)
                 .run(&mut clean)
                 .unwrap();
             let plan = FaultPlan::seeded(3).with_crash(ProcId(0), 5);
@@ -2092,9 +1988,8 @@ mod tests {
                 .with_amortization(0)
                 .with_reboot(5_000, Duration::from_millis(1));
             let mut procs = crash_scripts();
-            let report = ThreadedRunner::new(CostModel::ipsc2())
-                .with_faults(plan, fast_rel())
-                .with_checkpoints(ckpt)
+            let config = faulty(plan, Some(ckpt));
+            let report = ThreadedRunner::with_config(CostModel::ipsc2(), &config)
                 .run(&mut procs)
                 .unwrap();
             assert_eq!(
@@ -2117,9 +2012,8 @@ mod tests {
         within(THREADS_DEADLINE, || {
             let plan = FaultPlan::seeded(0).with_crash(ProcId(1), 0);
             let mut procs = crash_scripts();
-            let report = ThreadedRunner::new(CostModel::ipsc2())
-                .with_faults(plan, fast_rel())
-                .with_checkpoints(CheckpointCfg::every(4))
+            let config = faulty(plan, Some(CheckpointCfg::every(4)));
+            let report = ThreadedRunner::with_config(CostModel::ipsc2(), &config)
                 .run(&mut procs)
                 .unwrap();
             let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();
@@ -2142,9 +2036,13 @@ mod tests {
                 ]),
                 Scripted::new(vec![Action::Recv(0, 0)]),
             ];
-            let err = ThreadedRunner::new(CostModel::zero())
-                .with_recv_timeout(Duration::from_secs(30))
-                .with_faults(plan, fast_rel())
+            let config = RunConfig {
+                backend: Backend::Threaded {
+                    recv_timeout: Duration::from_secs(30),
+                },
+                ..faulty(plan, None)
+            };
+            let err = ThreadedRunner::with_config(CostModel::zero(), &config)
                 .run(&mut procs)
                 .unwrap_err();
             assert_eq!(
@@ -2161,8 +2059,11 @@ mod tests {
     fn checkpoints_alone_enable_the_reliable_path() {
         within(THREADS_DEADLINE, || {
             let mut procs = crash_scripts();
-            let report = ThreadedRunner::new(CostModel::ipsc2())
-                .with_checkpoints(CheckpointCfg::every(2))
+            let config = RunConfig {
+                checkpoints: Some(CheckpointCfg::every(2)),
+                ..RunConfig::default()
+            };
+            let report = ThreadedRunner::with_config(CostModel::ipsc2(), &config)
                 .run(&mut procs)
                 .unwrap();
             let expected: Vec<Vec<Word>> = (0..10).map(|i| vec![i]).collect();

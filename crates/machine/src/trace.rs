@@ -231,21 +231,6 @@ impl Trace {
         }
     }
 
-    /// An empty trace with the same cap/policy/enabled configuration —
-    /// how the threaded backend clones the simulator machine's trace
-    /// configuration onto each endpoint.
-    pub fn like(&self) -> Self {
-        Trace {
-            events: VecDeque::new(),
-            cap: self.cap,
-            policy: self.policy,
-            dropped: 0,
-            next_seq: 0,
-            enabled: self.enabled,
-            open: BTreeMap::new(),
-        }
-    }
-
     /// Record an event (no-op when disabled). Flushes the processor's
     /// open compute interval first so per-processor order is preserved.
     pub fn record(&mut self, proc: ProcId, at: Time, kind: EventKind) {

@@ -449,9 +449,10 @@ mod tests {
         let mut m = Machine::new(2, c);
         m.enable_trace(crate::trace::Trace::bounded(1024));
         m.tick(ProcId(0), 500);
-        m.send(ProcId(0), ProcId(1), Tag(0), vec![7]);
+        m.send_ref(ProcId(0), ProcId(1), Tag(0), &[7]);
         m.finish(ProcId(0));
-        let got = m.try_recv(ProcId(1), ProcId(0), Tag(0)).expect("delivered");
+        let mut got = Vec::new();
+        assert!(m.try_recv_into(ProcId(1), ProcId(0), Tag(0), &mut got));
         assert_eq!(got, vec![7]);
         m.tick(ProcId(1), 100);
         m.finish(ProcId(1));
@@ -511,10 +512,10 @@ mod tests {
         let c = CostModel::shared_memory();
         let mut m = Machine::new(2, c);
         m.enable_trace(crate::trace::Trace::bounded(64));
-        m.send(ProcId(0), ProcId(1), Tag(0), vec![1]);
+        m.send_ref(ProcId(0), ProcId(1), Tag(0), &[1]);
         // P1 computes past the arrival before receiving.
         m.tick(ProcId(1), 1000);
-        m.try_recv(ProcId(1), ProcId(0), Tag(0)).expect("delivered");
+        assert!(m.try_recv_into(ProcId(1), ProcId(0), Tag(0), &mut Vec::new()));
         m.finish(ProcId(1));
         m.finish(ProcId(0));
 

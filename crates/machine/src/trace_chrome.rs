@@ -34,33 +34,15 @@
 
 use crate::message::ProcId;
 use crate::trace::{Event, EventKind, Trace};
-use pdc_metrics::MetricsSnapshot;
+use pdc_metrics::{json_escape, MetricsSnapshot};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-
-/// Escape a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One complete ("X") slice.
 fn slice(out: &mut Vec<String>, name: &str, proc: ProcId, ts: u64, dur: u64, args: &str) {
     out.push(format!(
         "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{}{}}}",
-        esc(name),
+        json_escape(name),
         proc.0,
         ts,
         dur,
@@ -72,7 +54,7 @@ fn slice(out: &mut Vec<String>, name: &str, proc: ProcId, ts: u64, dur: u64, arg
 fn instant(out: &mut Vec<String>, name: &str, proc: ProcId, ts: u64, args: &str) {
     out.push(format!(
         "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{}{}}}",
-        esc(name),
+        json_escape(name),
         proc.0,
         ts,
         args

@@ -37,4 +37,6 @@ pub use channels::{ChannelTable, CHANNEL_SLOTS};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_SLOTS, NO_PEER};
 pub use hist::{bucket_lo, bucket_of, Hist, HistSnapshot, N_BUCKETS};
 pub use registry::{CachePadded, Ctr, MetricsRegistry, N_CTRS};
-pub use snapshot::{LogicalMetrics, LogicalProc, MetricsSnapshot, ProcMetrics, TripleTotals};
+pub use snapshot::{
+    json_escape, LogicalMetrics, LogicalProc, MetricsSnapshot, ProcMetrics, TripleTotals,
+};

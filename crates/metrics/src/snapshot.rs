@@ -241,9 +241,38 @@ pub(crate) fn ctrs_vec() -> Vec<u64> {
     vec![0; N_CTRS]
 }
 
+/// Escape `s` for the inside of a JSON string literal. Total: quotes,
+/// backslashes and every control character are escaped, everything else
+/// passes through. The one escaper of the workspace's hand-rolled JSON
+/// writers (metrics, Chrome traces, remarks, the bench reports).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escape_is_total() {
+        assert_eq!(json_escape("plain b=4 (ok)"), "plain b=4 (ok)");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("l1\nl2\r\tx"), "l1\\nl2\\r\\tx");
+        assert_eq!(json_escape("\u{1}\u{1f}"), "\\u0001\\u001f");
+        assert_eq!(json_escape("naïve →"), "naïve →");
+    }
 
     #[test]
     fn exports_are_deterministic_and_wellformed() {

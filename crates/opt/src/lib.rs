@@ -6,11 +6,11 @@
 //! obtains the handwritten program's performance by applying three
 //! classical transformations to the generated code:
 //!
-//! * **vectorization** ([`vectorize`]) — Appendix A.2, *Optimized I*:
+//! * **vectorization** ([`mod@vectorize`]) — Appendix A.2, *Optimized I*:
 //!   element-wise sends of a *read-only* array (the `Old` values, which
 //!   "are not changed during the execution of the loop") combine into one
 //!   message per column; the matching receives become one block receive;
-//! * **loop jamming** ([`jam`]) — Appendix A.3, *Optimized II*: the
+//! * **loop jamming** ([`mod@jam`]) — Appendix A.3, *Optimized II*: the
 //!   send loop for freshly computed values fuses into the loop that
 //!   computes them, so "new values are sent off as soon as they are
 //!   computed" — this is what releases the wavefront parallelism;
@@ -18,7 +18,7 @@
 //!   the fused compute/send loop is blocked so new values travel in
 //!   blocks of `blksize`, "a compromise between decreasing the number of
 //!   messages and exploiting parallelism";
-//! * **loop interchange** ([`interchange`]) — §4's closing remark: a
+//! * **loop interchange** ([`mod@interchange`]) — §4's closing remark: a
 //!   source program whose loops run against the distribution is
 //!   interchanged so the iteration order aligns with the mapping.
 //!

@@ -26,6 +26,7 @@ pub use cost::{predict, ChannelCost, CostSink, Prediction};
 pub use makespan::{estimate, predict_and_estimate, MakespanEstimate, TimingSink};
 
 use pdc_lang::Span;
+use pdc_machine::metrics::json_escape;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -259,23 +260,6 @@ pub fn render_text(remarks: &[Remark]) -> String {
     out
 }
 
-/// Escape a string for JSON output.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the stream as deterministic JSON: the schema is
 ///
 /// ```json
@@ -304,7 +288,7 @@ pub fn remarks_json(remarks: &[Remark]) -> String {
             if j > 0 {
                 details.push_str(", ");
             }
-            let _ = write!(details, "\"{}\": \"{}\"", esc(k), esc(v));
+            let _ = write!(details, "\"{}\": \"{}\"", json_escape(k), json_escape(v));
         }
         details.push('}');
         let _ = write!(
@@ -313,7 +297,7 @@ pub fn remarks_json(remarks: &[Remark]) -> String {
              \"message\": \"{}\", \"details\": {details}}}",
             r.phase.slug(),
             r.kind.slug(),
-            esc(&r.message)
+            json_escape(&r.message)
         );
         out.push_str(if i + 1 < remarks.len() { ",\n" } else { "\n" });
     }

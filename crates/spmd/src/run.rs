@@ -7,8 +7,8 @@ use crate::vm::{DistArray, ProcVm};
 use crate::SpmdError;
 use pdc_istructure::IMatrix;
 use pdc_machine::{
-    Backend, CheckpointCfg, CostModel, FaultPlan, Machine, MetricsRegistry, Process, RelConfig,
-    RunReport, Scheduler, ThreadedRunner,
+    Backend, CheckpointCfg, CostModel, FaultPlan, Machine, MetricsMode, Process, RelConfig,
+    RunConfig, RunReport, Scheduler, ThreadedRunner,
 };
 use pdc_mapping::OwnerSet;
 use std::sync::Arc;
@@ -22,72 +22,51 @@ pub struct RunOutcome {
     pub report: RunReport,
 }
 
-/// An assembled SPMD execution: lowered per-processor code, the simulated
-/// machine, and (after [`run`](SpmdMachine::run)) the final VM states for
-/// inspection and gathering.
+/// An assembled SPMD execution: lowered per-processor code, how to run it
+/// (a [`RunConfig`], see DESIGN §5b "Run configuration"), and (after
+/// [`run`](SpmdMachine::run)) the final VM states for inspection and
+/// gathering.
 ///
 /// # Examples
 ///
 /// See the crate-level example.
 #[derive(Debug)]
 pub struct SpmdMachine {
-    machine: Machine,
+    cost: CostModel,
     vms: Vec<ProcVm>,
-    scheduler: Scheduler,
-    backend: Backend,
-    faults: Option<(FaultPlan, RelConfig)>,
-    checkpoints: Option<CheckpointCfg>,
-    ring_words: Option<usize>,
-    metrics_full: bool,
-    metrics_shared: Option<Arc<MetricsRegistry>>,
-    ran: bool,
+    config: RunConfig,
 }
 
 impl SpmdMachine {
-    /// Lower `program` and set up a machine with one processor per body.
+    /// Lower `program`, one processor per body, to run under the default
+    /// [`RunConfig`].
     ///
     /// # Errors
     ///
     /// [`SpmdError::Lower`] if any body fails to lower.
     pub fn new(program: &SpmdProgram, cost: CostModel) -> Result<Self, SpmdError> {
-        Self::with_machine(program, Machine::new(program.n_procs(), cost))
-    }
-
-    /// Like [`new`](Self::new) but with a caller-configured machine (e.g.
-    /// with tracing enabled).
-    ///
-    /// # Errors
-    ///
-    /// [`SpmdError::Lower`] if any body fails to lower.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine size differs from the program's.
-    pub fn with_machine(program: &SpmdProgram, machine: Machine) -> Result<Self, SpmdError> {
-        assert_eq!(machine.n_procs(), program.n_procs(), "size mismatch");
         let mut vms = Vec::with_capacity(program.n_procs());
         for p in 0..program.n_procs() {
             let code = Arc::new(lower(program.body(p))?);
-            vms.push(ProcVm::new(code, machine.cost_model()));
+            vms.push(ProcVm::new(code, &cost));
         }
         Ok(SpmdMachine {
-            machine,
+            cost,
             vms,
-            scheduler: Scheduler::new(),
-            backend: Backend::Simulated,
-            faults: None,
-            checkpoints: None,
-            ring_words: None,
-            metrics_full: false,
-            metrics_shared: None,
-            ran: false,
+            config: RunConfig::default(),
         })
     }
 
-    /// Replace the default scheduler (to set step budgets in tests).
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
+    /// Replace the whole run configuration. The setters below each write
+    /// one field of it.
+    pub fn with_config(mut self, config: RunConfig) -> Self {
+        self.config = config;
         self
+    }
+
+    /// The configuration [`run`](Self::run) will execute under.
+    pub fn config(&self) -> &RunConfig {
+        &self.config
     }
 
     /// Select the execution backend ([`Backend::Simulated`] by default).
@@ -95,42 +74,26 @@ impl SpmdMachine {
     /// per-pair message counts; only wall-clock-dependent counters (step
     /// totals, peak in-flight) may differ.
     pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.config.backend = backend;
         self
     }
 
-    /// Enable event tracing with a bounded buffer. Works on *both*
-    /// backends — the run's [`RunReport`] carries the (flushed, merged)
-    /// trace. On the simulator the cap is global; on the threaded
-    /// backend it applies per processor.
+    /// Enable event tracing with a bounded buffer; the run's
+    /// [`RunReport`] carries the (flushed, merged) trace.
     pub fn with_trace(mut self, cap: usize) -> Self {
-        self.machine.enable_trace(pdc_machine::Trace::bounded(cap));
+        self.config.trace_cap = Some(cap);
         self
-    }
-
-    /// The configured execution backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Inject faults from `plan` and run under the reliable-delivery
-    /// protocol with the default [`RelConfig`]. A [`FaultPlan::none`] plan
-    /// is a no-op: the run takes the vanilla fast path and is bit-identical
-    /// to a run without this call. Program outputs under a lossy plan are
-    /// identical to a fault-free run; only timing and the
+    /// protocol with retransmission policy `cfg`. A plan that injects
+    /// nothing ([`FaultPlan::none`]) leaves the run on the raw fast path,
+    /// bit-identical to a run without this call. Program outputs under a
+    /// lossy plan are identical to a fault-free run; only timing and the
     /// [`FaultReport`](pdc_machine::FaultReport) differ.
-    pub fn with_faults(self, plan: FaultPlan) -> Self {
-        self.with_faults_cfg(plan, RelConfig::default())
-    }
-
-    /// Like [`with_faults`](Self::with_faults) with an explicit
-    /// retransmission policy.
     pub fn with_faults_cfg(mut self, plan: FaultPlan, cfg: RelConfig) -> Self {
-        self.faults = if plan.is_none() {
-            None
-        } else {
-            Some((plan, cfg))
-        };
+        self.config.reliable = (!plan.is_none()).then_some(cfg);
+        self.config.faults = plan;
         self
     }
 
@@ -138,128 +101,53 @@ impl SpmdMachine {
     /// Useful for measuring protocol overhead: sequencing, acks, and
     /// timers all run, but nothing is ever dropped.
     pub fn with_reliable_delivery(mut self, cfg: RelConfig) -> Self {
-        self.faults = Some((FaultPlan::none(), cfg));
+        self.config.reliable = Some(cfg);
         self
     }
 
     /// Checkpoint every processor's complete state at `cfg`'s interval
-    /// and restart any crashed processor from its last [`Checkpoint`]
-    /// (see [`Scheduler::run_recoverable`]). Works on both backends
-    /// (coordinated snapshot mode is simulator-only) and implies the
-    /// reliable-delivery protocol: recovery replays the lost suffix
-    /// through the retransmit path, so a crashed-and-recovered run
+    /// and restart any crashed processor from its last [`Checkpoint`].
+    /// Implies the reliable-delivery protocol: recovery replays the lost
+    /// suffix through the retransmit path, so a crashed-and-recovered run
     /// produces the same outputs as a fault-free one.
     ///
     /// [`Checkpoint`]: pdc_machine::Checkpoint
     pub fn with_checkpoints(mut self, cfg: CheckpointCfg) -> Self {
-        self.checkpoints = Some(cfg);
+        self.config.checkpoints = Some(cfg);
         self
     }
 
     /// Record full runtime metrics (counters, histograms, per-channel
-    /// tables) on whichever backend runs. The flight recorder is always
-    /// on regardless; this enables everything else. The run's
-    /// [`RunReport`] carries the final
-    /// [`MetricsSnapshot`](pdc_machine::MetricsSnapshot), whose
+    /// tables) on whichever backend runs. The run's [`RunReport`] carries
+    /// the final [`MetricsSnapshot`](pdc_machine::MetricsSnapshot), whose
     /// [`logical`](pdc_machine::MetricsSnapshot::logical) projection
     /// is backend-independent on fault-free runs.
     pub fn with_metrics(mut self) -> Self {
-        self.metrics_full = true;
+        self.config.metrics = MetricsMode::Full;
         self
     }
 
-    /// Like [`with_metrics`](Self::with_metrics) but recording into a
-    /// caller-owned registry, so a live sampler (the `monitor` bench)
-    /// can read counters while the run is in progress.
-    ///
-    /// The registry must have one shard per processor; the backends
-    /// panic at run time on a mismatch.
-    pub fn with_metrics_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics_shared = Some(registry);
-        self
-    }
-
-    /// Override the threaded backend's per-link ring capacity in words
-    /// (power of two, ≥ 8). Results are identical at any capacity —
-    /// frames larger than the ring stream through in chunks — so this
-    /// knob exists for differential tests that want to hammer the
-    /// wraparound and chunking paths. Ignored on the simulator.
-    pub fn with_ring_capacity(mut self, words: usize) -> Self {
-        self.ring_words = Some(words);
-        self
-    }
-
-    /// Execute to completion.
+    /// Execute to completion on the configured backend.
     ///
     /// # Errors
     ///
-    /// Deadlocks, process faults, and budget exhaustion surface as
-    /// [`SpmdError::Machine`]. Under [`Backend::Threaded`], a cyclic
-    /// deadlock surfaces as a receive timeout rather than a global
-    /// no-progress diagnosis.
+    /// A configuration that does not fit the machine, deadlocks, process
+    /// faults, and budget exhaustion surface as [`SpmdError::Machine`].
+    /// Under [`Backend::Threaded`], a cyclic deadlock surfaces as a
+    /// receive timeout rather than a global no-progress diagnosis.
     pub fn run(&mut self) -> Result<RunOutcome, SpmdError> {
-        let report = match self.backend {
+        let report = match self.config.backend {
             Backend::Simulated => {
-                if let Some(r) = &self.metrics_shared {
-                    self.machine.enable_metrics(Arc::clone(r));
-                } else if self.metrics_full {
-                    let n = self.machine.n_procs();
-                    self.machine
-                        .enable_metrics(Arc::new(MetricsRegistry::new(n)));
-                }
+                let mut machine = Machine::new(self.vms.len(), self.cost);
                 let mut refs: Vec<&mut dyn Process> =
                     self.vms.iter_mut().map(|v| v as &mut dyn Process).collect();
-                match (&self.faults, self.checkpoints) {
-                    (Some((plan, cfg)), ckpt) => self.scheduler.run_recoverable(
-                        &mut self.machine,
-                        &mut refs,
-                        plan,
-                        *cfg,
-                        ckpt,
-                    )?,
-                    (None, Some(ckpt)) => self.scheduler.run_recoverable(
-                        &mut self.machine,
-                        &mut refs,
-                        &FaultPlan::none(),
-                        RelConfig::default(),
-                        Some(ckpt),
-                    )?,
-                    (None, None) => self.scheduler.run(&mut self.machine, &mut refs)?,
-                }
+                Scheduler::with_config(&self.config).run(&mut machine, &mut refs)?
             }
-            Backend::Threaded { recv_timeout } => {
-                let mut runner =
-                    ThreadedRunner::new(*self.machine.cost_model()).with_recv_timeout(recv_timeout);
-                if let Some((plan, cfg)) = &self.faults {
-                    runner = runner.with_faults(plan.clone(), *cfg);
-                }
-                if let Some(ckpt) = self.checkpoints {
-                    runner = runner.with_checkpoints(ckpt);
-                }
-                if let Some(words) = self.ring_words {
-                    runner = runner.with_ring_capacity(words);
-                }
-                if let Some(r) = &self.metrics_shared {
-                    runner = runner.with_metrics_registry(Arc::clone(r));
-                } else if self.metrics_full {
-                    runner = runner.with_metrics();
-                }
-                // Forward the machine's trace configuration — dropping it
-                // here is exactly the silently-empty-trace bug this layer
-                // regression-tests against.
-                if self.machine.trace().is_enabled() {
-                    runner = runner.with_trace_config(self.machine.trace());
-                }
-                runner.run(&mut self.vms)?
+            Backend::Threaded { .. } => {
+                ThreadedRunner::with_config(self.cost, &self.config).run(&mut self.vms)?
             }
         };
-        self.ran = true;
         Ok(RunOutcome { report })
-    }
-
-    /// The underlying machine (for stats and traces).
-    pub fn machine(&self) -> &Machine {
-        &self.machine
     }
 
     /// The VM state of processor `p` (for white-box assertions in tests).
@@ -665,13 +553,18 @@ mod tests {
     #[test]
     fn empty_fault_plan_takes_vanilla_path() {
         // FaultPlan::none() must be bit-identical to not calling
-        // with_faults at all: same makespan, same counters, no report.
+        // with_faults_cfg at all: same makespan, same counters, no report.
         let prog = owner_writes_program();
         let mut plain = SpmdMachine::new(&prog, CostModel::ipsc2()).unwrap();
         let plain_out = plain.run().unwrap();
         let mut none = SpmdMachine::new(&prog, CostModel::ipsc2())
             .unwrap()
-            .with_faults(pdc_machine::FaultPlan::none());
+            .with_faults_cfg(FaultPlan::none(), RelConfig::default());
+        assert_eq!(none.config().protocol(), None);
+        let forced = SpmdMachine::new(&prog, CostModel::ipsc2())
+            .unwrap()
+            .with_reliable_delivery(RelConfig::default());
+        assert_eq!(forced.config().protocol(), Some(RelConfig::default()));
         let none_out = none.run().unwrap();
         assert_eq!(none_out.report.stats, plain_out.report.stats);
         assert_eq!(none_out.report.fault, None, "no reliability layer ran");

@@ -1319,7 +1319,7 @@ mod tests {
         let image = vm.snapshot().expect("ProcVm is checkpointable");
 
         let finish = |vm: &mut ProcVm, machine: &mut Machine| {
-            machine.send(ProcId(1), ProcId(0), Tag(0), encode(&[Scalar::Int(1)]));
+            machine.send_ref(ProcId(1), ProcId(0), Tag(0), &encode(&[Scalar::Int(1)]));
             loop {
                 if vm.step(machine, ProcId(0)).unwrap() == Step::Done {
                     break;
@@ -1373,7 +1373,7 @@ mod tests {
             }
         }
         // Deliver the message and let it finish.
-        machine.send(ProcId(1), ProcId(0), Tag(3), encode(&[Scalar::Int(77)]));
+        machine.send_ref(ProcId(1), ProcId(0), Tag(3), &encode(&[Scalar::Int(77)]));
         loop {
             if vm.step(&mut machine, ProcId(0)).unwrap() == Step::Done {
                 break;

@@ -4,7 +4,8 @@
 //! of the quantum, so reports do not depend on how a run is cut.
 
 use pdc_machine::{
-    CostModel, Event, Fabric, Machine, MachineError, ProcId, Process, RunReport, Scheduler, Step,
+    CostModel, Event, Fabric, Machine, MachineError, MetricsMode, ProcId, Process, RunConfig,
+    RunReport, Scheduler, Step,
 };
 use pdc_mapping::Dist;
 use pdc_spmd::ir::{RecvTarget, SExpr, SStmt, SpmdProgram};
@@ -113,14 +114,23 @@ impl Process for Stepping {
     }
 }
 
-fn run(sched: &Scheduler, batched: bool) -> Result<RunReport, MachineError> {
+/// Traced, fully metered, on a heterogeneous machine, at `quantum`.
+fn config(quantum: u64) -> RunConfig {
+    RunConfig {
+        quantum,
+        trace_cap: Some(1 << 14),
+        metrics: MetricsMode::Full,
+        slowdowns: vec![1, 3, 2],
+        ..RunConfig::default()
+    }
+}
+
+fn run(config: &RunConfig, batched: bool) -> Result<RunReport, MachineError> {
     let cost = CostModel::ipsc2();
     let prog = pipeline();
     let vm = |p| ProcVm::new(Arc::new(lower(prog.body(p)).unwrap()), &cost);
-    let mut machine = Machine::new(PROCS, cost)
-        .with_trace(1 << 14)
-        .with_metrics()
-        .with_slowdowns(vec![1, 3, 2]);
+    let mut machine = Machine::new(PROCS, cost);
+    let sched = Scheduler::with_config(config);
     let report = if batched {
         let mut vms: Vec<ProcVm> = (0..PROCS).map(vm).collect();
         let mut refs: Vec<&mut dyn Process> = vms.iter_mut().map(|v| v as _).collect();
@@ -162,23 +172,20 @@ fn logical(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-fn quanta() -> [Scheduler; 3] {
-    [
-        Scheduler::new().with_quantum(1),
-        Scheduler::new().with_quantum(7),
-        Scheduler::new(),
-    ]
+fn quanta() -> [RunConfig; 3] {
+    [1, 7, 4096].map(config)
 }
 
 #[test]
 fn a_batched_run_reports_exactly_what_single_steps_report() {
     for sched in quanta() {
+        let quantum = sched.quantum;
         let (stepped, batched) = (run(&sched, false).unwrap(), run(&sched, true).unwrap());
-        assert_eq!(batched.stats, stepped.stats, "{sched:?}");
-        assert_eq!(batched.steps, stepped.steps, "{sched:?}");
-        assert_eq!(batched.pair_messages, stepped.pair_messages, "{sched:?}");
-        assert_eq!(batched.metrics, stepped.metrics, "{sched:?}");
-        assert_eq!(events(&batched), events(&stepped), "{sched:?}");
+        assert_eq!(batched.stats, stepped.stats, "{quantum}");
+        assert_eq!(batched.steps, stepped.steps, "{quantum}");
+        assert_eq!(batched.pair_messages, stepped.pair_messages, "{quantum}");
+        assert_eq!(batched.metrics, stepped.metrics, "{quantum}");
+        assert_eq!(events(&batched), events(&stepped), "{quantum}");
     }
 }
 
@@ -193,12 +200,13 @@ fn the_quantum_changes_no_logical_result() {
 #[test]
 fn the_step_budget_runs_out_at_the_same_step_as_before() {
     for quantum in [1, 7, 4096] {
-        let sched = Scheduler::new().with_quantum(quantum);
+        let sched = config(quantum);
         let total = run(&sched, false).unwrap().steps;
         for budget in [1, 2, total / 2, total - 1] {
-            let sched = Scheduler::new()
-                .with_quantum(quantum)
-                .with_step_budget(budget);
+            let sched = RunConfig {
+                step_budget: budget,
+                ..config(quantum)
+            };
             for batched in [false, true] {
                 assert_eq!(
                     run(&sched, batched).unwrap_err(),
@@ -207,7 +215,10 @@ fn the_step_budget_runs_out_at_the_same_step_as_before() {
                 );
             }
         }
-        let exact = sched.with_step_budget(total);
+        let exact = RunConfig {
+            step_budget: total,
+            ..sched
+        };
         assert_eq!(run(&exact, true).unwrap().steps, total);
     }
 }

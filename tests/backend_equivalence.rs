@@ -14,7 +14,9 @@
 use pdc_core::driver::{self, Inputs, Job, Strategy};
 use pdc_core::programs;
 use pdc_istructure::IMatrix;
-use pdc_machine::{Backend, CheckpointCfg, CostModel, FaultPlan, MachineError, RelConfig};
+use pdc_machine::{
+    Backend, CheckpointCfg, CostModel, FaultPlan, MachineError, MetricsMode, RelConfig, RunConfig,
+};
 use pdc_mapping::{Decomposition, Dist};
 use pdc_spmd::ir::{RecvTarget, SExpr, SStmt, SpmdProgram};
 use pdc_spmd::run::SpmdMachine;
@@ -343,10 +345,11 @@ fn ring_capacity_is_invisible_to_programs() {
             let label = format!("ring capacity {words:?}");
             let mut m = SpmdMachine::new(&prog, CostModel::ipsc2())
                 .expect("lowers")
-                .with_backend(Backend::threaded());
-            if let Some(words) = words {
-                m = m.with_ring_capacity(words);
-            }
+                .with_config(RunConfig {
+                    backend: Backend::threaded(),
+                    ring_words: words,
+                    ..RunConfig::default()
+                });
             let out = m.run().unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(
                 m.vm(0).var("total"),
@@ -395,8 +398,12 @@ fn backends_agree_on_faulty_checkpointed_wavefronts() {
             programs::wavefront_decomposition(4),
         )
         .with_const("n", n as i64)
-        .with_fault_plan(plan, rel)
-        .with_checkpoint_cfg(CheckpointCfg::every(64));
+        .with_run(RunConfig {
+            faults: plan,
+            reliable: Some(rel),
+            checkpoints: Some(CheckpointCfg::every(64)),
+            ..RunConfig::default()
+        });
         job.extent_overrides.insert("Old".into(), (n, n));
         let compiled = driver::compile(&job, Strategy::CompileTime).expect("compiles");
         let inputs = Inputs::new()
@@ -474,6 +481,201 @@ fn cyclic_deadlock_returns_timeout_on_threaded_backend() {
                 pdc_spmd::SpmdError::Machine(MachineError::RecvTimeout { .. })
             ),
             "threaded backend reports a receive timeout, got: {thr_err}"
+        );
+    });
+}
+
+/// One configuration, two ways to write it: the six `SpmdMachine` setters
+/// and the equivalent `RunConfig` literal run the same run, on both
+/// backends — stats, pair counts, trace and the metrics' logical
+/// projection on the raw fabric; under the protocol the whole report on
+/// the simulator, and what wall-clock retransmission races leave
+/// reproducible on threads.
+#[test]
+fn setters_and_config_literal_describe_the_same_run() {
+    within(THREADS_DEADLINE, || {
+        let prog = stream_program();
+        let rel = RelConfig {
+            rto_wall: Duration::from_millis(2),
+            ..RelConfig::default()
+        };
+        let plan = FaultPlan::seeded(3)
+            .with_drops(150)
+            .with_dups(100)
+            .with_fault_budget(3);
+        let ckpt = CheckpointCfg::every(128);
+        let new = || SpmdMachine::new(&prog, CostModel::ipsc2()).expect("lowers");
+        let events = |r: &pdc_machine::RunReport| {
+            assert_eq!(r.trace.dropped(), 0);
+            r.trace
+                .events()
+                .map(|e| (e.proc, e.at, e.kind.clone()))
+                .collect::<Vec<_>>()
+        };
+        for backend in [Backend::Simulated, Backend::threaded()] {
+            // Raw fabric: an empty plan leaves `with_faults_cfg` on it.
+            let a = new()
+                .with_backend(backend)
+                .with_faults_cfg(FaultPlan::none(), rel)
+                .with_metrics()
+                .with_trace(1 << 16)
+                .run()
+                .expect("setters run")
+                .report;
+            let b = new()
+                .with_config(RunConfig {
+                    backend,
+                    metrics: MetricsMode::Full,
+                    trace_cap: Some(1 << 16),
+                    ..RunConfig::default()
+                })
+                .run()
+                .expect("literal run")
+                .report;
+            assert!(a.fault.is_none() && b.fault.is_none(), "{backend:?}");
+            assert_eq!(a.stats.clocks, b.stats.clocks, "{backend:?}: clocks");
+            assert_eq!(a.stats.procs, b.stats.procs, "{backend:?}: counters");
+            assert_eq!(a.pair_messages, b.pair_messages, "{backend:?}");
+            assert_eq!(a.metrics.logical(), b.metrics.logical(), "{backend:?}");
+            assert_eq!(events(&a), events(&b), "{backend:?}: trace");
+
+            // The protocol, through all six setters; the later
+            // `with_faults_cfg` policy replaces the earlier one.
+            let mut by_setters = new()
+                .with_backend(backend)
+                .with_reliable_delivery(RelConfig::default())
+                .with_faults_cfg(plan.clone(), rel)
+                .with_checkpoints(ckpt)
+                .with_metrics()
+                .with_trace(1 << 16);
+            let mut by_literal = new().with_config(RunConfig {
+                backend,
+                faults: plan.clone(),
+                reliable: Some(rel),
+                checkpoints: Some(ckpt),
+                metrics: MetricsMode::Full,
+                trace_cap: Some(1 << 16),
+                ..RunConfig::default()
+            });
+            let a = by_setters.run().expect("setters run").report;
+            let b = by_literal.run().expect("literal run").report;
+            assert_eq!(a.pair_messages, b.pair_messages, "{backend:?}");
+            assert_eq!(by_setters.vm(0).var("total"), by_literal.vm(0).var("total"));
+            assert!(a.fault.is_some() && b.fault.is_some(), "{backend:?}");
+            assert!(a.recovery.is_some() && b.recovery.is_some(), "{backend:?}");
+            assert!(a.metrics.full && b.metrics.full, "{backend:?}");
+            if backend == Backend::Simulated {
+                assert_eq!(a.stats, b.stats);
+                assert_eq!(a.steps, b.steps);
+                assert_eq!(a.fault, b.fault);
+                assert_eq!(a.recovery, b.recovery);
+                assert_eq!(a.metrics, b.metrics);
+                assert_eq!(events(&a), events(&b));
+            }
+        }
+    });
+}
+
+/// A configuration that cannot describe a run of the machine is a typed
+/// error from the one validation point — through `SpmdMachine` and
+/// through the driver — never a panic.
+#[test]
+fn invalid_configurations_are_typed_errors_on_both_backends() {
+    within(THREADS_DEADLINE, || {
+        let prog = stream_program();
+        let both = [Backend::Simulated, Backend::threaded()];
+        let threads = [Backend::threaded()];
+        // (what, the configuration, where it is invalid, a word of the reason)
+        let table: [(&str, RunConfig, &[Backend], &str); 4] = [
+            (
+                "coordinated checkpoints",
+                RunConfig {
+                    checkpoints: Some(CheckpointCfg::every(50).coordinated()),
+                    ..RunConfig::default()
+                },
+                &threads,
+                "coordinated",
+            ),
+            (
+                "ring capacity",
+                RunConfig {
+                    ring_words: Some(12),
+                    ..RunConfig::default()
+                },
+                &threads,
+                "ring capacity 12",
+            ),
+            (
+                "slowdown length",
+                RunConfig {
+                    slowdowns: vec![2, 1, 1],
+                    ..RunConfig::default()
+                },
+                &both,
+                "3 slowdown factors for 2 processors",
+            ),
+            (
+                "zero slowdown",
+                RunConfig {
+                    slowdowns: vec![1, 0],
+                    ..RunConfig::default()
+                },
+                &both,
+                "positive",
+            ),
+        ];
+        for (what, config, invalid_on, word) in table {
+            for backend in both {
+                let config = RunConfig {
+                    backend,
+                    ..config.clone()
+                };
+                let outcome = SpmdMachine::new(&prog, CostModel::ipsc2())
+                    .expect("lowers")
+                    .with_config(config)
+                    .run();
+                if invalid_on.contains(&backend) {
+                    match outcome {
+                        Err(pdc_spmd::SpmdError::Machine(MachineError::InvalidConfig {
+                            reason,
+                        })) => assert!(reason.contains(word), "{what} on {backend:?}: {reason}"),
+                        other => {
+                            panic!("{what} on {backend:?}: expected InvalidConfig, got {other:?}")
+                        }
+                    }
+                } else {
+                    outcome.unwrap_or_else(|e| panic!("{what} on {backend:?}: {e}"));
+                }
+            }
+        }
+
+        // The issue's reproducer, through the driver.
+        let n = 8usize;
+        let program = programs::gauss_seidel();
+        let mut job = Job::new(
+            &program,
+            "gs_iteration",
+            programs::wavefront_decomposition(4),
+        )
+        .with_const("n", n as i64)
+        .with_run(RunConfig {
+            backend: Backend::threaded(),
+            checkpoints: Some(CheckpointCfg::every(50).coordinated()),
+            ..RunConfig::default()
+        });
+        job.extent_overrides.insert("Old".into(), (n, n));
+        let compiled = driver::compile(&job, Strategy::CompileTime).expect("compiles");
+        let inputs = Inputs::new()
+            .scalar("n", Scalar::Int(n as i64))
+            .array("Old", driver::standard_input(n, n));
+        let err = driver::execute(&compiled, &inputs, CostModel::ipsc2())
+            .expect_err("coordinated checkpoints cannot run on threads");
+        assert!(
+            matches!(
+                err,
+                pdc_spmd::SpmdError::Machine(MachineError::InvalidConfig { .. })
+            ),
+            "got: {err}"
         );
     });
 }

@@ -20,7 +20,7 @@
 
 use pdc_core::driver::{self, Inputs, Job, Strategy};
 use pdc_core::programs;
-use pdc_machine::{Backend, CheckpointCfg, CostModel, RelConfig};
+use pdc_machine::{Backend, CheckpointCfg, CostModel, RelConfig, RunConfig};
 use pdc_mapping::{Decomposition, Dist};
 use pdc_spmd::Scalar;
 use pdc_testkit::{within, Rng, THREADS_DEADLINE};
@@ -116,16 +116,20 @@ fn check_case(case: &Case, seed: u64, idx: usize) -> u64 {
     );
 
     // Crash + checkpoint/restart, exercising the Job-level surface:
-    // crash plan, checkpoint config, retransmit override, recv timeout.
-    let job = jacobi_job(&program, decomp, n)
-        .with_crash_plan(case.plan.clone())
-        .with_checkpoint_cfg(case.ckpt)
-        .with_retransmit_cfg(test_rel())
-        .with_recv_timeout(Duration::from_secs(30));
+    // crash plan, checkpoint config, retransmit policy, recv timeout.
+    let job = jacobi_job(&program, decomp, n).with_run(RunConfig {
+        faults: case.plan.clone(),
+        checkpoints: Some(case.ckpt),
+        reliable: Some(test_rel()),
+        ..RunConfig::default()
+    });
     let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
 
     let mut survived = 0;
-    for backend in [Backend::Simulated, Backend::threaded()] {
+    let threaded = Backend::Threaded {
+        recv_timeout: Duration::from_secs(30),
+    };
+    for backend in [Backend::Simulated, threaded] {
         let exec = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), backend)
             .unwrap_or_else(|e| panic!("{label} on {backend:?}: {e}"));
         let out = exec.gather("New").expect("gather");
@@ -196,10 +200,12 @@ fn simulator_recovery_is_deterministic() {
         let decomp = Decomposition::new(case.nprocs)
             .array("New", case.dist.clone())
             .array("Old", case.dist.clone());
-        let job = jacobi_job(&program, decomp, n)
-            .with_crash_plan(case.plan.clone())
-            .with_checkpoint_cfg(case.ckpt)
-            .with_retransmit_cfg(test_rel());
+        let job = jacobi_job(&program, decomp, n).with_run(RunConfig {
+            faults: case.plan.clone(),
+            checkpoints: Some(case.ckpt),
+            reliable: Some(test_rel()),
+            ..RunConfig::default()
+        });
         let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
         driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
             .expect("recovers")
@@ -233,9 +239,11 @@ fn coordinated_mode_recovers_on_the_simulator() {
         .scalar("n", Scalar::Int(n as i64))
         .array("Old", driver::standard_input(n, n));
     let seq = driver::run_sequential(&program, "jacobi", &inputs).expect("sequential");
-    let job = jacobi_job(&program, decomp, n)
-        .with_crash_plan(pdc_machine::FaultPlan::seeded(5).with_crash(pdc_machine::ProcId(1), 6))
-        .with_checkpoint_cfg(CheckpointCfg::every(8).coordinated());
+    let job = jacobi_job(&program, decomp, n).with_run(RunConfig {
+        faults: pdc_machine::FaultPlan::seeded(5).with_crash(pdc_machine::ProcId(1), 6),
+        checkpoints: Some(CheckpointCfg::every(8).coordinated()),
+        ..RunConfig::default()
+    });
     let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
     let exec = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
         .expect("coordinated recovery");
@@ -273,13 +281,15 @@ fn uncheckpointed_crash_fails_with_crashed_error() {
     let inputs = Inputs::new()
         .scalar("n", Scalar::Int(n as i64))
         .array("Old", driver::standard_input(n, n));
-    let job = jacobi_job(&program, decomp, n)
-        .with_crash_plan(pdc_machine::FaultPlan::seeded(0).with_crash(pdc_machine::ProcId(0), 4))
-        .with_retransmit_cfg(RelConfig {
+    let job = jacobi_job(&program, decomp, n).with_run(RunConfig {
+        faults: pdc_machine::FaultPlan::seeded(0).with_crash(pdc_machine::ProcId(0), 4),
+        reliable: Some(RelConfig {
             rto_cycles: 1_000,
             max_retries: 4,
             ..RelConfig::default()
-        });
+        }),
+        ..RunConfig::default()
+    });
     let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
     let err = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
         .expect_err("a crash without checkpoints is fatal");

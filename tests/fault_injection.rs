@@ -17,7 +17,7 @@
 use pdc_core::driver::{self, Inputs, Job, Strategy};
 use pdc_core::programs;
 use pdc_istructure::IMatrix;
-use pdc_machine::{Backend, CostModel, FaultPlan, MachineError, ProcId, RelConfig, Tag};
+use pdc_machine::{Backend, CostModel, FaultPlan, MachineError, ProcId, RelConfig, RunConfig, Tag};
 use pdc_mapping::{Decomposition, Dist};
 use pdc_spmd::ir::{RecvTarget, SExpr, SStmt, SpmdProgram};
 use pdc_spmd::run::SpmdMachine;
@@ -37,6 +37,16 @@ fn fault_seeds() -> Vec<u64> {
             })
             .collect(),
         Err(_) => vec![0xC0FFEE, 7],
+    }
+}
+
+/// Run under `faults`, recovered by the reliable-delivery protocol under
+/// policy `rel`.
+fn faulty(faults: FaultPlan, rel: RelConfig) -> RunConfig {
+    RunConfig {
+        faults,
+        reliable: Some(rel),
+        ..RunConfig::default()
     }
 }
 
@@ -137,7 +147,7 @@ fn check_under_plan(w: &Workload, strategy: Strategy, plan: &FaultPlan, label_ex
     let label = format!("{} under {strategy:?} {label_extra}", w.name);
     let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
         .with_const("n", w.n as i64)
-        .with_fault_plan(plan.clone(), test_rel());
+        .with_run(faulty(plan.clone(), test_rel()));
     job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
     let compiled = driver::compile(&job, strategy).unwrap_or_else(|e| panic!("{label}: {e}"));
     let inputs = Inputs::new()
@@ -229,7 +239,7 @@ fn heavy_losses_force_retransmissions() {
         // Re-run on the simulator alone to inspect the report.
         let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
             .with_const("n", w.n as i64)
-            .with_fault_plan(plan, test_rel());
+            .with_run(faulty(plan, test_rel()));
         job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
         let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
         let inputs = Inputs::new()
@@ -257,7 +267,7 @@ fn faulty_simulator_runs_are_reproducible() {
     let run = || {
         let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
             .with_const("n", w.n as i64)
-            .with_fault_plan(plan.clone(), test_rel());
+            .with_run(faulty(plan.clone(), test_rel()));
         job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
         let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
         let inputs = Inputs::new()
@@ -279,15 +289,18 @@ fn faulty_simulator_runs_are_reproducible() {
     );
 }
 
-/// `FaultPlan::none()` is free: the run takes the vanilla fast path and
-/// is bit-identical to a run that never mentioned faults.
+/// A plan that injects nothing is free: the run takes the vanilla fast
+/// path and is bit-identical to a run that never mentioned faults.
 #[test]
 fn empty_plan_is_bit_identical_to_vanilla() {
     let w = &workloads()[1];
     let run = |faulty: bool| {
         let mut job = Job::new(&w.program, w.entry, w.decomp.clone()).with_const("n", w.n as i64);
         if faulty {
-            job = job.with_fault_plan(FaultPlan::none(), RelConfig::default());
+            job = job.with_run(RunConfig {
+                faults: FaultPlan::seeded(7),
+                ..RunConfig::default()
+            });
         }
         job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
         let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
@@ -390,7 +403,7 @@ fn stalls_preserve_outputs_and_slow_the_victim() {
     let run = |plan: FaultPlan| {
         let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
             .with_const("n", w.n as i64)
-            .with_fault_plan(plan, RelConfig::default());
+            .with_run(faulty(plan, RelConfig::default()));
         job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
         let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
         let inputs = Inputs::new()

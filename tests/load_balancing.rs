@@ -5,12 +5,27 @@
 
 use pdc_core::driver::{self, Inputs, Job, Strategy};
 use pdc_core::programs;
-use pdc_machine::{CostModel, Machine};
+use pdc_machine::{Backend, CostModel, RunConfig, RunReport};
 use pdc_mapping::{Decomposition, Dist};
 use pdc_spmd::run::SpmdMachine;
 use pdc_spmd::Scalar;
+use pdc_testkit::{within, THREADS_DEADLINE};
 
 fn run(strategy: Strategy, dist: Dist, slowdowns: Vec<u64>, n: usize) -> (u64, bool) {
+    let (report, ok) = run_on(Backend::Simulated, strategy, dist, slowdowns, n);
+    (report.stats.makespan().0, ok)
+}
+
+/// Jacobi on a machine whose processor `p` is `slowdowns[p]` times slower
+/// than nominal: the run's report, and whether the gathered result is the
+/// sequential one with nothing left undelivered.
+fn run_on(
+    backend: Backend,
+    strategy: Strategy,
+    dist: Dist,
+    slowdowns: Vec<u64>,
+    n: usize,
+) -> (RunReport, bool) {
     let s = slowdowns.len();
     let program = programs::jacobi();
     let decomp = Decomposition::new(s)
@@ -19,8 +34,13 @@ fn run(strategy: Strategy, dist: Dist, slowdowns: Vec<u64>, n: usize) -> (u64, b
     let mut job = Job::new(&program, "jacobi", decomp).with_const("n", n as i64);
     job.extent_overrides.insert("Old".into(), (n, n));
     let compiled = driver::compile(&job, strategy).expect("compiles");
-    let machine = Machine::new(s, CostModel::ipsc2()).with_slowdowns(slowdowns);
-    let mut m = SpmdMachine::with_machine(&compiled.spmd, machine).expect("lowers");
+    let mut m = SpmdMachine::new(&compiled.spmd, CostModel::ipsc2())
+        .expect("lowers")
+        .with_config(RunConfig {
+            backend,
+            slowdowns,
+            ..RunConfig::default()
+        });
     m.preset_var("n", Scalar::Int(n as i64));
     m.preload_array("Old", dist, &driver::standard_input(n, n));
     let out = m.run().expect("runs");
@@ -29,10 +49,37 @@ fn run(strategy: Strategy, dist: Dist, slowdowns: Vec<u64>, n: usize) -> (u64, b
         .scalar("n", Scalar::Int(n as i64))
         .array("Old", driver::standard_input(n, n));
     let seq = driver::run_sequential(&program, "jacobi", &inputs).expect("sequential");
-    (
-        out.report.stats.makespan().0,
-        driver::first_mismatch(&gathered, &seq).is_none() && out.report.undelivered == 0,
-    )
+    let ok = driver::first_mismatch(&gathered, &seq).is_none() && out.report.undelivered == 0;
+    (out.report, ok)
+}
+
+/// Slowdowns are one `RunConfig` field both backends read: the §5.4
+/// experiment measures the same heterogeneous machine on either.
+#[test]
+fn slowdowns_reach_both_backends() {
+    within(THREADS_DEADLINE, || {
+        let run = |backend, slowdowns| {
+            let (report, ok) = run_on(
+                backend,
+                Strategy::CompileTime,
+                Dist::ColumnCyclic,
+                slowdowns,
+                16,
+            );
+            assert!(ok, "{backend:?}");
+            report
+        };
+        let sim = run(Backend::Simulated, vec![4, 1, 1, 1]);
+        let thr = run(Backend::threaded(), vec![4, 1, 1, 1]);
+        let nominal = run(Backend::Simulated, vec![1, 1, 1, 1]);
+        assert!(
+            sim.stats.makespan() > nominal.stats.makespan(),
+            "the slow processor is on the critical path"
+        );
+        assert_eq!(thr.stats.makespan(), sim.stats.makespan());
+        assert_eq!(thr.stats.clocks, sim.stats.clocks);
+        assert_eq!(thr.pair_messages, sim.pair_messages);
+    });
 }
 
 #[test]

@@ -14,8 +14,8 @@
 use pdc_bench::{build_wavefront, Variant};
 use pdc_core::driver::{self, Inputs, Job, Strategy};
 use pdc_machine::{
-    Backend, CostModel, Ctr, Fabric, FlightKind, MachineError, ProcId, Process, RunReport, Step,
-    Tag, ThreadedRunner,
+    Backend, CostModel, Ctr, Fabric, FlightKind, MachineError, MetricsMode, ProcId, Process,
+    RunConfig, RunReport, Step, Tag, ThreadedRunner,
 };
 use pdc_mapping::{Decomposition, ScalarMap};
 use pdc_spmd::ir::SpmdProgram;
@@ -179,7 +179,7 @@ fn decomposition_for(specs: &[StmtSpec], nprocs: usize) -> Decomposition {
 }
 
 /// Random straight-line programs with random owner pinnings, run through
-/// the full driver (`Job::with_metrics` → `execute_on`) on both
+/// the full driver (`Job::with_run` → `execute_on`) on both
 /// backends: the logical snapshots and the scheduler ledger must agree.
 #[test]
 fn random_programs_metrics_parity() {
@@ -195,7 +195,10 @@ fn random_programs_metrics_parity() {
             } else {
                 Strategy::CompileTime
             };
-            let job = Job::new(&program, "main", d).with_metrics();
+            let job = Job::new(&program, "main", d).with_run(RunConfig {
+                metrics: MetricsMode::Full,
+                ..RunConfig::default()
+            });
             let compiled = driver::compile(&job, strategy)
                 .unwrap_or_else(|e| panic!("{strategy:?} failed on:\n{src}\n{e}"));
             let sim = driver::execute_on(
@@ -234,39 +237,29 @@ struct Cyclic {
 
 impl Process for Cyclic {
     fn step(&mut self, f: &mut dyn Fabric, me: ProcId) -> Result<Step, MachineError> {
-        if me.0 == 0 {
+        // What this processor waits for next: P0 sends first and then
+        // waits on a tag nobody sends; P1 takes that message and then does
+        // the same.
+        let (src, tag) = if me.0 == 0 {
             if !self.sent {
                 self.sent = true;
-                f.send(me, ProcId(1), Tag(1), vec![7, 8]);
+                f.send_ref(me, ProcId(1), Tag(1), &[7, 8]);
                 return Ok(Step::Ran);
             }
-            match f.try_recv(me, ProcId(1), Tag(9)) {
-                Some(_) => Ok(Step::Done),
-                None => Ok(Step::BlockedOnRecv {
-                    src: ProcId(1),
-                    tag: Tag(9),
-                }),
-            }
+            (ProcId(1), Tag(9))
         } else if !self.got {
-            match f.try_recv(me, ProcId(0), Tag(1)) {
-                Some(_) => {
-                    self.got = true;
-                    Ok(Step::Ran)
-                }
-                None => Ok(Step::BlockedOnRecv {
-                    src: ProcId(0),
-                    tag: Tag(1),
-                }),
-            }
+            (ProcId(0), Tag(1))
         } else {
-            match f.try_recv(me, ProcId(0), Tag(9)) {
-                Some(_) => Ok(Step::Done),
-                None => Ok(Step::BlockedOnRecv {
-                    src: ProcId(0),
-                    tag: Tag(9),
-                }),
-            }
+            (ProcId(0), Tag(9))
+        };
+        if !f.try_recv_into(me, src, tag, &mut Vec::new()) {
+            return Ok(Step::BlockedOnRecv { src, tag });
         }
+        if tag == Tag(9) {
+            return Ok(Step::Done);
+        }
+        self.got = true;
+        Ok(Step::Ran)
     }
 }
 
@@ -277,9 +270,14 @@ impl Process for Cyclic {
 fn deadlock_report_has_nonvacuous_flight_recorder() {
     within(THREADS_DEADLINE, || {
         let mut procs = vec![Cyclic::default(), Cyclic::default()];
-        let (report, err) = ThreadedRunner::new(CostModel::ipsc2())
-            .with_recv_timeout(Duration::from_millis(50))
-            .run_with_report(&mut procs);
+        let config = RunConfig {
+            backend: Backend::Threaded {
+                recv_timeout: Duration::from_millis(50),
+            },
+            ..RunConfig::default()
+        };
+        let (report, err) =
+            ThreadedRunner::with_config(CostModel::ipsc2(), &config).run_with_report(&mut procs);
         let err = err.expect("the cyclic wait must fail");
         assert!(
             matches!(
@@ -312,9 +310,6 @@ fn deadlock_report_has_nonvacuous_flight_recorder() {
         // The same deadlock on the simulator, via the wavefront-independent
         // scheduler path: flight events survive there too.
         let mut machine = pdc_machine::Machine::new(2, CostModel::ipsc2());
-        machine.enable_metrics(std::sync::Arc::new(
-            pdc_machine::MetricsRegistry::flight_only(2),
-        ));
         let (mut p0, mut p1) = (Cyclic::default(), Cyclic::default());
         let mut procs: Vec<&mut dyn Process> = vec![&mut p0, &mut p1];
         let err = pdc_machine::Scheduler::new()

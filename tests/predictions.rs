@@ -27,7 +27,7 @@ fn variants() -> Vec<Variant> {
 fn predictions_are_exact_for_every_variant() {
     for variant in variants() {
         let mut compiled = compile_wavefront(variant, N, S).expect("compiler variant");
-        compiled.trace_cap = Some(1 << 20); // check the trace matrix too
+        compiled.run.trace_cap = Some(1 << 20); // check the trace matrix too
         assert!(
             compiled.prediction.exact,
             "{variant}: the model degraded to approximate: {:?}",

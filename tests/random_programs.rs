@@ -414,8 +414,11 @@ fn ring_fabric_matches_simulator_on_random_programs() {
                 let label = format!("ring {cap}, config {config}\n{prog}");
                 let mut thr = SpmdMachine::new(&prog, CostModel::ipsc2())
                     .expect("lowers")
-                    .with_backend(Backend::threaded())
-                    .with_ring_capacity(cap);
+                    .with_config(pdc_machine::RunConfig {
+                        backend: Backend::threaded(),
+                        ring_words: Some(cap),
+                        ..Default::default()
+                    });
                 match config {
                     0 => {}
                     1 => {

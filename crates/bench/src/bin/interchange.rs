@@ -45,7 +45,7 @@ fn run(program: &pdc_lang::Program, n: usize, s: usize) -> (u64, u64, bool) {
 fn main() {
     let [n, s] = pdc_bench::args([("n", 64), ("s", 8)]);
     let reversed = programs::gauss_seidel_interchanged();
-    let (fixed, swapped) = interchange(&reversed);
+    let (fixed, swapped) = interchange(&reversed, &mut pdc_report::RemarkSink::new());
     let normal = programs::gauss_seidel();
 
     let (t_rev, m_rev, ok_rev) = run(&reversed, n, s);

@@ -126,6 +126,11 @@ impl RunConfig {
         self.trace_cap.map_or_else(Trace::disabled, Trace::bounded)
     }
 
+    /// Processor `p`'s slowdown factor (1 when none were given).
+    pub(crate) fn slowdown(&self, p: usize) -> u64 {
+        self.slowdowns.get(p).copied().unwrap_or(1)
+    }
+
     /// The threaded backend's wall-clock receive timeout.
     pub(crate) fn recv_timeout(&self) -> Duration {
         match self.backend {
@@ -237,6 +242,21 @@ mod tests {
             ..RunConfig::default()
         };
         assert_eq!(cfg.protocol(), Some(RelConfig::default()));
+    }
+
+    #[test]
+    fn slowdown_length_and_sign_checked() {
+        for slowdowns in [vec![1], vec![1, 0]] {
+            let cfg = RunConfig {
+                slowdowns,
+                ..RunConfig::default()
+            };
+            for threads in [false, true] {
+                let err = cfg.validate(2, threads).unwrap_err();
+                assert!(matches!(err, MachineError::InvalidConfig { .. }), "{err}");
+            }
+        }
+        assert_eq!(RunConfig::default().slowdown(5), 1);
     }
 
     #[test]

@@ -7,13 +7,6 @@ use std::fmt;
 /// A failure detected by the machine fabric or scheduler.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MachineError {
-    /// A processor id outside `0..n` was used.
-    InvalidProcessor {
-        /// The offending id.
-        proc: ProcId,
-        /// Number of processors in the machine.
-        n: usize,
-    },
     /// The [`RunConfig`](crate::RunConfig) cannot describe a run of this
     /// machine: a slowdown vector of the wrong length or with a zero
     /// factor, a ring capacity that is not a power of two ≥ 8,
@@ -167,9 +160,6 @@ impl MachineError {
 impl fmt::Display for MachineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MachineError::InvalidProcessor { proc, n } => {
-                write!(f, "processor {proc} out of range (machine has {n})")
-            }
             MachineError::InvalidConfig { reason } => {
                 write!(f, "invalid run configuration: {reason}")
             }

@@ -26,7 +26,7 @@
 //! A plan is applied where a frame meets the wire: both backends hand
 //! every transmission to [`FaultState::dispatch`], which works over any
 //! [`Fabric`] — the simulator's [`Machine`](crate::Machine), the threaded
-//! backend's [`Endpoint`](crate::threaded::Endpoint), or a test double.
+//! backend's endpoint, or a test double.
 //! A non-empty plan puts the run under the reliable-delivery protocol
 //! (see [`RunConfig::protocol`](crate::RunConfig::protocol)); dispatching
 //! through a plan without it simply loses data, exactly like a real
@@ -404,18 +404,15 @@ impl<'p> FaultState<'p> {
         self.held.len()
     }
 
-    /// Account one charged instruction on `p` and return the extra stall
-    /// cycles (usually zero) to fold into the charge.
-    pub fn stall_cycles(&mut self, p: ProcId) -> u64 {
+    /// Account `ops` charged instructions on `p` and return the extra
+    /// stall cycles (usually zero) to fold into the charge.
+    pub fn stall_cycles(&mut self, p: ProcId, ops: u64) -> u64 {
         let op = self.ops.entry(p).or_insert(0);
-        let at = *op;
-        *op += 1;
-        if self.plan.stalls.is_empty() {
-            return 0;
-        }
+        let at = *op..*op + ops;
+        *op = at.end;
         let mut extra = 0;
         for (i, s) in self.plan.stalls.iter().enumerate() {
-            if !self.fired[i] && s.proc == p && s.at_op == at {
+            if !self.fired[i] && s.proc == p && at.contains(&s.at_op) {
                 self.fired[i] = true;
                 extra += s.cycles;
                 self.counts.stalls += 1;
@@ -703,7 +700,7 @@ mod tests {
         // Boundary before the op counter reaches 3: nothing.
         assert_eq!(st.take_crash(ProcId(1)), None);
         for _ in 0..5 {
-            st.stall_cycles(ProcId(1));
+            st.stall_cycles(ProcId(1), 1);
         }
         // Other processors never see it.
         assert_eq!(st.take_crash(ProcId(0)), None);
@@ -724,7 +721,7 @@ mod tests {
                 fired += 1;
             }
             let _ = op;
-            st.stall_cycles(ProcId(0));
+            st.stall_cycles(ProcId(0), 1);
         }
         assert_eq!(fired, 2, "budget caps probabilistic crashes");
         // Without a budget the rate knob alone injects nothing.
@@ -743,7 +740,7 @@ mod tests {
         let mut m = Machine::new(2, CostModel::zero());
         // Op 0: no stall; op 1: the stall fires; op 2: it fired already.
         for _ in 0..3 {
-            let extra = st.stall_cycles(ProcId(0));
+            let extra = st.stall_cycles(ProcId(0), 1);
             m.tick(ProcId(0), 1 + extra);
         }
         assert_eq!(m.clock(ProcId(0)), Time(3 + 1_000));

@@ -15,13 +15,13 @@
 //!   within a triple, mirroring the typed `csend`/`crecv` of the Intel NX
 //!   system used in the paper's Appendix A programs.
 //!
-//! Simulated time is tracked with per-processor logical clocks: every
-//! instruction advances the executing processor's clock by a
-//! [`CostModel`]-determined amount; a message is stamped with
-//! `sender_clock + startup + words × per_word` and a receive sets the
-//! receiver's clock to `max(own clock, arrival) + receive overhead`. The
-//! resulting *makespan* (maximum final clock) is the quantity the paper's
-//! Figures 6 and 7 plot, and it is exactly reproducible run to run.
+//! Simulated time is tracked with per-processor logical clocks, advanced
+//! by [`CostModel`]-determined amounts under rules written once for both
+//! backends (DESIGN §5b, "The logical processor"): a send costs start-up
+//! plus per-word packing and stamps the message with its arrival time, a
+//! receive waits for that stamp and pays the unpacking. The resulting
+//! *makespan* (maximum final clock) is the quantity the paper's Figures 6
+//! and 7 plot, and it is exactly reproducible run to run.
 //!
 //! The crate is independent of the language and compiler layers: anything
 //! that implements [`Process`] can be scheduled with [`Scheduler`]. The
@@ -31,7 +31,7 @@
 //! # Examples
 //!
 //! ```
-//! use pdc_machine::{CostModel, Machine, ProcId, Tag};
+//! use pdc_machine::{CostModel, Fabric, Machine, ProcId, Tag};
 //!
 //! let mut m = Machine::new(2, CostModel::ipsc2());
 //! m.send_ref(ProcId(0), ProcId(1), Tag(7), &[41, 42]);
@@ -44,14 +44,18 @@
 pub mod checkpoint;
 mod config;
 mod cost;
+mod cpu;
 mod error;
 mod fabric;
 pub mod fault;
 mod message;
 mod network;
 mod reliable;
+mod report;
 pub mod ring;
 mod sched;
+#[cfg(test)]
+mod scripted;
 mod stats;
 pub mod threaded;
 mod trace;
@@ -64,10 +68,10 @@ pub use cost::CostModel;
 pub use error::MachineError;
 pub use fabric::{Fabric, Machine};
 pub use fault::{Crash, FaultCounts, FaultDecision, FaultPlan, FaultState, Stall};
-pub use message::{Message, ProcId, Tag, Time, Word};
-pub use network::Network;
+pub use message::{ProcId, Tag, Time, Word};
 pub use reliable::{ack_tag, RelConfig, ACK_TAG_BIT};
-pub use sched::{Process, RunReport, Scheduler, Step};
+pub use report::RunReport;
+pub use sched::{Process, Scheduler, Step};
 pub use stats::{FaultReport, MachineStats, NetworkStats, ProcStats};
 pub use threaded::{Backend, ThreadedRunner, DEFAULT_RECV_TIMEOUT};
 pub use trace::{render_gantt as trace_render, DropPolicy, Event, EventKind, Trace};

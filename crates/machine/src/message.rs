@@ -55,28 +55,13 @@ impl fmt::Display for Time {
 /// pattern).
 pub type Word = i64;
 
-/// A message in flight or queued at its destination.
+/// A message queued on its `(src, dst, tag)` channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// Sending processor.
-    pub src: ProcId,
-    /// Destination processor.
-    pub dst: ProcId,
-    /// Type tag used for matching.
-    pub tag: Tag,
+pub(crate) struct Message {
     /// Payload words.
     pub payload: Vec<Word>,
-    /// Sender clock when the send started.
-    pub sent_at: Time,
     /// Time the message becomes visible at the destination.
     pub arrives_at: Time,
-}
-
-impl Message {
-    /// Payload length in words.
-    pub fn len_words(&self) -> usize {
-        self.payload.len()
-    }
 }
 
 #[cfg(test)]
@@ -94,18 +79,5 @@ mod tests {
     fn time_plus_saturates() {
         assert_eq!(Time(5).plus(7), Time(12));
         assert_eq!(Time(u64::MAX).plus(1), Time(u64::MAX));
-    }
-
-    #[test]
-    fn message_len() {
-        let m = Message {
-            src: ProcId(0),
-            dst: ProcId(1),
-            tag: Tag(0),
-            payload: vec![1, 2, 3],
-            sent_at: Time::ZERO,
-            arrives_at: Time(10),
-        };
-        assert_eq!(m.len_words(), 3);
     }
 }

@@ -1,8 +1,8 @@
 //! Typed FIFO channels between processor pairs.
 
-use crate::message::{Message, ProcId, Tag, Word};
-use crate::stats::NetworkStats;
-use std::collections::{BTreeMap, VecDeque};
+use crate::message::{Message, ProcId, Tag, Time, Word};
+use crate::report::Ledger;
+use std::collections::VecDeque;
 
 /// "No channel" in the pair table and at the end of a pair's chain.
 const NONE: u32 = u32::MAX;
@@ -35,30 +35,31 @@ struct Channel {
 /// [`has_pending`](Network::has_pending) hash nothing and cost the same
 /// on any machine size. Payload buffers handed back through
 /// [`recycle`](Network::recycle) are reused by
-/// [`buffer`](Network::buffer), so steady-state traffic
+/// [`deliver`](Network::deliver), so steady-state traffic
 /// allocates nothing.
 #[derive(Debug)]
-pub struct Network {
+pub(crate) struct Network {
     n: usize,
     /// Head of the channel chain of each ordered pair, at `src * n + dst`.
     heads: Vec<u32>,
     channels: Vec<Channel>,
-    stats: NetworkStats,
-    /// Messages queued right now, over all channels.
+    /// Messages queued right now, over all channels, and the most there
+    /// ever were.
     in_flight: usize,
+    max_in_flight: usize,
     /// Recycled payload buffers.
     free: Vec<Vec<Word>>,
 }
 
 impl Network {
     /// An empty interconnect between `n` processors.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Network {
             n,
             heads: vec![NONE; n * n],
             channels: Vec::new(),
-            stats: NetworkStats::default(),
             in_flight: 0,
+            max_in_flight: 0,
             free: Vec::new(),
         }
     }
@@ -103,35 +104,38 @@ impl Network {
         at
     }
 
-    /// Deposit a message. The caller (the machine fabric) has already
-    /// stamped `arrives_at`.
-    pub fn deliver(&mut self, msg: Message) {
-        self.stats.messages += 1;
-        self.stats.words += msg.payload.len() as u64;
-        let at = self.intern(msg.src, msg.dst, msg.tag);
-        let ch = &mut self.channels[at];
-        ch.delivered += 1;
-        ch.queue.push_back(msg);
-        self.in_flight += 1;
-        self.stats.max_in_flight = self.stats.max_in_flight.max(self.in_flight as u64);
-    }
-
-    /// A copy of `payload` to [`deliver`](Network::deliver), made in a
-    /// recycled buffer when one is free.
-    pub fn buffer(&mut self, payload: &[Word]) -> Vec<Word> {
+    /// Deposit a copy of `payload` — made in a recycled buffer when one
+    /// is free — on `(src, dst, tag)`, carrying the arrival stamp the
+    /// sending processor computed.
+    pub(crate) fn deliver(
+        &mut self,
+        src: ProcId,
+        dst: ProcId,
+        tag: Tag,
+        payload: &[Word],
+        arrives_at: Time,
+    ) {
         let mut buf = self.free.pop().unwrap_or_default();
         buf.clear();
         buf.extend_from_slice(payload);
-        buf
+        let at = self.intern(src, dst, tag);
+        let ch = &mut self.channels[at];
+        ch.delivered += 1;
+        ch.queue.push_back(Message {
+            payload: buf,
+            arrives_at,
+        });
+        self.in_flight += 1;
+        self.max_in_flight = self.max_in_flight.max(self.in_flight);
     }
 
     /// Hand back the payload buffer of a consumed message for reuse.
-    pub fn recycle(&mut self, buf: Vec<Word>) {
+    pub(crate) fn recycle(&mut self, buf: Vec<Word>) {
         self.free.push(buf);
     }
 
     /// Pop the oldest message matching `(src, dst, tag)`, if any.
-    pub fn take(&mut self, src: ProcId, dst: ProcId, tag: Tag) -> Option<Message> {
+    pub(crate) fn take(&mut self, src: ProcId, dst: ProcId, tag: Tag) -> Option<Message> {
         let at = self.find(src, dst, tag)?;
         let msg = self.channels[at].queue.pop_front()?;
         self.in_flight -= 1;
@@ -139,27 +143,46 @@ impl Network {
     }
 
     /// Is a matching message pending?
-    pub fn has_pending(&self, src: ProcId, dst: ProcId, tag: Tag) -> bool {
+    pub(crate) fn has_pending(&self, src: ProcId, dst: ProcId, tag: Tag) -> bool {
         self.find(src, dst, tag)
             .is_some_and(|at| !self.channels[at].queue.is_empty())
     }
 
     /// Number of messages currently queued (all triples).
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.in_flight
     }
 
-    /// Cumulative traffic statistics.
-    pub fn stats(&self) -> NetworkStats {
-        self.stats
+    /// High-water mark of simultaneously queued messages.
+    pub(crate) fn max_in_flight(&self) -> u64 {
+        self.max_in_flight as u64
     }
 
-    /// Cumulative per-`(src, dst, tag)` message counts.
-    pub fn pair_counts(&self) -> BTreeMap<(ProcId, ProcId, Tag), u64> {
+    /// Cumulative messages deposited and consumed per `(src, dst, tag)`
+    /// channel — the raw simulator's traffic ledger. (A discarded message
+    /// counts as consumed; discards only happen under the protocol, whose
+    /// own ledger is the one reported.)
+    pub(crate) fn ledger(&self) -> Ledger {
+        let counts = |of: fn(&Channel) -> u64| {
+            self.channels
+                .iter()
+                .map(|ch| ((ch.src, ch.dst, ch.tag), of(ch)))
+                .collect()
+        };
+        Ledger {
+            sent: counts(|ch| ch.delivered),
+            recvd: counts(|ch| ch.delivered - ch.queue.len() as u64),
+            ..Ledger::default()
+        }
+    }
+
+    /// The `(src, tag)` of every channel with messages queued for `dst`,
+    /// in no particular order.
+    pub(crate) fn waiting_for(&self, dst: ProcId) -> impl Iterator<Item = (ProcId, Tag)> + '_ {
         self.channels
             .iter()
-            .map(|ch| ((ch.src, ch.dst, ch.tag), ch.delivered))
-            .collect()
+            .filter(move |ch| ch.dst == dst && !ch.queue.is_empty())
+            .map(|ch| (ch.src, ch.tag))
     }
 
     /// Drop the queued messages of every channel `doomed` selects,
@@ -180,7 +203,7 @@ impl Network {
     /// crashed processor are addressed to its dead incarnation and must
     /// not survive into the restored one (the reliable layer's
     /// retransmit path regenerates them).
-    pub fn discard_to(&mut self, dst: ProcId) -> usize {
+    pub(crate) fn discard_to(&mut self, dst: ProcId) -> usize {
         self.discard(|ch| ch.dst == dst)
     }
 
@@ -188,45 +211,24 @@ impl Network {
     /// discarded. Used by coordinated-checkpoint recovery, where the
     /// whole machine rolls back to a consistent cut and deterministic
     /// re-execution regenerates all in-flight traffic.
-    pub fn discard_all(&mut self) -> usize {
+    pub(crate) fn discard_all(&mut self) -> usize {
         self.discard(|_| true)
-    }
-
-    /// All triples that still hold undelivered messages, sorted — used in
-    /// error reporting when a run finishes with orphaned traffic.
-    pub fn pending_triples(&self) -> Vec<(ProcId, ProcId, Tag, usize)> {
-        let mut v: Vec<_> = self
-            .channels
-            .iter()
-            .filter(|ch| !ch.queue.is_empty())
-            .map(|ch| (ch.src, ch.dst, ch.tag, ch.queue.len()))
-            .collect();
-        v.sort();
-        v
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Time;
 
-    fn msg(src: usize, dst: usize, tag: u32, val: i64) -> Message {
-        Message {
-            src: ProcId(src),
-            dst: ProcId(dst),
-            tag: Tag(tag),
-            payload: vec![val],
-            sent_at: Time::ZERO,
-            arrives_at: Time::ZERO,
-        }
+    fn deliver(n: &mut Network, src: usize, dst: usize, tag: u32, payload: &[Word]) {
+        n.deliver(ProcId(src), ProcId(dst), Tag(tag), payload, Time::ZERO);
     }
 
     #[test]
     fn fifo_within_triple() {
         let mut n = Network::new(2);
-        n.deliver(msg(0, 1, 5, 10));
-        n.deliver(msg(0, 1, 5, 20));
+        deliver(&mut n, 0, 1, 5, &[10]);
+        deliver(&mut n, 0, 1, 5, &[20]);
         assert_eq!(n.take(ProcId(0), ProcId(1), Tag(5)).unwrap().payload, [10]);
         assert_eq!(n.take(ProcId(0), ProcId(1), Tag(5)).unwrap().payload, [20]);
         assert!(n.take(ProcId(0), ProcId(1), Tag(5)).is_none());
@@ -235,63 +237,70 @@ mod tests {
     #[test]
     fn tags_are_independent_streams() {
         let mut n = Network::new(2);
-        n.deliver(msg(0, 1, 1, 100));
-        n.deliver(msg(0, 1, 2, 200));
+        deliver(&mut n, 0, 1, 1, &[100]);
+        deliver(&mut n, 0, 1, 2, &[200]);
         // Taking tag 2 first does not disturb tag 1.
         assert_eq!(n.take(ProcId(0), ProcId(1), Tag(2)).unwrap().payload, [200]);
         assert_eq!(n.take(ProcId(0), ProcId(1), Tag(1)).unwrap().payload, [100]);
     }
 
     #[test]
-    fn stats_count_messages_and_words() {
+    fn messages_carry_their_stamp_and_count_in_flight() {
         let mut n = Network::new(2);
-        n.deliver(Message {
-            payload: vec![1, 2, 3],
-            ..msg(0, 1, 0, 0)
-        });
-        n.deliver(msg(1, 0, 0, 9));
-        let s = n.stats();
-        assert_eq!(s.messages, 2);
-        assert_eq!(s.words, 4);
-        assert_eq!(s.max_in_flight, 2);
+        n.deliver(ProcId(0), ProcId(1), Tag(0), &[1, 2, 3], Time(8));
+        deliver(&mut n, 1, 0, 0, &[9]);
+        assert_eq!(n.max_in_flight(), 2);
         assert_eq!(n.in_flight(), 2);
+        let msg = n.take(ProcId(0), ProcId(1), Tag(0)).unwrap();
+        assert_eq!(msg.arrives_at, Time(8));
+        assert_eq!(msg.payload, [1, 2, 3]);
     }
 
     #[test]
     fn counters_follow_takes_and_discards() {
         let mut n = Network::new(3);
         for tag in [7, 7, 1 << 31, 2] {
-            n.deliver(msg(0, 1, tag, 0));
+            deliver(&mut n, 0, 1, tag, &[0]);
         }
-        n.deliver(msg(2, 1, 7, 0));
-        n.deliver(msg(1, 0, 7, 0));
+        deliver(&mut n, 2, 1, 7, &[0]);
+        deliver(&mut n, 1, 0, 7, &[0]);
         assert_eq!(n.in_flight(), 6);
         assert!(n.has_pending(ProcId(0), ProcId(1), Tag(1 << 31)));
         assert!(!n.has_pending(ProcId(0), ProcId(2), Tag(7)));
         assert!(n.take(ProcId(0), ProcId(1), Tag(3)).is_none());
-        n.take(ProcId(0), ProcId(1), Tag(7)).unwrap();
+        let taken = n.take(ProcId(0), ProcId(1), Tag(7)).unwrap();
         assert_eq!(n.in_flight(), 5);
+        let Ledger { sent, recvd, .. } = n.ledger();
+        assert_eq!(sent[&(ProcId(0), ProcId(1), Tag(7))], 2);
+        assert_eq!(recvd[&(ProcId(0), ProcId(1), Tag(7))], 1);
+        assert_eq!(recvd[&(ProcId(2), ProcId(1), Tag(7))], 0);
+        let mut waiting: Vec<_> = n.waiting_for(ProcId(1)).collect();
+        waiting.sort();
+        let expected = [
+            (ProcId(0), Tag(2)),
+            (ProcId(0), Tag(7)),
+            (ProcId(0), Tag(1 << 31)),
+            (ProcId(2), Tag(7)),
+        ];
+        assert_eq!(waiting, expected);
         assert_eq!(n.discard_to(ProcId(1)), 4);
         assert_eq!(n.in_flight(), 1);
-        assert_eq!(n.pending_triples(), [(ProcId(1), ProcId(0), Tag(7), 1)]);
+        assert_eq!(n.waiting_for(ProcId(1)).count(), 0);
+        assert_eq!(
+            n.waiting_for(ProcId(0)).collect::<Vec<_>>(),
+            [(ProcId(1), Tag(7))]
+        );
         assert_eq!(n.discard_all(), 1);
         assert_eq!(n.in_flight(), 0);
         // Cumulative counts and the high-water mark are not rewound.
-        assert_eq!(n.pair_counts()[&(ProcId(0), ProcId(1), Tag(7))], 2);
-        assert_eq!(n.pair_counts().values().sum::<u64>(), 6);
-        assert_eq!(n.stats().max_in_flight, 6);
-        // A (recycled) buffer carries exactly the new payload.
-        assert_eq!(n.buffer(&[5, 6]), [5, 6]);
-    }
-
-    #[test]
-    fn pending_triples_sorted() {
-        let mut n = Network::new(2);
-        n.deliver(msg(1, 0, 2, 0));
-        n.deliver(msg(0, 1, 1, 0));
-        let p = n.pending_triples();
-        assert_eq!(p.len(), 2);
-        assert_eq!(p[0].0, ProcId(0));
-        assert_eq!(p[1].0, ProcId(1));
+        assert_eq!(n.ledger().sent.values().sum::<u64>(), 6);
+        assert_eq!(n.max_in_flight(), 6);
+        // A recycled buffer carries exactly the new payload.
+        n.recycle(taken.payload);
+        deliver(&mut n, 0, 1, 7, &[5, 6]);
+        assert_eq!(
+            n.take(ProcId(0), ProcId(1), Tag(7)).unwrap().payload,
+            [5, 6]
+        );
     }
 }

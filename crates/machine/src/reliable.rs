@@ -1114,21 +1114,6 @@ fn exhausted<T>(me: ProcId, peer: ProcId, tag: Tag, oldest: &Pending<T>) -> Mach
     }
 }
 
-/// The triples with program-level messages sent but never received, with
-/// their counts — the `pending` diagnostic of a run report (its sum is
-/// `undelivered`).
-pub(crate) fn pending_triples(
-    sent: &BTreeMap<(ProcId, ProcId, Tag), u64>,
-    recvd: &BTreeMap<(ProcId, ProcId, Tag), u64>,
-) -> Vec<(ProcId, ProcId, Tag, usize)> {
-    sent.iter()
-        .filter_map(|(&(src, dst, tag), &s)| {
-            let r = recvd.get(&(src, dst, tag)).copied().unwrap_or(0);
-            (s > r).then_some((src, dst, tag, (s - r) as usize))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,17 +1,16 @@
 //! The deterministic scheduler.
 
-use crate::checkpoint::RecoveryReport;
 use crate::config::{RunConfig, DEFAULT};
 use crate::cost::CostModel;
+use crate::cpu::ack_cost;
 use crate::error::MachineError;
 use crate::fabric::{Fabric, Machine};
 use crate::fault::FaultState;
 use crate::message::{ProcId, Tag, Time, Word};
-use crate::reliable::{is_ack_tag, pending_triples, RelConfig, RelEndpoint, Wire};
-use crate::stats::{FaultReport, MachineStats};
-use crate::trace::{EventKind, Trace};
+use crate::reliable::{is_ack_tag, RelConfig, RelEndpoint, Wire};
+use crate::report::{Ledger, RunReport};
+use crate::trace::EventKind;
 use pdc_metrics::MetricsRegistry;
-use std::collections::BTreeMap;
 
 /// What a process did on one scheduling step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,47 +95,6 @@ pub trait Process {
     }
 }
 
-/// Outcome of a completed run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Final statistics snapshot (clocks, traffic, per-processor counters).
-    pub stats: MachineStats,
-    /// Total scheduler steps executed across all processes.
-    pub steps: u64,
-    /// Messages left in the network after all processes finished. A clean
-    /// run leaves zero; a non-zero count usually means mismatched
-    /// send/receive loops in generated code.
-    pub undelivered: usize,
-    /// Cumulative messages sent per `(src, dst, tag)` triple over the
-    /// whole run. Because FIFO order within a typed channel is exactly
-    /// program order on the sender, these counts are identical across
-    /// execution backends and are the key invariant the differential
-    /// tests compare. Under the reliability layer these are the
-    /// *program-level* counts — retransmissions and acks are protocol
-    /// traffic and tallied in [`fault`](RunReport::fault) instead.
-    pub pair_messages: BTreeMap<(ProcId, ProcId, Tag), u64>,
-    /// The triples behind [`undelivered`](RunReport::undelivered), with
-    /// queue depths — diagnostic parity between the backends.
-    pub pending: Vec<(ProcId, ProcId, Tag, usize)>,
-    /// Fault-injection and reliable-delivery accounting; `None` when the
-    /// run used the raw fabric.
-    pub fault: Option<FaultReport>,
-    /// Checkpoint/restart accounting; `None` unless
-    /// [`RunConfig::checkpoints`] was set.
-    pub recovery: Option<RecoveryReport>,
-    /// The event trace of the run — empty unless
-    /// [`RunConfig::trace_cap`] was set. Check [`Trace::dropped`] before
-    /// treating it as complete: a bounded trace silently truncates at
-    /// its cap.
-    pub trace: Trace,
-    /// Metrics snapshot at the end of the run. Always present: the
-    /// flight recorder is always on, so even a metrics-off run carries
-    /// each processor's recent history. Full counters/histograms need
-    /// [`RunConfig::metrics`] (check
-    /// [`MetricsSnapshot::full`](pdc_metrics::MetricsSnapshot)).
-    pub metrics: pdc_metrics::MetricsSnapshot,
-}
-
 /// Drives a set of [`Process`]es over a [`Machine`] until all finish,
 /// under a borrowed [`RunConfig`].
 ///
@@ -198,7 +156,8 @@ impl<'a> Scheduler<'a> {
     /// Everything stays deterministic: fault decisions are pure functions
     /// of the plan, and retransmission timers and the reboot delay run in
     /// logical time, so identical inputs give identical outputs, clocks,
-    /// and [`FaultReport`]s run after run, crashes and all.
+    /// and [`FaultReport`](crate::FaultReport)s run after run, crashes and
+    /// all.
     ///
     /// # Errors
     ///
@@ -256,7 +215,7 @@ impl<'a> Scheduler<'a> {
                 let me = ProcId(p);
                 // Skip a parked process whose message still has not arrived.
                 if let Some((src, tag)) = blocked[p] {
-                    if !machine.has_pending(me, src, tag) {
+                    if !machine.network.has_pending(src, me, tag) {
                         continue;
                     }
                     blocked[p] = None;
@@ -271,8 +230,8 @@ impl<'a> Scheduler<'a> {
                     let max = quantum.min(step_budget - steps);
                     let (ran, step) = processes[p].step_batch(&mut *machine, me, max)?;
                     steps += ran;
-                    if let Some(sp) = machine.take_self_send() {
-                        return Err(MachineError::SelfSend { proc: sp });
+                    if machine.cpus[p].take_self_send() {
+                        return Err(MachineError::SelfSend { proc: me });
                     }
                     // Only steps that ran use up the quantum: all of the
                     // batch, or all but a last one that blocked.
@@ -287,7 +246,7 @@ impl<'a> Scheduler<'a> {
                         Step::BlockedOnRecv { src, tag } => {
                             progressed |= ran > 1;
                             quantum -= ran - 1;
-                            if machine.has_pending(me, src, tag) {
+                            if machine.network.has_pending(src, me, tag) {
                                 // The message exists; let the process retry
                                 // immediately (the recv will now succeed).
                                 progressed = true;
@@ -318,17 +277,7 @@ impl<'a> Scheduler<'a> {
                 return Err(MachineError::Deadlock { waiting });
             }
         }
-        Ok(RunReport {
-            stats: machine.stats(),
-            steps,
-            undelivered: machine.undelivered(),
-            pair_messages: machine.pair_counts(),
-            pending: machine.pending_triples(),
-            fault: None,
-            recovery: None,
-            trace: machine.snapshot_trace(),
-            metrics: machine.metrics_snapshot(),
-        })
+        Ok(machine.report(steps, machine.network.ledger()))
     }
 
     /// The reliable-delivery / checkpoint loop, under retransmission
@@ -342,14 +291,8 @@ impl<'a> Scheduler<'a> {
         let (turn, step_budget) = (self.config.quantum, self.config.step_budget);
         let ckpt = self.config.checkpoints;
         let n = processes.len();
-        // In reliable mode every wire frame — data, retransmission, ack,
-        // keepalive — goes through `Machine::send_ref` via `FaultState::
-        // dispatch`. Logical sends are recorded by the protocol core
-        // instead, so tell the machine its send path is raw transport
-        // only.
-        machine.set_raw_transport(true);
         let mut fault = FaultState::new(&self.config.faults);
-        let ack_cost = machine.cost_model().recv_cost(1);
+        let ack_cost = ack_cost(machine.cost_model());
         let mut eps: Vec<RelEndpoint<Time>> = (0..n)
             .map(|p| RelEndpoint::new(ProcId(p), cfg, ack_cost, ckpt))
             .collect();
@@ -424,8 +367,8 @@ impl<'a> Scheduler<'a> {
                         };
                         processes[p].step(&mut view, me)?
                     };
-                    if let Some(sp) = machine.take_self_send() {
-                        return Err(MachineError::SelfSend { proc: sp });
+                    if machine.cpus[p].take_self_send() {
+                        return Err(MachineError::SelfSend { proc: me });
                     }
                     if let Some(e) = eps[p].take_fatal() {
                         return Err(e);
@@ -445,12 +388,8 @@ impl<'a> Scheduler<'a> {
                                 }
                             }
                             if let Some(crash_op) = fault.take_crash(me) {
-                                let at = machine.clock(me);
-                                machine.trace_mut().record(
-                                    me,
-                                    at,
-                                    EventKind::Crash { at_op: crash_op },
-                                );
+                                let (cpu, obs) = machine.cpu(me);
+                                cpu.record(obs, EventKind::Crash { at_op: crash_op });
                                 match ckpt {
                                     Some(c) if c.coordinated => {
                                         global_rollback = Some((me, crash_op));
@@ -462,8 +401,8 @@ impl<'a> Scheduler<'a> {
                                         // toward the dead incarnation are
                                         // stale; the reliable layer
                                         // regenerates anything that matters.
-                                        machine.discard_incoming(me);
-                                        machine.advance_clock_to(me, at.plus(c.reboot_cycles));
+                                        cpu.reboot(c.reboot_cycles);
+                                        machine.network.discard_to(me);
                                         let mut w = SimWire::new(machine, &mut fault, &done, p);
                                         eps[p].restore(
                                             &mut w,
@@ -533,9 +472,8 @@ impl<'a> Scheduler<'a> {
                 // back — the re-executed work is charged again, which is
                 // the honest cost of coordinated recovery.
                 let c = ckpt.expect("a rollback implies checkpointing");
-                machine.discard_all_in_flight();
-                let t_crash = machine.clock(victim);
-                machine.advance_clock_to(victim, t_crash.plus(c.reboot_cycles));
+                machine.network.discard_all();
+                machine.cpus[victim.0].reboot(c.reboot_cycles);
                 for (q, ep) in eps.iter_mut().enumerate() {
                     let ops = fault.ops(ProcId(q));
                     let mut w = SimWire::new(machine, &mut fault, &done, q);
@@ -561,7 +499,7 @@ impl<'a> Scheduler<'a> {
                     .filter_map(|(p, ep)| Some((p, ep.earliest_deadline()?)))
                     .min_by_key(|&(_, t)| t);
                 if let Some((p, t)) = earliest {
-                    machine.advance_clock_to(ProcId(p), t);
+                    machine.cpus[p].advance_to(t);
                     eps[p].service_timers(&mut SimWire::new(machine, &mut fault, &done, p));
                     if let Some(e) = eps[p].take_fatal() {
                         return Err(e);
@@ -612,32 +550,9 @@ impl<'a> Scheduler<'a> {
             // unrecoverably along the way — the run is not a success.
             return Err(MachineError::Crashed { proc, at_op });
         }
-        let mut pair_messages = BTreeMap::new();
-        let mut recvd = BTreeMap::new();
-        let mut fault_report = FaultReport {
-            injected: fault.counts(),
-            raw_leftover: machine.undelivered(),
-            ..FaultReport::default()
-        };
-        let mut recovery = ckpt.map(|_| RecoveryReport::default());
-        for ep in &eps {
-            ep.tally(&mut pair_messages, &mut recvd, &mut fault_report);
-            if let (Some(total), Some(r)) = (recovery.as_mut(), ep.recovery()) {
-                total.merge(r);
-            }
-        }
-        let pending = pending_triples(&pair_messages, &recvd);
-        Ok(RunReport {
-            stats: machine.stats(),
-            steps,
-            undelivered: pending.iter().map(|&(_, _, _, k)| k).sum(),
-            pair_messages,
-            pending,
-            trace: machine.snapshot_trace(),
-            fault: Some(fault_report),
-            recovery,
-            metrics: machine.metrics_snapshot(),
-        })
+        let leftover = machine.network.in_flight();
+        let ledger = Ledger::protocol(eps.iter(), fault.counts(), leftover, ckpt.is_some());
+        Ok(machine.report(steps, ledger))
     }
 }
 
@@ -683,33 +598,35 @@ impl Wire<Time> for SimWire<'_, '_> {
     }
 
     fn take(&mut self, src: ProcId, tag: Tag) -> Option<(Time, Vec<Word>)> {
-        let msg = self.m.take_raw(self.me, src, tag)?;
+        let msg = self.m.network.take(src, self.me, tag)?;
         Some((msg.arrives_at, msg.payload))
     }
 
     fn incoming(&self, out: &mut Vec<(ProcId, Tag)>) {
-        for (src, dst, tag, _) in self.m.pending_triples() {
-            if dst == self.me && !is_ack_tag(tag) {
-                out.push((src, tag));
-            }
-        }
+        // Sorted, so the order streams are discovered in — and with it
+        // every protocol clock — does not depend on channel-table order.
+        let from = out.len();
+        let waiting = self.m.network.waiting_for(self.me);
+        out.extend(waiting.filter(|&(_, tag)| !is_ack_tag(tag)));
+        out[from..].sort_unstable();
     }
 
     fn recycle(&mut self, buf: Vec<Word>) {
-        self.m.recycle(buf);
+        self.m.network.recycle(buf);
     }
 
     fn busy(&mut self, cycles: u64) {
-        self.m.busy(self.me, cycles);
+        let (cpu, obs) = self.m.cpu(self.me);
+        cpu.busy(obs, cycles);
     }
 
     fn record(&mut self, event: EventKind) {
-        let at = self.m.clock(self.me);
-        self.m.trace_mut().record(self.me, at, event);
+        let (cpu, obs) = self.m.cpu(self.me);
+        cpu.record(obs, event);
     }
 
     fn metrics(&self) -> &MetricsRegistry {
-        self.m.metrics_registry()
+        &self.m.obs.metrics
     }
 
     fn peer_done(&self, peer: ProcId) -> bool {
@@ -747,9 +664,9 @@ impl Fabric for ReliableView<'_, '_> {
         self.m.cost_model()
     }
 
-    fn tick(&mut self, p: ProcId, cycles: u64) {
-        let extra = self.fault.stall_cycles(p);
-        self.m.tick(p, cycles + extra);
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
+        let extra = self.fault.stall_cycles(p, ops);
+        self.m.tick_n(p, cycles + extra, ops);
     }
 
     fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
@@ -774,13 +691,14 @@ impl Fabric for ReliableView<'_, '_> {
         };
         out.clear();
         out.extend_from_slice(&frame[1..]);
-        self.m.charge_recv(dst, src, tag, arrives, out.len());
-        self.m.recycle(frame);
+        let (cpu, obs) = self.m.cpu(dst);
+        cpu.recv(obs, src, tag, arrives, out.len());
+        self.m.network.recycle(frame);
         true
     }
 
     fn metrics(&self) -> Option<&MetricsRegistry> {
-        Some(self.m.metrics_registry())
+        self.m.metrics()
     }
 }
 
@@ -794,118 +712,7 @@ impl Default for Scheduler<'static> {
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-
-    /// A toy process defined by a script of actions (shared with the
-    /// `faulty_tests` sibling module).
-    pub(super) enum Action {
-        Compute(u64),
-        Send(usize, u32, Vec<i64>),
-        Recv(usize, u32),
-    }
-
-    pub(super) struct Scripted {
-        script: Vec<Action>,
-        pc: usize,
-        pub(super) received: Vec<Vec<i64>>,
-    }
-
-    impl Scripted {
-        pub(super) fn new(script: Vec<Action>) -> Self {
-            Scripted {
-                script,
-                pc: 0,
-                received: Vec::new(),
-            }
-        }
-
-        /// The action the next step executes, if the script has one left.
-        pub(super) fn next_action(&self) -> Option<&Action> {
-            self.script.get(self.pc)
-        }
-
-        /// Move past the next action without executing it.
-        pub(super) fn skip_action(&mut self) {
-            self.pc += 1;
-        }
-    }
-
-    impl Process for Scripted {
-        fn snapshot(&self) -> Option<Vec<u8>> {
-            let mut b = Vec::new();
-            b.extend_from_slice(&(self.pc as u64).to_le_bytes());
-            b.extend_from_slice(&(self.received.len() as u64).to_le_bytes());
-            for r in &self.received {
-                b.extend_from_slice(&(r.len() as u64).to_le_bytes());
-                for w in r {
-                    b.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-            Some(b)
-        }
-
-        fn restore(&mut self, state: &[u8]) -> bool {
-            let mut pos = 0;
-            let u64_at = |p: &mut usize| -> Option<u64> {
-                let v = u64::from_le_bytes(state.get(*p..*p + 8)?.try_into().ok()?);
-                *p += 8;
-                Some(v)
-            };
-            let Some(pc) = u64_at(&mut pos) else {
-                return false;
-            };
-            let Some(n) = u64_at(&mut pos) else {
-                return false;
-            };
-            let mut received = Vec::new();
-            for _ in 0..n {
-                let Some(len) = u64_at(&mut pos) else {
-                    return false;
-                };
-                let mut words = Vec::new();
-                for _ in 0..len {
-                    let Some(w) = u64_at(&mut pos) else {
-                        return false;
-                    };
-                    words.push(w as i64);
-                }
-                received.push(words);
-            }
-            self.pc = pc as usize;
-            self.received = received;
-            true
-        }
-
-        fn step(&mut self, machine: &mut dyn Fabric, me: ProcId) -> Result<Step, MachineError> {
-            let Some(action) = self.script.get(self.pc) else {
-                return Ok(Step::Done);
-            };
-            match action {
-                Action::Compute(c) => {
-                    machine.tick(me, *c);
-                    self.pc += 1;
-                    Ok(Step::Ran)
-                }
-                Action::Send(dst, tag, payload) => {
-                    machine.send_ref(me, ProcId(*dst), Tag(*tag), payload);
-                    self.pc += 1;
-                    Ok(Step::Ran)
-                }
-                Action::Recv(src, tag) => {
-                    let mut words = Vec::new();
-                    if machine.try_recv_into(me, ProcId(*src), Tag(*tag), &mut words) {
-                        self.received.push(words);
-                        self.pc += 1;
-                        Ok(Step::Ran)
-                    } else {
-                        Ok(Step::BlockedOnRecv {
-                            src: ProcId(*src),
-                            tag: Tag(*tag),
-                        })
-                    }
-                }
-            }
-        }
-    }
+    use crate::scripted::{Action, Scripted};
 
     fn run2(a: Vec<Action>, b: Vec<Action>, cost: CostModel) -> (RunReport, Machine) {
         let mut m = Machine::new(2, cost);
@@ -1041,10 +848,12 @@ mod tests {
 /// indistinguishable from one that ticks at every step.
 #[cfg(test)]
 mod batch_tests {
-    use super::tests::{Action, Scripted};
     use super::*;
     use crate::cost::CostModel;
+    use crate::scripted::{Action, Scripted};
+    use crate::stats::MachineStats;
     use crate::trace::Event;
+    use std::collections::BTreeMap;
 
     /// [`Scripted`] with a real `step_batch`: compute actions are summed
     /// locally and handed to the fabric in one `tick_n` before the next
@@ -1119,11 +928,16 @@ mod batch_tests {
         Vec<Event>,
     );
 
+    /// Run the pipeline fully observed on a heterogeneous machine, under
+    /// `config`'s quantum and step budget.
     fn run_pipeline(config: &RunConfig, batching: bool) -> Result<Said, MachineError> {
-        let mut m = Machine::new(3, CostModel::ipsc2())
-            .with_trace(4096)
-            .with_metrics()
-            .with_slowdowns(vec![1, 2, 1]);
+        let config = &RunConfig {
+            trace_cap: Some(4096),
+            metrics: crate::config::MetricsMode::Full,
+            slowdowns: vec![1, 2, 1],
+            ..config.clone()
+        };
+        let mut m = Machine::new(3, CostModel::ipsc2());
         let mut stepping: Vec<Scripted> = pipeline().into_iter().map(Scripted::new).collect();
         let mut batched: Vec<Batching> = pipeline()
             .into_iter()
@@ -1156,16 +970,19 @@ mod batch_tests {
         assert_eq!(p.step_batch(&mut m, ProcId(0), 100), Ok((1, Step::Done)));
     }
 
-    /// The protocol shell stalls a processor at given ops, so it keeps the
-    /// provided `tick_n`, which shows it every one of them.
+    /// The protocol shell stalls a processor at given ops, wherever in a
+    /// batch they fall.
     #[test]
-    fn provided_tick_n_charges_a_stall_at_its_op() {
+    fn tick_n_charges_a_stall_at_its_op() {
         let plan = crate::fault::FaultPlan::seeded(0).with_stall(ProcId(0), 1, 50);
         let run = |batched: bool| {
-            let mut m = Machine::new(2, CostModel::ipsc2())
-                .with_trace(16)
-                .with_metrics()
-                .with_slowdowns(vec![3, 1]);
+            let mut m = Machine::new(2, CostModel::ipsc2());
+            m.configure(&RunConfig {
+                trace_cap: Some(16),
+                metrics: crate::config::MetricsMode::Full,
+                slowdowns: vec![3, 1],
+                ..RunConfig::default()
+            });
             let mut fault = FaultState::new(&plan);
             let mut eps: Vec<RelEndpoint<Time>> = (0..2)
                 .map(|p| RelEndpoint::new(ProcId(p), RelConfig::default(), 1, None))
@@ -1185,8 +1002,9 @@ mod batch_tests {
                 view.tick(ProcId(0), 4);
             }
             assert_eq!(fault.counts().stalls, 1);
-            let events: Vec<Event> = m.snapshot_trace().events().cloned().collect();
-            (m.stats(), m.metrics_snapshot(), events)
+            let report = m.report(0, Ledger::default());
+            let events: Vec<Event> = report.trace.events().cloned().collect();
+            (report.stats, report.metrics, events)
         };
         let (stepped, batched) = (run(false), run(true));
         assert_eq!(batched, stepped);
@@ -1239,10 +1057,10 @@ mod batch_tests {
 
 #[cfg(test)]
 mod faulty_tests {
-    use super::tests::{Action, Scripted};
     use super::*;
     use crate::cost::CostModel;
     use crate::fault::FaultPlan;
+    use crate::scripted::{Action, Scripted};
 
     /// A 10-message stream 0 → 1 plus an unrelated reply, exercising
     /// FIFO recovery end to end.
@@ -1415,11 +1233,11 @@ mod faulty_tests {
 #[cfg(test)]
 mod recovery_tests {
     use super::faulty_tests::stream_scripts;
-    use super::tests::{Action, Scripted};
     use super::*;
     use crate::checkpoint::CheckpointCfg;
     use crate::cost::CostModel;
     use crate::fault::FaultPlan;
+    use crate::scripted::{Action, Scripted};
 
     type Received = Vec<Vec<Word>>;
 

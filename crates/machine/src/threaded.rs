@@ -5,22 +5,15 @@
 //! The simulator ([`Machine`](crate::Machine)) interleaves every processor
 //! on one thread and keeps the whole network in one in-memory table. This
 //! module executes the *same* [`Process`] implementations preemptively:
-//! each processor's process runs on its own thread against an
-//! [`Endpoint`] — a per-thread [`Fabric`] holding that processor's logical
-//! clock, statistics, and ring ends.
-//!
-//! # Why the results still match the simulator
-//!
-//! Everything a process observes is a function of sender-local state:
-//! payloads are computed before the send, arrival stamps travel *inside*
-//! the frame (`sender clock + flight`), and a receive names its
-//! `(src, tag)` channel explicitly. A ring is FIFO by construction, and
-//! the per-`(src, tag)` stash below preserves that order per typed
-//! channel, so every receive sees exactly the message the simulator would
-//! deliver — whatever the OS scheduler does. Outputs, logical clocks (and
-//! hence the makespan), and per-pair message counts are bit-identical
-//! across backends; only `max_in_flight` (real concurrency) and the step
-//! total (blocked-retry counts) are timing-dependent.
+//! each processor's process runs on its own thread against an endpoint —
+//! a per-thread [`Fabric`] holding that processor's logical processor and
+//! ring ends. The logical processor is the same `Cpu` the simulator
+//! charges (DESIGN §5b, "The logical processor"), so clocks, counters and
+//! trace events cannot differ; the same section argues why what a process
+//! *observes* cannot either. This file's part of that argument: a ring is
+//! FIFO by construction, and the per-`(src, tag)` stash below preserves
+//! that order per typed channel. Only `max_in_flight` (real concurrency)
+//! and the step total (blocked-retry counts) are timing-dependent.
 //!
 //! # Topology
 //!
@@ -51,20 +44,21 @@
 //! peers are still running, the receive fails with
 //! [`MachineError::RecvTimeout`] (a cyclic deadlock).
 
-use crate::checkpoint::{CheckpointCfg, RecoveryReport};
+use crate::checkpoint::CheckpointCfg;
 use crate::config::{RunConfig, DEFAULT};
 use crate::cost::CostModel;
+use crate::cpu::{ack_cost, Cpu, Observers};
 use crate::error::MachineError;
 use crate::fabric::Fabric;
-use crate::fault::FaultState;
+use crate::fault::{FaultCounts, FaultState};
 use crate::message::{ProcId, Tag, Time, Word};
-use crate::reliable::{is_ack_tag, pending_triples, Deadline, RelConfig, RelEndpoint, Wire};
+use crate::reliable::{is_ack_tag, Deadline, RelConfig, RelEndpoint, Wire};
+use crate::report::{Ledger, PairCounts, RunReport};
 use crate::ring::{ring, BufPool, Doorbell, FrameRx, FrameTx};
-use crate::sched::{Process, RunReport, Step};
-use crate::stats::{FaultReport, MachineStats, NetworkStats, ProcStats};
+use crate::sched::{Process, Step};
 use crate::trace::{EventKind, Trace};
 use pdc_metrics::{Ctr, FlightKind, MetricsRegistry, NO_PEER};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -228,21 +222,20 @@ struct Reliable<'p> {
 /// Per-`(src, tag)` demultiplexing FIFOs of `(arrival stamp, payload)`.
 type Stash = HashMap<(ProcId, Tag), VecDeque<(Time, Vec<Word>)>>;
 
-/// One processor's thread-local view of the machine: its logical clock
-/// and counters, the producer end of a ring to every peer, the consumer
-/// end of every peer's ring to it, and the per-`(src, tag)`
-/// demultiplexing stash.
+/// One processor's thread-local view of the machine: its logical
+/// processor, the producer end of a ring to every peer, the consumer end
+/// of every peer's ring to it, and the per-`(src, tag)` demultiplexing
+/// stash.
 #[derive(Debug)]
-pub struct Endpoint<'p> {
-    me: ProcId,
+struct Endpoint<'p> {
     n: usize,
-    cost: CostModel,
-    slowdown: u64,
-    clock: Time,
-    stats: ProcStats,
+    cpu: Cpu,
+    /// This endpoint's own event trace — merged by timestamp into the run
+    /// report at teardown — and the run's shared registry, of which this
+    /// endpoint writes only shard `me`, so the record path never contends.
+    obs: Observers,
     /// `tx[q]` produces into the ring read by processor `q`; `None` at
-    /// `q == me` (self-sends are a code-generation bug, exactly as in
-    /// the simulator).
+    /// `q == me`.
     tx: Vec<Option<FrameTx>>,
     /// `rx[q]` consumes the ring written by processor `q`.
     rx: Vec<Option<FrameRx>>,
@@ -253,15 +246,10 @@ pub struct Endpoint<'p> {
     /// and reassembly reuses them, so steady-state traffic allocates
     /// nothing.
     pool: BufPool,
-    /// Messages sent per `(dst, tag)`, merged into the run report.
-    sent: BTreeMap<(ProcId, Tag), u64>,
-    /// Messages consumed per `(src, tag)` — the receive-side mirror of
-    /// `sent`, merged into per-triple pending counts at teardown.
-    recvd: BTreeMap<(ProcId, Tag), u64>,
-    /// Set when the process sends to itself; surfaced as
-    /// [`MachineError::SelfSend`] by the thread loop, as the scheduler
-    /// does on the simulator.
-    self_send: Option<ProcId>,
+    /// Frames sent per `(me, dst, tag)` and consumed per `(src, me, tag)`
+    /// — the raw fabric's share of the run's traffic ledger.
+    sent: PairCounts,
+    recvd: PairCounts,
     /// Reliable-delivery state; `None` runs the raw fabric — or the
     /// protocol core is running right now with this endpoint as its
     /// wire (see [`with_core`](Endpoint::with_core)).
@@ -289,20 +277,8 @@ pub struct Endpoint<'p> {
     recv_timeout: Duration,
     /// Checkpoint/restart policy; `None` runs without crash recovery.
     ckpt: Option<CheckpointCfg>,
-    /// Per-endpoint event trace, recorded exactly as the simulator's
-    /// [`Machine`](crate::Machine) records its global one; merged by
-    /// timestamp into the run report at teardown. Because every event's
-    /// `at` comes from the backend-invariant logical clock, the merged
-    /// trace matches the simulator's on the raw fabric.
-    trace: Trace,
-    /// Shared metrics registry — one shard per processor; this endpoint
-    /// writes only shard `me`, so the record path never contends.
-    metrics: Arc<MetricsRegistry>,
-    /// The reliability layer was configured for this run. `rel.is_some()`
-    /// cannot distinguish a program send from a protocol frame here:
-    /// `rel` is detached while its fault state dispatches, which is
-    /// exactly when protocol frames traverse the raw send path.
-    reliable: bool,
+    /// Steps the thread loop has taken.
+    steps: u64,
 }
 
 impl<'p> Endpoint<'p> {
@@ -327,47 +303,6 @@ impl<'p> Endpoint<'p> {
         }
     }
 
-    /// Charge a program-level receive: idle until the arrival stamp if
-    /// necessary, then pay the unpacking cost — clock advance identical
-    /// to [`Machine::try_recv_into`](crate::Machine::try_recv_into).
-    fn charge_recv(&mut self, src: ProcId, tag: Tag, arrives_at: Time, words: usize) {
-        let waited = arrives_at.0.saturating_sub(self.clock.0);
-        let ready = if arrives_at > self.clock {
-            self.stats.idle_cycles += waited;
-            arrives_at
-        } else {
-            self.clock
-        };
-        let recv_cost = self.cost.recv_cost(words) * self.slowdown;
-        self.clock = ready.plus(recv_cost);
-        self.stats.recvs += 1;
-        self.trace.record(
-            self.me,
-            self.clock,
-            EventKind::Recv {
-                src,
-                tag,
-                words,
-                waited,
-                cost: recv_cost,
-            },
-        );
-        // Both program-level receive paths (raw consume, reliable pop)
-        // charge here, so this is the one logical-recv record point.
-        self.metrics.logical_recv(
-            self.me.0,
-            src.0 as u64,
-            tag.0 as u64,
-            words as u64,
-            self.clock.0,
-        );
-    }
-
-    /// Take and clear the recorded self-send fault, if any.
-    fn take_self_send(&mut self) -> Option<ProcId> {
-        self.self_send.take()
-    }
-
     /// Take and clear the recorded fatal protocol error, if any.
     fn take_fatal(&mut self) -> Option<MachineError> {
         self.rel.as_mut().and_then(|r| r.core.take_fatal())
@@ -375,7 +310,7 @@ impl<'p> Endpoint<'p> {
 
     /// Publish one frame onto the `me → dst` ring and ring the peer's
     /// doorbell. A frame to a peer that already finished or died stays
-    /// undelivered, exactly like an untaken simulator queue. While the
+    /// undelivered, like a simulator queue nobody takes from. While the
     /// ring is full the stall hook keeps the system live: it wakes the
     /// consumer (chunks published so far are invisible to a parked peer
     /// otherwise), drains our own inboxes (two mutually-full endpoints
@@ -386,23 +321,21 @@ impl<'p> Endpoint<'p> {
         if gone(self.status[dst.0].load(Ordering::SeqCst)) {
             return;
         }
-        let words = payload.len() as u64;
-        self.metrics.count(self.me.0, Ctr::WireFrames, 1);
-        self.metrics.count(self.me.0, Ctr::WireWords, words);
+        let (me, words) = (self.cpu.me().0, payload.len() as u64);
         let mut tx = self.tx[dst.0].take().expect("peer ring exists");
         let mut spins = 0u32;
         let mut stalled = false;
         let sent = tx.send(tag.0, arrives_at.0, payload, || {
             if !stalled {
                 stalled = true;
-                self.metrics.count(self.me.0, Ctr::EnqueueStalls, 1);
-                self.metrics.flight(
-                    self.me.0,
+                self.obs.metrics.count(me, Ctr::EnqueueStalls, 1);
+                self.obs.metrics.flight(
+                    me,
                     FlightKind::Stall,
                     dst.0 as u64,
                     tag.0 as u64,
                     words,
-                    self.clock.0,
+                    self.cpu.clock().0,
                 );
             }
             self.bells[dst.0].ring();
@@ -419,7 +352,7 @@ impl<'p> Endpoint<'p> {
         if sent {
             // Post-enqueue depth; the histogram max is the ring's
             // high-water mark in words.
-            self.metrics.ring_depth(self.me.0, tx.occupancy());
+            self.obs.metrics.ring_depth(me, tx.occupancy());
         }
         self.tx[dst.0] = Some(tx);
         if sent {
@@ -432,29 +365,32 @@ impl<'p> Endpoint<'p> {
     /// then park until `until`, a peer's ring, or a spurious wakeup.
     /// Callers loop and re-evaluate regardless of why the park returned.
     fn park(&mut self, until: Instant, epoch: u64) {
+        let me = self.cpu.me().0;
         if self.spin {
             for _ in 0..64 {
                 std::hint::spin_loop();
                 let before = self.ingested;
                 self.drain();
                 if self.ingested != before || self.epoch.load(Ordering::SeqCst) != epoch {
-                    self.metrics.count(self.me.0, Ctr::SpinWakes, 1);
+                    self.obs.metrics.count(me, Ctr::SpinWakes, 1);
                     return;
                 }
             }
         }
-        self.bells[self.me.0].prepare();
+        self.bells[me].prepare();
         let before = self.ingested;
         self.drain();
         if self.ingested != before || self.epoch.load(Ordering::SeqCst) != epoch {
-            self.bells[self.me.0].cancel();
-            self.metrics.count(self.me.0, Ctr::Wakes, 1);
+            self.bells[me].cancel();
+            self.obs.metrics.count(me, Ctr::Wakes, 1);
             return;
         }
-        self.metrics.count(self.me.0, Ctr::Parks, 1);
-        self.metrics
-            .flight(self.me.0, FlightKind::Park, NO_PEER, 0, 0, self.clock.0);
-        self.bells[self.me.0].park_until(until);
+        self.obs.metrics.count(me, Ctr::Parks, 1);
+        let now = self.cpu.clock().0;
+        self.obs
+            .metrics
+            .flight(me, FlightKind::Park, NO_PEER, 0, 0, now);
+        self.bells[me].park_until(until);
     }
 
     /// Run `f` on the protocol core with this endpoint as its wire. The
@@ -523,7 +459,7 @@ impl<'p> Endpoint<'p> {
             match st {
                 PEER_DEAD => {
                     return Err(MachineError::PeerDied {
-                        proc: self.me,
+                        proc: self.cpu.me(),
                         peer: src,
                     });
                 }
@@ -532,7 +468,7 @@ impl<'p> Endpoint<'p> {
                     // ever sent is already in our streams. The awaited
                     // payload can never arrive.
                     return Err(MachineError::Deadlock {
-                        waiting: vec![(self.me, src, tag)],
+                        waiting: vec![(self.cpu.me(), src, tag)],
                     });
                 }
                 _ => {}
@@ -545,7 +481,7 @@ impl<'p> Endpoint<'p> {
             }
             if now >= liveness {
                 return Err(MachineError::RecvTimeout {
-                    proc: self.me,
+                    proc: self.cpu.me(),
                     src,
                     tag,
                     waited_ms: self.recv_timeout.as_millis() as u64,
@@ -615,20 +551,19 @@ impl<'p> Endpoint<'p> {
     /// image; an unrecoverable one fails the thread with
     /// [`MachineError::Crashed`].
     fn crash_tick(&mut self, process: &mut dyn Process) -> Result<(), MachineError> {
-        let me = self.me;
+        let me = self.cpu.me();
         let Some(rel) = self.rel.as_mut() else {
             return Ok(());
         };
         let ops = rel.fault.ops(me);
-        if rel.core.checkpoint_due(ops, self.clock) {
+        if rel.core.checkpoint_due(ops, self.cpu.clock()) {
             self.with_core(|core, wire| core.checkpoint(wire, &*process, ops, true))?;
         }
         let rel = self.rel.as_mut().expect("reliable mode");
         let Some(at_op) = rel.fault.take_crash(me) else {
             return Ok(());
         };
-        self.trace
-            .record(me, self.clock, EventKind::Crash { at_op });
+        self.cpu.record(&mut self.obs, EventKind::Crash { at_op });
         let Some(cfg) = self.ckpt else {
             return Err(MachineError::Crashed { proc: me, at_op });
         };
@@ -645,7 +580,7 @@ impl<'p> Endpoint<'p> {
                 self.pool.put(payload);
             }
         }
-        self.clock = self.clock.plus(cfg.reboot_cycles);
+        self.cpu.reboot(cfg.reboot_cycles);
         std::thread::sleep(cfg.reboot_wall);
         self.with_core(|core, wire| core.restore(wire, process, at_op, true))
     }
@@ -655,7 +590,7 @@ impl<'p> Endpoint<'p> {
     /// this program will consume nothing more, which lets them retire the
     /// windows they hold for it while it [lingers](Endpoint::rel_linger).
     fn rel_finish(&mut self, process: &dyn Process) -> Result<(), MachineError> {
-        let me = self.me;
+        let me = self.cpu.me();
         if self.ckpt.is_some() {
             self.with_core(|core, wire| {
                 let ops = wire.fault.ops(me);
@@ -688,13 +623,13 @@ impl<'p> Endpoint<'p> {
             match st {
                 PEER_DEAD => {
                     return Err(MachineError::PeerDied {
-                        proc: self.me,
+                        proc: self.cpu.me(),
                         peer: src,
                     });
                 }
                 PEER_FINISHED => {
                     return Err(MachineError::Deadlock {
-                        waiting: vec![(self.me, src, tag)],
+                        waiting: vec![(self.cpu.me(), src, tag)],
                     });
                 }
                 _ => {}
@@ -706,7 +641,7 @@ impl<'p> Endpoint<'p> {
             let now = Instant::now();
             if now >= deadline {
                 return Err(MachineError::RecvTimeout {
-                    proc: self.me,
+                    proc: self.cpu.me(),
                     src,
                     tag,
                     waited_ms: self.recv_timeout.as_millis() as u64,
@@ -723,76 +658,37 @@ impl Fabric for Endpoint<'_> {
     }
 
     fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    fn tick(&mut self, p: ProcId, cycles: u64) {
-        self.tick_n(p, cycles, 1);
+        self.cpu.cost()
     }
 
     fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
-        debug_assert_eq!(p, self.me, "an endpoint only drives its own clock");
-        // The fault plan stalls a processor at given ops, so it sees
-        // every one of them.
-        let extra: u64 = match self.rel.as_mut() {
-            Some(r) => (0..ops).map(|_| r.fault.stall_cycles(p)).sum(),
-            None => 0,
-        };
-        let before = self.clock;
-        self.clock = before.plus((cycles + extra) * self.slowdown);
-        self.stats.ops += ops;
-        self.metrics.count(p.0, Ctr::Ops, ops);
-        self.trace.record_compute(p, before, self.clock);
+        debug_assert_eq!(p, self.cpu.me(), "an endpoint only drives its own clock");
+        let stalls = self.rel.as_mut().map(|r| r.fault.stall_cycles(p, ops));
+        self.cpu
+            .tick_n(&mut self.obs, cycles + stalls.unwrap_or(0), ops);
     }
 
     fn send_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word]) {
-        debug_assert_eq!(src, self.me, "an endpoint only sends as itself");
-        if src == dst {
-            // A self-send is a code-generation bug; record it for the
-            // thread loop to surface, exactly as the simulator does.
-            self.self_send.get_or_insert(src);
-            return;
-        }
+        debug_assert_eq!(src, self.cpu.me(), "an endpoint only sends as itself");
         // Program sends route through the reliability layer when it is
-        // on; protocol frames (dispatched while `rel` is detached) fall
-        // through to the raw path below.
-        if self.rel.is_some() {
+        // on. Protocol frames (dispatched while `rel` is detached) take
+        // the raw path below, and so does a send to itself, which the
+        // processor remembers for the thread loop to surface.
+        if self.rel.is_some() && src != dst {
             self.rel_service();
             self.with_core(|core, wire| core.send(wire, dst, tag, payload));
             return;
         }
-        let words = payload.len();
-        let send_cost = self.cost.send_cost(words) * self.slowdown;
-        self.clock = self.clock.plus(send_cost);
-        let sent_at = self.clock;
-        let arrives_at = sent_at.plus(self.cost.flight);
-        self.stats.sends += 1;
-        self.stats.words_sent += words as u64;
-        *self.sent.entry((dst, tag)).or_insert(0) += 1;
-        self.trace.record(
-            src,
-            sent_at,
-            EventKind::Send {
-                dst,
-                tag,
-                words,
-                cost: send_cost,
-            },
-        );
-        if !self.reliable {
-            // Raw-fabric runs: the wire frame *is* the program-level
-            // send. Reliable runs record theirs in the protocol core;
-            // frames reaching here while `rel` is detached are protocol
-            // traffic.
-            self.metrics
-                .logical_send(src.0, dst.0 as u64, tag.0 as u64, words as u64, sent_at.0);
+        let stamps = self.cpu.send(&mut self.obs, dst, tag, payload.len());
+        if let Some((_, arrives_at)) = stamps {
+            *self.sent.entry((src, dst, tag)).or_insert(0) += 1;
+            self.gauge.inc();
+            self.ring_send(dst, tag, arrives_at, payload);
         }
-        self.gauge.inc();
-        self.ring_send(dst, tag, arrives_at, payload);
     }
 
     fn try_recv_into(&mut self, dst: ProcId, src: ProcId, tag: Tag, out: &mut Vec<Word>) -> bool {
-        debug_assert_eq!(dst, self.me, "an endpoint only receives as itself");
+        debug_assert_eq!(dst, self.cpu.me(), "an endpoint only receives as itself");
         out.clear();
         if self.rel.is_some() {
             // The reliable stream hands over the whole frame; the
@@ -803,7 +699,7 @@ impl Fabric for Endpoint<'_> {
                 return false;
             };
             out.extend_from_slice(&frame[1..]);
-            self.charge_recv(src, tag, arrives, out.len());
+            self.cpu.recv(&mut self.obs, src, tag, arrives, out.len());
             self.pool.put(frame);
             return true;
         }
@@ -816,42 +712,27 @@ impl Fabric for Endpoint<'_> {
             return false;
         };
         out.extend_from_slice(&payload);
-        *self.recvd.entry((src, tag)).or_insert(0) += 1;
-        self.charge_recv(src, tag, arrives, out.len());
+        *self.recvd.entry((src, dst, tag)).or_insert(0) += 1;
+        self.cpu.recv(&mut self.obs, src, tag, arrives, out.len());
         self.gauge.dec();
         self.pool.put(payload);
         true
     }
 
     fn send_lost(&mut self, src: ProcId, dst: ProcId, tag: Tag, words: usize) {
-        debug_assert_eq!(src, self.me, "an endpoint only sends as itself");
-        let send_cost = self.cost.send_cost(words) * self.slowdown;
-        self.clock = self.clock.plus(send_cost);
-        self.stats.sends += 1;
-        self.stats.words_sent += words as u64;
-        self.metrics.count(self.me.0, Ctr::FramesLost, 1);
-        self.trace.record(
-            src,
-            self.clock,
-            EventKind::FrameLost {
-                dst,
-                tag,
-                words,
-                cost: send_cost,
-            },
-        );
+        debug_assert_eq!(src, self.cpu.me(), "an endpoint only sends as itself");
+        self.cpu.send_lost(&mut self.obs, dst, tag, words);
     }
 
     fn inject_ref(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: &[Word], extra: u64) {
-        debug_assert_eq!(src, self.me, "an endpoint only sends as itself");
-        let sent_at = self.clock;
-        let arrives_at = sent_at.plus(self.cost.flight).plus(extra);
+        debug_assert_eq!(src, self.cpu.me(), "an endpoint only sends as itself");
+        let (_, arrives_at) = self.cpu.inject_stamp(&self.obs, payload.len(), extra);
         self.gauge.inc();
         self.ring_send(dst, tag, arrives_at, payload);
     }
 
     fn metrics(&self) -> Option<&MetricsRegistry> {
-        Some(&self.metrics)
+        Some(&self.obs.metrics)
     }
 }
 
@@ -870,11 +751,11 @@ impl Wire<Instant> for RingWire<'_, '_> {
     }
 
     fn clock(&self) -> Time {
-        self.ep.clock
+        self.ep.cpu.clock()
     }
 
     fn transmit(&mut self, dst: ProcId, tag: Tag, frame: &[Word]) {
-        let me = self.ep.me;
+        let me = self.ep.cpu.me();
         self.fault.dispatch(&mut *self.ep, me, dst, tag, frame);
     }
 
@@ -898,20 +779,15 @@ impl Wire<Instant> for RingWire<'_, '_> {
     }
 
     fn busy(&mut self, cycles: u64) {
-        // Traced as compute, exactly as the simulator's `busy` is.
-        let before = self.ep.clock;
-        self.ep.clock = before.plus(cycles * self.ep.slowdown);
-        self.ep
-            .trace
-            .record_compute(self.ep.me, before, self.ep.clock);
+        self.ep.cpu.busy(&mut self.ep.obs, cycles);
     }
 
     fn record(&mut self, event: EventKind) {
-        self.ep.trace.record(self.ep.me, self.ep.clock, event);
+        self.ep.cpu.record(&mut self.ep.obs, event);
     }
 
     fn metrics(&self) -> &MetricsRegistry {
-        &self.ep.metrics
+        &self.ep.obs.metrics
     }
 
     fn peer_done(&self, peer: ProcId) -> bool {
@@ -919,55 +795,21 @@ impl Wire<Instant> for RingWire<'_, '_> {
     }
 }
 
-/// What one finished thread hands back for merging.
-struct ThreadDone<'p> {
-    clock: Time,
-    stats: ProcStats,
-    sent: BTreeMap<(ProcId, Tag), u64>,
-    recvd: BTreeMap<(ProcId, Tag), u64>,
-    steps: u64,
-    trace: Trace,
-    rel: Option<Box<Reliable<'p>>>,
-}
-
 /// Run one process against its endpoint: the per-thread step loop shared
-/// by every configuration. Always returns the endpoint's harvested state
-/// — on an error the partial tallies (clock, traffic counts, trace, the
-/// flight recorder's recent history) are exactly the diagnostics the
-/// failure report needs, so they must not be dropped with the thread.
-fn drive<'p, P: Process>(
-    process: &mut P,
-    ep: &mut Endpoint<'p>,
-    budget: u64,
-) -> (ThreadDone<'p>, Option<MachineError>) {
-    let mut steps: u64 = 0;
-    let err = drive_loop(process, ep, budget, &mut steps).err();
-    let done = ThreadDone {
-        clock: ep.clock,
-        stats: std::mem::take(&mut ep.stats),
-        sent: std::mem::take(&mut ep.sent),
-        recvd: std::mem::take(&mut ep.recvd),
-        steps,
-        trace: std::mem::take(&mut ep.trace),
-        rel: ep.rel.take(),
-    };
-    (done, err)
-}
-
-fn drive_loop<P: Process>(
+/// by every configuration.
+fn drive<P: Process>(
     process: &mut P,
     ep: &mut Endpoint<'_>,
     budget: u64,
-    steps: &mut u64,
 ) -> Result<(), MachineError> {
-    let me = ep.me;
+    let me = ep.cpu.me();
     if ep.ckpt.is_some() {
         // Initial checkpoint: a restore target exists whatever the crash
         // point. Free — the launch image exists before the clocks start.
         ep.with_core(|core, wire| core.checkpoint(wire, &*process, 0, false))?;
     }
     loop {
-        if *steps >= budget {
+        if ep.steps >= budget {
             return Err(MachineError::StepBudgetExceeded { budget });
         }
         // The raw fabric runs in batches. The protocol shell goes step by
@@ -975,11 +817,12 @@ fn drive_loop<P: Process>(
         let (ran, step) = if ep.rel.is_some() {
             (1, process.step(ep, me)?)
         } else {
-            process.step_batch(ep, me, budget - *steps)?
+            let left = budget - ep.steps;
+            process.step_batch(ep, me, left)?
         };
-        *steps += ran;
-        if let Some(sp) = ep.take_self_send() {
-            return Err(MachineError::SelfSend { proc: sp });
+        ep.steps += ran;
+        if ep.cpu.take_self_send() {
+            return Err(MachineError::SelfSend { proc: me });
         }
         if let Some(e) = ep.take_fatal() {
             return Err(e);
@@ -992,7 +835,7 @@ fn drive_loop<P: Process>(
                 if ep.rel.is_some() {
                     ep.rel_finish(&*process)?;
                 }
-                ep.trace.record(me, ep.clock, EventKind::Finish);
+                ep.cpu.finish(&mut ep.obs);
                 break;
             }
             Step::BlockedOnRecv { src, tag } => {
@@ -1123,7 +966,7 @@ impl<'a> ThreadedRunner<'a> {
             }
         }
         let mut worst: Option<MachineError> = None;
-        let mut done: Vec<Option<ThreadDone>> = Vec::with_capacity(n);
+        let mut done: Vec<Option<Endpoint>> = Vec::with_capacity(n);
         for (d, e) in results {
             done.push(d);
             if let Some(e) = e {
@@ -1134,81 +977,59 @@ impl<'a> ThreadedRunner<'a> {
             }
         }
 
-        let reliable = self.config.protocol().is_some();
-        let mut recovery_total = self.config.checkpoints.map(|_| RecoveryReport::default());
-        let mut pair_messages: BTreeMap<(ProcId, ProcId, Tag), u64> = BTreeMap::new();
-        let mut recvd_by_triple: BTreeMap<(ProcId, ProcId, Tag), u64> = BTreeMap::new();
-        let mut network = NetworkStats::default();
+        let mut ledger = Ledger::default();
         let mut steps: u64 = 0;
-        let mut clocks = Vec::with_capacity(n);
-        let mut procs = Vec::with_capacity(n);
-        let mut fault_report = reliable.then(FaultReport::default);
+        let mut cpus = Vec::with_capacity(n);
         let mut traces = Vec::with_capacity(n);
-        for (p, d) in done.into_iter().enumerate() {
-            let me = ProcId(p);
-            let Some(d) = d else {
-                // Panicked thread: hold its slots so the per-processor
-                // vectors stay index-aligned with processor ids.
+        let mut cores = Vec::new();
+        let mut injected = FaultCounts::default();
+        for (p, ep) in done.into_iter().enumerate() {
+            let Some(ep) = ep else {
+                // A panicked thread holds a fresh processor's slots, so
+                // the per-processor vectors stay index-aligned with
+                // processor ids.
+                cpus.push(Cpu::new(ProcId(p), self.cost));
                 traces.push(self.config.trace());
-                clocks.push(Time::ZERO);
-                procs.push(ProcStats::default());
                 continue;
             };
-            traces.push(d.trace);
-            if let Some(r) = d.rel {
-                let fr = fault_report.as_mut().expect("reliable mode");
-                r.core.tally(&mut pair_messages, &mut recvd_by_triple, fr);
-                fr.injected.merge(&r.fault.counts());
-                if let (Some(total), Some(rec)) = (recovery_total.as_mut(), r.core.recovery()) {
-                    total.merge(rec);
-                }
+            if let Some(r) = ep.rel {
+                // The endpoint's own maps counted wire frames; the
+                // program-level ledger is the core's.
+                injected.merge(&r.fault.counts());
+                cores.push(r.core);
             } else {
-                for ((dst, tag), count) in d.sent {
-                    pair_messages.insert((me, dst, tag), count);
-                }
-                for ((src, tag), count) in d.recvd {
-                    recvd_by_triple.insert((src, me, tag), count);
-                }
+                ledger.sent.extend(ep.sent);
+                ledger.recvd.extend(ep.recvd);
             }
-            network.messages += d.stats.sends;
-            network.words += d.stats.words_sent;
-            steps += d.steps;
-            clocks.push(d.clock);
-            procs.push(d.stats);
+            steps += ep.steps;
+            cpus.push(ep.cpu);
+            traces.push(ep.obs.trace);
         }
-        network.max_in_flight = gauge.max.load(Ordering::Relaxed);
-        let pending = pending_triples(&pair_messages, &recvd_by_triple);
-        let undelivered = pending.iter().map(|&(_, _, _, k)| k).sum();
-        if let Some(fr) = fault_report.as_mut() {
-            fr.raw_leftover = gauge.cur.load(Ordering::Relaxed) as usize;
+        if self.config.protocol().is_some() {
+            let leftover = gauge.cur.load(Ordering::Relaxed) as usize;
+            let checkpointed = self.config.checkpoints.is_some();
+            ledger = Ledger::protocol(cores.iter(), injected, leftover, checkpointed);
         }
-        let report = RunReport {
-            stats: MachineStats {
-                network,
-                procs,
-                clocks,
-            },
+        let report = RunReport::assemble(
+            &cpus,
             steps,
-            undelivered,
-            pair_messages,
-            pending,
-            fault: fault_report,
-            recovery: recovery_total,
-            trace: Trace::merge(traces),
-            metrics: registry.snapshot(),
-        };
+            Trace::merge(traces),
+            registry.snapshot(),
+            gauge.max.load(Ordering::Relaxed),
+            ledger,
+        );
         (report, worst)
     }
 
     /// Wire up the rings and endpoints, run every process on its own
-    /// scoped thread, and hand back what each thread harvested with the
-    /// error it ended on. A panicked thread harvested nothing.
+    /// scoped thread, and hand back each thread's endpoint with the error
+    /// it ended on. A panicked thread's endpoint died with its stack.
     fn run_threads<P: Process + Send>(
         &self,
         processes: &mut [P],
         gauge: &Arc<Gauge>,
         registry: &Arc<MetricsRegistry>,
-    ) -> Vec<(Option<ThreadDone<'a>>, Option<MachineError>)> {
+    ) -> Vec<(Option<Endpoint<'a>>, Option<MachineError>)> {
         let n = processes.len();
         let config = self.config;
         let bells: Arc<Vec<Doorbell>> = Arc::new((0..n).map(|_| Doorbell::new()).collect());
@@ -1237,38 +1058,39 @@ impl<'a> ThreadedRunner<'a> {
             .into_iter()
             .zip(rxs)
             .enumerate()
-            .map(|(p, (tx, rx))| Endpoint {
-                me: ProcId(p),
-                n,
-                cost: self.cost,
-                slowdown: config.slowdowns.get(p).copied().unwrap_or(1),
-                clock: Time::ZERO,
-                stats: ProcStats::default(),
-                tx,
-                rx,
-                stash: HashMap::new(),
-                pool: BufPool::new(),
-                sent: BTreeMap::new(),
-                recvd: BTreeMap::new(),
-                self_send: None,
-                rel: protocol.map(|cfg| {
-                    let ack_cost = self.cost.recv_cost(1);
-                    Box::new(Reliable {
-                        core: RelEndpoint::new(ProcId(p), cfg, ack_cost, config.checkpoints),
-                        fault: FaultState::new(&config.faults),
-                    })
-                }),
-                bells: Arc::clone(&bells),
-                status: Arc::clone(&status),
-                epoch: Arc::clone(&epoch),
-                ingested: 0,
-                spin: multicore,
-                gauge: Arc::clone(gauge),
-                recv_timeout: config.recv_timeout(),
-                ckpt: config.checkpoints,
-                trace: config.trace(),
-                metrics: Arc::clone(registry),
-                reliable: protocol.is_some(),
+            .map(|(p, (tx, rx))| {
+                let mut cpu = Cpu::new(ProcId(p), self.cost);
+                cpu.configure(config.slowdown(p), protocol.is_some());
+                Endpoint {
+                    n,
+                    cpu,
+                    obs: Observers {
+                        trace: config.trace(),
+                        metrics: Arc::clone(registry),
+                    },
+                    tx,
+                    rx,
+                    stash: HashMap::new(),
+                    pool: BufPool::new(),
+                    sent: PairCounts::new(),
+                    recvd: PairCounts::new(),
+                    rel: protocol.map(|cfg| {
+                        let ack_cost = ack_cost(&self.cost);
+                        Box::new(Reliable {
+                            core: RelEndpoint::new(ProcId(p), cfg, ack_cost, config.checkpoints),
+                            fault: FaultState::new(&config.faults),
+                        })
+                    }),
+                    bells: Arc::clone(&bells),
+                    status: Arc::clone(&status),
+                    epoch: Arc::clone(&epoch),
+                    ingested: 0,
+                    spin: multicore,
+                    gauge: Arc::clone(gauge),
+                    recv_timeout: config.recv_timeout(),
+                    ckpt: config.checkpoints,
+                    steps: 0,
+                }
             })
             .collect();
 
@@ -1292,11 +1114,15 @@ impl<'a> ThreadedRunner<'a> {
                             me: p,
                             finished: false,
                         };
-                        let (done, err) = drive(process, &mut ep, budget);
+                        let err = drive(process, &mut ep, budget).err();
                         if err.is_none() {
                             guard.finish();
                         }
-                        (done, err)
+                        // The endpoint goes back whole, also on an
+                        // error: its partial tallies (clock, traffic
+                        // counts, trace) are the diagnostics the failure
+                        // report needs.
+                        (ep, err)
                     })
                 })
                 .collect();
@@ -1327,6 +1153,7 @@ mod tests {
     use crate::config::MetricsMode;
     use crate::fault::FaultPlan;
     use crate::reliable::RelConfig;
+    use crate::scripted::{Action, Scripted};
     use pdc_testkit::{within, THREADS_DEADLINE};
 
     /// The default configuration with a receive timeout of `recv_timeout`.
@@ -1344,125 +1171,6 @@ mod tests {
             reliable: Some(fast_rel()),
             checkpoints,
             ..RunConfig::default()
-        }
-    }
-
-    /// The Scripted toy process from the scheduler tests, replayed on
-    /// real threads.
-    enum Action {
-        Compute(u64),
-        Send(usize, u32, Vec<i64>),
-        Recv(usize, u32),
-        /// Wall-clock sleep — models a slow peer without logical cost.
-        Sleep(Duration),
-        /// Abort the process with a [`MachineError::ProcessFault`].
-        Fail,
-        /// Panic the thread (exercises the unwind path of peer-death
-        /// detection).
-        Panic,
-    }
-
-    struct Scripted {
-        script: Vec<Action>,
-        pc: usize,
-        received: Vec<Vec<i64>>,
-    }
-
-    impl Scripted {
-        fn new(script: Vec<Action>) -> Self {
-            Scripted {
-                script,
-                pc: 0,
-                received: Vec::new(),
-            }
-        }
-    }
-
-    impl Process for Scripted {
-        fn snapshot(&self) -> Option<Vec<u8>> {
-            let mut b = Vec::new();
-            b.extend_from_slice(&(self.pc as u64).to_le_bytes());
-            b.extend_from_slice(&(self.received.len() as u64).to_le_bytes());
-            for r in &self.received {
-                b.extend_from_slice(&(r.len() as u64).to_le_bytes());
-                for w in r {
-                    b.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-            Some(b)
-        }
-
-        fn restore(&mut self, state: &[u8]) -> bool {
-            let mut pos = 0;
-            let u64_at = |p: &mut usize| -> Option<u64> {
-                let v = u64::from_le_bytes(state.get(*p..*p + 8)?.try_into().ok()?);
-                *p += 8;
-                Some(v)
-            };
-            let Some(pc) = u64_at(&mut pos) else {
-                return false;
-            };
-            let Some(n) = u64_at(&mut pos) else {
-                return false;
-            };
-            let mut received = Vec::new();
-            for _ in 0..n {
-                let Some(len) = u64_at(&mut pos) else {
-                    return false;
-                };
-                let mut words = Vec::new();
-                for _ in 0..len {
-                    let Some(w) = u64_at(&mut pos) else {
-                        return false;
-                    };
-                    words.push(w as i64);
-                }
-                received.push(words);
-            }
-            self.pc = pc as usize;
-            self.received = received;
-            true
-        }
-
-        fn step(&mut self, fabric: &mut dyn Fabric, me: ProcId) -> Result<Step, MachineError> {
-            let Some(action) = self.script.get(self.pc) else {
-                return Ok(Step::Done);
-            };
-            match action {
-                Action::Compute(c) => {
-                    fabric.tick(me, *c);
-                    self.pc += 1;
-                    Ok(Step::Ran)
-                }
-                Action::Send(dst, tag, payload) => {
-                    fabric.send_ref(me, ProcId(*dst), Tag(*tag), payload);
-                    self.pc += 1;
-                    Ok(Step::Ran)
-                }
-                Action::Recv(src, tag) => {
-                    let mut words = Vec::new();
-                    if fabric.try_recv_into(me, ProcId(*src), Tag(*tag), &mut words) {
-                        self.received.push(words);
-                        self.pc += 1;
-                        Ok(Step::Ran)
-                    } else {
-                        Ok(Step::BlockedOnRecv {
-                            src: ProcId(*src),
-                            tag: Tag(*tag),
-                        })
-                    }
-                }
-                Action::Sleep(d) => {
-                    std::thread::sleep(*d);
-                    self.pc += 1;
-                    Ok(Step::Ran)
-                }
-                Action::Fail => Err(MachineError::ProcessFault {
-                    proc: me,
-                    message: "scripted fault".into(),
-                }),
-                Action::Panic => panic!("scripted panic"),
-            }
         }
     }
 

@@ -2,13 +2,12 @@
 //! observability layer (Chrome export in [`trace_chrome`](crate::trace_chrome),
 //! critical-path analysis in [`trace_analysis`](crate::trace_analysis)).
 //!
-//! Both execution backends record the same events: the simulator's
-//! [`Machine`](crate::Machine) directly, the threaded backend per
-//! [`Endpoint`](crate::threaded::Endpoint) with the per-thread traces
-//! merged by timestamp at teardown. Because logical clocks are
-//! backend-invariant, so is the merged trace (on the raw fabric; under
-//! fault injection the retransmission *schedule* is wall-clock-dependent
-//! on the threaded backend).
+//! Every event is recorded by the logical processor that charges for it
+//! (DESIGN §5b, "The logical processor"): into the simulator's one trace,
+//! or into a threaded endpoint's own, which [`Trace::merge`] combines by
+//! timestamp at teardown. Logical clocks are backend-invariant, so the
+//! merged trace is too (on the raw fabric; under fault injection the
+//! retransmission *schedule* is wall-clock-dependent on threads).
 
 use crate::message::{ProcId, Tag, Time};
 use std::collections::BTreeMap;
@@ -278,8 +277,8 @@ impl Trace {
     }
 
     /// Emit every open compute interval. Call before reading a final
-    /// trace; [`Machine::snapshot_trace`](crate::Machine::snapshot_trace)
-    /// and the threaded merge do this for you.
+    /// trace; a [`RunReport`](crate::RunReport)'s trace is already
+    /// flushed.
     pub fn flush(&mut self) {
         let procs: Vec<usize> = self.open.keys().copied().collect();
         for p in procs {

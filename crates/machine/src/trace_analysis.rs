@@ -433,9 +433,21 @@ pub fn analyze(trace: &Trace, n_procs: usize) -> TraceAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RunConfig;
     use crate::cost::CostModel;
-    use crate::fabric::Machine;
+    use crate::fabric::{Fabric, Machine};
     use crate::message::{ProcId, Tag, Time};
+    use crate::report::Ledger;
+
+    /// A bare machine tracing up to `cap` events.
+    fn traced(cost: CostModel, cap: usize) -> Machine {
+        let mut m = Machine::new(2, cost);
+        m.configure(&RunConfig {
+            trace_cap: Some(cap),
+            ..RunConfig::default()
+        });
+        m
+    }
 
     /// Hand-computed two-processor chain, driven through the real
     /// fabric so the trace is exactly what a run records:
@@ -446,8 +458,7 @@ mod tests {
     #[test]
     fn two_proc_chain_decomposes_to_hand_computed_makespan() {
         let c = CostModel::ipsc2();
-        let mut m = Machine::new(2, c);
-        m.enable_trace(crate::trace::Trace::bounded(1024));
+        let mut m = traced(c, 1024);
         m.tick(ProcId(0), 500);
         m.send_ref(ProcId(0), ProcId(1), Tag(0), &[7]);
         m.finish(ProcId(0));
@@ -457,7 +468,7 @@ mod tests {
         m.tick(ProcId(1), 100);
         m.finish(ProcId(1));
 
-        let trace = m.snapshot_trace();
+        let trace = m.report(0, Ledger::default()).trace;
         let a = analyze(&trace, 2);
         let cp = &a.critical_path;
 
@@ -510,8 +521,7 @@ mod tests {
     #[test]
     fn unblocked_recv_stays_on_processor() {
         let c = CostModel::shared_memory();
-        let mut m = Machine::new(2, c);
-        m.enable_trace(crate::trace::Trace::bounded(64));
+        let mut m = traced(c, 64);
         m.send_ref(ProcId(0), ProcId(1), Tag(0), &[1]);
         // P1 computes past the arrival before receiving.
         m.tick(ProcId(1), 1000);
@@ -519,7 +529,7 @@ mod tests {
         m.finish(ProcId(1));
         m.finish(ProcId(0));
 
-        let a = analyze(&m.snapshot_trace(), 2);
+        let a = analyze(&m.report(0, Ledger::default()).trace, 2);
         assert_eq!(a.critical_path.flight, 0, "no blocked recv, no hop");
         assert!(a.critical_path.total() == a.critical_path.makespan);
         assert!(a.critical_path.exact);

@@ -26,15 +26,11 @@ use pdc_report::{Phase, Remark, RemarkKind, RemarkSink};
 
 /// Swap every outermost perfectly nested loop pair whose headers are
 /// independent and whose dependences permit the exchange. Returns the
-/// transformed program and the number of pairs swapped.
-pub fn interchange(program: &Program) -> (Program, usize) {
-    interchange_with_remarks(program, &mut RemarkSink::new())
-}
-
-/// [`interchange`], additionally emitting one Applied or Missed remark
-/// per perfectly nested loop pair considered. This pass runs on the
-/// source AST, so its remarks carry source spans directly.
-pub fn interchange_with_remarks(program: &Program, sink: &mut RemarkSink) -> (Program, usize) {
+/// transformed program and the number of pairs swapped, and emits one
+/// Applied or Missed remark per perfectly nested loop pair considered.
+/// This pass runs on the source AST, so its remarks carry source spans
+/// directly.
+pub fn interchange(program: &Program, sink: &mut RemarkSink) -> (Program, usize) {
     let mut count = 0;
     let mut out = program.clone();
     for proc in &mut out.procs {
@@ -233,7 +229,7 @@ mod tests {
             }",
         )
         .unwrap();
-        let (q, count) = interchange(&p);
+        let (q, count) = interchange(&p, &mut RemarkSink::new());
         assert_eq!(count, 1);
         let printed = pretty::program(&q);
         let i_pos = printed.find("for j").unwrap();
@@ -257,7 +253,7 @@ mod tests {
             }",
         )
         .unwrap();
-        let (_, count) = interchange(&p);
+        let (_, count) = interchange(&p, &mut RemarkSink::new());
         assert_eq!(count, 0);
     }
 
@@ -274,7 +270,7 @@ mod tests {
             }",
         )
         .unwrap();
-        let (_, count) = interchange(&p);
+        let (_, count) = interchange(&p, &mut RemarkSink::new());
         assert_eq!(count, 0);
     }
 
@@ -295,7 +291,7 @@ mod tests {
         )
         .unwrap();
         let mut sink = RemarkSink::new();
-        let (q, count) = interchange_with_remarks(&p, &mut sink);
+        let (q, count) = interchange(&p, &mut sink);
         assert_eq!(count, 0);
         assert_eq!(pretty::program(&q), pretty::program(&p));
         let blocking = sink
@@ -336,7 +332,7 @@ mod tests {
         };
         let orig = parse(&src("i = 2 to n", "j = 1 to n - 1")).unwrap();
         let swapped = parse(&src("j = 1 to n - 1", "i = 2 to n")).unwrap();
-        let (_, count) = interchange(&orig);
+        let (_, count) = interchange(&orig, &mut RemarkSink::new());
         assert_eq!(count, 0, "the (<,>) flow dependence must block the swap");
         assert!(Interpreter::new(&orig).run("f", &[Value::Int(6)]).is_ok());
         assert!(
@@ -360,7 +356,7 @@ mod tests {
         )
         .unwrap();
         let mut sink = RemarkSink::new();
-        let (_, count) = interchange_with_remarks(&p, &mut sink);
+        let (_, count) = interchange(&p, &mut sink);
         assert_eq!(count, 1);
         let applied = sink
             .remarks()
@@ -375,7 +371,10 @@ mod tests {
 
     #[test]
     fn reversed_gauss_seidel_becomes_normal_order() {
-        let (fixed, count) = interchange(&pdc_core::programs::gauss_seidel_interchanged());
+        let (fixed, count) = interchange(
+            &pdc_core::programs::gauss_seidel_interchanged(),
+            &mut RemarkSink::new(),
+        );
         assert_eq!(count, 1);
         // Semantically identical to the original (both strict orders are
         // valid for this kernel).

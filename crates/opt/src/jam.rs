@@ -29,15 +29,10 @@ use std::collections::BTreeSet;
 type Fused = (u32, i64, i64);
 
 /// Apply jamming to every body; returns the rewritten program and the
-/// number of streams fused.
-pub fn jam(prog: &SpmdProgram) -> (SpmdProgram, usize) {
-    jam_with_remarks(prog, &mut RemarkSink::new())
-}
-
-/// [`jam`], additionally emitting an Applied remark per fused stream
+/// number of streams fused. Emits an Applied remark per fused stream
 /// (with the solved shift and residue modulus) and a Missed remark per
 /// sender-shaped candidate that found no compatible producer.
-pub fn jam_with_remarks(prog: &SpmdProgram, sink: &mut RemarkSink) -> (SpmdProgram, usize) {
+pub fn jam(prog: &SpmdProgram, sink: &mut RemarkSink) -> (SpmdProgram, usize) {
     let mut out = prog.clone();
     let mut count = 0;
     let mut fused: Vec<Fused> = Vec::new();

@@ -39,8 +39,8 @@ pub mod pipeline;
 pub mod strip;
 pub mod vectorize;
 
-pub use interchange::{interchange, interchange_with_remarks};
-pub use jam::{jam, jam_with_remarks};
+pub use interchange::interchange;
+pub use jam::jam;
 pub use pipeline::{optimize, optimize_with_remarks, OptLevel, OptReport};
-pub use strip::{strip_mine, strip_mine_with_remarks};
-pub use vectorize::{vectorize, vectorize_with_remarks};
+pub use strip::strip_mine;
+pub use vectorize::vectorize;

@@ -1,8 +1,8 @@
 //! The optimization pipeline: the paper's Optimized I / II / III levels.
 
-use crate::jam::jam_with_remarks;
-use crate::strip::strip_mine_with_remarks;
-use crate::vectorize::vectorize_with_remarks;
+use crate::jam::jam;
+use crate::strip::strip_mine;
+use crate::vectorize::vectorize;
 use pdc_report::RemarkSink;
 use pdc_spmd::ir::SpmdProgram;
 use std::fmt;
@@ -63,20 +63,20 @@ pub fn optimize_with_remarks(
     if level == OptLevel::O0 {
         return (out, report);
     }
-    let (v, n) = vectorize_with_remarks(&out, sink);
+    let (v, n) = vectorize(&out, sink);
     out = v;
     report.vectorized = n;
     if level == OptLevel::O1 {
         return (out, report);
     }
-    let (j, n) = jam_with_remarks(&out, sink);
+    let (j, n) = jam(&out, sink);
     out = j;
     report.jammed = n;
     if level == OptLevel::O2 {
         return (out, report);
     }
     if let OptLevel::O3 { blksize } = level {
-        let (s, n) = strip_mine_with_remarks(&out, blksize, sink);
+        let (s, n) = strip_mine(&out, blksize, sink);
         out = s;
         report.stripped = n;
     }

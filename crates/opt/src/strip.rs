@@ -41,22 +41,13 @@ enum TagState {
 }
 
 /// Apply strip mining with the given block size. Returns the rewritten
-/// program and the number of loops blocked.
+/// program and the number of loops blocked, and emits one Applied or
+/// Missed remark per message tag considered.
 ///
 /// # Panics
 ///
 /// Panics if `blksize == 0`.
-pub fn strip_mine(prog: &SpmdProgram, blksize: usize) -> (SpmdProgram, usize) {
-    strip_mine_with_remarks(prog, blksize, &mut RemarkSink::new())
-}
-
-/// [`strip_mine`], additionally emitting one Applied or Missed remark per
-/// message tag considered.
-///
-/// # Panics
-///
-/// Panics if `blksize == 0`.
-pub fn strip_mine_with_remarks(
+pub fn strip_mine(
     prog: &SpmdProgram,
     blksize: usize,
     sink: &mut RemarkSink,
@@ -614,7 +605,7 @@ mod tests {
         let (msgs0, acc0) = run(&prog);
         assert_eq!(msgs0, n as u64);
         for blk in [1usize, 2, 3, 4, 10, 16] {
-            let (opt, loops) = strip_mine(&prog, blk);
+            let (opt, loops) = strip_mine(&prog, blk, &mut RemarkSink::new());
             assert_eq!(loops, 2, "blk={blk}");
             let (msgs, acc) = run(&opt);
             assert_eq!(acc, acc0, "blk={blk}");
@@ -628,7 +619,7 @@ mod tests {
         if let SStmt::For { hi, .. } = &mut prog.body_mut(1)[1] {
             *hi = SExpr::int(7);
         }
-        let (opt, loops) = strip_mine(&prog, 4);
+        let (opt, loops) = strip_mine(&prog, 4, &mut RemarkSink::new());
         assert_eq!(loops, 0);
         assert_eq!(opt, prog);
     }
@@ -677,7 +668,7 @@ mod tests {
         }];
         let prog = SpmdProgram::new(vec![p0, p1]);
         let mut sink = RemarkSink::new();
-        let (opt, loops) = strip_mine_with_remarks(&prog, 4, &mut sink);
+        let (opt, loops) = strip_mine(&prog, 4, &mut sink);
         assert_eq!(loops, 0);
         assert_eq!(opt, prog);
         let missed: Vec<_> = sink
@@ -702,7 +693,7 @@ mod tests {
             }
         }
         // Receiver shape no longer matters; the tag is poisoned.
-        let (_, loops) = strip_mine(&prog, 4);
+        let (_, loops) = strip_mine(&prog, 4, &mut RemarkSink::new());
         assert_eq!(loops, 0);
     }
 }

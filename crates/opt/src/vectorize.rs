@@ -43,15 +43,10 @@ enum TagState {
 }
 
 /// Apply vectorization to every body; returns the rewritten program and
-/// the number of send loops combined.
-pub fn vectorize(prog: &SpmdProgram) -> (SpmdProgram, usize) {
-    vectorize_with_remarks(prog, &mut RemarkSink::new())
-}
-
-/// [`vectorize`], additionally emitting one Applied or Missed remark per
-/// message tag considered (remarks carry the tag; the driver resolves
+/// the number of send loops combined. Emits one Applied or Missed remark
+/// per message tag considered (remarks carry the tag; the driver resolves
 /// tags to source spans).
-pub fn vectorize_with_remarks(prog: &SpmdProgram, sink: &mut RemarkSink) -> (SpmdProgram, usize) {
+pub fn vectorize(prog: &SpmdProgram, sink: &mut RemarkSink) -> (SpmdProgram, usize) {
     let read_only = read_only_arrays(prog);
     // Phase 1: qualify tags.
     let mut tags: BTreeMap<u32, TagState> = BTreeMap::new();
@@ -444,7 +439,7 @@ mod tests {
         // our conservative rule: any write anywhere disqualifies. So this
         // program must be left untouched.
         let prog = element_program(6);
-        let (opt, n) = vectorize(&prog);
+        let (opt, n) = vectorize(&prog, &mut RemarkSink::new());
         assert_eq!(n, 0);
         assert_eq!(opt, prog);
     }
@@ -479,7 +474,7 @@ mod tests {
         let (prog, data) = preloaded_program(n);
         let (base_msgs, base_acc) = run_preloaded(&prog, &data);
         assert_eq!(base_msgs, n as u64);
-        let (opt, count) = vectorize(&prog);
+        let (opt, count) = vectorize(&prog, &mut RemarkSink::new());
         assert_eq!(count, 1);
         let (opt_msgs, opt_acc) = run_preloaded(&opt, &data);
         assert_eq!(opt_msgs, 1);
@@ -494,7 +489,7 @@ mod tests {
         if let SStmt::For { hi, .. } = &mut prog.body_mut(1)[1] {
             *hi = SExpr::int(5);
         }
-        let (opt, count) = vectorize(&prog);
+        let (opt, count) = vectorize(&prog, &mut RemarkSink::new());
         assert_eq!(count, 0);
         assert_eq!(opt, prog);
         let _ = data;

@@ -101,11 +101,23 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-/// Compile `w` under `strategy` and run it on both backends; assert the
-/// full equivalence contract.
+/// Compile `w` under `strategy` and run it on both backends, on a
+/// nominal and on a heterogeneous machine; assert the full equivalence
+/// contract.
 fn check(w: &Workload, strategy: Strategy) {
-    let label = format!("{} under {strategy:?}", w.name);
-    let mut job = Job::new(&w.program, w.entry, w.decomp.clone()).with_const("n", w.n as i64);
+    for slowdowns in [vec![], vec![3, 1, 2, 1]] {
+        check_on(w, strategy, slowdowns);
+    }
+}
+
+fn check_on(w: &Workload, strategy: Strategy, slowdowns: Vec<u64>) {
+    let label = format!("{} under {strategy:?}, slowdowns {slowdowns:?}", w.name);
+    let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
+        .with_const("n", w.n as i64)
+        .with_run(RunConfig {
+            slowdowns,
+            ..RunConfig::default()
+        });
     job.extent_overrides
         .insert(w.input_name.to_owned(), (w.n, w.n));
     let compiled = driver::compile(&job, strategy).unwrap_or_else(|e| panic!("{label}: {e}"));
@@ -167,6 +179,17 @@ fn check(w: &Workload, strategy: Strategy) {
         thr.outcome.report.stats.makespan(),
         sim.outcome.report.stats.makespan(),
         "{label}: makespan diverges"
+    );
+
+    // Both count the frames handed to the transport.
+    let (sim_net, thr_net) = (
+        sim.outcome.report.stats.network,
+        thr.outcome.report.stats.network,
+    );
+    assert_eq!(
+        (thr_net.messages, thr_net.words),
+        (sim_net.messages, sim_net.words),
+        "{label}: network totals diverge"
     );
 }
 

@@ -345,7 +345,7 @@ procedure twist(Old, n) {
 fn applied_interchange_preserves_simulated_output() {
     let reversed = programs::gauss_seidel_interchanged();
     let mut sink = pdc_report::RemarkSink::new();
-    let (swapped, count) = pdc_opt::interchange_with_remarks(&reversed, &mut sink);
+    let (swapped, count) = pdc_opt::interchange(&reversed, &mut sink);
     assert!(count > 0, "the motivating case must actually interchange");
     // Every applied swap names its legality witness from the framework.
     let applied: Vec<_> = sink

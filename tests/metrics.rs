@@ -14,8 +14,8 @@
 use pdc_bench::{build_wavefront, Variant};
 use pdc_core::driver::{self, Inputs, Job, Strategy};
 use pdc_machine::{
-    Backend, CostModel, Ctr, Fabric, FlightKind, MachineError, MetricsMode, ProcId, Process,
-    RunConfig, RunReport, Step, Tag, ThreadedRunner,
+    Backend, CostModel, Ctr, Fabric, FaultPlan, FlightKind, MachineError, MetricsMode, ProcId,
+    Process, RelConfig, RunConfig, RunReport, Step, Tag, ThreadedRunner,
 };
 use pdc_mapping::{Decomposition, ScalarMap};
 use pdc_spmd::ir::SpmdProgram;
@@ -26,9 +26,21 @@ use std::time::Duration;
 
 /// Run a wavefront program with full metrics on the given backend.
 fn run_wavefront_metrics(prog: &SpmdProgram, n: usize, backend: Backend) -> RunReport {
+    run_wavefront_faulty(prog, n, backend, FaultPlan::none())
+}
+
+/// Run a wavefront program with full metrics on the given backend, under
+/// `plan` (the raw fabric when it injects nothing).
+fn run_wavefront_faulty(
+    prog: &SpmdProgram,
+    n: usize,
+    backend: Backend,
+    plan: FaultPlan,
+) -> RunReport {
     let mut m = SpmdMachine::new(prog, CostModel::ipsc2())
         .expect("program lowers")
         .with_backend(backend)
+        .with_faults_cfg(plan, RelConfig::default())
         .with_metrics();
     m.preset_var("n", Scalar::Int(n as i64));
     m.preload_array(
@@ -117,6 +129,37 @@ fn wavefront_variants_logical_parity() {
             // The VM's ops counter is logical too: both backends execute the
             // same instruction sequence.
             assert!(sim.metrics.total(Ctr::Ops) > 0, "{variant}: ops recorded");
+        }
+    });
+}
+
+/// `stats.network` counts what was handed to the transport — every frame
+/// the wire carried, duplicates included and lost frames excluded — so it
+/// equals the registry's wire counters on both backends, whatever the
+/// fault plan does.
+#[test]
+fn network_stats_count_wire_frames_under_any_plan() {
+    within(THREADS_DEADLINE, || {
+        let (n, s) = (16, 4);
+        let prog = build_wavefront(Variant::CompileTime, n, s);
+        let plans = [
+            ("none", FaultPlan::none()),
+            ("dups", FaultPlan::seeded(1).with_dups(1000)),
+            ("drops", FaultPlan::seeded(1).with_drops(200)),
+        ];
+        for (name, plan) in plans {
+            for backend in [Backend::Simulated, Backend::threaded()] {
+                let r = run_wavefront_faulty(&prog, n, backend, plan.clone());
+                let label = format!("{name} on {backend:?}");
+                let net = r.stats.network;
+                assert!(net.messages > 0, "{label}");
+                assert_eq!(net.messages, r.metrics.total(Ctr::WireFrames), "{label}");
+                assert_eq!(net.words, r.metrics.total(Ctr::WireWords), "{label}");
+                let lost = r.metrics.total(Ctr::FramesLost);
+                let charged: u64 = r.stats.procs.iter().map(|p| p.sends).sum();
+                assert_eq!(lost > 0, name == "drops", "{label}");
+                assert!(net.messages + lost >= charged, "{label}: {net:?} {lost}");
+            }
         }
     });
 }

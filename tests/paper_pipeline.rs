@@ -169,7 +169,7 @@ fn interchange_restores_parallelism() {
         optimize(&ct.spmd, OptLevel::O2).0
     };
     let reversed = programs::gauss_seidel_interchanged();
-    let (fixed, swapped) = interchange(&reversed);
+    let (fixed, swapped) = interchange(&reversed, &mut pdc_report::RemarkSink::new());
     assert_eq!(swapped, 1);
     let normal = programs::gauss_seidel();
 

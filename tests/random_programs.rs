@@ -492,7 +492,7 @@ fn dependence_approved_transforms_preserve_output() {
             // The source-level pass first: its swaps are framework-approved
             // and must be semantics-preserving through the whole pipeline.
             let (program, swaps) = if rng.bool() {
-                let (p, c) = pdc_opt::interchange(&source);
+                let (p, c) = pdc_opt::interchange(&source, &mut pdc_report::RemarkSink::new());
                 (p, c)
             } else {
                 (source.clone(), 0)

@@ -368,7 +368,10 @@ pub struct FaultState<'p> {
     xmit: HashMap<(ProcId, ProcId, Tag), u64>,
     spent: HashMap<(ProcId, ProcId, Tag), u32>,
     held: HashMap<(ProcId, ProcId, Tag), Vec<Word>>,
-    ops: HashMap<ProcId, u64>,
+    /// Charged-op counters, indexed by processor: every flush of compute
+    /// charges comes through here, so nothing on that path hashes. Grown
+    /// on first use (a threaded endpoint only ever counts its own).
+    ops: Vec<u64>,
     fired: Vec<bool>,
     crash_fired: Vec<bool>,
     crashes_spent: u32,
@@ -385,7 +388,7 @@ impl<'p> FaultState<'p> {
             xmit: HashMap::new(),
             spent: HashMap::new(),
             held: HashMap::new(),
-            ops: HashMap::new(),
+            ops: Vec::new(),
             fired,
             crash_fired,
             crashes_spent: 0,
@@ -407,7 +410,10 @@ impl<'p> FaultState<'p> {
     /// Account `ops` charged instructions on `p` and return the extra
     /// stall cycles (usually zero) to fold into the charge.
     pub fn stall_cycles(&mut self, p: ProcId, ops: u64) -> u64 {
-        let op = self.ops.entry(p).or_insert(0);
+        if p.0 >= self.ops.len() {
+            self.ops.resize(p.0 + 1, 0);
+        }
+        let op = &mut self.ops[p.0];
         let at = *op..*op + ops;
         *op = at.end;
         let mut extra = 0;
@@ -427,7 +433,39 @@ impl<'p> FaultState<'p> {
     /// checkpoint intervals and crash points identically on both
     /// backends.
     pub fn ops(&self, p: ProcId) -> u64 {
-        self.ops.get(&p).copied().unwrap_or(0)
+        self.ops.get(p.0).copied().unwrap_or(0)
+    }
+
+    /// How many more charged instructions `p` runs up to and including
+    /// its next unfired stall (at least 1), `u64::MAX` when none is left.
+    /// Until then its clock moves by the instructions' own costs alone.
+    pub fn ops_until_stall(&self, p: ProcId) -> u64 {
+        let at = self.ops(p);
+        let unfired = self.plan.stalls.iter().zip(&self.fired);
+        unfired
+            .filter(|(s, &fired)| !fired && s.proc == p && s.at_op >= at)
+            .map(|(s, _)| s.at_op - at + 1)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// How many more charged instructions `p` runs before
+    /// [`take_crash`](Self::take_crash) can fire at a step boundary (at
+    /// least 1: the next boundary is one instruction away), `u64::MAX`
+    /// when nothing can. A scripted crash fires at the first boundary at
+    /// or past its `at_op`; while the probabilistic budget lasts every
+    /// boundary rolls, so the answer is 1.
+    pub fn ops_until_crash(&self, p: ProcId) -> u64 {
+        if self.plan.crash_pm > 0 && self.crashes_spent < self.plan.max_crashes {
+            return 1;
+        }
+        let at = self.ops(p);
+        let unfired = self.plan.crashes.iter().zip(&self.crash_fired);
+        unfired
+            .filter(|(c, &fired)| !fired && c.proc == p)
+            .map(|(c, _)| c.at_op.saturating_sub(at).max(1))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// At a step boundary for `p`: does a crash fire now? Returns the
@@ -731,6 +769,38 @@ mod tests {
         for op in 0..64 {
             assert_eq!(p.crash_roll(ProcId(2), op), p.crash_roll(ProcId(2), op));
         }
+    }
+
+    #[test]
+    fn gaps_count_the_ops_up_to_the_next_stall_and_crash() {
+        let (p0, p1) = (ProcId(0), ProcId(1));
+        let plan = FaultPlan::seeded(0)
+            .with_stall(p0, 5, 10)
+            .with_stall(p0, 2, 10)
+            .with_crash(p0, 4)
+            .with_crash(p0, 4);
+        let mut st = FaultState::new(&plan);
+        // The stall at op 2 fires inside the third instruction; the
+        // boundary with the counter at 4 is four instructions away.
+        assert_eq!((st.ops_until_stall(p0), st.ops_until_crash(p0)), (3, 4));
+        assert_eq!(st.ops_until_stall(p1), u64::MAX);
+        assert_eq!(st.ops_until_crash(p1), u64::MAX);
+        assert_eq!(st.stall_cycles(p0, 3), 10);
+        assert_eq!((st.ops_until_stall(p0), st.ops_until_crash(p0)), (3, 1));
+        assert_eq!(st.stall_cycles(p0, 1), 0);
+        // Two crashes at one op take two boundaries, each one away.
+        assert_eq!(st.take_crash(p0), Some(4));
+        assert_eq!(st.ops_until_crash(p0), 1);
+        assert_eq!(st.take_crash(p0), Some(4));
+        assert_eq!(st.ops_until_crash(p0), u64::MAX);
+        assert_eq!(st.stall_cycles(p0, 2), 10);
+        assert_eq!(st.ops_until_stall(p0), u64::MAX);
+        // While the probabilistic budget lasts every boundary rolls.
+        let dice = FaultPlan::seeded(7).with_crash_rate(1000, 1);
+        let mut st = FaultState::new(&dice);
+        assert_eq!(st.ops_until_crash(p1), 1);
+        assert_eq!(st.take_crash(p1), Some(0));
+        assert_eq!(st.ops_until_crash(p1), u64::MAX);
     }
 
     #[test]

@@ -157,6 +157,30 @@ pub(crate) struct SenderChan<T> {
     /// with its rolled-back cumulative, which re-arms exactly the suffix
     /// it lost.
     pub(crate) delivered: u64,
+    /// What is known about the earliest deadline among the *live* frames
+    /// (`seq >= delivered`) without walking the window: the timer service
+    /// runs before every program send and receive, and under checkpoints
+    /// the window holds the whole replay suffix. A send lowers the bound;
+    /// a rollback in [`set_live`](Self::set_live) and
+    /// [`from_snapshot`](Self::from_snapshot) re-arm frames wholesale and
+    /// forget it; the scan in `service_timers` recomputes it. Nothing
+    /// else needs to touch it: [`mark_alive`](Self::mark_alive) changes
+    /// retry counts, not deadlines, and [`ack`](Self::ack), a forward
+    /// `set_live` and the retirement of a whole window only *remove*
+    /// frames from the live set, which can raise its minimum but never
+    /// lower it — a lower bound stays one.
+    pub(crate) due: Due<T>,
+}
+
+/// See [`SenderChan::due`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Due<T> {
+    /// Not known: the window has to be scanned.
+    Unknown,
+    /// No frame of the window is live.
+    Never,
+    /// No live frame is due before this.
+    NotBefore(T),
 }
 
 // Manual impl: the derive would demand `T: Default`, but an empty window
@@ -174,6 +198,39 @@ impl<T> SenderChan<T> {
             next_seq: 0,
             unacked: VecDeque::new(),
             delivered: 0,
+            due: Due::Never,
+        }
+    }
+
+    /// Append the frame just transmitted as `seq`, due at `deadline`.
+    fn push(&mut self, seq: u64, frame: Arc<[Word]>, deadline: T)
+    where
+        T: Copy + Ord,
+    {
+        if seq >= self.delivered {
+            self.due = match self.due {
+                Due::Unknown => Due::Unknown,
+                Due::Never => Due::NotBefore(deadline),
+                Due::NotBefore(t) => Due::NotBefore(t.min(deadline)),
+            };
+        }
+        self.unacked.push_back(Pending {
+            seq,
+            frame,
+            retries: 0,
+            deadline,
+        });
+    }
+
+    /// Is no live frame due at `now`, going by the cached bound alone?
+    fn idle_at(&self, now: T) -> bool
+    where
+        T: Copy + Ord,
+    {
+        match self.due {
+            Due::Unknown => false,
+            Due::Never => true,
+            Due::NotBefore(t) => t > now,
         }
     }
 
@@ -217,6 +274,7 @@ impl<T> SenderChan<T> {
                     p.deadline = now.clone();
                 }
             }
+            self.due = Due::Unknown;
         }
         self.delivered = live;
     }
@@ -258,6 +316,7 @@ impl<T> SenderChan<T> {
                 })
                 .collect(),
             delivered: 0,
+            due: Due::Unknown,
         }
     }
 }
@@ -547,12 +606,7 @@ impl<T: Deadline> RelEndpoint<T> {
         chan.next_seq += 1;
         let frame = frame_arc(seq, payload);
         wire.transmit(dst, tag, &frame);
-        chan.unacked.push_back(Pending {
-            seq,
-            frame,
-            retries: 0,
-            deadline: wire.now().after(&self.cfg, 0),
-        });
+        chan.push(seq, frame, wire.now().after(&self.cfg, 0));
     }
 
     /// Program receive: the next in-order frame of `(src, tag)` with its
@@ -731,6 +785,11 @@ impl<T: Deadline> RelEndpoint<T> {
         }
         let now = wire.now();
         for (&(dst, tag), chan) in self.senders.iter_mut() {
+            // Both things done below need a live frame whose deadline
+            // has passed; the cached bound says when there is none.
+            if chan.idle_at(now) {
+                continue;
+            }
             let delivered = chan.delivered;
             if let Some(p) = chan.unacked.iter().find(|p| p.seq >= delivered) {
                 if p.deadline <= now && p.retries >= self.cfg.max_retries {
@@ -738,29 +797,30 @@ impl<T: Deadline> RelEndpoint<T> {
                     return;
                 }
             }
-            let expired = chan
-                .unacked
-                .iter_mut()
-                .filter(|p| p.seq >= delivered && p.deadline <= now);
-            for p in expired {
-                p.retries += 1;
-                p.deadline = now.after(&self.cfg, p.retries);
-                let seq = p.seq;
-                wire.record(EventKind::Retransmit { dst, tag, seq });
-                let reg = wire.metrics();
-                reg.count(self.me.0, Ctr::Retransmits, 1);
-                reg.flight(
-                    self.me.0,
-                    FlightKind::Retransmit,
-                    dst.0 as u64,
-                    tag.0 as u64,
-                    seq,
-                    wire.clock().0,
-                );
-                wire.transmit(dst, tag, &p.frame);
-                self.retransmits += 1;
-                self.activity += 1;
+            let mut earliest: Option<T> = None;
+            for p in chan.unacked.iter_mut().filter(|p| p.seq >= delivered) {
+                if p.deadline <= now {
+                    p.retries += 1;
+                    p.deadline = now.after(&self.cfg, p.retries);
+                    let seq = p.seq;
+                    wire.record(EventKind::Retransmit { dst, tag, seq });
+                    let reg = wire.metrics();
+                    reg.count(self.me.0, Ctr::Retransmits, 1);
+                    reg.flight(
+                        self.me.0,
+                        FlightKind::Retransmit,
+                        dst.0 as u64,
+                        tag.0 as u64,
+                        seq,
+                        wire.clock().0,
+                    );
+                    wire.transmit(dst, tag, &p.frame);
+                    self.retransmits += 1;
+                    self.activity += 1;
+                }
+                earliest = Some(earliest.map_or(p.deadline, |e| e.min(p.deadline)));
             }
+            chan.due = earliest.map_or(Due::Never, Due::NotBefore);
         }
     }
 
@@ -799,6 +859,22 @@ impl<T: Deadline> RelEndpoint<T> {
                 && ops >= ck.last_op + ck.cfg.interval_ops
                 && ck.cfg.amortized(ck.last_at, ck.last_cost, clock)
         })
+    }
+
+    /// How far the next ops-triggered checkpoint is from `ops` charged
+    /// instructions at logical time `clock`: the instructions still
+    /// missing from the interval, and the cycles still missing from the
+    /// amortization bound — [`checkpoint_due`](Self::checkpoint_due) is
+    /// "both are zero". `None` when this endpoint takes no independent
+    /// checkpoints.
+    pub(crate) fn checkpoint_gap(&self, ops: u64, clock: Time) -> Option<(u64, u64)> {
+        let ck = self.ckpt.as_ref().filter(|ck| !ck.cfg.coordinated)?;
+        let wait = ck.cfg.amortization.saturating_mul(ck.last_cost);
+        let waited = clock.0.saturating_sub(ck.last_at.0);
+        Some((
+            (ck.last_op + ck.cfg.interval_ops).saturating_sub(ops),
+            wait.saturating_sub(waited),
+        ))
     }
 
     /// Capture this processor's complete state — process image, both
@@ -1445,7 +1521,31 @@ mod schedules {
             };
             let out = f(&mut self.eps[p], &mut wire, &mut self.progs[p]);
             assert_eq!(self.eps[p].take_fatal(), None, "P{p} gave up");
+            self.check_due();
             out
+        }
+
+        /// What every sender channel caches about its earliest live
+        /// deadline, against a scan of its window: a bound never lies
+        /// above the scanned minimum, and "no live frame" means none.
+        /// Every move that touches a core comes through [`on`](Self::on).
+        fn check_due(&self) {
+            for (p, ep) in self.eps.iter().enumerate() {
+                for (&(dst, tag), chan) in &ep.senders {
+                    let live = chan.unacked.iter().filter(|f| f.seq >= chan.delivered);
+                    let scanned = live.map(|f| f.deadline).min();
+                    let sound = match chan.due {
+                        Due::Unknown => true,
+                        Due::Never => scanned.is_none(),
+                        Due::NotBefore(t) => scanned.is_none_or(|s| t <= s),
+                    };
+                    assert!(
+                        sound,
+                        "P{p}→P{} tag {}: cached {:?}, scanned {scanned:?}",
+                        dst.0, tag.0, chan.due
+                    );
+                }
+            }
         }
 
         fn checkpoint(&mut self, p: usize, charge: bool) {
@@ -1714,6 +1814,87 @@ mod schedules {
                 }
             }
         }
+    }
+
+    /// Deliver the first frame in flight that `pick` accepts.
+    fn deliver_where(w: &mut World, pick: impl Fn(&Frame) -> bool) {
+        let i = w.net.in_flight.iter().position(pick).expect("in flight");
+        w.deliver(i);
+    }
+
+    /// `n` sends P0 → P1 and the matching receives, under checkpoints;
+    /// the first `sent` of them transmitted, ingested by P1 and
+    /// batch-acked `[0, live]`, so P0's window lies entirely below its
+    /// delivered floor and stays there (nothing is stable yet).
+    fn delivered_but_unstable(n: Word, sent: usize) -> World {
+        let (p0, p1, tag) = (ProcId(0), ProcId(1), Tag(1));
+        let scripts = vec![
+            (0..n).map(|w| Op::Send(p1, tag, w)).collect(),
+            (0..n).map(|_| Op::Recv(p0, tag)).collect(),
+        ];
+        let mut w = World::new(scripts, true);
+        for _ in 0..sent {
+            w.step(0);
+            deliver_where(&mut w, |f| !is_ack_tag(f.tag));
+            deliver_where(&mut w, |f| is_ack_tag(f.tag));
+        }
+        let chan = &w.eps[0].senders[&(p1, tag)];
+        assert_eq!((chan.unacked.len(), chan.delivered), (sent, sent as u64));
+        w
+    }
+
+    /// A timer service on a channel whose window is entirely below its
+    /// delivered floor does nothing, whatever the frames' deadlines say,
+    /// and leaves the channel marked idle; the next send arms it again
+    /// and only that frame ever retransmits.
+    #[test]
+    fn timer_on_a_window_entirely_below_the_delivered_floor_is_idle() {
+        let key = (ProcId(1), Tag(1));
+        let mut w = delivered_but_unstable(3, 2);
+        let rto = RelConfig::default().rto_cycles;
+        // Both deadlines pass. The bound the sends left says "look".
+        w.net.clocks[0] = Time(2 * rto);
+        assert!(!w.eps[0].senders[&key].idle_at(Time(2 * rto)));
+        w.on(0, |ep, wire, _| ep.service_timers(wire));
+        assert_eq!(w.eps[0].retransmits, 0);
+        assert!(w.net.in_flight.is_empty());
+        assert_eq!(w.eps[0].senders[&key].due, Due::Never);
+        assert_eq!(w.eps[0].earliest_deadline(), None);
+        // The third send lowers the bound from "never" to its deadline.
+        w.step(0);
+        assert_eq!(w.eps[0].senders[&key].due, Due::NotBefore(Time(3 * rto)));
+        w.net.in_flight.clear();
+        w.fire_timer(0);
+        assert_eq!(w.eps[0].retransmits, 1, "only the live frame");
+        assert_eq!(w.net.in_flight.len(), 1);
+        w.play(&mut Rng::from_seed(1));
+        assert!(w.finished());
+    }
+
+    /// A restored peer's rollback ack re-arms frames of a window the
+    /// cache had marked idle: the mark must go, or the replay the peer
+    /// is waiting for never leaves.
+    #[test]
+    fn rollback_ack_re_arms_frames_below_the_cached_bound() {
+        let (p0, p1, tag) = (ProcId(0), ProcId(1), Tag(1));
+        let mut w = delivered_but_unstable(3, 3);
+        let rto = RelConfig::default().rto_cycles;
+        w.net.clocks[0] = Time(2 * rto);
+        w.on(0, |ep, wire, _| ep.service_timers(wire));
+        assert_eq!(w.eps[0].senders[&(p1, tag)].due, Due::Never);
+        // P1 loses everything it ingested and comes back from its launch
+        // image, which predates the stream; blocked on its first receive,
+        // it advertises where it is: `[0, 0]`.
+        w.crash(1);
+        assert!(w.on(1, |ep, wire, _| ep.keepalive(wire, p0, tag, true)));
+        deliver_where(&mut w, |f| is_ack_tag(f.tag));
+        let chan = &w.eps[0].senders[&(p1, tag)];
+        assert_eq!((chan.delivered, chan.due), (0, Due::Unknown));
+        assert_eq!(w.eps[0].earliest_deadline(), Some(w.net.clocks[0]));
+        w.fire_timer(0);
+        assert_eq!(w.eps[0].retransmits, 3, "the whole lost suffix replays");
+        w.play(&mut Rng::from_seed(2));
+        assert!(w.finished());
     }
 
     /// The tier-1 hang of the threaded backend, as a schedule: both

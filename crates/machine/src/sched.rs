@@ -63,9 +63,12 @@ pub trait Process {
     ///
     /// The default is a batch of one `step`. The raw-fabric run loops
     /// (the [`Scheduler`]'s and the threaded backend's) call this with
-    /// the rest of the quantum or step budget; the reliable-delivery and
-    /// checkpoint loops call `step`, because checkpoint pacing and "crash
-    /// at op k" are defined per step.
+    /// the rest of the quantum or step budget. The [`Scheduler`]'s
+    /// reliable-delivery / checkpoint loop calls it too, with `max` cut
+    /// down to the first step boundary at which it has something to do,
+    /// or [`step_batch_until`](Process::step_batch_until) when that
+    /// boundary depends on the clock (DESIGN §5c has the rules); the
+    /// threaded backend's protocol shell still calls `step`.
     fn step_batch(
         &mut self,
         fabric: &mut dyn Fabric,
@@ -73,6 +76,33 @@ pub trait Process {
         max: u64,
     ) -> Result<(u64, Step), MachineError> {
         let _ = max;
+        Ok((1, self.step(fabric, me)?))
+    }
+
+    /// [`step_batch`](Process::step_batch) for a driver that watches the
+    /// processor's clock between steps — checkpoint pacing waits for an
+    /// op count *and* for logical time to pass. The same contract, and
+    /// the batch also ends, reporting [`Step::Ran`],
+    ///
+    /// * right after a step that performed a fabric operation (a send,
+    ///   a receive): what the clock reads after it is the fabric's to
+    ///   know;
+    /// * at the first step boundary where at least `min_ops` steps of
+    ///   this call have run and the compute cycles they charge (as
+    ///   handed to [`Fabric::tick_n`], before any slowdown) add up to at
+    ///   least `min_cycles`.
+    ///
+    /// Ending sooner is always allowed; the default is a batch of one
+    /// `step`.
+    fn step_batch_until(
+        &mut self,
+        fabric: &mut dyn Fabric,
+        me: ProcId,
+        max: u64,
+        min_ops: u64,
+        min_cycles: u64,
+    ) -> Result<(u64, Step), MachineError> {
+        let _ = (max, min_ops, min_cycles);
         Ok((1, self.step(fabric, me)?))
     }
 
@@ -357,22 +387,47 @@ impl<'a> Scheduler<'a> {
                             budget: step_budget,
                         });
                     }
-                    steps += 1;
-                    let step = {
+                    // Run to the first step boundary at which this loop
+                    // acts: the end of the quantum or the budget, a crash
+                    // that can fire, a checkpoint that falls due. The
+                    // last waits on the clock as well as the op count, so
+                    // the process is told both gaps and stops wherever
+                    // the clock moves by more than its own instructions'
+                    // costs — a fabric operation, a stall.
+                    let gate = eps[p].checkpoint_gap(fault.ops(me), machine.clock(me));
+                    let mut max = quantum
+                        .min(step_budget - steps)
+                        .min(fault.ops_until_crash(me));
+                    if gate.is_some() {
+                        max = max.min(fault.ops_until_stall(me));
+                    }
+                    let batch = {
                         let mut view = ReliableView {
                             m: &mut *machine,
                             fault: &mut fault,
                             eps: &mut eps,
                             done: &done,
                         };
-                        processes[p].step(&mut view, me)?
+                        match gate {
+                            Some((ops, cycles)) => {
+                                let cycles = cycles.div_ceil(self.config.slowdown(p));
+                                processes[p].step_batch_until(&mut view, me, max, ops, cycles)
+                            }
+                            None => processes[p].step_batch(&mut view, me, max),
+                        }
                     };
-                    if machine.cpus[p].take_self_send() {
-                        return Err(MachineError::SelfSend { proc: me });
-                    }
+                    // A protocol failure was raised inside one of the
+                    // batch's fabric operations: it came first.
                     if let Some(e) = eps[p].take_fatal() {
                         return Err(e);
                     }
+                    let (ran, step) = batch?;
+                    steps += ran;
+                    if machine.cpus[p].take_self_send() {
+                        return Err(MachineError::SelfSend { proc: me });
+                    }
+                    // Only steps that ran use up the quantum: all of the
+                    // batch, or all but a last one that blocked.
                     match step {
                         Step::Ran => {
                             progressed = true;
@@ -426,12 +481,14 @@ impl<'a> Scheduler<'a> {
                                     }
                                 }
                             }
-                            quantum -= 1;
+                            quantum -= ran;
                             if quantum == 0 {
                                 break;
                             }
                         }
                         Step::BlockedOnRecv { src, tag } => {
+                            progressed |= ran > 1;
+                            quantum -= ran - 1;
                             last_block[p] = Some((src, tag));
                             // A blocked processor's NIC still services every
                             // other stream — ingest and ack cross-traffic so

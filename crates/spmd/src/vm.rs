@@ -1024,6 +1024,50 @@ impl Process for ProcVm {
         charges.flush(machine, me);
         Ok((ran, last?))
     }
+
+    fn step_batch_until(
+        &mut self,
+        machine: &mut dyn Fabric,
+        me: ProcId,
+        max: u64,
+        min_ops: u64,
+        min_cycles: u64,
+    ) -> Result<(u64, Step), MachineError> {
+        debug_assert_eq!(
+            machine.cost_model(),
+            &self.cost,
+            "built for another machine"
+        );
+        let mut charges = Charges::default();
+        let mut ran = 0;
+        let last = loop {
+            let on_fabric = matches!(
+                self.code.instrs.get(self.st.pc),
+                Some(
+                    Instr::Send { .. }
+                        | Instr::Recv { .. }
+                        | Instr::SendBuf { .. }
+                        | Instr::RecvBuf { .. }
+                )
+            );
+            ran += 1;
+            match self
+                .st
+                .exec(&self.code, &self.costs, machine, me, &mut charges)
+            {
+                // Charges are only flushed ahead of a fabric operation,
+                // and the batch ends right after one: up to here
+                // `charges.cycles` is the whole batch's.
+                Ok(Step::Ran)
+                    if ran < max
+                        && !on_fabric
+                        && (ran < min_ops || charges.cycles < min_cycles) => {}
+                last => break last,
+            }
+        };
+        charges.flush(machine, me);
+        Ok((ran, last?))
+    }
 }
 
 #[cfg(test)]

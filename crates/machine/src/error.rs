@@ -63,10 +63,9 @@ pub enum MachineError {
         last_acked: u64,
     },
     /// A processor crashed (per the fault plan) with no checkpointing
-    /// configured, so it cannot be restored. The threaded backend reports
-    /// this directly from the dying thread; the simulator usually
-    /// surfaces the peers' view ([`MachineError::RetriesExhausted`])
-    /// instead, because the dead processor simply stops scheduling.
+    /// configured, so it cannot be restored. Both backends report it
+    /// rather than the exhausted retries, timeouts or deadlocks its peers
+    /// cascade into.
     Crashed {
         /// The processor that crashed.
         proc: ProcId,
@@ -154,6 +153,40 @@ impl MachineError {
             done.extend(path);
         }
         None
+    }
+
+    /// How close to a failed run's root cause this error is, 0 the
+    /// closest: when one processor fails, its peers cascade into
+    /// secondary errors. An unrecoverable crash is the root of all (its
+    /// peers exhaust their retries, time out or hang up); a fault or an
+    /// exhausted budget is always a root; a starved sender is the root of
+    /// its peers' timeouts and hang-ups; a receive timeout is the root
+    /// diagnosis of a cycle (which thread times out first is a
+    /// wall-clock race); a finished-peer deadlock wins only when nothing
+    /// else went wrong; and a dead-peer cascade loses to everything,
+    /// because the dead processor contributes its own root error.
+    fn rank(&self) -> u8 {
+        match self {
+            MachineError::Crashed { .. } => 0,
+            MachineError::ProcessFault { .. } => 1,
+            MachineError::StepBudgetExceeded { .. } => 2,
+            MachineError::RetriesExhausted { .. } => 3,
+            MachineError::RecvTimeout { .. } => 4,
+            MachineError::PeerDied { .. } => 6,
+            _ => 5,
+        }
+    }
+
+    /// Of two errors one failed run raised, the one to report: the closer
+    /// to the root cause ([`rank`](Self::rank)), `self` on a tie. The one
+    /// rule both backends apply, so the same failure reports the same
+    /// error whoever hit what first.
+    pub(crate) fn or_root(self, other: MachineError) -> MachineError {
+        if other.rank() < self.rank() {
+            other
+        } else {
+            self
+        }
     }
 }
 

@@ -1788,19 +1788,9 @@ mod schedules {
         scripts
     }
 
-    fn seeds() -> Vec<u64> {
-        match std::env::var("PDC_FAULT_SEEDS") {
-            Ok(s) => s
-                .split(',')
-                .map(|t| t.trim().parse().expect("PDC_FAULT_SEEDS holds integers"))
-                .collect(),
-            Err(_) => vec![0xC0FFEE, 7],
-        }
-    }
-
     #[test]
     fn adversarial_schedules_deliver_exactly_once_and_terminate() {
-        for seed in seeds() {
+        for seed in pdc_testkit::fault::seeds(&[0xC0FFEE, 7]) {
             for schedule in 0..600u64 {
                 let mut rng = Rng::from_seed(seed ^ schedule.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let scripts = random_scripts(&mut rng);

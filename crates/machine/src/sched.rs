@@ -201,8 +201,11 @@ impl<'a> Scheduler<'a> {
     ///   frame is retransmitted `max_retries` times without an
     ///   acknowledgement, [`MachineError::CheckpointUnsupported`] when a
     ///   process cannot snapshot, and [`MachineError::Crashed`] when a
-    ///   processor crashes with no checkpointing configured and everyone
-    ///   else still finishes.
+    ///   processor crashes with no checkpointing configured — whether
+    ///   everyone else finishes or its peers then exhaust their retries,
+    ///   deadlock or fail otherwise: the crash is the root cause, ranked
+    ///   as on the threaded backend
+    ///   ([`ThreadedRunner::run`](crate::ThreadedRunner::run)).
     ///
     /// # Panics
     ///
@@ -376,16 +379,17 @@ impl<'a> Scheduler<'a> {
                     eps[p].pump_all_data(&mut w);
                     eps[p].service_timers(&mut w);
                     if let Some(e) = eps[p].take_fatal() {
-                        return Err(e);
+                        return Err(rooted(first_crash, e));
                     }
                     continue;
                 }
                 let mut quantum = turn;
                 loop {
                     if steps >= step_budget {
-                        return Err(MachineError::StepBudgetExceeded {
+                        let e = MachineError::StepBudgetExceeded {
                             budget: step_budget,
-                        });
+                        };
+                        return Err(rooted(first_crash, e));
                     }
                     // Run to the first step boundary at which this loop
                     // acts: the end of the quantum or the budget, a crash
@@ -419,12 +423,12 @@ impl<'a> Scheduler<'a> {
                     // A protocol failure was raised inside one of the
                     // batch's fabric operations: it came first.
                     if let Some(e) = eps[p].take_fatal() {
-                        return Err(e);
+                        return Err(rooted(first_crash, e));
                     }
-                    let (ran, step) = batch?;
+                    let (ran, step) = batch.map_err(|e| rooted(first_crash, e))?;
                     steps += ran;
                     if machine.cpus[p].take_self_send() {
-                        return Err(MachineError::SelfSend { proc: me });
+                        return Err(rooted(first_crash, MachineError::SelfSend { proc: me }));
                     }
                     // Only steps that ran use up the quantum: all of the
                     // batch, or all but a last one that blocked.
@@ -559,7 +563,7 @@ impl<'a> Scheduler<'a> {
                     machine.cpus[p].advance_to(t);
                     eps[p].service_timers(&mut SimWire::new(machine, &mut fault, &done, p));
                     if let Some(e) = eps[p].take_fatal() {
-                        return Err(e);
+                        return Err(rooted(first_crash, e));
                     }
                     if activity(&eps) != round_activity {
                         continue;
@@ -599,7 +603,7 @@ impl<'a> Scheduler<'a> {
                     .filter(|(p, _)| !done[*p] && !dead[*p])
                     .filter_map(|(p, b)| b.map(|(src, tag)| (ProcId(p), src, tag)))
                     .collect();
-                return Err(MachineError::Deadlock { waiting });
+                return Err(rooted(first_crash, MachineError::Deadlock { waiting }));
             }
         }
         if let Some((proc, at_op)) = first_crash {
@@ -610,6 +614,17 @@ impl<'a> Scheduler<'a> {
         let leftover = machine.network.in_flight();
         let ledger = Ledger::protocol(eps.iter(), fault.counts(), leftover, ckpt.is_some());
         Ok(machine.report(steps, ledger))
+    }
+}
+
+/// The error a failed protocol run reports: a processor that crashed
+/// with nothing to restore from is the root cause of whatever its peers
+/// ran into after it ([`MachineError::or_root`], the threaded backend's
+/// rule too).
+fn rooted(first_crash: Option<(ProcId, u64)>, e: MachineError) -> MachineError {
+    match first_crash {
+        Some((proc, at_op)) => MachineError::Crashed { proc, at_op }.or_root(e),
+        None => e,
     }
 }
 
@@ -1417,7 +1432,9 @@ mod recovery_tests {
         let mut pb = Scripted::new(b);
         let mut ps: Vec<&mut dyn Process> = vec![&mut pa, &mut pb];
         // Quantum 1 interleaves the processors step by step, so P1 dies
-        // after consuming (and acking) exactly one message.
+        // after consuming (and acking) exactly one message. P0 then
+        // exhausts its retries against it, a cascade: the run reports
+        // its root cause, the crash, as the threaded backend does.
         let config = RunConfig {
             faults: plan,
             reliable: Some(cfg),
@@ -1429,12 +1446,9 @@ mod recovery_tests {
             .unwrap_err();
         assert_eq!(
             err,
-            MachineError::RetriesExhausted {
-                proc: ProcId(0),
-                peer: ProcId(1),
-                tag: Tag(0),
-                retries: 3,
-                last_acked: 1,
+            MachineError::Crashed {
+                proc: ProcId(1),
+                at_op: 0
             }
         );
     }

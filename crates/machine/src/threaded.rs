@@ -941,39 +941,17 @@ impl<'a> ThreadedRunner<'a> {
                 .collect(),
         };
 
-        // When one thread fails, its peers cascade into secondary errors,
-        // so rank the causes: a fault or an exhausted budget is always the
-        // root; a receive timeout is the root diagnosis of a cycle (which
-        // thread times out first is a wall-clock race, so reporting by
-        // processor id would make the error variant nondeterministic); a
-        // finished-peer deadlock wins only when nothing else went wrong;
-        // and a dead-peer cascade loses to everything — the dead thread
-        // always contributes its own root error, which is the diagnosis.
-        fn rank(e: &MachineError) -> u8 {
-            match e {
-                // An unrecoverable crash is the rootmost cause of all:
-                // every peer of the dead processor cascades into
-                // exhausted retries, timeouts, or hang-up deadlocks.
-                MachineError::Crashed { .. } => 0,
-                MachineError::ProcessFault { .. } => 1,
-                MachineError::StepBudgetExceeded { .. } => 2,
-                // A starved sender is the root cause; its peers cascade
-                // into timeouts and hang-up deadlocks.
-                MachineError::RetriesExhausted { .. } => 3,
-                MachineError::RecvTimeout { .. } => 4,
-                MachineError::PeerDied { .. } => 6,
-                _ => 5,
-            }
-        }
+        // When one thread fails, its peers cascade into secondary errors:
+        // report the root cause, not whichever thread failed first.
         let mut worst: Option<MachineError> = None;
         let mut done: Vec<Option<Endpoint>> = Vec::with_capacity(n);
         for (d, e) in results {
             done.push(d);
             if let Some(e) = e {
-                match &worst {
-                    Some(w) if rank(w) <= rank(&e) => {}
-                    _ => worst = Some(e),
-                }
+                worst = Some(match worst.take() {
+                    Some(w) => w.or_root(e),
+                    None => e,
+                });
             }
         }
 

@@ -15,6 +15,28 @@
 use crate::Rng;
 use pdc_machine::{FaultPlan, ProcId};
 
+/// The seeds a seeded fault sweep runs: `PDC_FAULT_SEEDS` when set
+/// (comma-separated integers, e.g. `PDC_FAULT_SEEDS=1,2,3`), else
+/// `default`. The workspace's one test environment variable: CI sweeps a
+/// seed matrix through it, and a failure names the seeds to replay.
+///
+/// # Panics
+///
+/// Panics on a token that is not an integer, naming it.
+pub fn seeds(default: &[u64]) -> Vec<u64> {
+    match std::env::var("PDC_FAULT_SEEDS") {
+        Ok(s) => s
+            .split(',')
+            .map(|t| {
+                t.trim()
+                    .parse()
+                    .unwrap_or_else(|_| panic!("bad seed `{t}` in PDC_FAULT_SEEDS"))
+            })
+            .collect(),
+        Err(_) => default.to_vec(),
+    }
+}
+
 /// Draw a recoverable fault plan. The mix of drop/duplicate/delay/reorder
 /// probabilities is random but sums to at most 600‰, and the per-triple
 /// budget is at most 4 faults — far below the default 16 retries, so every

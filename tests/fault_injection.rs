@@ -1,210 +1,53 @@
-//! Fault-injection suite: the paper's workloads under deterministic
-//! network damage.
-//!
-//! Each workload is compiled once, then run on both backends under a
-//! seeded [`FaultPlan`] that drops, duplicates, delays, and reorders
-//! frames. The reliable-delivery layer must recover the exact program
-//! semantics: gathered outputs equal the sequential interpreter's, the
-//! *logical* per-(src, dst, tag) message counts match across backends,
-//! and nothing is left undelivered — only the [`FaultReport`] and timing
-//! are allowed to show the damage.
-//!
-//! Seeds come from the `PDC_FAULT_SEEDS` environment variable
-//! (comma-separated integers, e.g. `PDC_FAULT_SEEDS=1,2,3`), with a baked
-//! default so plain `cargo test` exercises the suite too. CI sweeps a
-//! small seed matrix through this hook.
+//! Damaged or crashed == clean. A seeded `FaultPlan` drops, duplicates,
+//! delays and reorders frames, stalls processors and crashes them; the
+//! reliable-delivery protocol and checkpoint/restart must recover the
+//! exact program semantics on both backends: the sequential result, the
+//! fault-free run's logical per-(src, dst, tag) ledger, nothing left
+//! undelivered. Only the `FaultReport`, the `RecoveryReport` and timing
+//! may show the damage.
 
-use pdc_core::driver::{self, Inputs, Job, Strategy};
-use pdc_core::programs;
-use pdc_istructure::IMatrix;
-use pdc_machine::{Backend, CostModel, FaultPlan, MachineError, ProcId, RelConfig, RunConfig, Tag};
-use pdc_mapping::{Decomposition, Dist};
-use pdc_spmd::ir::{RecvTarget, SExpr, SStmt, SpmdProgram};
-use pdc_spmd::run::SpmdMachine;
-use pdc_spmd::Scalar;
-use pdc_testkit::{within, Rng, THREADS_DEADLINE};
-use std::time::Duration;
+mod differential;
 
-/// Fault seeds to sweep: `PDC_FAULT_SEEDS` if set, else a baked pair.
-fn fault_seeds() -> Vec<u64> {
-    match std::env::var("PDC_FAULT_SEEDS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad seed `{t}` in PDC_FAULT_SEEDS"))
-            })
-            .collect(),
-        Err(_) => vec![0xC0FFEE, 7],
-    }
+use differential::*;
+use pdc_testkit::{fault, within, THREADS_DEADLINE};
+
+fn seeds() -> Vec<u64> {
+    fault::seeds(&[0xC0FFEE, 7])
 }
 
-/// Run under `faults`, recovered by the reliable-delivery protocol under
-/// policy `rel`.
-fn faulty(faults: FaultPlan, rel: RelConfig) -> RunConfig {
-    RunConfig {
-        faults,
-        reliable: Some(rel),
-        ..RunConfig::default()
-    }
+/// Faulty at `plan`, recovered under `rel`, on `backend` if given.
+fn faulty(plan: FaultPlan, rel: RelConfig, backend: Option<Axis>) -> Point {
+    at([Axis::Faults(plan), Axis::Reliable(rel)]
+        .into_iter()
+        .chain(backend))
 }
 
-/// A retransmission policy tuned for tests: the threaded backend retries
-/// after 2 ms instead of the production 20 ms so lossy runs stay fast.
-fn test_rel() -> RelConfig {
-    RelConfig {
-        rto_wall: Duration::from_millis(2),
-        ..RelConfig::default()
-    }
+/// Threads that wait out a long recovery rather than time out.
+fn patient_threads() -> Axis {
+    let recv_timeout = Duration::from_secs(30);
+    Axis::On(Backend::Threaded { recv_timeout })
 }
 
-struct Workload {
-    name: &'static str,
-    program: pdc_lang::Program,
-    entry: &'static str,
-    decomp: Decomposition,
-    output: &'static str,
-    n: usize,
-    input: IMatrix<Scalar>,
-}
-
-/// Hot edges, cold interior (the heat-equation starting grid).
-fn hot_edge_grid(n: usize) -> IMatrix<Scalar> {
-    let mut grid = IMatrix::new(n, n);
-    for i in 1..=n as i64 {
-        for j in 1..=n as i64 {
-            let edge = i == 1 || j == 1 || i == n as i64 || j == n as i64;
-            grid.write(i, j, Scalar::Int(if edge { 1000 } else { 0 }))
-                .expect("fresh matrix");
-        }
-    }
-    grid
-}
-
-/// The paper's workloads across machine sizes from 1 to 8 processors.
-fn workloads() -> Vec<Workload> {
-    let n = 8usize;
-    let mut out = Vec::new();
-    for procs in [1usize, 3, 8] {
-        out.push(Workload {
-            name: match procs {
-                1 => "jacobi/column-cyclic/p1",
-                3 => "jacobi/column-cyclic/p3",
-                _ => "jacobi/column-cyclic/p8",
-            },
-            program: programs::jacobi(),
-            entry: "jacobi",
-            decomp: Decomposition::new(procs)
-                .array("New", Dist::ColumnCyclic)
-                .array("Old", Dist::ColumnCyclic),
-            output: "New",
-            n,
-            input: driver::standard_input(n, n),
-        });
-    }
-    for s in [2usize, 4] {
-        out.push(Workload {
-            name: if s == 2 {
-                "wavefront/gauss-seidel/p2"
-            } else {
-                "wavefront/gauss-seidel/p4"
-            },
-            program: programs::gauss_seidel(),
-            entry: "gs_iteration",
-            decomp: programs::wavefront_decomposition(s),
-            output: "New",
-            n,
-            input: driver::standard_input(n, n),
-        });
-    }
-    out.push(Workload {
-        name: "block-jacobi/2x2-grid",
-        program: programs::jacobi(),
-        entry: "jacobi",
-        decomp: Decomposition::new(4)
-            .array("New", Dist::Block2d { prows: 2, pcols: 2 })
-            .array("Old", Dist::Block2d { prows: 2, pcols: 2 }),
-        output: "New",
-        n,
-        input: driver::standard_input(n, n),
-    });
-    out.push(Workload {
-        name: "heat/hot-edge-sweep/p4",
-        program: programs::gauss_seidel(),
-        entry: "gs_iteration",
-        decomp: programs::wavefront_decomposition(4),
-        output: "New",
-        n,
-        input: hot_edge_grid(n),
-    });
-    out
-}
-
-/// Compile `w`, run it on both backends under `plan`, and assert the
-/// recovery contract.
-fn check_under_plan(w: &Workload, strategy: Strategy, plan: &FaultPlan, label_extra: &str) {
-    let label = format!("{} under {strategy:?} {label_extra}", w.name);
-    let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
-        .with_const("n", w.n as i64)
-        .with_run(faulty(plan.clone(), test_rel()));
-    job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
-    let compiled = driver::compile(&job, strategy).unwrap_or_else(|e| panic!("{label}: {e}"));
-    let inputs = Inputs::new()
-        .scalar("n", Scalar::Int(w.n as i64))
-        .array("Old", w.input.clone());
-
-    let sim = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
-        .unwrap_or_else(|e| panic!("{label} (simulated): {e}"));
-    let thr = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::threaded())
-        .unwrap_or_else(|e| panic!("{label} (threaded): {e}"));
-
-    // Program-level delivery is complete on both backends.
-    assert_eq!(sim.outcome.report.undelivered, 0, "{label}: sim");
-    assert_eq!(thr.outcome.report.undelivered, 0, "{label}: threaded");
-    assert!(sim.outcome.report.pending.is_empty(), "{label}: sim");
-    assert!(thr.outcome.report.pending.is_empty(), "{label}: threaded");
-
-    // Outputs: both backends == sequential interpreter, faults or not.
-    let seq = driver::run_sequential(&w.program, w.entry, &inputs).expect("sequential");
-    let g_sim = sim.gather(w.output).expect("sim gather");
-    let g_thr = thr.gather(w.output).expect("threaded gather");
-    assert_eq!(
-        driver::first_mismatch(&g_sim, &seq),
-        None,
-        "{label}: simulator output corrupted by faults"
-    );
-    assert_eq!(
-        driver::first_mismatch(&g_thr, &seq),
-        None,
-        "{label}: threaded output corrupted by faults"
-    );
-
-    // The *logical* communication pattern is fault-independent: the
-    // program sent exactly the same messages it always does.
-    assert_eq!(
-        thr.outcome.report.pair_messages, sim.outcome.report.pair_messages,
-        "{label}: logical per-(src, dst, tag) counts diverge"
-    );
-
-    // Multi-processor runs under the reliability layer carry a report.
-    if w.decomp.nprocs() > 1 && !plan.is_none() {
-        assert!(sim.outcome.report.fault.is_some(), "{label}: no sim report");
+/// Both backends under `plan` recover the sequential result and the
+/// program's ledger; a multi-processor run says what it survived.
+fn recovers(sc: &Scenario, plan: &FaultPlan) -> (Run, Run) {
+    let (sim, thr) = sc.on_both(&faulty(plan.clone(), test_rel(), None), Ignoring::Damage);
+    if sc.compiled().spmd.n_procs() > 1 && !plan.is_none() {
         assert!(
-            thr.outcome.report.fault.is_some(),
-            "{label}: no threaded report"
+            sim.report.fault.is_some() && thr.report.fault.is_some(),
+            "{sc}"
         );
     }
+    (sim, thr)
 }
 
 #[test]
 fn workloads_recover_under_seeded_fault_plans() {
     within(THREADS_DEADLINE, || {
-        for seed in fault_seeds() {
+        for seed in seeds() {
             let mut rng = Rng::from_seed(seed);
-            for w in workloads() {
-                let plan = pdc_testkit::fault::fault_plan(&mut rng);
-                check_under_plan(&w, Strategy::Runtime, &plan, &format!("(seed {seed})"));
+            for sc in paper_workloads(Strategy::Runtime) {
+                recovers(&sc, &fault::fault_plan(&mut rng));
             }
         }
     });
@@ -213,17 +56,15 @@ fn workloads_recover_under_seeded_fault_plans() {
 #[test]
 fn compile_time_strategy_recovers_too() {
     within(THREADS_DEADLINE, || {
-        let mut rng = Rng::from_seed(fault_seeds()[0]);
-        for w in workloads() {
-            let plan = pdc_testkit::fault::fault_plan(&mut rng);
-            check_under_plan(&w, Strategy::CompileTime, &plan, "(compile-time)");
+        let mut rng = Rng::from_seed(seeds()[0]);
+        for sc in paper_workloads(Strategy::CompileTime) {
+            recovers(&sc, &fault::fault_plan(&mut rng));
         }
     });
 }
 
-/// A deliberately heavy plan on the chattiest workload: drops must force
-/// actual retransmissions, duplicates must be discarded, and the run must
-/// still produce interpreter-identical output.
+/// A heavy plan on the chattiest workload: drops force retransmissions,
+/// duplicates are discarded, and the output is still the interpreter's.
 #[test]
 fn heavy_losses_force_retransmissions() {
     within(THREADS_DEADLINE, || {
@@ -233,21 +74,9 @@ fn heavy_losses_force_retransmissions() {
             .with_delays(100, 10_000)
             .with_reorders(50)
             .with_fault_budget(4);
-        let w = &workloads()[2]; // jacobi on 8 processors: the most traffic
-        check_under_plan(w, Strategy::Runtime, &plan, "(heavy)");
-
-        // Re-run on the simulator alone to inspect the report.
-        let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
-            .with_const("n", w.n as i64)
-            .with_run(faulty(plan, test_rel()));
-        job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
-        let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
-        let inputs = Inputs::new()
-            .scalar("n", Scalar::Int(w.n as i64))
-            .array("Old", w.input.clone());
-        let exec = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
-            .expect("recovers");
-        let fr = exec.outcome.report.fault.expect("fault report");
+        let sc = paper_workload("jacobi/column-cyclic/p8", Strategy::Runtime);
+        let (sim, _) = recovers(&sc, &plan);
+        let fr = sim.report.fault.expect("fault report");
         assert!(fr.injected.drops > 0, "the plan dropped frames: {fr:?}");
         assert!(fr.retransmits > 0, "drops forced retransmits: {fr:?}");
         assert!(fr.acks_sent > 0, "receivers acked: {fr:?}");
@@ -255,177 +84,224 @@ fn heavy_losses_force_retransmissions() {
     });
 }
 
-/// Simulator runs under a fault plan are exactly reproducible: same
-/// seed, same damage, same makespan, same report.
+/// Same seed, same damage, same run: the simulator replays a faulty run
+/// exactly.
 #[test]
 fn faulty_simulator_runs_are_reproducible() {
     let plan = FaultPlan::seeded(9)
         .with_drops(250)
         .with_dups(100)
         .with_fault_budget(4);
-    let w = &workloads()[1]; // jacobi on 3 processors
-    let run = || {
-        let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
-            .with_const("n", w.n as i64)
-            .with_run(faulty(plan.clone(), test_rel()));
-        job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
-        let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
-        let inputs = Inputs::new()
-            .scalar("n", Scalar::Int(w.n as i64))
-            .array("Old", w.input.clone());
-        driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
-            .expect("recovers")
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(
-        a.outcome.report.stats.makespan(),
-        b.outcome.report.stats.makespan()
-    );
-    assert_eq!(a.outcome.report.fault, b.outcome.report.fault);
-    assert_eq!(
-        a.outcome.report.pair_messages,
-        b.outcome.report.pair_messages
+    let sc = paper_workload("jacobi/column-cyclic/p3", Strategy::Runtime);
+    let point = faulty(plan, test_rel(), None);
+    assert_observably_equal(
+        &sc.run(&point),
+        &sc.run(&point),
+        Ignoring::Nothing,
+        "replay",
     );
 }
 
-/// A plan that injects nothing is free: the run takes the vanilla fast
-/// path and is bit-identical to a run that never mentioned faults.
+/// A plan that injects nothing takes the raw fabric: bit-identical to a
+/// run that never mentioned faults.
 #[test]
 fn empty_plan_is_bit_identical_to_vanilla() {
-    let w = &workloads()[1];
-    let run = |faulty: bool| {
-        let mut job = Job::new(&w.program, w.entry, w.decomp.clone()).with_const("n", w.n as i64);
-        if faulty {
-            job = job.with_run(RunConfig {
-                faults: FaultPlan::seeded(7),
-                ..RunConfig::default()
-            });
-        }
-        job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
-        let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
-        let inputs = Inputs::new()
-            .scalar("n", Scalar::Int(w.n as i64))
-            .array("Old", w.input.clone());
-        driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated).unwrap()
-    };
-    let vanilla = run(false);
-    let none_plan = run(true);
-    assert_eq!(
-        none_plan.outcome.report.stats, vanilla.outcome.report.stats,
-        "stats (clocks, traffic, makespan) must be bit-identical"
+    let sc = paper_workload("jacobi/column-cyclic/p3", Strategy::Runtime);
+    let none = sc.run(&at([Axis::Faults(FaultPlan::seeded(7))]));
+    assert_eq!(none.report.fault, None, "no reliability layer");
+    assert_observably_equal(
+        &none,
+        &sc.run(&Point::default()),
+        Ignoring::Nothing,
+        "empty plan",
     );
-    assert_eq!(
-        none_plan.outcome.report.pair_messages,
-        vanilla.outcome.report.pair_messages
-    );
-    assert_eq!(none_plan.outcome.report.fault, None, "no reliability layer");
 }
 
-/// A black hole starves one stream forever; the sender must give up with
-/// an error naming exactly the starved (proc, peer, tag) stream — on both
-/// backends.
+/// A black hole starves one stream forever: the sender gives up naming
+/// exactly the starved (proc, peer, tag) stream, on both backends.
 #[test]
 fn black_hole_names_the_starved_stream() {
     within(THREADS_DEADLINE, || {
         // P0 sends to P1 on tag 1 and the fabric eats every copy.
-        let p0 = vec![SStmt::Send {
-            to: SExpr::int(1),
-            tag: 1,
-            values: vec![SExpr::int(5)],
-        }];
-        let p1 = vec![SStmt::Recv {
-            from: SExpr::int(0),
-            tag: 1,
-            into: vec![RecvTarget::Var("x".into())],
-        }];
-        let prog = SpmdProgram::new(vec![p0, p1]);
+        let p0 = vec![send(SExpr::int(1), 1, vec![SExpr::int(5)])];
+        let prog = SpmdProgram::new(vec![p0, vec![recv(SExpr::int(0), 1, &["x"])]]);
         let plan = FaultPlan::seeded(0).with_black_hole(ProcId(0), ProcId(1), Tag(1));
-
-        let sim_cfg = RelConfig {
+        let rel = RelConfig {
             rto_cycles: 1_000,
             max_retries: 4,
-            ..RelConfig::default()
+            ..test_rel()
         };
-        let sim_err = SpmdMachine::new(&prog, CostModel::ipsc2())
-            .expect("lowers")
-            .with_faults_cfg(plan.clone(), sim_cfg)
-            .run()
-            .expect_err("the stream is starved");
-        match sim_err {
-            pdc_spmd::SpmdError::Machine(MachineError::RetriesExhausted {
+        let stream = (ProcId(0), ProcId(1), Tag(1));
+        match run_spmd(&prog, &faulty(plan.clone(), rel, None), &[]).expect_err("starved") {
+            // Nothing ever got through: the cumulative ack floor is still
+            // at the first sequence number.
+            MachineError::RetriesExhausted {
                 proc,
                 peer,
                 tag,
                 retries,
                 last_acked,
-            }) => {
-                assert_eq!((proc, peer, tag), (ProcId(0), ProcId(1), Tag(1)));
-                assert_eq!(retries, 4);
-                // Nothing ever got through: the suspect's cumulative ack
-                // floor is still at the first sequence number.
-                assert_eq!(last_acked, 0);
+            } => {
+                assert_eq!(((proc, peer, tag), retries, last_acked), (stream, 4, 0));
             }
             other => panic!("expected RetriesExhausted, got: {other}"),
         }
-
-        let thr_cfg = RelConfig {
-            rto_wall: Duration::from_millis(2),
-            max_retries: 4,
-            ..RelConfig::default()
-        };
-        let thr_err = SpmdMachine::new(&prog, CostModel::ipsc2())
-            .expect("lowers")
-            .with_backend(Backend::Threaded {
-                recv_timeout: Duration::from_secs(30),
-            })
-            .with_faults_cfg(plan, thr_cfg)
-            .run()
-            .expect_err("the stream is starved");
-        match thr_err {
-            pdc_spmd::SpmdError::Machine(MachineError::RetriesExhausted {
-                proc,
-                peer,
-                tag,
-                ..
-            }) => {
-                assert_eq!((proc, peer, tag), (ProcId(0), ProcId(1), Tag(1)));
-            }
+        let point = faulty(plan, rel, Some(patient_threads()));
+        match run_spmd(&prog, &point, &[]).expect_err("starved") {
+            MachineError::RetriesExhausted {
+                proc, peer, tag, ..
+            } => assert_eq!((proc, peer, tag), stream),
             other => panic!("expected RetriesExhausted, got: {other}"),
         }
     });
 }
 
-/// Stalling a processor must never change outputs — only timing.
+/// Stalling a processor changes timing, never outputs.
 #[test]
 fn stalls_preserve_outputs_and_slow_the_victim() {
-    let w = &workloads()[4]; // wavefront on 4 processors: a pipeline
-    let run = |plan: FaultPlan| {
-        let mut job = Job::new(&w.program, w.entry, w.decomp.clone())
-            .with_const("n", w.n as i64)
-            .with_run(faulty(plan, RelConfig::default()));
-        job.extent_overrides.insert("Old".to_owned(), (w.n, w.n));
-        let compiled = driver::compile(&job, Strategy::Runtime).unwrap();
-        let inputs = Inputs::new()
-            .scalar("n", Scalar::Int(w.n as i64))
-            .array("Old", w.input.clone());
-        let exec = driver::execute_on(&compiled, &inputs, CostModel::ipsc2(), Backend::Simulated)
-            .expect("recovers");
-        let seq = driver::run_sequential(&w.program, w.entry, &inputs).expect("sequential");
-        let g = exec.gather(w.output).expect("gather");
-        assert_eq!(driver::first_mismatch(&g, &seq), None, "stall broke output");
-        exec.makespan()
-    };
-    // Force the reliable path in both runs so the comparison is
-    // apples-to-apples (an actually-empty plan takes the vanilla path).
-    let baseline = run(FaultPlan::seeded(1).with_fault_budget(0).with_drops(1));
-    let stalled = run(FaultPlan::seeded(1)
-        .with_fault_budget(0)
-        .with_drops(1)
-        .with_stall(ProcId(0), 5, 200_000));
-    assert!(
-        stalled > baseline,
-        "a 200k-cycle stall on the pipeline head must show in the makespan \
-         (stalled {stalled} vs baseline {baseline})"
+    let sc = paper_workload("wavefront/p4", Strategy::Runtime);
+    // A plan that injects one drop keeps both runs on the protocol.
+    let plan = FaultPlan::seeded(1).with_fault_budget(0).with_drops(1);
+    let baseline = sc.run(&faulty(plan.clone(), RelConfig::default(), None));
+    let stall = plan.with_stall(ProcId(0), 5, 200_000);
+    let stalled = sc.run(&faulty(stall, RelConfig::default(), None));
+    sc.assert_correct(&baseline);
+    assert_observably_equal(&baseline, &stalled, Ignoring::Damage, "stall");
+    let (b, s) = (
+        baseline.report.stats.makespan(),
+        stalled.report.stats.makespan(),
     );
+    assert!(
+        s > b,
+        "a 200k-cycle stall on the pipeline head shows: {s:?} vs {b:?}"
+    );
+}
+
+/// Crash recovery under a seeded random decomposition: the crashed run,
+/// restarted from checkpoints on both backends, equals the fault-free run
+/// and survives every crash injected. Returns the crashes survived.
+fn crash_case(sc: &Scenario, plan: FaultPlan, ckpt: CheckpointCfg) -> u64 {
+    let clean = sc.run(&Point::default());
+    sc.assert_correct(&clean);
+    let recovering = [Axis::Checkpoints(ckpt), Axis::Reliable(test_rel())];
+    let point = at([Axis::Faults(plan), patient_threads()]
+        .into_iter()
+        .chain(recovering));
+    let (sim, thr) = sc.on_both(&point, Ignoring::Damage);
+    for run in [&sim, &thr] {
+        assert_observably_equal(&clean, run, Ignoring::Damage, &format!("{sc} recovered"));
+        let rec = run.report.recovery.as_ref().expect("a recovery report");
+        let injected = run.report.fault.as_ref().map_or(0, |f| f.injected.crashes);
+        assert_eq!(
+            rec.crashes_survived, injected,
+            "{sc}: a crash was not recovered"
+        );
+        assert!(rec.checkpoints_taken > 0, "{sc}");
+    }
+    sim.report
+        .recovery
+        .expect("a recovery report")
+        .crashes_survived
+}
+
+/// One processor crashes early: a random decomposition of Jacobi on 2–4
+/// processors, checkpoints every 2–23 ops.
+fn random_crash(rng: &mut Rng) -> (Scenario, FaultPlan, CheckpointCfg) {
+    let nprocs = rng.range_usize(2, 5);
+    let sc = Scenario::jacobi(random_dist(rng, nprocs), nprocs);
+    let plan = fault::crash_plan(rng, nprocs);
+    let ckpt = CheckpointCfg::every(rng.range_i64(2, 24) as u64);
+    (sc, plan, ckpt.with_reboot(5_000, Duration::from_millis(1)))
+}
+
+#[test]
+fn crashed_runs_match_fault_free_runs_on_both_backends() {
+    within(THREADS_DEADLINE, || {
+        let mut survived = 0;
+        for seed in seeds() {
+            let mut rng = Rng::from_seed(seed);
+            for _ in 0..3 {
+                let (sc, plan, ckpt) = random_crash(&mut rng);
+                survived += crash_case(&sc, plan, ckpt);
+            }
+        }
+        assert!(
+            survived >= 1,
+            "no crash was ever injected: the sweep tests nothing"
+        );
+    });
+}
+
+/// Crashes layered on a lossy fabric: restart while frames are dropped
+/// and duplicated, the hardest composite case.
+#[test]
+fn crashes_on_a_lossy_fabric_still_recover() {
+    within(THREADS_DEADLINE, || {
+        let mut rng = Rng::from_seed(seeds()[0] ^ 0x1055);
+        let plan = fault::crash_plan_with_losses(&mut rng, 3);
+        let ckpt = CheckpointCfg::every(8).with_reboot(5_000, Duration::from_millis(1));
+        crash_case(&Scenario::jacobi(Dist::ColumnCyclic, 3), plan, ckpt);
+    });
+}
+
+/// Same seed, same crash, same recovery, same run.
+#[test]
+fn simulator_recovery_is_deterministic() {
+    let (sc, plan, ckpt) = random_crash(&mut Rng::from_seed(seeds()[0]));
+    let point = at([
+        Axis::Faults(plan),
+        Axis::Checkpoints(ckpt),
+        Axis::Reliable(test_rel()),
+    ]);
+    assert_observably_equal(
+        &sc.run(&point),
+        &sc.run(&point),
+        Ignoring::Nothing,
+        "replay",
+    );
+}
+
+/// Coordinated snapshots: every processor rolls back together.
+#[test]
+fn coordinated_mode_recovers_on_the_simulator() {
+    let sc = Scenario::jacobi(Dist::ColumnCyclic, 3);
+    let plan = FaultPlan::seeded(5).with_crash(ProcId(1), 6);
+    let run = sc.run(&at([
+        Axis::Faults(plan),
+        Axis::Checkpoints(CheckpointCfg::every(8).coordinated()),
+    ]));
+    sc.assert_correct(&run);
+    assert_eq!(
+        run.report
+            .recovery
+            .expect("recovery report")
+            .crashes_survived,
+        1
+    );
+}
+
+/// Without checkpoints a crash is fatal, and both backends name the
+/// crash — not the exhausted retries or deadlocks its peers cascade into.
+#[test]
+fn uncheckpointed_crash_fails_with_crashed_error() {
+    within(THREADS_DEADLINE, || {
+        let sc = Scenario::jacobi(Dist::ColumnCyclic, 2);
+        let plan = FaultPlan::seeded(0).with_crash(ProcId(0), 4);
+        let rel = RelConfig {
+            rto_cycles: 1_000,
+            max_retries: 4,
+            ..RelConfig::default()
+        };
+        for backend in [Backend::Simulated, Backend::threaded()] {
+            let point = faulty(plan.clone(), rel, Some(Axis::On(backend)));
+            let err = sc
+                .try_run(&point)
+                .expect_err("a crash without checkpoints is fatal");
+            let crashed = MachineError::Crashed {
+                proc: ProcId(0),
+                at_op: 4,
+            };
+            assert_eq!(err, SpmdError::Machine(crashed), "{backend:?}");
+        }
+    });
 }

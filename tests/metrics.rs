@@ -1,147 +1,176 @@
-//! Backend metrics parity: the *logical* projection of the runtime
-//! metrics registry — frames, words, scratch-arena reuse, the frame-size
-//! histogram, and the per-channel traffic tables — must be identical
-//! across the deterministic simulator and the threaded backend, because
-//! every logical counter is recorded by backend-independent code on a
-//! deterministic event sequence. Physical metrics (parks, stalls, ring
-//! occupancy) are excluded by `MetricsSnapshot::logical()` by
-//! construction.
-//!
-//! Also pins down the always-on flight recorder: a forced deadlock must
-//! still produce a report whose per-processor event rings are
-//! non-vacuous, since that is the entire point of a flight recorder.
+//! Predicted == ledger == metrics == trace. Four independent accounts of
+//! one run's traffic: the compiler's static prediction, the run loop's
+//! per-(src, dst, tag) ledger, the metrics registry's channel tables and
+//! counters, and the event trace's communication matrix. They must agree
+//! channel by channel on both backends, and the logical projection of the
+//! metrics and the communication events of the trace must not depend on
+//! the backend. Physical metrics (parks, stalls, ring occupancy) are
+//! outside `MetricsSnapshot::logical()` by construction.
 
-use pdc_bench::{build_wavefront, Variant};
-use pdc_core::driver::{self, Inputs, Job, Strategy};
-use pdc_machine::{
-    Backend, CostModel, Ctr, Fabric, FaultPlan, FlightKind, MachineError, MetricsMode, ProcId,
-    Process, RelConfig, RunConfig, RunReport, Step, Tag, ThreadedRunner,
-};
-use pdc_mapping::{Decomposition, ScalarMap};
-use pdc_spmd::ir::SpmdProgram;
-use pdc_spmd::run::SpmdMachine;
-use pdc_spmd::Scalar;
-use pdc_testkit::{cases, within, Rng, THREADS_DEADLINE};
-use std::time::Duration;
+mod differential;
 
-/// Run a wavefront program with full metrics on the given backend.
-fn run_wavefront_metrics(prog: &SpmdProgram, n: usize, backend: Backend) -> RunReport {
-    run_wavefront_faulty(prog, n, backend, FaultPlan::none())
-}
+use differential::*;
+use pdc_machine::{analyze, Ctr, FlightKind};
+use pdc_testkit::{within, THREADS_DEADLINE};
 
-/// Run a wavefront program with full metrics on the given backend, under
-/// `plan` (the raw fabric when it injects nothing).
-fn run_wavefront_faulty(
-    prog: &SpmdProgram,
-    n: usize,
-    backend: Backend,
-    plan: FaultPlan,
-) -> RunReport {
-    let mut m = SpmdMachine::new(prog, CostModel::ipsc2())
-        .expect("program lowers")
-        .with_backend(backend)
-        .with_faults_cfg(plan, RelConfig::default())
-        .with_metrics();
-    m.preset_var("n", Scalar::Int(n as i64));
-    m.preload_array(
-        "Old",
-        pdc_mapping::Dist::ColumnCyclic,
-        &driver::standard_input(n, n),
-    );
-    m.run()
-        .unwrap_or_else(|e| panic!("{backend:?}: {e}"))
-        .report
-}
-
-/// The metrics registry's per-channel table must agree triple-by-triple
-/// with the scheduler's own `pair_messages` ledger — two fully
-/// independent recording paths.
+/// The metrics registry's channel table equals the run loop's ledger,
+/// triple by triple: two independent recording paths.
 fn assert_triples_match(report: &RunReport, label: &str) {
     let by_triple = report.metrics.out_by_triple();
     assert_eq!(
         by_triple.len(),
         report.pair_messages.len(),
-        "{label}: metric channels vs scheduler channels"
+        "{label}: channels"
     );
-    for ((src, dst, tag), (frames, _words)) in &by_triple {
+    for ((src, dst, tag), (frames, _)) in &by_triple {
+        let key = (
+            ProcId(*src as usize),
+            ProcId(*dst as usize),
+            Tag(*tag as u32),
+        );
+        let ledger = report.pair_messages.get(&key);
         assert_eq!(
-            report.pair_messages.get(&(
-                ProcId(*src as usize),
-                ProcId(*dst as usize),
-                Tag(*tag as u32)
-            )),
+            ledger,
             Some(frames),
-            "{label}: frame count for channel {src}->{dst} tag {tag}"
+            "{label}: frames on {src}->{dst} tag {tag}"
         );
     }
 }
 
-/// The five Fig. 6/7 compiler variants, simulator vs threads: identical
-/// logical counters, histograms, and channel tables, and both agreeing
-/// with the scheduler's message ledger and the network totals.
+/// The five Fig. 6/7 translations on `s` processors, traced and fully
+/// metered on both backends, which agree on everything the schedule
+/// cannot change: the ledger, every clock and counter, each processor's
+/// events, the logical metrics.
+fn observed_on_both(s: usize) -> Vec<(Scenario, Run, Run)> {
+    let observe = |sc: Scenario| {
+        let (sim, thr) = sc.on_both(&at([Axis::Observed]), Ignoring::Schedule);
+        (sc, sim, thr)
+    };
+    fig67(16, s).into_iter().map(observe).collect()
+}
+
+/// The registry's counters and channel tables against the ledger and the
+/// network totals, on both backends.
 #[test]
 fn wavefront_variants_logical_parity() {
     within(THREADS_DEADLINE, || {
-        let (n, s) = (16, 4);
-        for variant in [
-            Variant::RuntimeRes,
-            Variant::CompileTime,
-            Variant::OptimizedI,
-            Variant::OptimizedII,
-            Variant::OptimizedIII { blksize: 4 },
-        ] {
-            let prog = build_wavefront(variant, n, s);
-            let sim = run_wavefront_metrics(&prog, n, Backend::Simulated);
-            let thr = run_wavefront_metrics(&prog, n, Backend::threaded());
-            assert!(
-                sim.metrics.full,
-                "{variant}: simulator records full metrics"
-            );
-            assert!(thr.metrics.full, "{variant}: threads record full metrics");
-            assert_eq!(
-                sim.metrics.logical(),
-                thr.metrics.logical(),
-                "{variant}: logical metrics diverge across backends"
-            );
-            assert!(
-                sim.metrics.total(Ctr::FramesSent) > 0,
-                "{variant}: a 4-processor wavefront must communicate"
-            );
-            // Each send has a matching receive, and the registry agrees with
-            // the machine's own traffic statistics.
-            assert_eq!(
-                sim.metrics.total(Ctr::FramesSent),
-                sim.metrics.total(Ctr::FramesRecvd),
-                "{variant}: frames sent vs received"
-            );
-            assert_eq!(
-                sim.metrics.total(Ctr::FramesSent),
-                sim.stats.network.messages,
-                "{variant}: registry vs network message count"
-            );
-            assert_eq!(
-                sim.metrics.total(Ctr::WordsSent),
-                sim.stats.network.words,
-                "{variant}: registry vs network word count"
-            );
-            assert_triples_match(&sim, &format!("{variant} (sim)"));
-            assert_triples_match(&thr, &format!("{variant} (threaded)"));
-            // The VM's ops counter is logical too: both backends execute the
-            // same instruction sequence.
-            assert!(sim.metrics.total(Ctr::Ops) > 0, "{variant}: ops recorded");
+        for (sc, sim, thr) in observed_on_both(4) {
+            for (run, backend) in [(&sim, "simulator"), (&thr, "threads")] {
+                let (r, label) = (&run.report, format!("{sc} on {backend}"));
+                let total = |c| r.metrics.total(c);
+                assert!(r.metrics.full, "{label}");
+                assert!(total(Ctr::Ops) > 0, "{label}: the VM counts its ops");
+                assert!(total(Ctr::FramesSent) > 0, "{label}: four processors talk");
+                assert_eq!(total(Ctr::FramesSent), total(Ctr::FramesRecvd), "{label}");
+                assert_eq!(total(Ctr::FramesSent), r.stats.network.messages, "{label}");
+                assert_eq!(total(Ctr::WordsSent), r.stats.network.words, "{label}");
+                assert_triples_match(r, &label);
+            }
         }
     });
 }
 
-/// `stats.network` counts what was handed to the transport — every frame
-/// the wire carried, duplicates included and lost frames excluded — so it
-/// equals the registry's wire counters on both backends, whatever the
-/// fault plan does.
+/// The threaded backend once returned an empty trace with no error; its
+/// events are the simulator's, processor by processor.
+#[test]
+fn wavefront_traces_match_across_backends() {
+    within(THREADS_DEADLINE, || {
+        for s in [2, 4] {
+            for (sc, _, thr) in observed_on_both(s) {
+                assert!(!thr.events().is_empty(), "{sc}: threads recorded no events");
+            }
+        }
+    });
+}
+
+/// The critical path decomposes a fault-free simulator makespan exactly.
+#[test]
+fn critical_path_sums_to_makespan_on_simulator() {
+    for s in [2, 4] {
+        for sc in fig67(16, s) {
+            let run = sc.run(&at([Axis::Observed]));
+            let cp = analyze(&run.report.trace, s).critical_path;
+            assert_eq!(cp.makespan, run.report.stats.makespan().0, "{sc}");
+            assert_eq!(cp.total(), cp.makespan, "{sc}: {cp:?}");
+            assert!(cp.exact, "{sc}");
+        }
+    }
+}
+
+/// The static prediction, channel by channel, against the ledger, the
+/// network totals and the trace's communication matrix.
+#[test]
+fn predictions_are_exact_for_every_variant() {
+    for s in [1, 2, 4] {
+        for sc in fig67(16, s) {
+            let pred = &sc.compiled().prediction;
+            assert!(pred.exact, "{sc}: the model degraded: {:?}", pred.notes);
+            assert!(
+                pred.protocol_consistent(),
+                "{sc}: predicted sends and receives disagree"
+            );
+            let exec = sc.execute(&at([Axis::Observed])).expect("runs");
+            assert_eq!(exec.outcome.report.undelivered, 0, "{sc}");
+            let check = exec.verify_predictions();
+            assert!(check.trace_checked, "{sc}: the trace was not checked");
+            assert!(
+                check.ok(),
+                "{sc}: prediction diverged:\n  {}",
+                check.mismatches.join("\n  ")
+            );
+            assert!(check.checked_channels > 0 || exec.messages() == 0, "{sc}");
+        }
+    }
+}
+
+#[test]
+fn prediction_totals_match_observed_counters() {
+    for s in [1, 2, 4] {
+        for sc in fig67(16, s) {
+            let (pred, net) = (
+                &sc.compiled().prediction,
+                sc.run(&Point::default()).report.stats.network,
+            );
+            assert_eq!(
+                (pred.total_messages(), pred.total_words()),
+                (net.messages, net.words),
+                "{sc}"
+            );
+        }
+    }
+}
+
+#[test]
+fn single_processor_predicts_silence() {
+    for sc in fig67(8, 1) {
+        let pred = &sc.compiled().prediction;
+        assert!(pred.exact && pred.total_messages() == 0, "{sc}: {pred:?}");
+    }
+}
+
+/// An unobserved run's report carries an empty trace on both backends:
+/// tracing is opt-in.
+#[test]
+fn untraced_runs_still_carry_an_empty_trace() {
+    within(THREADS_DEADLINE, || {
+        let sc = Scenario::wavefront(2)
+            .strategy(Strategy::CompileTime)
+            .opt(OptLevel::O0);
+        let (sim, thr) = sc.on_both(&Point::default(), Ignoring::Schedule);
+        assert!(sim.report.trace.is_empty() && thr.report.trace.is_empty());
+    });
+}
+
+/// `stats.network` counts what the transport carried — duplicates in,
+/// lost frames out — so it equals the registry's wire counters on both
+/// backends, whatever the fault plan does.
 #[test]
 fn network_stats_count_wire_frames_under_any_plan() {
     within(THREADS_DEADLINE, || {
-        let (n, s) = (16, 4);
-        let prog = build_wavefront(Variant::CompileTime, n, s);
+        let sc = Scenario::wavefront(4)
+            .n(16)
+            .strategy(Strategy::CompileTime)
+            .opt(OptLevel::O0);
         let plans = [
             ("none", FaultPlan::none()),
             ("dups", FaultPlan::seeded(1).with_dups(1000)),
@@ -149,7 +178,12 @@ fn network_stats_count_wire_frames_under_any_plan() {
         ];
         for (name, plan) in plans {
             for backend in [Backend::Simulated, Backend::threaded()] {
-                let r = run_wavefront_faulty(&prog, n, backend, plan.clone());
+                let point = at([
+                    Axis::On(backend),
+                    Axis::Faults(plan.clone()),
+                    Axis::Observed,
+                ]);
+                let r = sc.run(&point).report;
                 let label = format!("{name} on {backend:?}");
                 let net = r.stats.network;
                 assert!(net.messages > 0, "{label}");
@@ -164,114 +198,30 @@ fn network_stats_count_wire_frames_under_any_plan() {
     });
 }
 
-/// A recipe for one `let` statement of a random straight-line program
-/// (the `random_programs.rs` generator, trimmed to what metrics parity
-/// needs: random operand references and random owner pinning).
-#[derive(Debug, Clone)]
-struct StmtSpec {
-    a: usize,
-    b: usize,
-    op: u8,
-    map: Option<usize>,
-}
-
-fn random_specs(rng: &mut Rng) -> Vec<StmtSpec> {
-    let n = rng.range_usize(1, 12);
-    (0..n)
-        .map(|_| StmtSpec {
-            a: rng.range_usize(0, 8),
-            b: rng.range_usize(0, 8),
-            op: rng.range_usize(0, 4) as u8,
-            map: if rng.bool() {
-                Some(rng.range_usize(0, 16))
-            } else {
-                None
-            },
-        })
-        .collect()
-}
-
-fn build_source(specs: &[StmtSpec]) -> String {
-    let mut src = String::from("procedure main() {\n    let x0 = 3;\n    let x1 = 10;\n");
-    let mut count = 2;
-    for (i, s) in specs.iter().enumerate() {
-        let idx = i + 2;
-        let a = s.a % count;
-        let b = s.b % count;
-        let expr = match s.op {
-            0 => format!("x{a} + x{b}"),
-            1 => format!("x{a} - x{b}"),
-            2 => format!("min(x{a}, x{b})"),
-            _ => format!("max(x{a}, x{b})"),
-        };
-        src.push_str(&format!("    let x{idx} = {expr};\n"));
-        count += 1;
-    }
-    src.push_str(&format!("    return x{};\n}}\n", count - 1));
-    src
-}
-
-fn decomposition_for(specs: &[StmtSpec], nprocs: usize) -> Decomposition {
-    let mut d = Decomposition::new(nprocs);
-    for (i, s) in specs.iter().enumerate() {
-        if let Some(p) = s.map {
-            d = d.scalar(format!("x{}", i + 2), ScalarMap::On(p % nprocs));
-        }
-    }
-    d
-}
-
-/// Random straight-line programs with random owner pinnings, run through
-/// the full driver (`Job::with_run` → `execute_on`) on both
-/// backends: the logical snapshots and the scheduler ledger must agree.
+/// Random straight-line programs with random owner pinnings, through the
+/// driver on both backends: logical metrics and ledgers agree.
 #[test]
 fn random_programs_metrics_parity() {
     within(THREADS_DEADLINE, || {
-        cases(24, "random_programs_metrics_parity", |rng| {
+        pdc_testkit::cases(24, "random_programs_metrics_parity", |rng| {
             let nprocs = rng.range_usize(1, 6);
-            let specs = random_specs(rng);
-            let src = build_source(&specs);
-            let program = pdc_lang::parse(&src).expect("generated source parses");
-            let d = decomposition_for(&specs, nprocs);
+            let (program, src, _, maps) = random_scalar_program(rng, 16);
             let strategy = if rng.bool() {
                 Strategy::Runtime
             } else {
                 Strategy::CompileTime
             };
-            let job = Job::new(&program, "main", d).with_run(RunConfig {
-                metrics: MetricsMode::Full,
-                ..RunConfig::default()
-            });
-            let compiled = driver::compile(&job, strategy)
-                .unwrap_or_else(|e| panic!("{strategy:?} failed on:\n{src}\n{e}"));
-            let sim = driver::execute_on(
-                &compiled,
-                &Inputs::new(),
-                CostModel::ipsc2(),
-                Backend::Simulated,
-            )
-            .unwrap_or_else(|e| panic!("sim run failed on:\n{src}\n{e}"));
-            let thr = driver::execute_on(
-                &compiled,
-                &Inputs::new(),
-                CostModel::ipsc2(),
-                Backend::threaded(),
-            )
-            .unwrap_or_else(|e| panic!("threaded run failed on:\n{src}\n{e}"));
-            assert!(sim.metrics().full && thr.metrics().full);
-            assert_eq!(
-                sim.metrics().logical(),
-                thr.metrics().logical(),
-                "logical metrics diverge on:\n{src}"
-            );
-            assert_triples_match(&sim.outcome.report, "sim");
-            assert_triples_match(&thr.outcome.report, "threaded");
+            let sc = scalar_scenario(program, &maps, nprocs, strategy);
+            let (sim, thr) = sc.on_both(&at([Axis::Observed]), Ignoring::Schedule);
+            assert!(sim.report.metrics.full && thr.report.metrics.full);
+            assert_triples_match(&sim.report, &format!("simulator on\n{src}"));
+            assert_triples_match(&thr.report, &format!("threads on\n{src}"));
         });
     });
 }
 
-/// Two processes that deadlock after one successful exchange: P0 sends,
-/// then both block on receives no one will ever satisfy.
+/// Two processes that deadlock after one exchange: P0 sends, then both
+/// block on receives no one will ever satisfy.
 #[derive(Default)]
 struct Cyclic {
     sent: bool,
@@ -306,19 +256,14 @@ impl Process for Cyclic {
     }
 }
 
-/// The flight recorder is always on — even with full metrics off, a
-/// forced deadlock's report carries the recent event history of every
-/// processor, which is exactly the post-mortem a deadlock needs.
+/// The flight recorder is always on: even with full metrics off, a
+/// forced deadlock's report carries every processor's recent history.
 #[test]
 fn deadlock_report_has_nonvacuous_flight_recorder() {
     within(THREADS_DEADLINE, || {
         let mut procs = vec![Cyclic::default(), Cyclic::default()];
-        let config = RunConfig {
-            backend: Backend::Threaded {
-                recv_timeout: Duration::from_millis(50),
-            },
-            ..RunConfig::default()
-        };
+        let recv_timeout = Duration::from_millis(50);
+        let config = at([Axis::On(Backend::Threaded { recv_timeout })]).config;
         let (report, err) =
             ThreadedRunner::with_config(CostModel::ipsc2(), &config).run_with_report(&mut procs);
         let err = err.expect("the cyclic wait must fail");
@@ -336,37 +281,36 @@ fn deadlock_report_has_nonvacuous_flight_recorder() {
         for (p, pm) in report.metrics.procs.iter().enumerate() {
             assert!(pm.flight_recorded > 0, "P{p}: empty flight recorder");
         }
+        let recorded = |snap: &pdc_machine::MetricsSnapshot,
+                        p: usize,
+                        kind,
+                        peer: Option<u64>,
+                        words: Option<u64>| {
+            snap.procs[p].flight.iter().any(|e| {
+                e.kind == kind
+                    && peer.is_none_or(|q| e.peer == Some(q))
+                    && words.is_none_or(|w| e.value == w)
+            })
+        };
         assert!(
-            report.metrics.procs[0]
-                .flight
-                .iter()
-                .any(|e| e.kind == FlightKind::Send && e.peer == Some(1) && e.value == 2),
-            "P0's send of 2 words is on record"
+            recorded(&report.metrics, 0, FlightKind::Send, Some(1), Some(2)),
+            "P0's 2-word send"
         );
         assert!(
-            report.metrics.procs[1]
-                .flight
-                .iter()
-                .any(|e| e.kind == FlightKind::Recv && e.peer == Some(0)),
-            "P1's receive is on record"
+            recorded(&report.metrics, 1, FlightKind::Recv, Some(0), None),
+            "P1's receive"
         );
-        // The same deadlock on the simulator, via the wavefront-independent
-        // scheduler path: flight events survive there too.
-        let mut machine = pdc_machine::Machine::new(2, CostModel::ipsc2());
+        // The same deadlock on the simulator: flight events survive there
+        // too.
+        let mut machine = Machine::new(2, CostModel::ipsc2());
         let (mut p0, mut p1) = (Cyclic::default(), Cyclic::default());
         let mut procs: Vec<&mut dyn Process> = vec![&mut p0, &mut p1];
-        let err = pdc_machine::Scheduler::new()
+        let err = Scheduler::new()
             .run(&mut machine, &mut procs)
             .expect_err("the simulator deadlocks");
         assert!(matches!(err, MachineError::Deadlock { .. }), "got {err}");
         let snap = machine.metrics_snapshot();
-        assert!(snap.procs[0]
-            .flight
-            .iter()
-            .any(|e| e.kind == FlightKind::Send));
-        assert!(snap.procs[1]
-            .flight
-            .iter()
-            .any(|e| e.kind == FlightKind::Recv));
+        assert!(recorded(&snap, 0, FlightKind::Send, None, None));
+        assert!(recorded(&snap, 1, FlightKind::Recv, None, None));
     });
 }

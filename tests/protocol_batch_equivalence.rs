@@ -1,25 +1,18 @@
-//! Under reliable delivery and checkpoints the scheduler runs the VM in
-//! batches that end exactly where a loop stepping one instruction at a
-//! time would have acted — the end of the quantum or the step budget, a
-//! crash that can fire, a checkpoint falling due. A process that only
-//! offers `step` gets batches of one from both batch entry points, i.e.
-//! the stepped loop; the real `ProcVm` must be indistinguishable from
-//! it: same report, same trace, same metrics, same arrays, same error.
+//! Stepped == batched. The VM runs in batches that hand the fabric their
+//! compute charges before every send and receive, on a block, at the end
+//! of the program and of the quantum; under reliable delivery and
+//! checkpoints the scheduler also ends a batch exactly where a loop
+//! stepping one instruction at a time would have acted — the step budget,
+//! a crash that can fire, a checkpoint falling due. A process that offers
+//! only `step` gets batches of one from both batch entry points: the
+//! stepped loop. The real `ProcVm` must be indistinguishable from it —
+//! same report, trace, metrics, arrays and error — on the raw fabric and
+//! under every protocol.
 
-use pdc_istructure::IMatrix;
-use pdc_machine::{
-    CheckpointCfg, CostModel, Event, EventKind, Fabric, FaultPlan, FaultReport, Machine,
-    MachineError, MachineStats, MetricsMode, MetricsSnapshot, ProcId, Process, RecoveryReport,
-    RelConfig, RunConfig, RunReport, Scheduler, Step, Tag,
-};
-use pdc_mapping::Dist;
-use pdc_spmd::ir::{RecvTarget, SExpr, SStmt, SpmdProgram};
-use pdc_spmd::lower::lower;
-use pdc_spmd::vm::ProcVm;
-use pdc_spmd::Scalar;
-use pdc_testkit::{fault, Rng};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+mod differential;
+
+use differential::*;
+use pdc_testkit::fault;
 
 const PROCS: usize = 4;
 
@@ -32,11 +25,12 @@ fn when(cond: SExpr, then: Vec<SStmt>) -> SStmt {
 }
 
 fn for_loop(var: &str, hi: i64, body: Vec<SStmt>) -> SStmt {
+    let (lo, hi, step) = (SExpr::int(1), SExpr::int(hi), SExpr::int(1));
     SStmt::For {
         var: var.into(),
-        lo: SExpr::int(1),
-        hi: SExpr::int(hi),
-        step: SExpr::int(1),
+        lo,
+        hi,
+        step,
         body,
     }
 }
@@ -50,16 +44,8 @@ fn set(var: &str, value: SExpr) -> SStmt {
 
 /// `work` iterations of arithmetic: a stretch with no fabric operation.
 fn compute(work: i64) -> SStmt {
-    for_loop(
-        "t",
-        work,
-        vec![set(
-            "acc",
-            SExpr::var("acc")
-                .add(SExpr::var("t").mul(SExpr::var("x")))
-                .imod(SExpr::int(1_000_003)),
-        )],
-    )
+    let acc = SExpr::var("acc").add(SExpr::var("t").mul(SExpr::var("x")));
+    for_loop("t", work, vec![set("acc", acc.imod(SExpr::int(1_000_003)))])
 }
 
 /// A pipeline down the processors — `rounds` of receive-from-the-left,
@@ -68,97 +54,76 @@ fn compute(work: i64) -> SStmt {
 /// messages back up, so every processor both sends and receives on
 /// several streams and acks travel both ways.
 fn pipeline(rounds: i64, work: i64) -> SpmdProgram {
-    let me = SExpr::my_node;
+    let (me, var) = (SExpr::my_node, SExpr::var);
+    let (left, right) = (|| me().sub(SExpr::int(1)), || me().add(SExpr::int(1)));
     let has_left = || me().gt(SExpr::int(0));
     let has_right = || me().lt(SExpr::int(PROCS as i64 - 1));
+    let y = var("x").mul(SExpr::int(3)).add(var("k")).add(var("acc"));
+    let (row, slot) = (vec![var("k"), right()], var("k").imod(SExpr::int(4)));
     let down = vec![
         SStmt::If {
             cond: has_left(),
-            then: vec![SStmt::Recv {
-                from: me().sub(SExpr::int(1)),
-                tag: 1,
-                into: vec![RecvTarget::Var("x".into()), RecvTarget::Var("seen".into())],
-            }],
-            els: vec![set("x", SExpr::var("k").mul(SExpr::int(5)))],
+            then: vec![recv(left(), 1, &["x", "seen"])],
+            els: vec![set("x", var("k").mul(SExpr::int(5)))],
         },
         set("acc", SExpr::int(0)),
         compute(work),
-        set(
-            "y",
-            SExpr::var("x")
-                .mul(SExpr::int(3))
-                .add(SExpr::var("k"))
-                .add(SExpr::var("acc"))
-                .imod(SExpr::int(1_000_003)),
-        ),
+        set("y", y.imod(SExpr::int(1_000_003))),
         SStmt::AWriteGlobal {
             array: "A".into(),
-            idx: vec![SExpr::var("k"), me().add(SExpr::int(1))],
-            value: SExpr::var("y"),
+            idx: row,
+            value: var("y"),
         },
         SStmt::BufWrite {
             buf: "b".into(),
-            idx: SExpr::var("k").imod(SExpr::int(4)),
-            value: SExpr::var("y"),
+            idx: slot,
+            value: var("y"),
         },
         when(
             has_right(),
-            vec![SStmt::Send {
-                to: me().add(SExpr::int(1)),
-                tag: 1,
-                values: vec![SExpr::var("y"), SExpr::var("k")],
-            }],
+            vec![send(right(), 1, vec![var("y"), var("k")])],
         ),
     ];
     let up = vec![
         SStmt::If {
             cond: has_right(),
-            then: vec![SStmt::Recv {
-                from: me().add(SExpr::int(1)),
-                tag: 3,
-                into: vec![RecvTarget::Var("z".into())],
-            }],
-            els: vec![set("z", SExpr::var("k"))],
+            then: vec![recv(right(), 3, &["z"])],
+            els: vec![set("z", var("k"))],
         },
-        when(
-            has_left(),
-            vec![SStmt::Send {
-                to: me().sub(SExpr::int(1)),
-                tag: 3,
-                values: vec![SExpr::var("z").add(me())],
-            }],
-        ),
+        when(has_left(), vec![send(left(), 3, vec![var("z").add(me())])]),
     ];
+    let (buf, lo, hi) = (|| "b".to_string(), || SExpr::int(0), || SExpr::int(3));
+    let (rows, cols) = (SExpr::int(rounds), SExpr::int(PROCS as i64));
     let body = vec![
         SStmt::AllocDist {
             array: "A".into(),
-            rows: SExpr::int(rounds),
-            cols: SExpr::int(PROCS as i64),
+            rows,
+            cols,
             dist: Dist::ColumnCyclic,
         },
         SStmt::AllocBuf {
-            buf: "b".into(),
+            buf: buf(),
             len: SExpr::int(4),
         },
         for_loop("k", rounds, down),
         when(
             has_right(),
             vec![SStmt::SendBuf {
-                to: me().add(SExpr::int(1)),
+                to: right(),
                 tag: 2,
-                buf: "b".into(),
-                lo: SExpr::int(0),
-                hi: SExpr::int(3),
+                buf: buf(),
+                lo: lo(),
+                hi: hi(),
             }],
         ),
         when(
             has_left(),
             vec![SStmt::RecvBuf {
-                from: me().sub(SExpr::int(1)),
+                from: left(),
                 tag: 2,
-                buf: "b".into(),
-                lo: SExpr::int(0),
-                hi: SExpr::int(3),
+                buf: buf(),
+                lo: lo(),
+                hi: hi(),
             }],
         ),
         for_loop("k", rounds / 2, up),
@@ -169,258 +134,256 @@ fn pipeline(rounds: i64, work: i64) -> SpmdProgram {
 /// Two processors: P0 does `lead` iterations of arithmetic, then sends
 /// one word; P1 does `head` iterations, receives it, then does `tail`.
 fn handoff(lead: i64, head: i64, tail: i64) -> SpmdProgram {
-    let sender = vec![
-        set("x", SExpr::int(7)),
-        set("acc", SExpr::int(0)),
+    let start = |x| vec![set("x", SExpr::int(x)), set("acc", SExpr::int(0))];
+    let (mut sender, mut receiver) = (start(7), start(3));
+    sender.extend([
         compute(lead),
-        SStmt::Send {
-            to: SExpr::int(1),
-            tag: 1,
-            values: vec![SExpr::var("acc")],
-        },
-    ];
-    let receiver = vec![
-        set("x", SExpr::int(3)),
-        set("acc", SExpr::int(0)),
+        send(SExpr::int(1), 1, vec![SExpr::var("acc")]),
+    ]);
+    receiver.extend([
         compute(head),
-        SStmt::Recv {
-            from: SExpr::int(0),
-            tag: 1,
-            into: vec![RecvTarget::Var("got".into())],
-        },
+        recv(SExpr::int(0), 1, &["got"]),
         compute(tail),
-    ];
+    ]);
     SpmdProgram::new(vec![sender, receiver])
 }
 
-/// A VM that only offers `step` (and its image): both batch entry points
-/// fall back to the provided batch of one, so the scheduler's boundary
-/// code runs after every instruction, as the stepped loop did.
-struct Stepped<P>(P);
-
-impl<P: Process> Process for Stepped<P> {
-    fn step(&mut self, fabric: &mut dyn Fabric, me: ProcId) -> Result<Step, MachineError> {
-        self.0.step(fabric, me)
-    }
-
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        self.0.snapshot()
-    }
-
-    fn restore(&mut self, state: &[u8]) -> bool {
-        self.0.restore(state)
-    }
-}
-
-/// Everything a run says, comparable: the whole report with the trace
-/// event by event, and every processor's segment of `A` and its
-/// variables (what a gather would read).
-#[derive(Debug, PartialEq)]
-struct Said {
-    stats: MachineStats,
-    steps: u64,
-    undelivered: usize,
-    pair_messages: BTreeMap<(ProcId, ProcId, Tag), u64>,
-    pending: Vec<(ProcId, ProcId, Tag, usize)>,
-    fault: Option<FaultReport>,
-    recovery: Option<RecoveryReport>,
-    metrics: MetricsSnapshot,
-    events: Vec<Event>,
-    arrays: Vec<Option<IMatrix<Scalar>>>,
-    vars: Vec<[Option<Scalar>; 3]>,
-}
-
-fn said(r: RunReport, vms: &[&ProcVm]) -> Said {
-    assert_eq!(r.trace.dropped(), 0, "the trace cap holds every event");
-    Said {
-        events: r.trace.events().cloned().collect(),
-        stats: r.stats,
-        steps: r.steps,
-        undelivered: r.undelivered,
-        pair_messages: r.pair_messages,
-        pending: r.pending,
-        fault: r.fault,
-        recovery: r.recovery,
-        metrics: r.metrics,
-        arrays: vms
-            .iter()
-            .map(|vm| vm.array("A").map(|a| a.local.clone()))
-            .collect(),
-        vars: vms
-            .iter()
-            .map(|vm| [vm.var("acc"), vm.var("z"), vm.var("got")])
-            .collect(),
-    }
-}
-
-/// Traced and fully metered, so nothing a run does goes unobserved.
-fn observed(config: RunConfig) -> RunConfig {
-    RunConfig {
-        trace_cap: Some(1 << 17),
-        metrics: MetricsMode::Full,
-        ..config
-    }
-}
-
-fn run(prog: &SpmdProgram, config: &RunConfig, batched: bool) -> Result<Said, MachineError> {
-    let cost = CostModel::ipsc2();
-    let n = prog.n_procs();
-    let vm = |p| ProcVm::new(Arc::new(lower(prog.body(p)).unwrap()), &cost);
-    let mut machine = Machine::new(n, cost);
-    let sched = Scheduler::with_config(config);
-    if batched {
-        let mut vms: Vec<ProcVm> = (0..n).map(vm).collect();
-        let mut refs: Vec<&mut dyn Process> = vms.iter_mut().map(|v| v as _).collect();
-        let report = sched.run(&mut machine, &mut refs)?;
-        Ok(said(report, &vms.iter().collect::<Vec<_>>()))
-    } else {
-        let mut vms: Vec<Stepped<ProcVm>> = (0..n).map(|p| Stepped(vm(p))).collect();
-        let mut refs: Vec<&mut dyn Process> = vms.iter_mut().map(|v| v as _).collect();
-        let report = sched.run(&mut machine, &mut refs)?;
-        Ok(said(report, &vms.iter().map(|v| &v.0).collect::<Vec<_>>()))
-    }
-}
-
-/// Stepped == batched on `prog` under `config`; returns what both said.
-fn agree(prog: &SpmdProgram, config: &RunConfig, label: &str) -> Result<Said, MachineError> {
-    let stepped = run(prog, config, false);
-    let batched = run(prog, config, true);
-    match (&stepped, &batched) {
-        (Ok(s), Ok(b)) => {
-            // The small parts first: a whole-`Said` diff is unreadable.
-            assert_eq!(b.stats, s.stats, "{label}: stats");
-            assert_eq!(b.steps, s.steps, "{label}: steps");
-            assert_eq!(b.fault, s.fault, "{label}: fault report");
-            assert_eq!(b.recovery, s.recovery, "{label}: recovery report");
-            assert_eq!(b.events, s.events, "{label}: trace");
-            assert_eq!(b, s, "{label}");
+/// Stepped == batched on `prog` at `axes`, traced and fully metered so
+/// that nothing a run does goes unobserved; what both said.
+fn agree(prog: &SpmdProgram, axes: &[Axis], label: &str) -> Result<Run, MachineError> {
+    let run = |stepped: Option<Axis>| {
+        let point = at(axes.iter().cloned().chain([Axis::Observed]).chain(stepped));
+        run_spmd(prog, &point, &["acc", "z", "got"])
+    };
+    let batched = run(None);
+    match (run(Some(Axis::Stepped)), &batched) {
+        (Ok(stepped), Ok(batched)) => {
+            assert_observably_equal(&stepped, batched, Ignoring::Nothing, label)
         }
-        _ => assert_eq!(batched, stepped, "{label}"),
+        (stepped, batched) => assert_eq!(batched.as_ref().err(), stepped.err().as_ref(), "{label}"),
     }
     batched
 }
 
-const PLANS: usize = 5;
-const PROTOCOLS: usize = 4;
+/// The loops a run can take: the raw fabric; reliable delivery alone;
+/// independent checkpoints paced by ops only, and by ops and the
+/// amortization clock; coordinated checkpoints.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Loop {
+    Raw,
+    Reliable,
+    OpsPaced,
+    ClockPaced,
+    Coordinated,
+}
 
-/// Plan family `family` of `pdc_testkit::fault`, or a lossy plan with a
-/// probabilistic crash rate on top.
-fn plan(family: usize, rng: &mut Rng) -> FaultPlan {
-    match family {
-        0 => fault::fault_plan(rng),
-        1 => fault::fault_plan_with_stall(rng, PROCS),
-        2 => fault::crash_plan(rng, PROCS),
-        3 => fault::crash_plan_with_losses(rng, PROCS),
-        _ => {
-            let pm = rng.range_i64(1, 8) as u32;
-            fault::fault_plan(rng).with_crash_rate(pm, 2)
+const PROTOCOLS: [Loop; 4] = [
+    Loop::Reliable,
+    Loop::OpsPaced,
+    Loop::ClockPaced,
+    Loop::Coordinated,
+];
+
+impl Loop {
+    /// Under this loop, with damage from plan family `family` of
+    /// `pdc_testkit::fault` (family 4: a lossy plan with a probabilistic
+    /// crash rate on top).
+    fn axes(self, family: usize, rng: &mut Rng) -> Vec<Axis> {
+        if self == Loop::Raw {
+            return vec![];
         }
+        let plan = match family {
+            0 => fault::fault_plan(rng),
+            1 => fault::fault_plan_with_stall(rng, PROCS),
+            2 => fault::crash_plan(rng, PROCS),
+            3 => fault::crash_plan_with_losses(rng, PROCS),
+            _ => {
+                let pm = rng.range_i64(1, 8) as u32;
+                fault::fault_plan(rng).with_crash_rate(pm, 2)
+            }
+        };
+        let every = CheckpointCfg::every(rng.range_i64(8, 400) as u64);
+        let ckpt = match self {
+            Loop::OpsPaced => Some(every.with_amortization(0)),
+            Loop::ClockPaced => Some(every),
+            Loop::Coordinated => Some(every.coordinated()),
+            _ => None,
+        };
+        let protocol = [Axis::Faults(plan), Axis::Reliable(RelConfig::default())];
+        protocol
+            .into_iter()
+            .chain(ckpt.map(Axis::Checkpoints))
+            .collect()
     }
 }
 
-/// Reliable delivery alone, independent checkpoints paced by ops only and
-/// by ops and the amortization clock, coordinated checkpoints.
-fn checkpoints(protocol: usize, rng: &mut Rng) -> Option<CheckpointCfg> {
-    let every = CheckpointCfg::every(rng.range_i64(8, 400) as u64);
-    match protocol {
-        0 => None,
-        1 => Some(every.with_amortization(0)),
-        2 => Some(every),
-        _ => Some(every.coordinated()),
-    }
+/// What a sweep exercised, so that it cannot pass vacuously.
+#[derive(Debug, Default)]
+struct Tally {
+    finished: u64,
+    failed: u64,
+    paced_checkpoints: u64,
+    survived: u64,
+    stalls: u64,
+    retransmits: u64,
 }
 
-/// Every plan family × protocol × quantum × slowdowns, 120 cases drawn
-/// from `seed`.
-fn sweep(seed: u64) {
-    // What the sweep exercised, so it cannot pass vacuously.
-    let (mut finished, mut failed) = (0, 0);
-    let (mut paced_checkpoints, mut survived, mut stalls, mut retransmits) = (0, 0, 0, 0);
+/// Every plan family × loop × quantum × slowdowns, each case drawn from
+/// `seed`.
+fn sweep(seed: u64, loops: &[Loop]) -> Tally {
+    let mut tally = Tally::default();
     let mut case = 0;
-    for family in 0..PLANS {
-        for protocol in 0..PROTOCOLS {
+    for family in 0..5 {
+        for &lp in loops {
             for quantum in [1, 7, 4096] {
                 for slowdowns in [vec![], vec![3, 1, 2, 1]] {
                     case += 1;
+                    let label = format!(
+                        "seed {seed} case {case}: plan family {family}, {lp:?}, \
+                         quantum {quantum}, slowdowns {slowdowns:?}"
+                    );
                     let mut rng = Rng::from_seed(seed ^ (case as u64) << 20);
                     // At quantum 1 every blocked receive is retried every
                     // round: those cases get the shorter programs.
                     let (rounds, work) = if quantum == 1 { (9, 10) } else { (20, 20) };
                     let prog = pipeline(rng.range_i64(rounds / 2, rounds), rng.range_i64(0, work));
-                    let config = observed(RunConfig {
-                        faults: plan(family, &mut rng),
-                        reliable: Some(RelConfig::default()),
-                        checkpoints: checkpoints(protocol, &mut rng),
-                        quantum,
-                        slowdowns,
-                        ..RunConfig::default()
-                    });
-                    let label = format!(
-                        "seed {seed} case {case}: plan family {family}, protocol {protocol}, \
-                         quantum {quantum}, slowdowns {:?}",
-                        config.slowdowns
-                    );
-                    match agree(&prog, &config, &label) {
-                        Ok(s) => {
-                            finished += 1;
-                            let (fault, recovery) = (s.fault.unwrap(), s.recovery);
-                            stalls += fault.injected.stalls;
-                            retransmits += fault.retransmits;
-                            if let Some(r) = recovery {
-                                survived += r.crashes_survived;
-                                if protocol == 2 {
-                                    // Beyond the initial and the final one.
-                                    paced_checkpoints += r.checkpoints_taken - 2 * PROCS as u64;
-                                }
-                            }
-                        }
+                    let mut axes = lp.axes(family, &mut rng);
+                    axes.extend([Axis::Quantum(quantum), Axis::Slowdowns(slowdowns)]);
+                    let Ok(run) = agree(&prog, &axes, &label) else {
                         // A crash with nothing to restore from.
-                        Err(_) => failed += 1,
+                        tally.failed += 1;
+                        continue;
+                    };
+                    tally.finished += 1;
+                    assert_eq!(run.report.undelivered, 0, "{label}");
+                    let Some(fault) = run.report.fault else {
+                        assert_eq!(lp, Loop::Raw, "{label}: a protocol run reports");
+                        continue;
+                    };
+                    tally.stalls += fault.injected.stalls;
+                    tally.retransmits += fault.retransmits;
+                    if let Some(r) = run.report.recovery {
+                        tally.survived += r.crashes_survived;
+                        if lp == Loop::ClockPaced {
+                            // Beyond the initial and the final one.
+                            tally.paced_checkpoints += r.checkpoints_taken - 2 * PROCS as u64;
+                        }
                     }
                 }
             }
         }
     }
-    eprintln!(
-        "{finished} finished, {failed} failed; {paced_checkpoints} clock-paced checkpoints, \
-         {survived} crashes survived, {stalls} stalls, {retransmits} retransmits"
-    );
-    assert_eq!(finished + failed, 120);
-    assert!(finished >= 90, "{finished} finished, {failed} failed");
-    assert!(failed > 0, "an unrecovered crash fails the same way too");
-    assert!(paced_checkpoints > 0, "the amortization gate opened");
-    assert!(survived > 0 && stalls > 0 && retransmits > 0);
+    eprintln!("seed {seed}, {loops:?}: {tally:?}");
+    tally
 }
 
-// Two tests so the sweep uses both cores of a small host.
+/// The 120 protocol cases of one seed; two tests so that the sweep uses
+/// both cores of a small host.
+fn protocol_sweep(seed: u64) {
+    let t = sweep(seed, &PROTOCOLS);
+    assert_eq!(t.finished + t.failed, 120);
+    assert!(t.finished >= 90, "{t:?}");
+    assert!(t.failed > 0, "an unrecovered crash fails the same way too");
+    assert!(t.paced_checkpoints > 0, "the amortization gate opened");
+    assert!(t.survived > 0 && t.stalls > 0 && t.retransmits > 0, "{t:?}");
+}
 
 #[test]
 fn batches_under_the_protocol_are_indistinguishable_from_single_steps() {
-    sweep(0xBA7C4);
+    protocol_sweep(0xBA7C4);
 }
 
 #[test]
 fn batches_under_the_protocol_are_indistinguishable_on_another_seed() {
-    sweep(11);
+    protocol_sweep(11);
 }
 
-fn checkpoints_of(s: &Said, p: usize) -> Vec<u64> {
+/// The raw loop: every plan family's case shape, on both seeds.
+#[test]
+fn a_batched_run_reports_exactly_what_single_steps_report() {
+    for seed in [0xBA7C4, 11] {
+        let t = sweep(seed, &[Loop::Raw]);
+        assert_eq!((t.finished, t.failed), (30, 0));
+    }
+}
+
+/// Batched runs at quanta 1, 7 and 4096 differ only in how the simulator
+/// interleaves the processors.
+#[test]
+fn the_quantum_changes_no_logical_result() {
+    let prog = pipeline(9, 10);
+    let run = |quantum| {
+        let axes = [Axis::Quantum(quantum), Axis::Slowdowns(vec![3, 1, 2, 1])];
+        agree(&prog, &axes, &format!("quantum {quantum}")).expect("runs")
+    };
+    let default = run(4096);
+    assert!(default.report.stats.makespan().0 > 0);
+    for quantum in [1, 7] {
+        let label = format!("quantum {quantum}");
+        assert_observably_equal(&run(quantum), &default, Ignoring::Schedule, &label);
+    }
+}
+
+/// The step budget runs out at the same step stepped and batched, at
+/// every quantum under each of `loops`, and all of it is usable: not one
+/// step is lost to batching.
+fn step_budget(loops: &[Vec<Axis>]) {
+    let prog = pipeline(12, 10);
+    for axes in loops {
+        for quantum in [1, 7, 4096] {
+            let axes: Vec<Axis> = axes
+                .iter()
+                .cloned()
+                .chain([Axis::Quantum(quantum)])
+                .collect();
+            let total = agree(&prog, &axes, "unbounded").unwrap().report.steps;
+            for budget in [1, 2, total / 2, total - 1, total] {
+                let label = format!("{axes:?}, budget {budget}");
+                let bounded: Vec<Axis> = axes
+                    .iter()
+                    .cloned()
+                    .chain([Axis::StepBudget(budget)])
+                    .collect();
+                let steps = agree(&prog, &bounded, &label).map(|run| run.report.steps);
+                let want = match budget == total {
+                    true => Ok(total),
+                    false => Err(MachineError::StepBudgetExceeded { budget }),
+                };
+                assert_eq!(steps, want, "{label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_step_budget_runs_out_at_the_same_step_as_before() {
+    step_budget(&[vec![]]);
+}
+
+#[test]
+fn the_step_budget_runs_out_at_the_same_step_mid_batch() {
+    let reliable = Axis::Reliable(RelConfig::default());
+    let ckpt = Axis::Checkpoints(CheckpointCfg::every(64));
+    step_budget(&[vec![reliable.clone()], vec![reliable, ckpt]]);
+}
+
+fn checkpoints_of(run: &Run, p: usize) -> Vec<u64> {
     let at_op = |e: &Event| match e.kind {
         EventKind::CheckpointTaken { at_op, .. } if e.proc == ProcId(p) => Some(at_op),
         _ => None,
     };
-    s.events.iter().filter_map(at_op).collect()
+    run.events().into_iter().filter_map(at_op).collect()
 }
 
 /// Independent checkpoints whose op threshold is met at once, so only the
 /// amortization clock (128 × the launch image's cost) paces them.
-fn clock_paced(faults: FaultPlan) -> RunConfig {
-    observed(RunConfig {
-        faults,
-        reliable: Some(RelConfig::default()),
-        checkpoints: Some(CheckpointCfg::every(4)),
-        ..RunConfig::default()
-    })
+fn clock_paced(faults: FaultPlan) -> [Axis; 3] {
+    let ckpt = Axis::Checkpoints(CheckpointCfg::every(4));
+    [
+        Axis::Faults(faults),
+        Axis::Reliable(RelConfig::default()),
+        ckpt,
+    ]
 }
 
 #[test]
@@ -442,21 +405,19 @@ fn a_stall_inside_the_amortization_wait_ends_the_batch() {
 #[test]
 fn a_scripted_crash_ends_the_batch_before_the_ops_threshold() {
     // Ops-only pacing every 512 ops; the crash is due at op 200.
-    let config = observed(RunConfig {
-        faults: FaultPlan::seeded(0).with_crash(ProcId(0), 200),
-        reliable: Some(RelConfig::default()),
-        checkpoints: Some(CheckpointCfg::every(512).with_amortization(0)),
-        ..RunConfig::default()
-    });
-    let s = agree(&handoff(400, 1, 1), &config, "crash at op 200").unwrap();
-    let crashes: Vec<&Event> = s
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::Crash { .. }))
+    let axes = [
+        Axis::Faults(FaultPlan::seeded(0).with_crash(ProcId(0), 200)),
+        Axis::Reliable(RelConfig::default()),
+        Axis::Checkpoints(CheckpointCfg::every(512).with_amortization(0)),
+    ];
+    let s = agree(&handoff(400, 1, 1), &axes, "crash at op 200").unwrap();
+    let crashes: Vec<&EventKind> = s.events().into_iter().map(|e| &e.kind).collect();
+    let crashes: Vec<_> = crashes
+        .into_iter()
+        .filter(|k| matches!(k, EventKind::Crash { .. }))
         .collect();
-    assert_eq!(crashes.len(), 1);
-    assert_eq!(crashes[0].kind, EventKind::Crash { at_op: 200 });
-    let recovery = s.recovery.unwrap();
+    assert_eq!(crashes, vec![&EventKind::Crash { at_op: 200 }]);
+    let recovery = s.report.recovery.as_ref().unwrap();
     assert_eq!(recovery.crashes_survived, 1);
     assert_eq!(recovery.replayed_ops, 200, "back to the launch image");
     assert_eq!(checkpoints_of(&s, 0)[1], 200 + 512);
@@ -474,8 +435,8 @@ fn an_idle_wait_that_crosses_the_amortization_gate_ends_the_batch() {
     )
     .unwrap();
     let p1: Vec<&EventKind> = s
-        .events
-        .iter()
+        .events()
+        .into_iter()
         .filter(|e| e.proc == ProcId(1))
         .map(|e| &e.kind)
         .filter(|k| !matches!(k, EventKind::Compute { .. } | EventKind::Ack { .. }))
@@ -489,38 +450,4 @@ fn an_idle_wait_that_crosses_the_amortization_gate_ends_the_batch() {
         "the checkpoint is taken at the boundary right after the receive: {:?}",
         &p1[recv..]
     );
-}
-
-#[test]
-fn the_step_budget_runs_out_at_the_same_step_mid_batch() {
-    let prog = pipeline(12, 10);
-    for checkpoints in [None, Some(CheckpointCfg::every(64))] {
-        for quantum in [7, 4096] {
-            let config = observed(RunConfig {
-                reliable: Some(RelConfig::default()),
-                checkpoints,
-                quantum,
-                ..RunConfig::default()
-            });
-            let total = agree(&prog, &config, "unbounded").unwrap().steps;
-            for budget in [1, 2, total / 2, total - 1] {
-                let config = RunConfig {
-                    step_budget: budget,
-                    ..config.clone()
-                };
-                let label = format!("quantum {quantum}, budget {budget}");
-                assert_eq!(
-                    agree(&prog, &config, &label).unwrap_err(),
-                    MachineError::StepBudgetExceeded { budget },
-                    "{label}"
-                );
-            }
-            // The whole budget is usable: not one step is lost to batching.
-            let exact = RunConfig {
-                step_budget: total,
-                ..config
-            };
-            assert_eq!(agree(&prog, &exact, "exact").unwrap().steps, total);
-        }
-    }
 }

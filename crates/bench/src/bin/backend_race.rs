@@ -21,6 +21,7 @@
 
 use pdc_core::driver::{self, Inputs, Job, Strategy};
 use pdc_core::programs;
+use pdc_machine::metrics::json::Json;
 use pdc_machine::{Backend, CostModel};
 use pdc_spmd::Scalar;
 use std::time::Instant;
@@ -54,12 +55,6 @@ fn median_ms(mut f: impl FnMut()) -> f64 {
     }
 }
 
-struct Row {
-    procs: usize,
-    sim_ms: f64,
-    thr_ms: f64,
-}
-
 fn main() {
     let [n] = pdc_bench::args([("n", 1024)]);
     println!("Backend wall-clock race — {n}x{n} wavefront, median of {SAMPLES} runs\n");
@@ -72,7 +67,7 @@ fn main() {
     let inputs = Inputs::new()
         .scalar("n", Scalar::Int(n as i64))
         .array("Old", driver::standard_input(n, n));
-    let mut rows = Vec::new();
+    let (mut curve, mut last) = (Vec::new(), (0, 0.0, 0.0));
     for s in SWEEP {
         let job = Job::new(
             &program,
@@ -100,11 +95,13 @@ fn main() {
             "{s:>6} {sim_ms:>16.2} {thr_ms:>16.2} {:>8.2}",
             sim_ms / thr_ms
         );
-        rows.push(Row {
-            procs: s,
-            sim_ms,
-            thr_ms,
-        });
+        curve.push(Json::obj([
+            ("procs", s.into()),
+            ("simulated_ms", sim_ms.into()),
+            ("threaded_ms", thr_ms.into()),
+            ("speedup", (sim_ms / thr_ms).into()),
+        ]));
+        last = (s, sim_ms, thr_ms);
     }
 
     // Self-validation: the ring interconnect must make real threads pay
@@ -113,33 +110,23 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let validated = n >= 512 && cores >= 2;
     if validated {
-        let last = rows.last().expect("sweep is non-empty");
+        let (s, sim_ms, thr_ms) = last;
         assert!(
-            last.thr_ms < last.sim_ms,
-            "threaded backend lost the race at n={n}, s={}: {:.2} ms vs {:.2} ms simulated",
-            last.procs,
-            last.thr_ms,
-            last.sim_ms
+            thr_ms < sim_ms,
+            "threaded backend lost the race at n={n}, s={s}: {thr_ms:.2} ms vs {sim_ms:.2} ms simulated"
         );
     }
 
-    let curve: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"procs\": {}, \"simulated_ms\": {:.3}, \"threaded_ms\": {:.3}, \"speedup\": {:.3}}}",
-                r.procs,
-                r.sim_ms,
-                r.thr_ms,
-                r.sim_ms / r.thr_ms
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"backend_race\",\n  \"n\": {n},\n  \"samples\": {SAMPLES},\n  \"host_parallelism\": {cores},\n  \"win_at_scale_checked\": {validated},\n  \"curve\": [\n{}\n  ]\n}}\n",
-        curve.join(",\n")
-    );
-    std::fs::write("BENCH_backend_race.json", &json).expect("write BENCH_backend_race.json");
+    let doc = Json::obj([
+        ("bench", "backend_race".into()),
+        ("n", n.into()),
+        ("samples", SAMPLES.into()),
+        ("host_parallelism", cores.into()),
+        ("win_at_scale_checked", validated.into()),
+        ("curve", Json::Arr(curve)),
+    ]);
+    std::fs::write("BENCH_backend_race.json", format!("{doc:#}\n"))
+        .expect("write BENCH_backend_race.json");
 
     println!(
         "\nSame logical makespan on every run; speedup is simulated/threaded\n\

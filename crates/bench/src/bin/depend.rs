@@ -13,20 +13,17 @@
 //! scatter kernel's indirect subscript must degrade to `exact = false`
 //! with a stated reason, never to a silent claim of independence.
 //!
-//! Results go to stdout and `BENCH_depend.json`; the bin re-parses its
-//! own JSON with the std-only parser and exits non-zero on any
-//! malformed document or violated expectation.
+//! Results go to stdout and `BENCH_depend.json`; the bin exits non-zero
+//! on any violated expectation.
 //!
 //! Usage: `cargo run --release -p pdc-bench --bin depend`
 
 use pdc_bench::{compile_wavefront, print_table, Variant};
 use pdc_core::programs;
 use pdc_depend::ast::{analyze_for_env, nests};
-use pdc_machine::metrics::json_escape;
-use pdc_machine::trace_chrome::{parse_json, Json};
+use pdc_machine::metrics::json::Json;
 use pdc_report::{Phase, Remark, RemarkKind};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 const N: usize = 16;
 const S: usize = 4;
@@ -57,6 +54,7 @@ fn slug(v: Variant) -> &'static str {
 }
 
 /// What one analyzed program contributes to the table and the JSON.
+#[derive(Default)]
 struct Row {
     program: &'static str,
     variant: String,
@@ -76,13 +74,8 @@ fn summarize(program: &'static str, variant: String, remarks: &[Remark]) -> Row 
     let mut row = Row {
         program,
         variant,
-        nests: 0,
-        exact_nests: 0,
-        carried: 0,
-        hotspots: 0,
         exact: true,
-        witnesses: Vec::new(),
-        reason: None,
+        ..Row::default()
     };
     for r in remarks.iter().filter(|r| r.phase == Phase::Depend) {
         match r.kind {
@@ -155,13 +148,8 @@ fn main() {
         let mut row = Row {
             program: "scatter",
             variant: "source".into(),
-            nests: 0,
-            exact_nests: 0,
-            carried: 0,
-            hotspots: 0,
             exact: true,
-            witnesses: Vec::new(),
-            reason: None,
+            ..Row::default()
         };
         for (_, nest) in nests(&prog) {
             let info = analyze_for_env(nest, &env);
@@ -179,118 +167,73 @@ fn main() {
         rows.push(row);
     }
 
-    // Render the JSON document.
-    let mut doc = String::from("{\n  \"runs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            doc.push_str(",\n");
-        }
-        let witnesses = r
-            .witnesses
-            .iter()
-            .map(|w| format!("\"{}\"", json_escape(w)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = write!(
-            doc,
-            "    {{\"program\": \"{}\", \"variant\": \"{}\", \"n\": {N}, \"s\": {S}, \
-             \"nests\": {}, \"exact_nests\": {}, \"exact\": {}, \"carried\": {}, \
-             \"hotspots\": {}, \"witnesses\": [{witnesses}], \"reason\": {}}}",
-            json_escape(r.program),
-            json_escape(&r.variant),
-            r.nests,
-            r.exact_nests,
-            r.exact,
-            r.carried,
-            r.hotspots,
-            match &r.reason {
-                Some(why) => format!("\"{}\"", json_escape(why)),
-                None => "null".into(),
-            },
-        );
-    }
-    doc.push_str("\n  ]\n}\n");
-
-    // Self-validation: the document must parse and prove the paper's
-    // dependence structure.
+    // The gate: every row must prove the paper's dependence structure.
     let mut failures = 0usize;
-    match parse_json(&doc) {
-        Ok(parsed) => {
-            let runs = parsed
-                .get("runs")
-                .and_then(|r| r.as_arr())
-                .unwrap_or_default();
-            if runs.len() != rows.len() {
-                eprintln!("BENCH_depend.json: expected {} runs", rows.len());
-                failures += 1;
-            }
-            for r in runs {
-                let program = r.get("program").and_then(|x| x.as_str()).unwrap_or("?");
-                let variant = r.get("variant").and_then(|x| x.as_str()).unwrap_or("?");
-                let name = format!("{program}/{variant}");
-                let exact = r.get("exact") == Some(&Json::Bool(true));
-                let carried = r.get("carried").and_then(|x| x.as_num()).unwrap_or(-1.0);
-                let hotspots = r.get("hotspots").and_then(|x| x.as_num()).unwrap_or(-1.0);
-                let witnesses: Vec<&str> = r
-                    .get("witnesses")
-                    .and_then(|w| w.as_arr())
-                    .unwrap_or_default()
-                    .iter()
-                    .filter_map(|w| w.as_str())
-                    .collect();
-                match program {
-                    "wavefront" => {
-                        if !exact || carried != 2.0 || hotspots != 1.0 {
-                            eprintln!(
-                                "{name}: expected exact wavefront with 2 carried deps \
-                                 and 1 hotspot, got exact={exact} carried={carried} \
-                                 hotspots={hotspots}"
-                            );
-                            failures += 1;
-                        }
-                        let has = |dir: &str, dist: &str| {
-                            witnesses
-                                .iter()
-                                .any(|w| w.contains(dir) && w.contains(dist))
-                        };
-                        if !has("(<,=)", "(1,0)") || !has("(=,<)", "(0,1)") {
-                            eprintln!("{name}: witnessing vectors missing: {witnesses:?}");
-                            failures += 1;
-                        }
-                    }
-                    "jacobi" => {
-                        if !exact || carried != 0.0 || hotspots != 0.0 {
-                            eprintln!("{name}: Jacobi must carry and lint nothing");
-                            failures += 1;
-                        }
-                    }
-                    "scatter" => {
-                        if exact {
-                            eprintln!("{name}: non-affine program claimed exact analysis");
-                            failures += 1;
-                        }
-                        let has_reason = r
-                            .get("reason")
-                            .and_then(|x| x.as_str())
-                            .is_some_and(|s| !s.is_empty());
-                        if !has_reason {
-                            eprintln!("{name}: inexactness must state its reason");
-                            failures += 1;
-                        }
-                    }
-                    _ => {
-                        eprintln!("{name}: unexpected program");
-                        failures += 1;
-                    }
+    for r in &rows {
+        let name = format!("{}/{}", r.program, r.variant);
+        match r.program {
+            "wavefront" => {
+                if !r.exact || r.carried != 2 || r.hotspots != 1 {
+                    eprintln!(
+                        "{name}: expected exact wavefront with 2 carried deps \
+                         and 1 hotspot, got exact={} carried={} hotspots={}",
+                        r.exact, r.carried, r.hotspots
+                    );
+                    failures += 1;
+                }
+                let has = |dir: &str, dist: &str| {
+                    r.witnesses
+                        .iter()
+                        .any(|w| w.contains(dir) && w.contains(dist))
+                };
+                if !has("(<,=)", "(1,0)") || !has("(=,<)", "(0,1)") {
+                    eprintln!("{name}: witnessing vectors missing: {:?}", r.witnesses);
+                    failures += 1;
                 }
             }
-        }
-        Err(e) => {
-            eprintln!("BENCH_depend.json does not parse: {e}");
-            failures += 1;
+            "jacobi" => {
+                if !r.exact || r.carried != 0 || r.hotspots != 0 {
+                    eprintln!("{name}: Jacobi must carry and lint nothing");
+                    failures += 1;
+                }
+            }
+            "scatter" => {
+                if r.exact {
+                    eprintln!("{name}: non-affine program claimed exact analysis");
+                    failures += 1;
+                }
+                if r.reason.as_deref().is_none_or(str::is_empty) {
+                    eprintln!("{name}: inexactness must state its reason");
+                    failures += 1;
+                }
+            }
+            _ => {
+                eprintln!("{name}: unexpected program");
+                failures += 1;
+            }
         }
     }
-    std::fs::write("BENCH_depend.json", &doc).expect("write BENCH_depend.json");
+
+    let runs = rows.iter().map(|r| {
+        Json::obj([
+            ("program", r.program.into()),
+            ("variant", r.variant.as_str().into()),
+            ("n", N.into()),
+            ("s", S.into()),
+            ("nests", r.nests.into()),
+            ("exact_nests", r.exact_nests.into()),
+            ("exact", r.exact.into()),
+            ("carried", r.carried.into()),
+            ("hotspots", r.hotspots.into()),
+            (
+                "witnesses",
+                r.witnesses.iter().map(String::as_str).collect(),
+            ),
+            ("reason", r.reason.as_deref().into()),
+        ])
+    });
+    let doc = Json::obj([("runs", runs.collect())]);
+    std::fs::write("BENCH_depend.json", format!("{doc:#}\n")).expect("write BENCH_depend.json");
     println!("wrote BENCH_depend.json");
 
     print_table(

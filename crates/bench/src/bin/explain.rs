@@ -5,9 +5,8 @@
 //!
 //! Output goes to stdout plus `BENCH_remarks.json`, which bundles the
 //! remark streams with the predicted-vs-observed accounting. The bin
-//! re-parses its own JSON with the std-only parser and exits non-zero if
-//! the document is malformed or any prediction misses — CI runs this at
-//! n=16, s=4.
+//! exits non-zero if a variant emits no remarks or any prediction misses
+//! — CI runs this at n=16, s=4.
 //!
 //! Usage: `cargo run --release -p pdc-bench --bin explain [n] [s] [--metrics]`
 //! (defaults: n=16, s=4). With `--metrics` each run also records the
@@ -17,11 +16,9 @@
 
 use pdc_bench::{compile_wavefront, print_table, Variant};
 use pdc_core::driver::{self, Inputs};
-use pdc_machine::metrics::json_escape;
-use pdc_machine::trace_chrome::parse_json;
+use pdc_machine::metrics::json::{parse_json, Json};
 use pdc_machine::{CostModel, MetricsMode};
 use pdc_spmd::Scalar;
-use std::fmt::Write as _;
 
 fn slug(v: Variant) -> &'static str {
     match v {
@@ -47,8 +44,8 @@ fn main() {
 
     let mut failures = 0usize;
     let mut rows = Vec::new();
-    let mut doc = format!("{{\n  \"n\": {n},\n  \"s\": {s},\n  \"runs\": [\n");
-    for (i, v) in variants.into_iter().enumerate() {
+    let mut runs = Vec::new();
+    for v in variants {
         let mut compiled = compile_wavefront(v, n, s).expect("compiler variant");
         compiled.run.trace_cap = Some(1 << 20);
         if metrics {
@@ -72,6 +69,10 @@ fn main() {
             eprintln!("{v}: PREDICTION MISS: {m}");
         }
         if !report.ok() || !report.statically_exact || !report.trace_checked {
+            failures += 1;
+        }
+        if compiled.remarks.is_empty() {
+            eprintln!("{v}: no remarks");
             failures += 1;
         }
         let mut cells = vec![
@@ -110,63 +111,24 @@ fn main() {
         }
         rows.push((v.to_string(), cells));
 
-        if i > 0 {
-            doc.push_str(",\n");
-        }
-        let _ = write!(
-            doc,
-            "    {{\"variant\": \"{}\", \"predicted_messages\": {predicted_msgs}, \
-             \"observed_messages\": {observed_msgs}, \"predicted_words\": {predicted_words}, \
-             \"observed_words\": {observed_words}, \"channels\": {}, \"exact\": {}, \
-             \"verified\": {}, \"vectorized\": {}, \"jammed\": {}, \"stripped\": {}, \
-             \"remarks\": {}}}",
-            json_escape(slug(v)),
-            report.checked_channels,
-            report.statically_exact,
-            report.ok(),
-            compiled.opt_report.vectorized,
-            compiled.opt_report.jammed,
-            compiled.opt_report.stripped,
-            compiled.remarks_json(),
-        );
+        let remarks = parse_json(&compiled.remarks_json()).expect("remarks_json prints JSON");
+        runs.push(Json::obj([
+            ("variant", slug(v).into()),
+            ("predicted_messages", predicted_msgs.into()),
+            ("observed_messages", observed_msgs.into()),
+            ("predicted_words", predicted_words.into()),
+            ("observed_words", observed_words.into()),
+            ("channels", report.checked_channels.into()),
+            ("exact", report.statically_exact.into()),
+            ("verified", report.ok().into()),
+            ("vectorized", compiled.opt_report.vectorized.into()),
+            ("jammed", compiled.opt_report.jammed.into()),
+            ("stripped", compiled.opt_report.stripped.into()),
+            ("remarks", remarks),
+        ]));
     }
-    doc.push_str("\n  ]\n}\n");
-
-    // The document must survive the same std-only parser CI uses on the
-    // Chrome traces, and every run must have verified.
-    match parse_json(&doc) {
-        Ok(parsed) => {
-            let runs = parsed
-                .get("runs")
-                .and_then(|r| r.as_arr())
-                .unwrap_or_default();
-            if runs.len() != variants.len() {
-                eprintln!("BENCH_remarks.json: expected {} runs", variants.len());
-                failures += 1;
-            }
-            for run in runs {
-                let name = run
-                    .get("variant")
-                    .and_then(|x| x.as_str())
-                    .unwrap_or("?")
-                    .to_owned();
-                let remark_count = run
-                    .get("remarks")
-                    .and_then(|r| r.get("remarks"))
-                    .and_then(|r| r.as_arr())
-                    .map_or(0, <[_]>::len);
-                if remark_count == 0 {
-                    eprintln!("{name}: no remarks in BENCH_remarks.json");
-                    failures += 1;
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("BENCH_remarks.json does not parse: {e}");
-            failures += 1;
-        }
-    }
-    std::fs::write("BENCH_remarks.json", &doc).expect("write BENCH_remarks.json");
+    let doc = Json::obj([("n", n.into()), ("s", s.into()), ("runs", Json::Arr(runs))]);
+    std::fs::write("BENCH_remarks.json", format!("{doc:#}\n")).expect("write BENCH_remarks.json");
     println!("wrote BENCH_remarks.json");
 
     let mut headers: Vec<String> = vec![

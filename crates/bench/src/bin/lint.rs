@@ -10,9 +10,8 @@
 //! The sweep covers the five Figure 6/7 wavefront variants (run-time
 //! resolution, compile-time resolution, Optimized I–III) at n=16/s=4 and
 //! n=128/s=4, plus the Jacobi program at n=16/s=4 under both generators.
-//! Results go to stdout and `BENCH_lint.json`; the bin re-parses its own
-//! JSON with the std-only parser and exits non-zero on any malformed
-//! document, unverified program, or unexpected diagnostic.
+//! Results go to stdout and `BENCH_lint.json`; the bin exits non-zero on
+//! any unverified program or unexpected diagnostic.
 //!
 //! It also gates walk sharing: `driver::compile` at O2 runs the cost
 //! model and this analyzer as two sinks of *one* abstract walk, so its
@@ -26,11 +25,9 @@
 use pdc_bench::{compile_wavefront, print_table, Variant};
 use pdc_core::driver::{self, Compiled, Job, Strategy};
 use pdc_core::programs;
-use pdc_machine::metrics::json_escape;
-use pdc_machine::trace_chrome::{parse_json, Json};
+use pdc_machine::metrics::json::Json;
 use pdc_opt::OptLevel;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Ceiling on `driver::compile` (O2) over `pdc_report::predict`. One
@@ -120,8 +117,8 @@ fn main() {
 
     let mut failures = 0usize;
     let mut rows = Vec::new();
-    let mut doc = String::from("{\n  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
+    let mut records = Vec::new();
+    for run in &runs {
         let consts: HashMap<String, i64> = [("n".to_string(), run.n as i64)].into();
         let (env, arrays) = run.compiled.static_env(&consts);
         let report = pdc_analyze::analyze(&run.compiled.spmd, &env, &arrays);
@@ -158,25 +155,18 @@ fn main() {
                 },
             ],
         ));
-        if i > 0 {
-            doc.push_str(",\n");
-        }
-        let _ = write!(
-            doc,
-            "    {{\"program\": \"{}\", \"variant\": \"{}\", \"n\": {}, \"s\": {}, \
-             \"exact\": {}, \"verified\": {}, \"channels\": {}, \"messages\": {messages}, \
-             \"diagnostics\": {}}}",
-            json_escape(run.program),
-            json_escape(&run.variant),
-            run.n,
-            run.s,
-            report.exact,
-            report.verified(),
-            report.channels.len(),
-            report.diagnostics.len(),
-        );
+        records.push(Json::obj([
+            ("program", run.program.into()),
+            ("variant", run.variant.as_str().into()),
+            ("n", run.n.into()),
+            ("s", run.s.into()),
+            ("exact", report.exact.into()),
+            ("verified", report.verified().into()),
+            ("channels", report.channels.len().into()),
+            ("messages", messages.into()),
+            ("diagnostics", report.diagnostics.len().into()),
+        ]));
     }
-    doc.push_str("\n  ],\n");
 
     // Walk sharing: a verified compile against one bare prediction walk.
     let (n, s) = (128usize, 8usize);
@@ -194,62 +184,27 @@ fn main() {
     let (env, arrays) = compiled.static_env(&job.const_params);
     let predict_ms = median_of_5_ms(|| pdc_report::predict(&compiled.spmd, &env, &arrays));
     let ratio = compile_ms / predict_ms;
-    let _ = writeln!(
-        doc,
-        "  \"walk_sharing\": {{\"n\": {n}, \"s\": {s}, \"compile_o2_ms\": {compile_ms:.3}, \
-         \"predict_ms\": {predict_ms:.3}, \"ratio\": {ratio:.3}, \
-         \"max_ratio\": {MAX_COMPILE_OVER_PREDICT}}}\n}}"
-    );
     println!(
         "walk sharing (n={n}, s={s}): compile O2 {compile_ms:.2} ms / predict {predict_ms:.2} ms \
          = {ratio:.2} (gate {MAX_COMPILE_OVER_PREDICT})"
     );
-
-    // The document must survive the std-only parser and agree with the
-    // sweep: every run present and verified with zero diagnostics.
-    match parse_json(&doc) {
-        Ok(parsed) => {
-            let parsed_runs = parsed
-                .get("runs")
-                .and_then(|r| r.as_arr())
-                .unwrap_or_default();
-            if parsed_runs.len() != runs.len() {
-                eprintln!("BENCH_lint.json: expected {} runs", runs.len());
-                failures += 1;
-            }
-            for r in parsed_runs {
-                let verified = r.get("verified") == Some(&Json::Bool(true));
-                let diags = r
-                    .get("diagnostics")
-                    .and_then(|d| d.as_num())
-                    .unwrap_or(f64::NAN);
-                if !verified || diags != 0.0 {
-                    let name = r.get("program").and_then(|x| x.as_str()).unwrap_or("?");
-                    let variant = r.get("variant").and_then(|x| x.as_str()).unwrap_or("?");
-                    eprintln!("BENCH_lint.json: {name}/{variant} not clean");
-                    failures += 1;
-                }
-            }
-            // A missing or malformed entry must fail the gate too.
-            let recorded = parsed
-                .get("walk_sharing")
-                .and_then(|w| w.get("ratio"))
-                .and_then(|r| r.as_num())
-                .unwrap_or(f64::INFINITY);
-            if recorded > MAX_COMPILE_OVER_PREDICT {
-                eprintln!(
-                    "BENCH_lint.json: compile/predict = {recorded} exceeds \
-                     {MAX_COMPILE_OVER_PREDICT}: is the compile walking more than once?"
-                );
-                failures += 1;
-            }
-        }
-        Err(e) => {
-            eprintln!("BENCH_lint.json does not parse: {e}");
-            failures += 1;
-        }
+    if ratio.is_nan() || ratio > MAX_COMPILE_OVER_PREDICT {
+        eprintln!(
+            "compile/predict = {ratio} exceeds {MAX_COMPILE_OVER_PREDICT}: \
+             is the compile walking more than once?"
+        );
+        failures += 1;
     }
-    std::fs::write("BENCH_lint.json", &doc).expect("write BENCH_lint.json");
+    let walk_sharing = Json::obj([
+        ("n", n.into()),
+        ("s", s.into()),
+        ("compile_o2_ms", compile_ms.into()),
+        ("predict_ms", predict_ms.into()),
+        ("ratio", ratio.into()),
+        ("max_ratio", MAX_COMPILE_OVER_PREDICT.into()),
+    ]);
+    let doc = Json::obj([("runs", Json::Arr(records)), ("walk_sharing", walk_sharing)]);
+    std::fs::write("BENCH_lint.json", format!("{doc:#}\n")).expect("write BENCH_lint.json");
     println!("wrote BENCH_lint.json");
 
     print_table(

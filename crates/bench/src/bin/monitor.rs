@@ -27,6 +27,7 @@
 
 use pdc_bench::{compile_wavefront, Variant};
 use pdc_core::driver;
+use pdc_machine::metrics::json::Json;
 use pdc_machine::{
     Backend, CostModel, Ctr, MetricsMode, MetricsRegistry, MetricsSnapshot, ProcId, RunConfig,
     RunReport, Tag,
@@ -167,19 +168,12 @@ fn check_scheduler_agreement(report: &RunReport, label: &str) {
     }
 }
 
-struct VariantRow {
-    name: String,
-    channels: usize,
-    frames: u64,
-    words: u64,
-    prediction_exact: bool,
-}
-
 fn main() {
     let [n] = pdc_bench::args([("n", 1024)]);
     println!("Runtime metrics monitor — {n}x{n} wavefront on {NPROCS} processors\n");
 
-    let mut rows = Vec::new();
+    let mut variants = Vec::new();
+    let mut any_exact = false;
     for variant in [
         Variant::RuntimeRes,
         Variant::CompileTime,
@@ -233,13 +227,14 @@ fn main() {
             words,
             if pred.exact { " == prediction" } else { "" }
         );
-        rows.push(VariantRow {
-            name: variant.to_string(),
-            channels: thr.pair_messages.len(),
-            frames,
-            words,
-            prediction_exact: pred.exact,
-        });
+        any_exact |= pred.exact;
+        variants.push(Json::obj([
+            ("variant", variant.to_string().into()),
+            ("channels", thr.pair_messages.len().into()),
+            ("frames", frames.into()),
+            ("words", words.into()),
+            ("prediction_exact", pred.exact.into()),
+        ]));
     }
 
     // Steady-state overhead: full metrics vs the flight-recorder-only
@@ -270,24 +265,23 @@ fn main() {
         );
     }
 
-    let variants_json: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"variant\": \"{}\", \"channels\": {}, \"frames\": {}, \"words\": {}, \"prediction_exact\": {}}}",
-                r.name, r.channels, r.frames, r.words, r.prediction_exact
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"metrics\",\n  \"n\": {n},\n  \"nprocs\": {NPROCS},\n  \"samples\": {SAMPLES},\n  \"host_parallelism\": {cores},\n  \"overhead_checked\": {validated},\n  \"metrics_off_ms\": {off_ms:.3},\n  \"metrics_on_ms\": {on_ms:.3},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"variants\": [\n{}\n  ]\n}}\n",
-        variants_json.join(",\n")
-    );
-    std::fs::write("BENCH_metrics.json", &json).expect("write BENCH_metrics.json");
+    let doc = Json::obj([
+        ("bench", "metrics".into()),
+        ("n", n.into()),
+        ("nprocs", NPROCS.into()),
+        ("samples", SAMPLES.into()),
+        ("host_parallelism", cores.into()),
+        ("overhead_checked", validated.into()),
+        ("metrics_off_ms", off_ms.into()),
+        ("metrics_on_ms", on_ms.into()),
+        ("overhead_pct", overhead_pct.into()),
+        ("variants", Json::Arr(variants)),
+    ]);
+    std::fs::write("BENCH_metrics.json", format!("{doc:#}\n")).expect("write BENCH_metrics.json");
     println!(
         "\nEvery variant: metrics tables == scheduler ledger on both backends,\n\
          logical metrics identical across backends{}. Written to BENCH_metrics.json.",
-        if rows.iter().any(|r| r.prediction_exact) {
+        if any_exact {
             ", and == the exact static prediction"
         } else {
             ""

@@ -1,5 +1,6 @@
-//! What the reliable-delivery / checkpoint protocol costs in *host* time
-//! on the simulator, per frame and per checkpoint (ROADMAP item 1).
+//! What the reliable-delivery / checkpoint protocol costs on the
+//! simulator: in *host* time, per frame and per checkpoint, and in
+//! logical cycles and wire traffic.
 //!
 //! Two programs of the paper — compile-time resolution (one message per
 //! element) and Optimized III b=8 (block messages) — on the Gauss-Seidel
@@ -14,10 +15,12 @@
 //! For each it prints wall milliseconds of `Scheduler::run` (the fastest
 //! of a few runs), nanoseconds per VM instruction, nanoseconds per
 //! program message over the raw run, microseconds per checkpoint over the
-//! reliable run, and how the scheduler cut the run into batches. It
-//! checks that every mode gathers the sequential interpreter's result
-//! and that the fault-free modes agree on the program's messages, and
-//! writes `BENCH_protocol_cost.json`.
+//! reliable run, and how the scheduler cut the run into batches; then the
+//! logical cost: makespan and its ratio to the raw run, the frames and
+//! words on the wire (acks and retransmissions included), retransmits
+//! and acks. It checks that every mode gathers the sequential
+//! interpreter's result and that the fault-free modes agree on the
+//! program's messages, and writes `BENCH_protocol_cost.json`.
 //!
 //! Usage: `cargo run --release -p pdc-bench --bin protocol_cost [n] [s]`
 
@@ -25,8 +28,7 @@ use pdc_bench::{build_wavefront, print_table, Variant};
 use pdc_core::driver::{self, Inputs};
 use pdc_core::programs;
 use pdc_istructure::IMatrix;
-use pdc_machine::metrics::json_escape;
-use pdc_machine::trace_chrome::parse_json;
+use pdc_machine::metrics::json::Json;
 use pdc_machine::{
     CheckpointCfg, CostModel, Fabric, FaultPlan, Machine, MachineError, ProcId, Process, RelConfig,
     RunConfig, RunReport, Scheduler, Step,
@@ -218,11 +220,8 @@ fn main() {
     let sequential = driver::run_sequential(&programs::gauss_seidel(), "gs_iteration", &inputs)
         .expect("sequential run");
     let mut errors: Vec<String> = Vec::new();
-    let mut json = format!(
-        "{{\n  \"bench\": \"protocol_cost\",\n  \"n\": {n},\n  \"nprocs\": {s},\n  \"runs\": ["
-    );
-    let variants = [Variant::CompileTime, Variant::OptimizedIII { blksize: 8 }];
-    for (vi, variant) in variants.into_iter().enumerate() {
+    let mut records = Vec::new();
+    for variant in [Variant::CompileTime, Variant::OptimizedIII { blksize: 8 }] {
         let prog = build_wavefront(variant, n, s);
         let code: Vec<Arc<Code>> = (0..s)
             .map(|p| Arc::new(lower(prog.body(p)).expect("program lowers")))
@@ -269,8 +268,9 @@ fn main() {
                 ));
             }
         }
-        let mut table = Vec::new();
-        for (ri, r) in rows.iter().enumerate() {
+        let mut host = Vec::new();
+        let mut logical = Vec::new();
+        for r in &rows {
             if r.instrs != r.report.steps {
                 errors.push(format!("{variant} {}: instruction counts differ", r.mode));
             }
@@ -281,7 +281,11 @@ fn main() {
                 taken => (r.wall_ms - reliable.wall_ms) * 1e3 / taken as f64,
             };
             let per_batch = r.instrs as f64 / r.batches as f64;
-            table.push((
+            let makespan = r.report.stats.makespan().0;
+            let makespan_over_raw = makespan as f64 / raw.report.stats.makespan().0 as f64;
+            let wire = r.report.stats.network;
+            let fault = r.report.fault.unwrap_or_default();
+            host.push((
                 r.mode.to_string(),
                 vec![
                     format!("{:.2}", r.wall_ms),
@@ -294,27 +298,37 @@ fn main() {
                     format!("{per_batch:.1}"),
                 ],
             ));
-            json.push_str(&format!(
-                "{}\n    {{\"variant\": \"{}\", \"mode\": \"{}\", \"wall_ms\": {:.4}, \
-                 \"over_raw\": {:.4}, \"instructions\": {}, \"ns_per_instruction\": {:.3}, \
-                 \"program_messages\": {}, \"ns_per_message_over_raw\": {:.1}, \
-                 \"checkpoints\": {}, \"us_per_checkpoint\": {:.2}, \"batches\": {}, \
-                 \"instructions_per_batch\": {:.3}, \"makespan\": {}}}",
-                if vi + ri > 0 { "," } else { "" },
-                json_escape(&variant.to_string()),
-                json_escape(r.mode),
-                r.wall_ms,
-                r.wall_ms / raw.wall_ms,
-                r.report.steps,
-                ns_per_instr,
-                r.messages(),
-                ns_per_message,
-                r.checkpoints(),
-                us_per_checkpoint,
-                r.batches,
-                per_batch,
-                r.report.stats.makespan().0,
+            logical.push((
+                r.mode.to_string(),
+                vec![
+                    makespan.to_string(),
+                    format!("{makespan_over_raw:.4}x"),
+                    wire.messages.to_string(),
+                    wire.words.to_string(),
+                    fault.retransmits.to_string(),
+                    fault.acks_sent.to_string(),
+                ],
             ));
+            records.push(Json::obj([
+                ("variant", variant.to_string().into()),
+                ("mode", r.mode.into()),
+                ("wall_ms", r.wall_ms.into()),
+                ("over_raw", (r.wall_ms / raw.wall_ms).into()),
+                ("instructions", r.report.steps.into()),
+                ("ns_per_instruction", ns_per_instr.into()),
+                ("program_messages", r.messages().into()),
+                ("ns_per_message_over_raw", ns_per_message.into()),
+                ("checkpoints", r.checkpoints().into()),
+                ("us_per_checkpoint", us_per_checkpoint.into()),
+                ("batches", r.batches.into()),
+                ("instructions_per_batch", per_batch.into()),
+                ("makespan", makespan.into()),
+                ("makespan_over_raw", makespan_over_raw.into()),
+                ("wire_messages", wire.messages.into()),
+                ("wire_words", wire.words.into()),
+                ("retransmits", fault.retransmits.into()),
+                ("acks", fault.acks_sent.into()),
+            ]));
         }
         let columns = [
             "wall ms",
@@ -327,30 +341,33 @@ fn main() {
             "instr/batch",
         ];
         print_table(
-            &format!("{variant}, {n}x{n} wavefront on {s} simulated processors"),
+            &format!("{variant}, {n}x{n} wavefront on {s} simulated processors: host time"),
             &columns.map(String::from),
-            &table,
+            &host,
+        );
+        let columns = [
+            "makespan",
+            "vs raw",
+            "wire msgs",
+            "wire words",
+            "rexmit",
+            "acks",
+        ];
+        print_table(
+            &format!("{variant}: logical cost (cycles, frames on the wire)"),
+            &columns.map(String::from),
+            &logical,
         );
     }
-    json.push_str(&format!(
-        "\n  ],\n  \"self_validated\": {}\n}}\n",
-        errors.is_empty()
-    ));
-
-    // The document must survive the std-only parser CI uses.
-    match parse_json(&json) {
-        Ok(doc) => {
-            let runs = doc.get("runs").and_then(|r| r.as_arr()).unwrap_or_default();
-            if runs.len() != variants.len() * modes().len() {
-                errors.push(format!(
-                    "BENCH_protocol_cost.json holds {} runs",
-                    runs.len()
-                ));
-            }
-        }
-        Err(e) => errors.push(format!("BENCH_protocol_cost.json does not parse: {e}")),
-    }
-    std::fs::write("BENCH_protocol_cost.json", &json).expect("write BENCH_protocol_cost.json");
+    let doc = Json::obj([
+        ("bench", "protocol_cost".into()),
+        ("n", n.into()),
+        ("nprocs", s.into()),
+        ("runs", Json::Arr(records)),
+        ("self_validated", errors.is_empty().into()),
+    ]);
+    std::fs::write("BENCH_protocol_cost.json", format!("{doc:#}\n"))
+        .expect("write BENCH_protocol_cost.json");
     println!("\nwrote BENCH_protocol_cost.json");
 
     if !errors.is_empty() {

@@ -24,7 +24,7 @@
 use pdc_bench::{build_wavefront, print_table, Variant};
 use pdc_core::driver::{self, Inputs};
 use pdc_core::programs;
-use pdc_machine::metrics::json_escape;
+use pdc_machine::metrics::json::Json;
 use pdc_machine::{
     CheckpointCfg, CostModel, FaultPlan, ProcId, RecoveryReport, RelConfig, RunConfig,
 };
@@ -116,24 +116,22 @@ fn run_one(
 fn main() {
     let [n] = pdc_bench::args([("n", 32)]);
     let mut errors: Vec<String> = Vec::new();
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"recovery\",\n  \"n\": {n},\n  \"nprocs\": {NPROCS},\n  \
-         \"default_interval\": {DEFAULT_INTERVAL},\n  \"versions\": [\n"
-    ));
+    let mut records = Vec::new();
 
     let mut overhead_rows = Vec::new();
     let mut recovery_rows = Vec::new();
-    let vs = versions();
-    for (vi, &variant) in vs.iter().enumerate() {
+    for variant in versions() {
         let base = run_one(variant, n, false, None, None, &mut errors);
         // Checkpoints require the reliable layer, so the fair baseline
         // for the *checkpoint* tax is a reliable run without them; the
         // plain run is still reported so the full protocol tax is visible.
         let rel_base = run_one(variant, n, true, None, None, &mut errors);
 
-        // Checkpoint tax, no crash.
-        let mut per_interval = Vec::new();
+        // Checkpoint tax, no crash. The recovered makespans below are
+        // compared against the fault-free *checkpointed* run at the default
+        // interval — the extra time is what the crash itself cost.
+        let mut ckpt_base = rel_base.makespan;
+        let (mut cells, mut overhead) = (Vec::new(), Vec::new());
         for &interval in &INTERVALS {
             let r = run_one(
                 variant,
@@ -147,33 +145,30 @@ fn main() {
             if rec.crashes_survived != 0 {
                 errors.push(format!("{variant}: spurious crash in overhead sweep"));
             }
-            let overhead = r.makespan as f64 / rel_base.makespan as f64 - 1.0;
-            if interval == DEFAULT_INTERVAL && overhead >= 0.05 {
-                errors.push(format!(
-                    "{variant}: checkpoint overhead {:.2}% at default interval \
-                     breaches the 5% target",
-                    overhead * 100.0
-                ));
+            let ov = r.makespan as f64 / rel_base.makespan as f64 - 1.0;
+            if interval == DEFAULT_INTERVAL {
+                ckpt_base = r.makespan;
+                if ov >= 0.05 {
+                    errors.push(format!(
+                        "{variant}: checkpoint overhead {:.2}% at default interval \
+                         breaches the 5% target",
+                        ov * 100.0
+                    ));
+                }
             }
-            per_interval.push((interval, r.makespan, overhead, rec));
+            cells.push(format!("{:.2}% ({}ck)", ov * 100.0, rec.checkpoints_taken));
+            overhead.push(Json::obj([
+                ("interval_ops", interval.into()),
+                ("makespan", r.makespan.into()),
+                ("overhead", ov.into()),
+                ("checkpoints", rec.checkpoints_taken.into()),
+                ("bytes", rec.bytes_snapshotted.into()),
+            ]));
         }
-        overhead_rows.push((
-            variant.to_string(),
-            per_interval
-                .iter()
-                .map(|(_, _, ov, rec)| format!("{:.2}% ({}ck)", ov * 100.0, rec.checkpoints_taken))
-                .collect::<Vec<_>>(),
-        ));
+        overhead_rows.push((variant.to_string(), cells));
 
-        // Time-to-recover vs crash point, default interval. The recovered
-        // makespan is compared against the fault-free *checkpointed* run at
-        // the same interval — the extra time is what the crash itself cost.
-        let ckpt_base = per_interval
-            .iter()
-            .find(|(i, ..)| *i == DEFAULT_INTERVAL)
-            .map(|(_, mk, ..)| *mk)
-            .unwrap_or(rel_base.makespan);
-        let mut per_crash = Vec::new();
+        // Time-to-recover vs crash point, default interval.
+        let (mut cells, mut recovery) = (Vec::new(), Vec::new());
         for &at_op in &CRASH_POINTS {
             let r = run_one(
                 variant,
@@ -184,55 +179,26 @@ fn main() {
                 &mut errors,
             );
             let rec = r.recovery.unwrap_or_default();
-            per_crash.push((at_op, r.makespan, rec));
+            let slowdown = r.makespan as f64 / ckpt_base as f64;
+            cells.push(format!("{slowdown:.2}x +{}cy", rec.recovery_cycles));
+            recovery.push(Json::obj([
+                ("crash_at_op", at_op.into()),
+                ("makespan", r.makespan.into()),
+                ("crashes_survived", rec.crashes_survived.into()),
+                ("replayed_ops", rec.replayed_ops.into()),
+                ("replay_frames", rec.replay_frames.into()),
+                ("recovery_cycles", rec.recovery_cycles.into()),
+            ]));
         }
-        recovery_rows.push((
-            variant.to_string(),
-            per_crash
-                .iter()
-                .map(|(_, mk, rec)| {
-                    format!(
-                        "{:.2}x +{}cy",
-                        *mk as f64 / ckpt_base as f64,
-                        rec.recovery_cycles
-                    )
-                })
-                .collect::<Vec<_>>(),
-        ));
+        recovery_rows.push((variant.to_string(), cells));
 
-        json.push_str(&format!(
-            "    {{\"version\": \"{}\", \"baseline_makespan\": {}, \
-             \"reliable_baseline_makespan\": {},\n      \"overhead\": [\n",
-            json_escape(&variant.to_string()),
-            base.makespan,
-            rel_base.makespan
-        ));
-        for (i, (interval, mk, ov, rec)) in per_interval.iter().enumerate() {
-            json.push_str(&format!(
-                "        {{\"interval_ops\": {interval}, \"makespan\": {mk}, \
-                 \"overhead\": {ov:.6}, \"checkpoints\": {}, \"bytes\": {}}}{}\n",
-                rec.checkpoints_taken,
-                rec.bytes_snapshotted,
-                if i + 1 < per_interval.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("      ],\n      \"recovery\": [\n");
-        for (i, (at_op, mk, rec)) in per_crash.iter().enumerate() {
-            json.push_str(&format!(
-                "        {{\"crash_at_op\": {at_op}, \"makespan\": {mk}, \
-                 \"crashes_survived\": {}, \"replayed_ops\": {}, \"replay_frames\": {}, \
-                 \"recovery_cycles\": {}}}{}\n",
-                rec.crashes_survived,
-                rec.replayed_ops,
-                rec.replay_frames,
-                rec.recovery_cycles,
-                if i + 1 < per_crash.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "      ]}}{}\n",
-            if vi + 1 < vs.len() { "," } else { "" }
-        ));
+        records.push(Json::obj([
+            ("version", variant.to_string().into()),
+            ("baseline_makespan", base.makespan.into()),
+            ("reliable_baseline_makespan", rel_base.makespan.into()),
+            ("overhead", Json::Arr(overhead)),
+            ("recovery", Json::Arr(recovery)),
+        ]));
     }
 
     let col_names: Vec<String> = INTERVALS.iter().map(|i| format!("every {i}")).collect();
@@ -250,19 +216,16 @@ fn main() {
         &recovery_rows,
     );
 
-    json.push_str(&format!(
-        "  ],\n  \"self_validated\": {},\n  \"errors\": [",
-        errors.is_empty()
-    ));
-    for (i, e) in errors.iter().enumerate() {
-        json.push_str(&format!(
-            "\n    \"{}\"{}",
-            json_escape(e),
-            if i + 1 < errors.len() { "," } else { "\n  " }
-        ));
-    }
-    json.push_str("]\n}\n");
-    std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
+    let doc = Json::obj([
+        ("bench", "recovery".into()),
+        ("n", n.into()),
+        ("nprocs", NPROCS.into()),
+        ("default_interval", DEFAULT_INTERVAL.into()),
+        ("versions", Json::Arr(records)),
+        ("self_validated", errors.is_empty().into()),
+        ("errors", errors.iter().map(String::as_str).collect()),
+    ]);
+    std::fs::write("BENCH_recovery.json", format!("{doc:#}\n")).expect("write BENCH_recovery.json");
     println!("\nwrote BENCH_recovery.json");
 
     if !errors.is_empty() {

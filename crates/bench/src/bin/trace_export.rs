@@ -16,8 +16,8 @@
 //! (defaults: n=16, s=4).
 
 use pdc_bench::{print_table, run_wavefront_traced, Variant};
+use pdc_machine::metrics::json::Json;
 use pdc_machine::{analyze, chrome_trace, validate_chrome_trace, Backend, CostModel};
-use std::fmt::Write as _;
 
 fn slug(v: Variant) -> &'static str {
     match v {
@@ -51,8 +51,7 @@ fn main() {
 
     let mut failures = 0usize;
     let mut rows = Vec::new();
-    let mut summary = String::from("{\n  \"runs\": [\n");
-    let mut first = true;
+    let mut records = Vec::new();
     for v in variants {
         for backend in [Backend::Simulated, Backend::threaded()] {
             let report = run_wavefront_traced(v, n, s, cost, backend, cap);
@@ -115,31 +114,26 @@ fn main() {
                 ],
             ));
 
-            if !first {
-                summary.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                summary,
-                "    {{\"variant\": \"{}\", \"backend\": \"{}\", \"n\": {n}, \"s\": {s}, \
-                 \"makespan\": {makespan}, \"compute\": {}, \"send_overhead\": {}, \
-                 \"recv_overhead\": {}, \"flight\": {}, \"blocked\": {}, \"exact\": {}, \
-                 \"events\": {}, \"dropped\": {}}}",
-                slug(v),
-                backend_slug(backend),
-                cp.compute,
-                cp.send_overhead,
-                cp.recv_overhead,
-                cp.flight,
-                cp.blocked,
-                cp.exact,
-                trace.len(),
-                trace.dropped(),
-            );
+            records.push(Json::obj([
+                ("variant", slug(v).into()),
+                ("backend", backend_slug(backend).into()),
+                ("n", n.into()),
+                ("s", s.into()),
+                ("makespan", makespan.into()),
+                ("compute", cp.compute.into()),
+                ("send_overhead", cp.send_overhead.into()),
+                ("recv_overhead", cp.recv_overhead.into()),
+                ("flight", cp.flight.into()),
+                ("blocked", cp.blocked.into()),
+                ("exact", cp.exact.into()),
+                ("events", trace.len().into()),
+                ("dropped", trace.dropped().into()),
+            ]));
         }
     }
-    summary.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_critical_path.json", &summary).expect("write BENCH_critical_path.json");
+    let summary = Json::obj([("runs", Json::Arr(records))]);
+    std::fs::write("BENCH_critical_path.json", format!("{summary:#}\n"))
+        .expect("write BENCH_critical_path.json");
     println!("wrote BENCH_critical_path.json");
 
     print_table(

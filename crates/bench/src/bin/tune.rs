@@ -14,19 +14,17 @@
 //! 3. the search covered at least 50 candidates per program and took
 //!    under one second per program.
 //!
-//! Results go to stdout and `BENCH_tune.json`; the bin re-parses its own
-//! JSON with the std-only parser and exits non-zero on any violation.
+//! Results go to stdout and `BENCH_tune.json`; the bin exits non-zero on
+//! any violation.
 //!
 //! Usage: `cargo run --release -p pdc-bench --bin tune`
 
 use pdc_bench::print_table;
 use pdc_core::driver::{self, Inputs, Job, Strategy};
 use pdc_core::programs;
-use pdc_machine::metrics::json_escape;
-use pdc_machine::trace_chrome::{parse_json, Json};
+use pdc_machine::metrics::json::Json;
 use pdc_machine::{Backend, CostModel};
 use pdc_spmd::Scalar;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 struct Sweep {
@@ -184,10 +182,15 @@ fn run_sweep(sw: &Sweep) -> Outcome {
 fn main() {
     let mut failures = 0usize;
     let mut rows = Vec::new();
-    let mut doc = String::from("{\n  \"sweeps\": [\n");
-    let outcomes: Vec<Outcome> = sweeps().iter().map(run_sweep).collect();
-    for (i, o) in outcomes.iter().enumerate() {
+    let mut records = Vec::new();
+    for o in sweeps().iter().map(run_sweep) {
         failures += o.failures;
+        let predicted_best_is_measured_best =
+            o.measured == o.best_measured && o.predicted == o.measured;
+        if !predicted_best_is_measured_best {
+            eprintln!("{}: predicted-best is not measured-best", o.name);
+            failures += 1;
+        }
         rows.push((
             format!("{} n={} s=4", o.name, o.n),
             vec![
@@ -203,60 +206,25 @@ fn main() {
                 },
             ],
         ));
-        if i > 0 {
-            doc.push_str(",\n");
-        }
-        let _ = write!(
-            doc,
-            "    {{\"program\": \"{}\", \"n\": {}, \"s\": 4, \"candidates\": {}, \
-             \"viable\": {}, \"search_secs\": {:.6}, \"winner\": \"{}\", \
-             \"predicted_makespan\": {}, \"measured_makespan\": {}, \
-             \"best_measured_makespan\": {}, \"predicted_best_is_measured_best\": {}}}",
-            json_escape(o.name),
-            o.n,
-            o.candidates,
-            o.viable,
-            o.search_secs,
-            json_escape(&o.winner),
-            o.predicted,
-            o.measured,
-            o.best_measured,
-            o.measured == o.best_measured && o.predicted == o.measured,
-        );
+        records.push(Json::obj([
+            ("program", o.name.into()),
+            ("n", o.n.into()),
+            ("s", 4u64.into()),
+            ("candidates", o.candidates.into()),
+            ("viable", o.viable.into()),
+            ("search_secs", o.search_secs.into()),
+            ("winner", o.winner.into()),
+            ("predicted_makespan", o.predicted.into()),
+            ("measured_makespan", o.measured.into()),
+            ("best_measured_makespan", o.best_measured.into()),
+            (
+                "predicted_best_is_measured_best",
+                predicted_best_is_measured_best.into(),
+            ),
+        ]));
     }
-    doc.push_str("\n  ]\n}\n");
-
-    // Self-validation: the document must survive the std-only parser and
-    // assert the predicted-best == measured-best property for every sweep.
-    match parse_json(&doc) {
-        Ok(parsed) => {
-            let parsed_sweeps = parsed
-                .get("sweeps")
-                .and_then(|r| r.as_arr())
-                .unwrap_or_default();
-            if parsed_sweeps.len() != outcomes.len() {
-                eprintln!("BENCH_tune.json: expected {} sweeps", outcomes.len());
-                failures += 1;
-            }
-            for r in parsed_sweeps {
-                let ok = r.get("predicted_best_is_measured_best") == Some(&Json::Bool(true));
-                let cands = r
-                    .get("candidates")
-                    .and_then(|c| c.as_num())
-                    .unwrap_or(f64::NAN);
-                if !ok || cands < 50.0 {
-                    let name = r.get("program").and_then(|x| x.as_str()).unwrap_or("?");
-                    eprintln!("BENCH_tune.json: {name} failed self-validation");
-                    failures += 1;
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("BENCH_tune.json does not parse: {e}");
-            failures += 1;
-        }
-    }
-    std::fs::write("BENCH_tune.json", &doc).expect("write BENCH_tune.json");
+    let doc = Json::obj([("sweeps", Json::Arr(records))]);
+    std::fs::write("BENCH_tune.json", format!("{doc:#}\n")).expect("write BENCH_tune.json");
     println!("wrote BENCH_tune.json");
 
     print_table(

@@ -138,13 +138,6 @@ impl CheckpointCfg {
         self.amortization = amortization;
         self
     }
-
-    /// Whether an ops-triggered checkpoint is allowed yet under the
-    /// amortization bound: `now` must be at least `amortization ×` the
-    /// previous snapshot's cost past `last_taken_at`.
-    pub fn amortized(&self, last_taken_at: Time, last_cost: u64, now: Time) -> bool {
-        now.0.saturating_sub(last_taken_at.0) >= self.amortization.saturating_mul(last_cost)
-    }
 }
 
 /// Accounting for one run's checkpoint/restart activity, reported as
@@ -465,22 +458,5 @@ mod tests {
         assert_eq!(c.interval_ops, 512);
         assert!(!c.coordinated);
         assert!(CheckpointCfg::every(1).coordinated().coordinated);
-    }
-
-    #[test]
-    fn amortized_pacing_bounds_the_snapshot_tax() {
-        // With amortization 128, a checkpoint that cost 1_000 cycles
-        // blocks the next one until 128_000 cycles have elapsed — so
-        // snapshots can never eat more than ~1/128 of a processor's run.
-        let cfg = CheckpointCfg::default();
-        assert_eq!(cfg.amortization, 128);
-        assert!(!cfg.amortized(Time(0), 1_000, Time(127_999)));
-        assert!(cfg.amortized(Time(0), 1_000, Time(128_000)));
-        // Opting out makes the op interval the only trigger.
-        let free = cfg.with_amortization(0);
-        assert!(free.amortized(Time(0), 1_000, Time(0)));
-        // Saturation: a huge cost just means "defer for a very long
-        // time", never an overflow panic.
-        assert!(!cfg.amortized(Time(0), u64::MAX, Time(u64::MAX - 1)));
     }
 }

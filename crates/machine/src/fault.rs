@@ -35,6 +35,8 @@
 use crate::fabric::Fabric;
 use crate::message::{ProcId, Tag, Word};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Scale of the per-mille probability knobs: a knob value of
 /// [`PM_SCALE`] means "always".
@@ -374,13 +376,24 @@ pub struct FaultState<'p> {
     ops: Vec<u64>,
     fired: Vec<bool>,
     crash_fired: Vec<bool>,
-    crashes_spent: u32,
+    /// Probabilistic crashes spent, shared by every `FaultState` of one
+    /// run (and by clones): [`FaultPlan::max_crashes`] caps the run, not
+    /// each endpoint. `Relaxed` suffices: the count publishes no other
+    /// data.
+    crashes_spent: Arc<AtomicU32>,
     counts: FaultCounts,
 }
 
 impl<'p> FaultState<'p> {
     /// Fresh state for `plan`.
     pub fn new(plan: &'p FaultPlan) -> Self {
+        Self::sharing_crashes(plan, Arc::default())
+    }
+
+    /// Fresh state for `plan` that spends the probabilistic crash budget
+    /// from `crashes_spent`, a counter shared with the run's other
+    /// endpoints (threaded backend: one `FaultState` per endpoint).
+    pub(crate) fn sharing_crashes(plan: &'p FaultPlan, crashes_spent: Arc<AtomicU32>) -> Self {
         let fired = vec![false; plan.stalls.len()];
         let crash_fired = vec![false; plan.crashes.len()];
         FaultState {
@@ -391,7 +404,7 @@ impl<'p> FaultState<'p> {
             ops: Vec::new(),
             fired,
             crash_fired,
-            crashes_spent: 0,
+            crashes_spent,
             counts: FaultCounts::default(),
         }
     }
@@ -456,7 +469,7 @@ impl<'p> FaultState<'p> {
     /// or past its `at_op`; while the probabilistic budget lasts every
     /// boundary rolls, so the answer is 1.
     pub fn ops_until_crash(&self, p: ProcId) -> u64 {
-        if self.plan.crash_pm > 0 && self.crashes_spent < self.plan.max_crashes {
+        if self.plan.crash_pm > 0 && self.crash_budget_left() {
             return 1;
         }
         let at = self.ops(p);
@@ -482,12 +495,22 @@ impl<'p> FaultState<'p> {
                 return Some(at);
             }
         }
-        if self.crashes_spent < self.plan.max_crashes && self.plan.crash_roll(p, at) {
-            self.crashes_spent += 1;
+        let max = self.plan.max_crashes;
+        if self.crash_budget_left()
+            && self.plan.crash_roll(p, at)
+            && self
+                .crashes_spent
+                .fetch_update(Relaxed, Relaxed, |spent| (spent < max).then_some(spent + 1))
+                .is_ok()
+        {
             self.counts.crashes += 1;
             return Some(at);
         }
         None
+    }
+
+    fn crash_budget_left(&self) -> bool {
+        self.crashes_spent.load(Relaxed) < self.plan.max_crashes
     }
 
     /// Decide the fate of the next transmission on `(src, dst, tag)`,

@@ -484,7 +484,7 @@ struct CkptState {
     /// Charged-op counter at the last checkpoint or restore.
     last_op: u64,
     /// Logical clock and charged cost of the last checkpoint, for
-    /// cost-amortized pacing ([`CheckpointCfg::amortized`]).
+    /// cost-amortized pacing ([`RelEndpoint::checkpoint_gap`]).
     last_at: Time,
     last_cost: u64,
     image: Vec<u8>,
@@ -850,23 +850,19 @@ impl<T: Deadline> RelEndpoint<T> {
     }
 
     /// Is an ops-triggered checkpoint due? Independent mode only
-    /// (coordinated cuts are paced by the scheduler's barrier): the op
-    /// counter must be one interval past the last checkpoint, and the
-    /// amortization bound must allow it.
+    /// (coordinated cuts are paced by the scheduler's barrier): nothing is
+    /// missing from either half of [`checkpoint_gap`](Self::checkpoint_gap).
     pub(crate) fn checkpoint_due(&self, ops: u64, clock: Time) -> bool {
-        self.ckpt.as_ref().is_some_and(|ck| {
-            !ck.cfg.coordinated
-                && ops >= ck.last_op + ck.cfg.interval_ops
-                && ck.cfg.amortized(ck.last_at, ck.last_cost, clock)
-        })
+        self.checkpoint_gap(ops, clock) == Some((0, 0))
     }
 
     /// How far the next ops-triggered checkpoint is from `ops` charged
     /// instructions at logical time `clock`: the instructions still
     /// missing from the interval, and the cycles still missing from the
-    /// amortization bound — [`checkpoint_due`](Self::checkpoint_due) is
-    /// "both are zero". `None` when this endpoint takes no independent
-    /// checkpoints.
+    /// amortization bound ([`CheckpointCfg::amortization`] × the last
+    /// snapshot's cost since it was taken). The one pacing rule:
+    /// [`checkpoint_due`](Self::checkpoint_due) is "both are zero". `None`
+    /// when this endpoint takes no independent checkpoints.
     pub(crate) fn checkpoint_gap(&self, ops: u64, clock: Time) -> Option<(u64, u64)> {
         let ck = self.ckpt.as_ref().filter(|ck| !ck.cfg.coordinated)?;
         let wait = ck.cfg.amortization.saturating_mul(ck.last_cost);
@@ -1199,6 +1195,34 @@ mod tests {
         assert_eq!(ack_tag(Tag(5)), Tag(5 | ACK_TAG_BIT));
         assert!(is_ack_tag(ack_tag(Tag(0))));
         assert!(!is_ack_tag(Tag(12)));
+    }
+
+    /// An endpoint whose last checkpoint, at op 0 and time 0, cost
+    /// `last_cost` cycles.
+    fn paced(cfg: CheckpointCfg, last_cost: u64) -> RelEndpoint<Time> {
+        let mut ep = RelEndpoint::new(ProcId(0), RelConfig::default(), 1, Some(cfg));
+        ep.ckpt.as_mut().expect("checkpointing").last_cost = last_cost;
+        ep
+    }
+
+    #[test]
+    fn amortized_pacing_bounds_the_snapshot_tax() {
+        // With amortization 128, a checkpoint that cost 1_000 cycles
+        // blocks the next one until 128_000 cycles have elapsed — so
+        // snapshots can never eat more than ~1/128 of a processor's run.
+        let cfg = CheckpointCfg::every(1);
+        assert_eq!(cfg.amortization, 128);
+        let ep = paced(cfg, 1_000);
+        assert_eq!(ep.checkpoint_gap(1, Time(127_999)), Some((0, 1)));
+        assert!(!ep.checkpoint_due(1, Time(127_999)));
+        assert!(ep.checkpoint_due(1, Time(128_000)));
+        // Opting out makes the op interval the only trigger.
+        let free = paced(cfg.with_amortization(0), 1_000);
+        assert!(free.checkpoint_due(1, Time(0)));
+        assert_eq!(free.checkpoint_gap(0, Time(0)), Some((1, 0)));
+        // Saturation: a huge cost just means "defer for a very long
+        // time", never an overflow panic.
+        assert!(!paced(cfg, u64::MAX).checkpoint_due(1, Time(u64::MAX - 1)));
     }
 
     #[test]

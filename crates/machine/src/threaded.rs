@@ -59,7 +59,7 @@ use crate::sched::{Process, Step};
 use crate::trace::{EventKind, Trace};
 use pdc_metrics::{Ctr, FlightKind, MetricsRegistry, NO_PEER};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -212,7 +212,7 @@ impl Drop for StatusGuard {
 /// The reliable-delivery state of one endpoint: the protocol core on
 /// wall-clock deadlines, and the endpoint's own [`FaultState`] (each
 /// endpoint only dispatches frames it sends, so per-triple decision
-/// streams stay private).
+/// streams stay private; only the run's crash budget is shared).
 #[derive(Debug)]
 struct Reliable<'p> {
     core: RelEndpoint<Instant>,
@@ -1032,6 +1032,7 @@ impl<'a> ThreadedRunner<'a> {
             }
         }
         let protocol = config.protocol();
+        let crashes_spent = Arc::new(AtomicU32::new(0));
         let mut endpoints: Vec<Endpoint<'a>> = txs
             .into_iter()
             .zip(rxs)
@@ -1056,7 +1057,10 @@ impl<'a> ThreadedRunner<'a> {
                         let ack_cost = ack_cost(&self.cost);
                         Box::new(Reliable {
                             core: RelEndpoint::new(ProcId(p), cfg, ack_cost, config.checkpoints),
-                            fault: FaultState::new(&config.faults),
+                            fault: FaultState::sharing_crashes(
+                                &config.faults,
+                                Arc::clone(&crashes_spent),
+                            ),
                         })
                     }),
                     bells: Arc::clone(&bells),

@@ -27,38 +27,55 @@
 //! unit Perfetto assumes for `ts`/`dur`); absolute units are meaningless
 //! for a logical clock, so the scale is irrelevant — only ratios matter.
 //!
-//! The workspace is dependency-free, so both the writer and the
+//! Events are built as [`Json`] values and printed by the workspace's
+//! one JSON module, `pdc_metrics::json`, whose parser also backs the
 //! validating reader ([`validate_chrome_trace`], used by tests and the
-//! `trace_export` bench bin) are hand-rolled here rather than pulling in
-//! serde.
+//! `trace_export` bench bin). `Json` and [`parse_json`] are re-exported
+//! here, where their clients first found them.
 
-use crate::message::ProcId;
+use crate::message::{ProcId, Tag};
 use crate::trace::{Event, EventKind, Trace};
-use pdc_metrics::{json_escape, MetricsSnapshot};
-use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
+pub use pdc_metrics::json::{parse_json, Json};
+use pdc_metrics::MetricsSnapshot;
+use std::collections::{HashMap, VecDeque};
+
+/// One event of phase `ph` on processor `proc`'s track at `ts`, plus
+/// the phase's own members.
+fn event<const N: usize>(
+    name: &str,
+    ph: &str,
+    proc: ProcId,
+    ts: u64,
+    extra: [(&str, Json); N],
+) -> Json {
+    let head = [
+        ("name", name.into()),
+        ("ph", ph.into()),
+        ("pid", 0u64.into()),
+        ("tid", proc.0.into()),
+        ("ts", ts.into()),
+    ];
+    Json::obj(head.into_iter().chain(extra))
+}
 
 /// One complete ("X") slice.
-fn slice(out: &mut Vec<String>, name: &str, proc: ProcId, ts: u64, dur: u64, args: &str) {
-    out.push(format!(
-        "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{}{}}}",
-        json_escape(name),
-        proc.0,
-        ts,
-        dur,
-        args
-    ));
+fn slice(name: &str, proc: ProcId, ts: u64, dur: u64, args: Json) -> Json {
+    event(name, "X", proc, ts, [("dur", dur.into()), ("args", args)])
 }
 
 /// One instant ("i") mark, thread-scoped.
-fn instant(out: &mut Vec<String>, name: &str, proc: ProcId, ts: u64, args: &str) {
-    out.push(format!(
-        "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{}{}}}",
-        json_escape(name),
-        proc.0,
-        ts,
-        args
-    ));
+fn instant(name: &str, proc: ProcId, ts: u64, args: Json) -> Json {
+    event(name, "i", proc, ts, [("s", "t".into()), ("args", args)])
+}
+
+/// An `args` object of numeric members.
+fn args<const N: usize>(members: [(&str, u64); N]) -> Json {
+    Json::obj(members.map(|(k, v)| (k, v.into())))
+}
+
+/// The `args` of a message event: its peer, its tag and one more member.
+fn link(peer: &str, other: ProcId, tag: Tag, third: (&str, u64)) -> Json {
+    args([(peer, other.0 as u64), ("tag", tag.0.into()), third])
 }
 
 /// Serialize `trace` as Chrome trace-event JSON. `n_procs` names one
@@ -86,26 +103,21 @@ pub fn chrome_trace_with_metrics(
     n_procs: usize,
     metrics: Option<&MetricsSnapshot>,
 ) -> String {
-    let mut events: Vec<String> = Vec::with_capacity(trace.len() * 2 + n_procs);
+    let mut events: Vec<Json> = Vec::with_capacity(trace.len() * 2 + n_procs);
     for p in 0..n_procs {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{p},\
-             \"args\":{{\"name\":\"P{p}\"}}}}"
-        ));
+        let name = Json::obj([("name", format!("P{p}").into())]);
+        events.push(event("thread_name", "M", ProcId(p), 0, [("args", name)]));
     }
 
     // FIFO matching per (src, dst, tag): the k-th send on a triple pairs
-    // with the k-th receive. Collect send completion times in record
-    // order first — a blocked receiver's interval can *start* before its
+    // with the k-th receive. Queue send completion times in record order
+    // first — a blocked receiver's interval can *start* before its
     // matching send does, so matching cannot ride the start-sorted pass.
-    let mut send_counter: HashMap<(usize, usize, u32), u64> = HashMap::new();
-    let mut send_at: HashMap<(usize, usize, u32, u64), u64> = HashMap::new();
+    let mut sends: HashMap<(usize, usize, u32), VecDeque<u64>> = HashMap::new();
     for e in trace.events() {
         if let EventKind::Send { dst, tag, .. } = e.kind {
             let key = (e.proc.0, dst.0, tag.0);
-            let k = send_counter.entry(key).or_insert(0);
-            send_at.insert((key.0, key.1, key.2, *k), e.at.0);
-            *k += 1;
+            sends.entry(key).or_default().push_back(e.at.0);
         }
     }
 
@@ -116,30 +128,23 @@ pub fn chrome_trace_with_metrics(
     let mut evs: Vec<&Event> = trace.events().collect();
     evs.sort_by_key(|e| (e.start().0, e.seq));
 
-    let mut recv_counter: HashMap<(usize, usize, u32), u64> = HashMap::new();
-    let mut flows: Vec<String> = Vec::new();
-    let mut next_flow_id: u64 = 0;
+    let mut flows: Vec<Json> = Vec::new();
     let mut retrans_cum: HashMap<usize, u64> = HashMap::new();
     let mut last_ts: u64 = 0;
 
     for e in &evs {
-        let ts = e.start().0;
-        last_ts = last_ts.max(e.at.0);
+        let (p, ts, at) = (e.proc, e.start().0, e.at.0);
+        last_ts = last_ts.max(at);
         match e.kind {
-            EventKind::Compute { cycles } => {
-                slice(&mut events, "compute", e.proc, ts, cycles, "");
-            }
+            EventKind::Compute { cycles } => events.push(slice("compute", p, ts, cycles, args([]))),
             EventKind::Send {
                 dst,
                 tag,
                 words,
                 cost,
             } => {
-                let args = format!(
-                    ",\"args\":{{\"dst\":{},\"tag\":{},\"words\":{}}}",
-                    dst.0, tag.0, words
-                );
-                slice(&mut events, "send", e.proc, ts, cost, &args);
+                let a = link("dst", dst, tag, ("words", words as u64));
+                events.push(slice("send", p, ts, cost, a));
             }
             EventKind::Recv {
                 src,
@@ -148,35 +153,22 @@ pub fn chrome_trace_with_metrics(
                 waited,
                 cost,
             } => {
-                let args = format!(
-                    ",\"args\":{{\"src\":{},\"tag\":{},\"words\":{}}}",
-                    src.0, tag.0, words
-                );
+                let a = link("src", src, tag, ("words", words as u64));
                 if waited > 0 {
-                    slice(&mut events, "blocked", e.proc, ts, waited, &args);
+                    events.push(slice("blocked", p, ts, waited, a.clone()));
                 }
-                let unpack_ts = e.at.0.saturating_sub(cost);
-                slice(&mut events, "recv", e.proc, unpack_ts, cost, &args);
+                let unpack_ts = at.saturating_sub(cost);
+                events.push(slice("recv", p, unpack_ts, cost, a));
                 // Flow arrow from the matching send's completion to the
                 // start of this unpack. Skip if the send fell outside the
                 // trace (bounded cap) — an end without a begin is invalid.
-                let key = (src.0, e.proc.0, tag.0);
-                let k = recv_counter.entry(key).or_insert(0);
-                if let Some(&sent) = send_at.get(&(key.0, key.1, key.2, *k)) {
-                    let id = next_flow_id;
-                    next_flow_id += 1;
-                    flows.push(format!(
-                        "{{\"name\":\"msg\",\"ph\":\"s\",\"cat\":\"msg\",\"id\":{},\
-                         \"pid\":0,\"tid\":{},\"ts\":{}}}",
-                        id, src.0, sent
-                    ));
-                    flows.push(format!(
-                        "{{\"name\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"msg\",\
-                         \"id\":{},\"pid\":0,\"tid\":{},\"ts\":{}}}",
-                        id, e.proc.0, unpack_ts
-                    ));
+                let queue = sends.get_mut(&(src.0, p.0, tag.0));
+                if let Some(sent) = queue.and_then(VecDeque::pop_front) {
+                    let id = ("id", Json::from(flows.len() / 2));
+                    let (cat, bp) = (("cat", Json::from("msg")), ("bp", Json::from("e")));
+                    flows.push(event("msg", "s", src, sent, [cat.clone(), id.clone()]));
+                    flows.push(event("msg", "f", p, unpack_ts, [bp, cat, id]));
                 }
-                *k += 1;
             }
             EventKind::FrameLost {
                 dst,
@@ -184,57 +176,38 @@ pub fn chrome_trace_with_metrics(
                 words,
                 cost,
             } => {
-                let args = format!(
-                    ",\"args\":{{\"dst\":{},\"tag\":{},\"words\":{}}}",
-                    dst.0, tag.0, words
-                );
-                slice(&mut events, "frame lost", e.proc, ts, cost, &args);
+                let a = link("dst", dst, tag, ("words", words as u64));
+                events.push(slice("frame lost", p, ts, cost, a));
             }
             EventKind::Retransmit { dst, tag, seq } => {
-                let args = format!(
-                    ",\"args\":{{\"dst\":{},\"tag\":{},\"seq\":{}}}",
-                    dst.0, tag.0, seq
-                );
-                instant(&mut events, "retransmit", e.proc, e.at.0, &args);
+                let a = link("dst", dst, tag, ("seq", seq));
+                events.push(instant("retransmit", p, at, a));
                 if metrics.is_some() {
-                    let cum = retrans_cum.entry(e.proc.0).or_insert(0);
+                    let cum = retrans_cum.entry(p.0).or_insert(0);
                     *cum += 1;
-                    events.push(format!(
-                        "{{\"name\":\"retransmits\",\"ph\":\"C\",\"pid\":0,\"tid\":{},\
-                         \"ts\":{},\"args\":{{\"cumulative\":{}}}}}",
-                        e.proc.0, e.at.0, cum
-                    ));
+                    let a = args([("cumulative", *cum)]);
+                    events.push(event("retransmits", "C", p, at, [("args", a)]));
                 }
             }
             EventKind::Ack { peer, tag, cum } => {
-                let args = format!(
-                    ",\"args\":{{\"peer\":{},\"tag\":{},\"cum\":{}}}",
-                    peer.0, tag.0, cum
-                );
-                instant(&mut events, "ack", e.proc, e.at.0, &args);
+                events.push(instant("ack", p, at, link("peer", peer, tag, ("cum", cum))));
             }
             EventKind::CheckpointTaken { at_op, bytes } => {
-                let args = format!(",\"args\":{{\"at_op\":{at_op},\"bytes\":{bytes}}}");
-                instant(&mut events, "checkpoint", e.proc, e.at.0, &args);
+                let a = args([("at_op", at_op), ("bytes", bytes)]);
+                events.push(instant("checkpoint", p, at, a));
             }
             EventKind::Crash { at_op } => {
-                let args = format!(",\"args\":{{\"at_op\":{at_op}}}");
-                instant(&mut events, "crash", e.proc, e.at.0, &args);
+                events.push(instant("crash", p, at, args([("at_op", at_op)])));
             }
             EventKind::Restore { from_op, replayed } => {
-                let args = format!(",\"args\":{{\"from_op\":{from_op},\"replayed\":{replayed}}}");
-                instant(&mut events, "restore", e.proc, e.at.0, &args);
+                let a = args([("from_op", from_op), ("replayed", replayed)]);
+                events.push(instant("restore", p, at, a));
             }
             EventKind::ReplayedFrame { dst, tag, seq } => {
-                let args = format!(
-                    ",\"args\":{{\"dst\":{},\"tag\":{},\"seq\":{}}}",
-                    dst.0, tag.0, seq
-                );
-                instant(&mut events, "replayed frame", e.proc, e.at.0, &args);
+                let a = link("dst", dst, tag, ("seq", seq));
+                events.push(instant("replayed frame", p, at, a));
             }
-            EventKind::Finish => {
-                instant(&mut events, "finish", e.proc, e.at.0, "");
-            }
+            EventKind::Finish => events.push(instant("finish", p, at, args([]))),
         }
     }
     events.extend(flows);
@@ -248,270 +221,26 @@ pub fn chrome_trace_with_metrics(
             if h.count == 0 {
                 continue;
             }
-            let mean = h.sum / h.count;
+            let a = args([("mean", h.sum / h.count), ("max", h.max)]);
             for ts in [0, last_ts] {
-                events.push(format!(
-                    "{{\"name\":\"ring occupancy (words)\",\"ph\":\"C\",\"pid\":0,\
-                     \"tid\":{p},\"ts\":{ts},\"args\":{{\"mean\":{mean},\"max\":{}}}}}",
-                    h.max
-                ));
+                let name = "ring occupancy (words)";
+                events.push(event(name, "C", ProcId(p), ts, [("args", a.clone())]));
             }
         }
     }
 
-    let mut out = String::new();
-    out.push_str("{\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n],\"displayTimeUnit\":\"ns\",\"otherData\":{");
-    let _ = write!(
-        out,
-        "\"droppedEvents\":{},\"source\":\"pdc-machine\"}}}}",
-        trace.dropped()
-    );
-    out
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader — enough to validate our own exporter output in
-// tests and CI without a serde dependency.
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as f64 — fine for cycle counts < 2^53).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion order not preserved.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Member lookup on an object; `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The f64 value of a number; `None` otherwise.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value; `None` otherwise.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array elements; `None` otherwise.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {}", self.pos, msg)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\n' || b == b'\t' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ascii");
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("bad number '{s}'")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            out.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parse a JSON document.
-pub fn parse_json(input: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(v)
+    Json::obj([
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", "ns".into()),
+        (
+            "otherData",
+            Json::obj([
+                ("droppedEvents", trace.dropped().into()),
+                ("source", "pdc-machine".into()),
+            ]),
+        ),
+    ])
+    .to_string()
 }
 
 /// Summary of a validated Chrome trace.
@@ -542,13 +271,8 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeStats, String> {
         .and_then(Json::as_arr)
         .ok_or("missing traceEvents array")?;
     let mut stats = ChromeStats::default();
-    if let Some(d) = doc
-        .get("otherData")
-        .and_then(|o| o.get("droppedEvents"))
-        .and_then(Json::as_num)
-    {
-        stats.dropped = d as u64;
-    }
+    let dropped = doc.get("otherData").and_then(|o| o.get("droppedEvents"));
+    stats.dropped = dropped.and_then(Json::as_num).unwrap_or(0.0) as u64;
     let mut last_ts: HashMap<(u64, u64), f64> = HashMap::new();
     let mut flow_begins: Vec<f64> = Vec::new();
     let mut flow_ends: Vec<f64> = Vec::new();
@@ -557,53 +281,32 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeStats, String> {
             .get("ph")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing ph"))?;
+        let num = |key: &str| {
+            e.get(key)
+                .and_then(Json::as_num)
+                .ok_or_else(|| format!("event {i}: {ph:?} event missing {key}"))
+        };
         match ph {
             "X" => {
-                let pid = e.get("pid").and_then(Json::as_num).unwrap_or(0.0) as u64;
-                let tid = e
-                    .get("tid")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i}: X slice missing tid"))?
-                    as u64;
-                let ts = e
-                    .get("ts")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i}: X slice missing ts"))?;
-                e.get("dur")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i}: X slice missing dur"))?;
-                if let Some(&prev) = last_ts.get(&(pid, tid)) {
-                    if ts < prev {
+                let pid = num("pid").unwrap_or(0.0) as u64;
+                let (tid, ts) = (num("tid")? as u64, num("ts")?);
+                num("dur")?;
+                match last_ts.insert((pid, tid), ts) {
+                    Some(prev) if ts < prev => {
                         return Err(format!(
                             "event {i}: ts {ts} < {prev} on track ({pid},{tid}) — not monotonic"
-                        ));
+                        ))
                     }
+                    _ => stats.slices += 1,
                 }
-                last_ts.insert((pid, tid), ts);
-                stats.slices += 1;
             }
-            "s" => {
-                let id = e
-                    .get("id")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i}: flow-begin missing id"))?;
-                flow_begins.push(id);
-            }
-            "f" => {
-                let id = e
-                    .get("id")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i}: flow-end missing id"))?;
-                flow_ends.push(id);
-            }
+            "s" => flow_begins.push(num("id")?),
+            "f" => flow_ends.push(num("id")?),
             "i" => stats.instants += 1,
             "C" => {
-                e.get("ts")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i}: counter missing ts"))?;
-                match e.get("args") {
-                    Some(Json::Obj(m)) if !m.is_empty() => {}
-                    _ => return Err(format!("event {i}: counter needs non-empty args")),
+                num("ts")?;
+                if !matches!(e.get("args"), Some(Json::Obj(m)) if !m.is_empty()) {
+                    return Err(format!("event {i}: counter needs non-empty args"));
                 }
                 stats.counters += 1;
             }
@@ -702,30 +405,10 @@ mod tests {
         // Two retransmit samples + occupancy band (start + end) on P0.
         assert_eq!(stats.counters, 4);
         assert!(json.contains("\"cumulative\":2"), "{json}");
-        assert!(json.contains("\"mean\":12,\"max\":16"), "{json}");
+        assert!(json.contains("\"max\":16,\"mean\":12"), "{json}");
         // Without a snapshot the output is byte-identical to the plain
         // exporter.
         assert_eq!(chrome_trace(&t, 2), chrome_trace_with_metrics(&t, 2, None));
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_numbers() {
-        let v =
-            parse_json(r#"{"a":[1,2.5,-3],"s":"x\"\nA","b":true,"n":null}"#).expect("valid JSON");
-        assert_eq!(
-            v.get("a").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(3)
-        );
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("x\"\nA"));
-        assert_eq!(v.get("b"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("n"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{} trailing").is_err());
     }
 
     #[test]

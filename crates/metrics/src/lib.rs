@@ -30,6 +30,7 @@
 mod channels;
 mod flight;
 mod hist;
+pub mod json;
 mod registry;
 mod snapshot;
 
@@ -37,6 +38,4 @@ pub use channels::{ChannelTable, CHANNEL_SLOTS};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_SLOTS, NO_PEER};
 pub use hist::{bucket_lo, bucket_of, Hist, HistSnapshot, N_BUCKETS};
 pub use registry::{CachePadded, Ctr, MetricsRegistry, N_CTRS};
-pub use snapshot::{
-    json_escape, LogicalMetrics, LogicalProc, MetricsSnapshot, ProcMetrics, TripleTotals,
-};
+pub use snapshot::{LogicalMetrics, LogicalProc, MetricsSnapshot, ProcMetrics, TripleTotals};

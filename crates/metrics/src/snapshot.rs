@@ -5,6 +5,7 @@
 
 use crate::flight::FlightEvent;
 use crate::hist::HistSnapshot;
+use crate::json::Json;
 use crate::registry::{Ctr, N_CTRS};
 
 /// Everything one processor recorded.
@@ -160,80 +161,59 @@ impl MetricsSnapshot {
 
     /// Deterministic JSON document of the whole snapshot.
     pub fn metrics_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"full\":{},\"n_procs\":{},\"procs\":[",
-            self.full,
-            self.procs.len()
-        ));
-        for (p, pm) in self.procs.iter().enumerate() {
-            if p > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"ctrs\":{");
-            for (i, c) in Ctr::ALL.into_iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", c.name(), pm.get(c)));
-            }
-            out.push_str("},");
-            out.push_str(&format!(
-                "\"frame_words\":{},\"ring_occupancy\":{},",
-                hist_json(&pm.frame_words),
-                hist_json(&pm.ring_occupancy)
-            ));
-            out.push_str(&format!(
-                "\"out\":{},\"in\":{},\"channel_overflow\":{},",
-                channels_json(&pm.out_channels),
-                channels_json(&pm.in_channels),
-                pm.channel_overflow
-            ));
-            out.push_str(&format!(
-                "\"flight_recorded\":{},\"flight\":[",
-                pm.flight_recorded
-            ));
-            for (i, ev) in pm.flight.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"kind\":\"{}\",\"peer\":{},\"tag\":{},\"value\":{},\"time\":{}}}",
-                    ev.kind.name(),
-                    ev.peer.map_or("null".to_string(), |p| p.to_string()),
-                    ev.tag,
-                    ev.value,
-                    ev.time
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        let procs = self.procs.iter().map(|pm| {
+            let flight = pm.flight.iter().map(|ev| {
+                Json::obj([
+                    ("kind", ev.kind.name().into()),
+                    ("peer", ev.peer.into()),
+                    ("tag", ev.tag.into()),
+                    ("value", ev.value.into()),
+                    ("time", ev.time.into()),
+                ])
+            });
+            Json::obj([
+                (
+                    "ctrs",
+                    Json::obj(Ctr::ALL.map(|c| (c.name(), pm.get(c).into()))),
+                ),
+                ("frame_words", hist_json(&pm.frame_words)),
+                ("ring_occupancy", hist_json(&pm.ring_occupancy)),
+                ("out", channels_json(&pm.out_channels)),
+                ("in", channels_json(&pm.in_channels)),
+                ("channel_overflow", pm.channel_overflow.into()),
+                ("flight_recorded", pm.flight_recorded.into()),
+                ("flight", flight.collect()),
+            ])
+        });
+        Json::obj([
+            ("full", self.full.into()),
+            ("n_procs", self.procs.len().into()),
+            ("procs", procs.collect()),
+        ])
+        .to_string()
     }
 }
 
-fn hist_json(h: &HistSnapshot) -> String {
-    let buckets: Vec<String> = h
-        .buckets
-        .iter()
-        .map(|&(lo, n)| format!("[{lo},{n}]"))
-        .collect();
-    format!(
-        "{{\"count\":{},\"sum\":{},\"max\":{},\"buckets\":[{}]}}",
-        h.count,
-        h.sum,
-        h.max,
-        buckets.join(",")
-    )
+fn hist_json(h: &HistSnapshot) -> Json {
+    Json::obj([
+        ("count", h.count.into()),
+        ("sum", h.sum.into()),
+        ("max", h.max.into()),
+        (
+            "buckets",
+            h.buckets
+                .iter()
+                .map(|&(lo, n)| Json::from_iter([lo, n]))
+                .collect(),
+        ),
+    ])
 }
 
-fn channels_json(chans: &[(u64, u64, u64, u64)]) -> String {
-    let items: Vec<String> = chans
+fn channels_json(chans: &[(u64, u64, u64, u64)]) -> Json {
+    chans
         .iter()
-        .map(|&(peer, tag, frames, words)| format!("[{peer},{tag},{frames},{words}]"))
-        .collect();
-    format!("[{}]", items.join(","))
+        .map(|&(peer, tag, frames, words)| Json::from_iter([peer, tag, frames, words]))
+        .collect()
 }
 
 /// Compile-time guard that `ctrs` vectors are sized right.
@@ -241,38 +221,9 @@ pub(crate) fn ctrs_vec() -> Vec<u64> {
     vec![0; N_CTRS]
 }
 
-/// Escape `s` for the inside of a JSON string literal. Total: quotes,
-/// backslashes and every control character are escaped, everything else
-/// passes through. The one escaper of the workspace's hand-rolled JSON
-/// writers (metrics, Chrome traces, remarks, the bench reports).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escape_is_total() {
-        assert_eq!(json_escape("plain b=4 (ok)"), "plain b=4 (ok)");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("l1\nl2\r\tx"), "l1\\nl2\\r\\tx");
-        assert_eq!(json_escape("\u{1}\u{1f}"), "\\u0001\\u001f");
-        assert_eq!(json_escape("naïve →"), "naïve →");
-    }
 
     #[test]
     fn exports_are_deterministic_and_wellformed() {

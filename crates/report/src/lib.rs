@@ -26,7 +26,7 @@ pub use cost::{predict, ChannelCost, CostSink, Prediction};
 pub use makespan::{estimate, predict_and_estimate, MakespanEstimate, TimingSink};
 
 use pdc_lang::Span;
-use pdc_machine::metrics::json_escape;
+use pdc_machine::metrics::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -269,48 +269,32 @@ pub fn render_text(remarks: &[Remark]) -> String {
 ///   "counts": { "<phase>.<kind>": N, ... } }
 /// ```
 ///
-/// Emission order is preserved for `remarks`; `counts` is sorted by key.
-/// Two identical compiles produce byte-identical output.
+/// Emission order is preserved for `remarks`; the members of every
+/// object (`details` and `counts` included) print sorted by key, one per
+/// line. Two identical compiles produce byte-identical output.
 pub fn remarks_json(remarks: &[Remark]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"remarks\": [\n");
-    for (i, r) in remarks.iter().enumerate() {
-        let span = match r.span {
-            Some(s) => format!("[{}, {}]", s.start, s.end),
-            None => "null".into(),
-        };
-        let tag = match r.tag {
-            Some(t) => t.to_string(),
-            None => "null".into(),
-        };
-        let mut details = String::from("{");
-        for (j, (k, v)) in r.details.iter().enumerate() {
-            if j > 0 {
-                details.push_str(", ");
-            }
-            let _ = write!(details, "\"{}\": \"{}\"", json_escape(k), json_escape(v));
-        }
-        details.push('}');
-        let _ = write!(
-            out,
-            "    {{\"phase\": \"{}\", \"kind\": \"{}\", \"span\": {span}, \"tag\": {tag}, \
-             \"message\": \"{}\", \"details\": {details}}}",
-            r.phase.slug(),
-            r.kind.slug(),
-            json_escape(&r.message)
-        );
-        out.push_str(if i + 1 < remarks.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n  \"counts\": {");
-    let cs = counts(remarks);
-    for (i, ((phase, kind), n)) in cs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}.{}\": {n}", phase.slug(), kind.slug());
-    }
-    out.push_str("}\n}\n");
-    out
+    let stream = remarks.iter().map(|r| {
+        let details = r
+            .details
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str().into()));
+        Json::obj([
+            ("phase", r.phase.slug().into()),
+            ("kind", r.kind.slug().into()),
+            (
+                "span",
+                r.span.map(|s| Json::from_iter([s.start, s.end])).into(),
+            ),
+            ("tag", r.tag.into()),
+            ("message", r.message.as_str().into()),
+            ("details", Json::obj(details)),
+        ])
+    });
+    let counts = counts(remarks)
+        .into_iter()
+        .map(|((phase, kind), n)| (format!("{}.{}", phase.slug(), kind.slug()), n.into()));
+    let doc = Json::obj([("remarks", stream.collect()), ("counts", Json::obj(counts))]);
+    format!("{doc:#}\n")
 }
 
 #[cfg(test)]

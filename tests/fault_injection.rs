@@ -232,6 +232,32 @@ fn crashed_runs_match_fault_free_runs_on_both_backends() {
     });
 }
 
+/// `max_crashes` caps the run, not each processor: a crash roll that
+/// always fires (1000 ‰) under a budget of one crashes exactly once on
+/// both backends, and the recovered run equals the fault-free one.
+#[test]
+fn crash_budget_is_spent_per_run_on_both_backends() {
+    within(THREADS_DEADLINE, || {
+        let budget = 1;
+        let sc = Scenario::jacobi(Dist::ColumnCyclic, 2);
+        let plan = FaultPlan::seeded(7).with_crash_rate(1000, budget);
+        let ckpt = CheckpointCfg::every(2).with_reboot(5_000, Duration::from_millis(1));
+        let clean = sc.run(&Point::default());
+        let point = at([
+            Axis::Faults(plan),
+            patient_threads(),
+            Axis::Checkpoints(ckpt),
+            Axis::Reliable(test_rel()),
+        ]);
+        let (sim, thr) = sc.on_both(&point, Ignoring::Damage);
+        for run in [&sim, &thr] {
+            assert_observably_equal(&clean, run, Ignoring::Damage, &format!("{sc} recovered"));
+            let injected = run.report.fault.as_ref().map(|f| f.injected.crashes);
+            assert_eq!(injected, Some(u64::from(budget)), "{sc}: crashes injected");
+        }
+    });
+}
+
 /// Crashes layered on a lossy fabric: restart while frames are dropped
 /// and duplicated, the hardest composite case.
 #[test]

@@ -23,7 +23,7 @@
 
 use pdc_depend::ast::analyze_for_env;
 use pdc_depend::{Access, Dependence};
-use pdc_lang::ast::{BinOp, Block, Expr, ExprKind, Stmt};
+use pdc_lang::ast::{Block, Stmt};
 use pdc_mapping::{Decomposition, Dist};
 use pdc_report::{Phase, Remark, RemarkKind};
 use std::collections::BTreeMap;
@@ -160,31 +160,12 @@ fn propagate_consts(body: &Block, env: &BTreeMap<String, i64>) -> BTreeMap<Strin
     let mut env = env.clone();
     for s in &body.stmts {
         if let Stmt::Let { name, init, .. } = s {
-            if let Some(v) = eval_const(init, &env) {
+            if let Some(v) = init.const_int(&|n| env.get(n).copied()) {
                 env.insert(name.clone(), v);
             }
         }
     }
     env
-}
-
-/// Evaluate `e` to an integer if it only mentions literals, known
-/// constants, and total integer arithmetic.
-fn eval_const(e: &Expr, env: &BTreeMap<String, i64>) -> Option<i64> {
-    match &e.kind {
-        ExprKind::Int(v) => Some(*v),
-        ExprKind::Var(name) => env.get(name).copied(),
-        ExprKind::Binary { op, lhs, rhs } => {
-            let (a, b) = (eval_const(lhs, env)?, eval_const(rhs, env)?);
-            match op {
-                BinOp::Add => a.checked_add(b),
-                BinOp::Sub => a.checked_sub(b),
-                BinOp::Mul => a.checked_mul(b),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
 }
 
 /// Outermost `for` statements of `body`, recursing through `if` arms

@@ -301,8 +301,10 @@ fn discover_arrays(
                         .array_dist(name)
                         .ok_or_else(|| CoreError::MissingMapping { name: name.clone() })?;
                     let extents = extent_overrides.get(name).copied().or_else(|| {
-                        let folded: Option<Vec<i64>> =
-                            dims.iter().map(|d| fold_const(d, const_params)).collect();
+                        let folded: Option<Vec<i64>> = dims
+                            .iter()
+                            .map(|d| d.const_int(&|v| const_params.get(v).copied()))
+                            .collect();
                         folded.and_then(|v| match v.as_slice() {
                             [n] => Some((1, (*n).max(0) as usize)),
                             [r, c] => Some(((*r).max(0) as usize, (*c).max(0) as usize)),
@@ -335,16 +337,6 @@ fn discover_arrays(
         }
     }
     Ok(())
-}
-
-/// Fold an expression to a constant under compile-time parameter values.
-fn fold_const(e: &Expr, params: &HashMap<String, i64>) -> Option<i64> {
-    let a = extract_affine(e)?;
-    let mut acc = a.constant_part();
-    for v in a.vars() {
-        acc += a.coeff(v) * params.get(v).copied()?;
-    }
-    Some(acc)
 }
 
 #[cfg(test)]

@@ -29,9 +29,10 @@ use crate::translate::{
 };
 use crate::CoreError;
 use pdc_lang::ast::{Block, Expr, ExprKind, Stmt};
+use pdc_lang::BinOp;
 use pdc_mapping::{solve_for, Affine, IterSet, OwnerExpr, Solution};
 use pdc_report::{Phase, Remark, RemarkKind, RemarkSink};
-use pdc_spmd::ir::{expr_to_string, RecvTarget, SBinOp, SExpr, SStmt, SpmdProgram};
+use pdc_spmd::ir::{expr_to_string, RecvTarget, SExpr, SStmt, SpmdProgram};
 use std::collections::BTreeMap;
 
 /// Maximum operands per statement (tag-space partitioning; must match
@@ -304,7 +305,7 @@ fn iterset_guard(v: &str, s: &IterSet) -> Option<SExpr> {
     }
     if let Some(lo) = s.lo {
         conjuncts.push(SExpr::Bin(
-            SBinOp::Ge,
+            BinOp::Ge,
             Box::new(SExpr::var(v)),
             Box::new(SExpr::int(lo)),
         ));
@@ -1010,7 +1011,7 @@ fn sends_only(body: &[SStmt]) -> bool {
 /// Split a conjunction into its conjuncts.
 fn conjuncts(e: &SExpr) -> Vec<SExpr> {
     match e {
-        SExpr::Bin(SBinOp::And, a, b) => {
+        SExpr::Bin(BinOp::And, a, b) => {
             let mut v = conjuncts(a);
             v.extend(conjuncts(b));
             v
@@ -1021,8 +1022,8 @@ fn conjuncts(e: &SExpr) -> Vec<SExpr> {
 
 /// The `(expr, modulus, residue)` of a residue test `expr mod m == r`.
 fn residue_test(e: &SExpr) -> Option<(String, i64, i64)> {
-    if let SExpr::Bin(SBinOp::Eq, lhs, rhs) = e {
-        if let (SExpr::Bin(SBinOp::Mod, base, m), SExpr::Int(r)) = (&**lhs, &**rhs) {
+    if let SExpr::Bin(BinOp::Eq, lhs, rhs) = e {
+        if let (SExpr::Bin(BinOp::Mod, base, m), SExpr::Int(r)) = (&**lhs, &**rhs) {
             if let SExpr::Int(m) = &**m {
                 return Some((expr_to_string(base), *m, *r));
             }
@@ -1244,19 +1245,19 @@ pub fn stride_loops(body: Vec<SStmt>) -> Vec<SStmt> {
 /// If `cond` is `(v + c) mod m == r` (with `c` possibly 0 or negative),
 /// return `c`.
 fn base_offset(cond: &SExpr, v: &str) -> Option<i64> {
-    let SExpr::Bin(SBinOp::Eq, lhs, _) = cond else {
+    let SExpr::Bin(BinOp::Eq, lhs, _) = cond else {
         return None;
     };
-    let SExpr::Bin(SBinOp::Mod, base, _) = &**lhs else {
+    let SExpr::Bin(BinOp::Mod, base, _) = &**lhs else {
         return None;
     };
     match &**base {
         SExpr::Var(w) if w == v => Some(0),
-        SExpr::Bin(SBinOp::Add, a, b) => match (&**a, &**b) {
+        SExpr::Bin(BinOp::Add, a, b) => match (&**a, &**b) {
             (SExpr::Var(w), SExpr::Int(c)) if w == v => Some(*c),
             _ => None,
         },
-        SExpr::Bin(SBinOp::Sub, a, b) => match (&**a, &**b) {
+        SExpr::Bin(BinOp::Sub, a, b) => match (&**a, &**b) {
             (SExpr::Var(w), SExpr::Int(c)) if w == v => Some(-*c),
             _ => None,
         },

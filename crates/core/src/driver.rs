@@ -874,7 +874,7 @@ pub fn run_sequential(program: &Program, entry: &str, inputs: &Inputs) -> Result
     let mut args = Vec::new();
     for p in &proc.params {
         if let Some((_, v)) = inputs.scalars.iter().find(|(n, _)| n == p) {
-            args.push(scalar_to_value(*v));
+            args.push(Value::from(*v));
         } else if let Some((_, m)) = inputs.arrays.iter().find(|(n, _)| n == p) {
             args.push(matrix_to_value(m));
         } else {
@@ -888,15 +888,6 @@ pub fn run_sequential(program: &Program, entry: &str, inputs: &Inputs) -> Result
     interp.run(entry, &args).map_err(CoreError::Lang)
 }
 
-/// Convert a machine scalar to an interpreter value.
-pub fn scalar_to_value(s: Scalar) -> Value {
-    match s {
-        Scalar::Int(v) => Value::Int(v),
-        Scalar::Float(v) => Value::Float(v),
-        Scalar::Bool(v) => Value::Bool(v),
-    }
-}
-
 /// Convert a scalar matrix to an interpreter matrix value.
 pub fn matrix_to_value(m: &IMatrix<Scalar>) -> Value {
     let out = Value::new_matrix(m.rows(), m.cols());
@@ -905,7 +896,7 @@ pub fn matrix_to_value(m: &IMatrix<Scalar>) -> Value {
         for i in 1..=m.rows() as i64 {
             for j in 1..=m.cols() as i64 {
                 if let Some(v) = m.peek(i, j) {
-                    h.write(i, j, scalar_to_value(*v)).expect("fresh matrix");
+                    h.write(i, j, Value::from(*v)).expect("fresh matrix");
                 }
             }
         }
@@ -932,7 +923,7 @@ pub fn first_mismatch(
             let s = h.peek(i, j).cloned();
             let same = match (&g, &s) {
                 (None, None) => true,
-                (Some(gv), Some(sv)) => &scalar_to_value(*gv) == sv,
+                (Some(gv), Some(sv)) => &Value::from(*gv) == sv,
                 _ => false,
             };
             if !same {

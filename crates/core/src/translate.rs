@@ -5,37 +5,7 @@
 use crate::CoreError;
 use pdc_lang::ast::{BinOp, Expr, ExprKind, UnOp};
 use pdc_mapping::{Affine, LocalIndex, OwnerExpr};
-use pdc_spmd::ir::{SBinOp, SExpr, SUnOp};
-
-/// Map a source binary operator to its target counterpart.
-pub fn binop(op: BinOp) -> SBinOp {
-    match op {
-        BinOp::Add => SBinOp::Add,
-        BinOp::Sub => SBinOp::Sub,
-        BinOp::Mul => SBinOp::Mul,
-        BinOp::Div => SBinOp::Div,
-        BinOp::FloorDiv => SBinOp::FloorDiv,
-        BinOp::Mod => SBinOp::Mod,
-        BinOp::Eq => SBinOp::Eq,
-        BinOp::Ne => SBinOp::Ne,
-        BinOp::Lt => SBinOp::Lt,
-        BinOp::Le => SBinOp::Le,
-        BinOp::Gt => SBinOp::Gt,
-        BinOp::Ge => SBinOp::Ge,
-        BinOp::And => SBinOp::And,
-        BinOp::Or => SBinOp::Or,
-        BinOp::Min => SBinOp::Min,
-        BinOp::Max => SBinOp::Max,
-    }
-}
-
-/// Map a source unary operator to its target counterpart.
-pub fn unop(op: UnOp) -> SUnOp {
-    match op {
-        UnOp::Neg => SUnOp::Neg,
-        UnOp::Not => SUnOp::Not,
-    }
-}
+use pdc_spmd::ir::SExpr;
 
 /// Extract the affine form of a subscript expression, if it has one
 /// (variables may be loop variables or run-time scalars; constants fold).
@@ -78,7 +48,7 @@ pub fn affine_to_sexpr(a: &Affine) -> SExpr {
         let term = if c == 1 {
             SExpr::var(v)
         } else if c == -1 {
-            SExpr::Un(SUnOp::Neg, Box::new(SExpr::var(v)))
+            SExpr::Un(UnOp::Neg, Box::new(SExpr::var(v)))
         } else {
             SExpr::int(c).mul(SExpr::var(v))
         };
@@ -238,7 +208,7 @@ pub fn translate_with_operands(
             span: e.span,
         }),
         ExprKind::Binary { op, lhs, rhs } => Ok(SExpr::Bin(
-            binop(*op),
+            *op,
             Box::new(translate_with_operands(
                 lhs,
                 is_mapped_scalar,
@@ -251,7 +221,7 @@ pub fn translate_with_operands(
             )?),
         )),
         ExprKind::Unary { op, operand } => Ok(SExpr::Un(
-            unop(*op),
+            *op,
             Box::new(translate_with_operands(
                 operand,
                 is_mapped_scalar,

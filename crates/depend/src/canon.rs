@@ -15,8 +15,9 @@
 //! because it separately proves the residue guards agree under the
 //! shift.
 
+use pdc_lang::{BinOp, UnOp};
 use pdc_mapping::Affine;
-use pdc_spmd::ir::{SBinOp, SExpr, SUnOp};
+use pdc_spmd::ir::SExpr;
 
 /// Canonicalized expression: affine leaves combined by `div`/`mod` (the
 /// only non-affine operators the compiler emits in index positions).
@@ -40,13 +41,13 @@ pub fn canon(e: &SExpr) -> Option<Canon> {
     match e {
         SExpr::Int(v) => Some(Canon::Aff(Affine::constant(*v))),
         SExpr::Var(v) => Some(Canon::Aff(Affine::var(v.clone()))),
-        SExpr::Un(SUnOp::Neg, a) => neg(canon(a)?),
+        SExpr::Un(UnOp::Neg, a) => neg(canon(a)?),
         SExpr::Bin(op, a, b) => {
             let (ca, cb) = (canon(a)?, canon(b)?);
             match op {
-                SBinOp::Add => Some(add(ca, cb)),
-                SBinOp::Sub => Some(add(ca, neg(cb)?)),
-                SBinOp::Mul => match (ca, cb) {
+                BinOp::Add => Some(add(ca, cb)),
+                BinOp::Sub => Some(add(ca, neg(cb)?)),
+                BinOp::Mul => match (ca, cb) {
                     (Canon::Aff(x), Canon::Aff(y)) => {
                         if let Some(k) = x.as_constant() {
                             Some(Canon::Aff(y.scale(k)))
@@ -59,7 +60,7 @@ pub fn canon(e: &SExpr) -> Option<Canon> {
                     }
                     _ => None,
                 },
-                SBinOp::FloorDiv => match (cb, ca) {
+                BinOp::FloorDiv => match (cb, ca) {
                     (Canon::Aff(y), ca) => {
                         let k = y.as_constant()?;
                         if k <= 0 {
@@ -69,7 +70,7 @@ pub fn canon(e: &SExpr) -> Option<Canon> {
                     }
                     _ => None,
                 },
-                SBinOp::Mod => match (cb, ca) {
+                BinOp::Mod => match (cb, ca) {
                     (Canon::Aff(y), ca) => {
                         let k = y.as_constant()?;
                         if k <= 0 {
@@ -354,15 +355,15 @@ mod tests {
             SExpr::Bin(op, a, b) => {
                 let (x, y) = (eval(a, jv), eval(b, jv));
                 match op {
-                    SBinOp::Add => x + y,
-                    SBinOp::Sub => x - y,
-                    SBinOp::Mul => x * y,
-                    SBinOp::FloorDiv => x.div_euclid(y),
-                    SBinOp::Mod => x.rem_euclid(y),
+                    BinOp::Add => x + y,
+                    BinOp::Sub => x - y,
+                    BinOp::Mul => x * y,
+                    BinOp::FloorDiv => x.div_euclid(y),
+                    BinOp::Mod => x.rem_euclid(y),
                     _ => panic!("unexpected op"),
                 }
             }
-            SExpr::Un(SUnOp::Neg, a) => -eval(a, jv),
+            SExpr::Un(UnOp::Neg, a) => -eval(a, jv),
             other => panic!("unexpected expr {other:?}"),
         }
     }

@@ -151,11 +151,6 @@ impl Dependence {
             None => format!("{} on `{}` loop-independent", self.kind, self.array),
         }
     }
-
-    /// Is every direction component known exactly (no `*`)?
-    pub fn is_precise(&self) -> bool {
-        !self.direction.contains(&Direction::Any)
-    }
 }
 
 /// One array access inside a nest, as seen by a front-end.
@@ -217,11 +212,6 @@ pub struct DependenceInfo {
 }
 
 impl DependenceInfo {
-    /// Dependences touching `array`.
-    pub fn deps_on<'a>(&'a self, array: &'a str) -> impl Iterator<Item = &'a Dependence> {
-        self.deps.iter().filter(move |d| d.array == array)
-    }
-
     /// Loop-carried dependences.
     pub fn loop_carried(&self) -> impl Iterator<Item = &Dependence> {
         self.deps.iter().filter(|d| d.is_loop_carried())
@@ -277,15 +267,6 @@ impl DependenceInfo {
             }
         }
         Ok(())
-    }
-
-    /// Dependences carried at (1-based) `level` on `array`.
-    pub fn carried_on<'a>(
-        &'a self,
-        array: &'a str,
-        level: usize,
-    ) -> impl Iterator<Item = &'a Dependence> {
-        self.deps_on(array).filter(move |d| d.level == Some(level))
     }
 
     fn note(&mut self, msg: String) {

@@ -5,6 +5,7 @@
 //! and *participants* attributes keyed by node; we key those side tables by
 //! [`Span`], which uniquely identifies a node within one source file.
 
+use crate::scalar::{binop, unop, Scalar};
 use crate::span::Span;
 use std::fmt;
 
@@ -192,6 +193,23 @@ impl Expr {
     /// Construct with an explicit span.
     pub fn new(kind: ExprKind, span: Span) -> Self {
         Expr { kind, span }
+    }
+
+    /// The integer this expression always evaluates to, if it mentions
+    /// only integer literals, names that `known` maps to integers, and
+    /// operators that do not fault on them.
+    pub fn const_int(&self, known: &dyn Fn(&str) -> Option<i64>) -> Option<i64> {
+        let v = match &self.kind {
+            ExprKind::Int(v) => return Some(*v),
+            ExprKind::Var(name) => return known(name),
+            ExprKind::Binary { op, lhs, rhs } => {
+                let (l, r) = (lhs.const_int(known)?, rhs.const_int(known)?);
+                binop(*op, Scalar::Int(l), Scalar::Int(r))
+            }
+            ExprKind::Unary { op, operand } => unop(*op, Scalar::Int(operand.const_int(known)?)),
+            _ => return None,
+        };
+        v.ok()?.as_int()
     }
 }
 

@@ -7,6 +7,7 @@
 
 use crate::ast::*;
 use crate::error::LangError;
+use crate::scalar::{binop, unop, OpError, Scalar};
 use crate::span::Span;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -219,7 +220,10 @@ impl<'a> Interpreter<'a> {
                         Flow::Normal => {}
                         returned => return Ok(returned),
                     }
-                    v += step;
+                    v = binop(BinOp::Add, Scalar::Int(v), Scalar::Int(step))
+                        .map_err(|e| op_error(e, *span))?
+                        .as_int()
+                        .expect("int + int is an int");
                 }
                 Ok(Flow::Normal)
             }
@@ -307,50 +311,41 @@ impl<'a> Interpreter<'a> {
                 }
             }
             ExprKind::Binary { op, lhs, rhs } => {
-                // `and`/`or` short-circuit.
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    let l = self.eval(lhs, env)?;
-                    return match (op, &l) {
-                        (BinOp::And, Value::Bool(false)) => Ok(Value::Bool(false)),
-                        (BinOp::Or, Value::Bool(true)) => Ok(Value::Bool(true)),
-                        (_, Value::Bool(_)) => {
-                            let r = self.eval(rhs, env)?;
-                            match r {
-                                Value::Bool(_) => Ok(r),
-                                other => Err(LangError::Runtime {
-                                    message: format!("boolean operator on {}", other.type_name()),
-                                    span: expr.span,
-                                }),
-                            }
-                        }
-                        (_, other) => Err(LangError::Runtime {
-                            message: format!("boolean operator on {}", other.type_name()),
-                            span: expr.span,
-                        }),
-                    };
-                }
                 let l = self.eval(lhs, env)?;
+                // `and`/`or` short-circuit: a left operand that decides
+                // the result is the result, and the right one never runs.
+                if matches!(
+                    (op, &l),
+                    (BinOp::And, Value::Bool(false)) | (BinOp::Or, Value::Bool(true))
+                ) {
+                    return Ok(l);
+                }
                 let r = self.eval(rhs, env)?;
-                binary_op(*op, &l, &r).ok_or_else(|| LangError::Runtime {
-                    message: format!(
-                        "cannot apply `{op}` to {} and {}",
-                        l.type_name(),
-                        r.type_name()
-                    ),
-                    span: expr.span,
-                })
+                let (Some(a), Some(b)) = (l.as_scalar(), r.as_scalar()) else {
+                    return Err(LangError::Runtime {
+                        message: format!(
+                            "cannot apply `{op}` to {} and {}",
+                            l.type_name(),
+                            r.type_name()
+                        ),
+                        span: expr.span,
+                    });
+                };
+                binop(*op, a, b)
+                    .map(Value::from)
+                    .map_err(|e| op_error(e, expr.span))
             }
             ExprKind::Unary { op, operand } => {
                 let v = self.eval(operand, env)?;
-                match (op, &v) {
-                    (UnOp::Neg, Value::Int(x)) => Ok(Value::Int(-x)),
-                    (UnOp::Neg, Value::Float(x)) => Ok(Value::Float(-x)),
-                    (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                    (op, other) => Err(LangError::Runtime {
-                        message: format!("cannot apply `{op}` to {}", other.type_name()),
+                let Some(a) = v.as_scalar() else {
+                    return Err(LangError::Runtime {
+                        message: format!("cannot apply `{op}` to {}", v.type_name()),
                         span: expr.span,
-                    }),
-                }
+                    });
+                };
+                unop(*op, a)
+                    .map(Value::from)
+                    .map_err(|e| op_error(e, expr.span))
             }
             ExprKind::Call { name, args } => {
                 let mut vals = Vec::with_capacity(args.len());
@@ -379,79 +374,11 @@ impl<'a> Interpreter<'a> {
     }
 }
 
-/// Apply a (non-short-circuit) binary operator; `None` on a type error.
-pub(crate) fn binary_op(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
-    use BinOp::*;
-    use Value::*;
-    match op {
-        Add | Sub | Mul | Div | FloorDiv | Mod | Min | Max => match (l, r) {
-            (Int(a), Int(b)) => {
-                let v = match op {
-                    Add => a.checked_add(*b)?,
-                    Sub => a.checked_sub(*b)?,
-                    Mul => a.checked_mul(*b)?,
-                    Div | FloorDiv => {
-                        if *b == 0 {
-                            return None;
-                        }
-                        a.div_euclid(*b)
-                    }
-                    Mod => {
-                        if *b == 0 {
-                            return None;
-                        }
-                        a.rem_euclid(*b)
-                    }
-                    Min => *a.min(b),
-                    Max => *a.max(b),
-                    _ => unreachable!(),
-                };
-                Some(Int(v))
-            }
-            _ => {
-                let a = l.as_f64()?;
-                let b = r.as_f64()?;
-                let v = match op {
-                    Add => a + b,
-                    Sub => a - b,
-                    Mul => a * b,
-                    Div => a / b,
-                    FloorDiv => (a / b).floor(),
-                    Mod => a - b * (a / b).floor(),
-                    Min => a.min(b),
-                    Max => a.max(b),
-                    _ => unreachable!(),
-                };
-                Some(Float(v))
-            }
-        },
-        Eq | Ne => {
-            let eq = match (l, r) {
-                (Bool(a), Bool(b)) => a == b,
-                _ => {
-                    let a = l.as_f64()?;
-                    let b = r.as_f64()?;
-                    a == b
-                }
-            };
-            Some(Bool(if op == Eq { eq } else { !eq }))
-        }
-        Lt | Le | Gt | Ge => {
-            let a = l.as_f64()?;
-            let b = r.as_f64()?;
-            let v = match op {
-                Lt => a < b,
-                Le => a <= b,
-                Gt => a > b,
-                Ge => a >= b,
-                _ => unreachable!(),
-            };
-            Some(Bool(v))
-        }
-        And | Or => match (l, r) {
-            (Bool(a), Bool(b)) => Some(Bool(if op == And { *a && *b } else { *a || *b })),
-            _ => None,
-        },
+/// An operator's failure as a run-time error at `span`.
+fn op_error(e: OpError, span: Span) -> LangError {
+    LangError::Runtime {
+        message: e.to_string(),
+        span,
     }
 }
 
@@ -680,7 +607,49 @@ mod tests {
     #[test]
     fn division_by_zero_reported() {
         let err = run("procedure f() { return 1 div 0; }", "f", &[]).unwrap_err();
-        assert!(err.to_string().contains("cannot apply"));
+        assert!(err.to_string().contains("division by zero"), "{err}");
+    }
+
+    #[test]
+    fn negating_i64_min_is_an_overflow() {
+        let src = "procedure f() { return -(0 - 9223372036854775807 - 1); }";
+        let err = run(src, "f", &[]).unwrap_err();
+        assert!(err.to_string().contains("integer overflow"), "{err}");
+        // One short of the edge negates.
+        let src = "procedure f() { return -(0 - 9223372036854775807); }";
+        assert_eq!(run(src, "f", &[]).unwrap(), Value::Int(i64::MAX));
+    }
+
+    #[test]
+    fn loop_step_past_i64_max_is_an_overflow() {
+        // The body runs at i = MAX - 1; the step to MAX + 2 overflows.
+        let src = "procedure f(a) {
+            let m = 9223372036854775807;
+            for i = m - 1 to m by 3 do { a[1] = i; }
+            return 0;
+        }";
+        let p = parse(src).unwrap();
+        let a = Value::new_vector(1);
+        let err = Interpreter::new(&p)
+            .run("f", std::slice::from_ref(&a))
+            .unwrap_err();
+        assert!(err.to_string().contains("integer overflow"), "{err}");
+        if let Value::Vector(v) = a {
+            assert_eq!(*v.borrow_mut().read(0).unwrap(), Value::Int(i64::MAX - 1));
+        }
+    }
+
+    #[test]
+    fn integers_compare_exactly_beyond_2_pow_53() {
+        let src = "procedure f() {
+            if 9007199254740993 == 9007199254740992 then { return 1; } else { return 2; }
+        }";
+        assert_eq!(run(src, "f", &[]).unwrap(), Value::Int(2));
+        let src = "procedure f() {
+            for i = 9007199254740993 to 9007199254740992 do { return 1; }
+            return 0;
+        }";
+        assert_eq!(run(src, "f", &[]).unwrap(), Value::Int(0));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   element definition `A[i,j] = e` and reads `A[i,j]` with the paper's
 //!   run-time error semantics (double write, read of undefined);
 //! * integer and floating-point arithmetic, `mod`/`div` (Euclidean),
-//!   comparisons, `min`/`max`, boolean connectives.
+//!   comparisons, `min`/`max`, boolean connectives — defined once, on
+//!   [`Scalar`]s, in [`scalar`], for every interpreter of the language.
 //!
 //! An optional `map { … }` header carries the *domain decomposition* in
 //! source form (the italicized portion of the paper's Figure 1); the
@@ -50,6 +51,7 @@ pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+pub mod scalar;
 pub mod span;
 pub mod token;
 pub mod value;
@@ -58,4 +60,5 @@ pub use ast::{BinOp, Block, Expr, MapDecl, Proc, Program, Stmt, UnOp};
 pub use check::check_all;
 pub use error::LangError;
 pub use parser::{parse, parse_unchecked};
+pub use scalar::{binop, unop, OpError, Scalar};
 pub use span::Span;

@@ -1,5 +1,6 @@
 //! Run-time values of the sequential interpreter.
 
+use crate::scalar::Scalar;
 use pdc_istructure::{IMatrix, IStructure};
 use std::cell::RefCell;
 use std::fmt;
@@ -54,20 +55,23 @@ impl Value {
         matches!(self, Value::Int(_) | Value::Float(_) | Value::Bool(_))
     }
 
-    /// Numeric view as f64, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
+    /// The scalar this value is, if it is one.
+    pub fn as_scalar(&self) -> Option<Scalar> {
         match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
+            Value::Int(v) => Some(Scalar::Int(*v)),
+            Value::Float(v) => Some(Scalar::Float(*v)),
+            Value::Bool(v) => Some(Scalar::Bool(*v)),
             _ => None,
         }
     }
+}
 
-    /// Integer view, if an integer.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
+impl From<Scalar> for Value {
+    fn from(v: Scalar) -> Self {
+        match v {
+            Scalar::Int(v) => Value::Int(v),
+            Scalar::Float(v) => Value::Float(v),
+            Scalar::Bool(v) => Value::Bool(v),
         }
     }
 }

@@ -18,8 +18,6 @@ pub struct CostModel {
     pub mem_op: u64,
     /// One I-structure read or write (tag check + access).
     pub istruct_op: u64,
-    /// Evaluating one ownership guard (`if P == mynode() …`).
-    pub guard: u64,
     /// Loop bookkeeping per iteration (increment, compare, branch).
     pub loop_overhead: u64,
     /// Fixed cost paid by the sender per message (packing + system call).
@@ -48,7 +46,6 @@ impl CostModel {
             alu_op: 1,
             mem_op: 1,
             istruct_op: 3,
-            guard: 2,
             loop_overhead: 2,
             send_startup: 1000,
             send_per_word: 2,
@@ -66,7 +63,6 @@ impl CostModel {
             alu_op: 0,
             mem_op: 0,
             istruct_op: 0,
-            guard: 0,
             loop_overhead: 0,
             send_startup: 0,
             send_per_word: 0,
@@ -85,7 +81,6 @@ impl CostModel {
             alu_op: 1,
             mem_op: 1,
             istruct_op: 3,
-            guard: 2,
             loop_overhead: 2,
             send_startup: 20,
             send_per_word: 1,

@@ -20,9 +20,10 @@
 
 use crate::canon::{canon, shift_sexpr};
 use pdc_depend::spmd::flow_shift;
+use pdc_lang::BinOp;
 use pdc_mapping::Affine;
 use pdc_report::{Phase, Remark, RemarkKind, RemarkSink};
-use pdc_spmd::ir::{SBinOp, SExpr, SStmt, SpmdProgram};
+use pdc_spmd::ir::{SExpr, SStmt, SpmdProgram};
 use std::collections::BTreeSet;
 
 /// One successful fusion: tag, iteration shift, residue modulus.
@@ -146,10 +147,10 @@ fn jam_body(body: Vec<SStmt>, fused: &mut Vec<Fused>) -> (Vec<SStmt>, usize) {
 /// A residue guard `base ≡ r (mod m)` in normalized form: the base affine
 /// with its constant folded into the residue.
 fn parse_residue(e: &SExpr) -> Option<(Affine, i64, i64)> {
-    let SExpr::Bin(SBinOp::Eq, lhs, rhs) = e else {
+    let SExpr::Bin(BinOp::Eq, lhs, rhs) = e else {
         return None;
     };
-    let SExpr::Bin(SBinOp::Mod, base, m) = &**lhs else {
+    let SExpr::Bin(BinOp::Mod, base, m) = &**lhs else {
         return None;
     };
     let SExpr::Int(m) = &**m else {

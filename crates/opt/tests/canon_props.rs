@@ -3,8 +3,9 @@
 //! values) and variable shifts mean what they say. (Deterministic
 //! `pdc-testkit` cases; a failing case prints its seed for replay.)
 
+use pdc_lang::{BinOp, UnOp};
 use pdc_opt::canon::{canon, canon_eq, shift_sexpr, solve_shift, uncanon};
-use pdc_spmd::ir::{SBinOp, SExpr, SUnOp};
+use pdc_spmd::ir::SExpr;
 use pdc_testkit::{cases, Rng};
 
 fn leaf(rng: &mut Rng) -> SExpr {
@@ -23,19 +24,19 @@ fn index_expr(rng: &mut Rng, depth: usize) -> SExpr {
     }
     match rng.range_usize(0, 6) {
         0 => SExpr::Bin(
-            SBinOp::Add,
+            BinOp::Add,
             Box::new(index_expr(rng, depth - 1)),
             Box::new(index_expr(rng, depth - 1)),
         ),
         1 => SExpr::Bin(
-            SBinOp::Sub,
+            BinOp::Sub,
             Box::new(index_expr(rng, depth - 1)),
             Box::new(index_expr(rng, depth - 1)),
         ),
         2 => index_expr(rng, depth - 1).idiv(SExpr::Int(rng.range_i64(1, 6))),
         3 => index_expr(rng, depth - 1).imod(SExpr::Int(rng.range_i64(1, 6))),
         4 => SExpr::Int(rng.range_i64(-3, 4)).mul(index_expr(rng, depth - 1)),
-        _ => SExpr::Un(SUnOp::Neg, Box::new(index_expr(rng, depth - 1))),
+        _ => SExpr::Un(UnOp::Neg, Box::new(index_expr(rng, depth - 1))),
     }
 }
 
@@ -44,15 +45,15 @@ fn eval(e: &SExpr, j: i64, k: i64) -> i64 {
         SExpr::Int(v) => *v,
         SExpr::Var(v) if v == "j" => j,
         SExpr::Var(v) if v == "k" => k,
-        SExpr::Un(SUnOp::Neg, a) => -eval(a, j, k),
+        SExpr::Un(UnOp::Neg, a) => -eval(a, j, k),
         SExpr::Bin(op, a, b) => {
             let (l, r) = (eval(a, j, k), eval(b, j, k));
             match op {
-                SBinOp::Add => l + r,
-                SBinOp::Sub => l - r,
-                SBinOp::Mul => l * r,
-                SBinOp::FloorDiv => l.div_euclid(r),
-                SBinOp::Mod => l.rem_euclid(r),
+                BinOp::Add => l + r,
+                BinOp::Sub => l - r,
+                BinOp::Mul => l * r,
+                BinOp::FloorDiv => l.div_euclid(r),
+                BinOp::Mod => l.rem_euclid(r),
                 other => panic!("unexpected op {other:?}"),
             }
         }

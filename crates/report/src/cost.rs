@@ -4,17 +4,9 @@
 //! accounting Rogers & Pingali use to argue the Optimized I–III curves
 //! (footnote 3's 31,752 vs 2,142 messages).
 //!
-//! The interpreter mirrors the VM exactly where it matters:
-//!
-//! * integer arithmetic is Euclidean (`div_euclid`/`rem_euclid`), with
-//!   int→float coercion on mixed operands, as in `scalar_binop`;
-//! * `for` evaluates `lo`/`hi` once, then runs `v = lo; while (step > 0 ?
-//!   v <= hi : v >= hi) { body; v += step }`;
-//! * `owner_of` resolves `OwnerSet::One(p)` to `p` and `OwnerSet::All` to
-//!   the *executing* processor (replicated data is locally owned);
-//! * a `csend` of `k` scalars carries `2k` payload words (the VM encodes
-//!   each scalar as a type-tag word plus a value word); a `SendBuf` of
-//!   `b[lo..=hi]` carries `2(hi-lo+1)` words.
+//! The prediction runs the shared walk of [`crate::interp`], which mirrors
+//! the VM exactly where it matters (operators, loop bounds, ownership,
+//! payload words; its module doc lists how).
 //!
 //! Array and buffer *contents* are opaque: `ARead`/`AReadGlobal`/
 //! `BufRead` evaluate to ⊤ (unknown). When an unknown value reaches

@@ -22,10 +22,11 @@
 //!
 //! The interpreter mirrors the VM exactly where it matters:
 //!
-//! * integer arithmetic is Euclidean (`div_euclid`/`rem_euclid`), with
-//!   int→float coercion on mixed operands, as in `scalar_binop`;
+//! * operators are the VM's own: [`pdc_lang::binop`]/[`pdc_lang::unop`],
+//!   lifted so that ⊤ in, or a fault out, gives ⊤;
 //! * `for` evaluates `lo`/`hi` once, then runs `v = lo; while (step > 0 ?
-//!   v <= hi : v >= hi) { body; v += step }`;
+//!   v <= hi : v >= hi) { body; v += step }`, where a zero step or a
+//!   step that overflows faults (the walk notes it and leaves the loop);
 //! * `owner_of` resolves `OwnerSet::One(p)` to `p` and `OwnerSet::All` to
 //!   the *executing* processor (replicated data is locally owned);
 //! * a `csend` of `k` scalars carries `2k` payload words (the VM encodes
@@ -40,7 +41,8 @@
 //! communication cannot be counted and the walk reports why through
 //! [`Events::note`]; sinks treat any note as loss of exactness.
 
-use pdc_spmd::ir::{SBinOp, SUnOp};
+use pdc_lang::scalar::{self, Scalar};
+use pdc_lang::{BinOp, UnOp};
 use std::collections::BTreeMap;
 
 mod resolve;
@@ -53,28 +55,9 @@ pub use resolve::{resolve, Resolved};
 /// analysis-relevant sizes. Comments execute nothing and burn none.
 pub const FUEL: u64 = 50_000_000;
 
-/// The abstract value domain: concrete scalars plus ⊤ (unknown).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Abs {
-    /// A statically known integer.
-    Int(i64),
-    /// A statically known float.
-    Float(f64),
-    /// A statically known boolean.
-    Bool(bool),
-    /// Unknown (typically an array or buffer read).
-    Top,
-}
-
-impl Abs {
-    fn as_f64(self) -> Option<f64> {
-        match self {
-            Abs::Int(v) => Some(v as f64),
-            Abs::Float(v) => Some(v),
-            _ => None,
-        }
-    }
-}
+/// The abstract value domain: a statically known scalar, or ⊤ (`None`:
+/// unknown, typically an array or buffer read).
+pub type Abs = Option<Scalar>;
 
 macro_rules! slot_id {
     ($(#[$doc:meta])* $name:ident) => {
@@ -430,96 +413,22 @@ impl<A: Events, B: Events> Events for Tee<'_, A, B> {
     }
 }
 
-/// Mirror of the VM's unary operators, lifted to the abstract domain.
-fn unop(op: SUnOp, v: Abs) -> Abs {
-    match (op, v) {
-        (SUnOp::Neg, Abs::Int(v)) => v.checked_neg().map(Abs::Int).unwrap_or(Abs::Top),
-        (SUnOp::Neg, Abs::Float(v)) => Abs::Float(-v),
-        (SUnOp::Not, Abs::Bool(v)) => Abs::Bool(!v),
-        _ => Abs::Top,
-    }
-}
-
-/// Mirror of the VM's `scalar_binop`, lifted to the abstract domain.
+/// [`pdc_lang::unop`] lifted to the abstract domain: ⊤ in, or a fault out
+/// (the VM stops there; the walk does not model faults), gives ⊤.
 #[inline]
-pub fn binop(op: SBinOp, l: Abs, r: Abs) -> Abs {
-    use SBinOp::*;
-    // Nearly everything the walk computes is index arithmetic.
-    if let (Abs::Int(a), Abs::Int(b)) = (l, r) {
-        let v = match op {
-            Add => a.checked_add(b),
-            Sub => a.checked_sub(b),
-            Mul => a.checked_mul(b),
-            Div | FloorDiv => (b != 0).then(|| a.div_euclid(b)),
-            Mod => (b != 0).then(|| a.rem_euclid(b)),
-            Min => Some(a.min(b)),
-            Max => Some(a.max(b)),
-            // The VM compares numbers as floats, integers included.
-            Eq => return Abs::Bool(a as f64 == b as f64),
-            Ne => return Abs::Bool(a as f64 != b as f64),
-            Lt => return Abs::Bool((a as f64) < b as f64),
-            Le => return Abs::Bool(a as f64 <= b as f64),
-            Gt => return Abs::Bool(a as f64 > b as f64),
-            Ge => return Abs::Bool(a as f64 >= b as f64),
-            And | Or => return Abs::Top,
-        };
-        return v.map_or(Abs::Top, Abs::Int);
-    }
-    binop_mixed(op, l, r)
+fn unop(op: UnOp, v: Abs) -> Abs {
+    scalar::unop(op, v?).ok()
 }
 
-/// [`binop`] on anything but two integers.
-fn binop_mixed(op: SBinOp, l: Abs, r: Abs) -> Abs {
-    use SBinOp::*;
-    if l == Abs::Top || r == Abs::Top {
-        return Abs::Top;
+/// [`pdc_lang::binop`] lifted the same way.
+#[inline]
+fn binop(op: BinOp, l: Abs, r: Abs) -> Abs {
+    // Nearly everything the walk computes is index arithmetic: a direct
+    // int–int call lets the optimizer drop the other operand types.
+    if let (Some(Scalar::Int(a)), Some(Scalar::Int(b))) = (l, r) {
+        return scalar::binop(op, Scalar::Int(a), Scalar::Int(b)).ok();
     }
-    match op {
-        Add | Sub | Mul | Div | FloorDiv | Mod | Min | Max => {
-            let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
-                return Abs::Top;
-            };
-            Abs::Float(match op {
-                Add => a + b,
-                Sub => a - b,
-                Mul => a * b,
-                Div => a / b,
-                FloorDiv => (a / b).floor(),
-                Mod => a - b * (a / b).floor(),
-                Min => a.min(b),
-                Max => a.max(b),
-                _ => unreachable!(),
-            })
-        }
-        Eq | Ne => {
-            let eq = match (l, r) {
-                (Abs::Bool(a), Abs::Bool(b)) => a == b,
-                _ => {
-                    let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
-                        return Abs::Top;
-                    };
-                    a == b
-                }
-            };
-            Abs::Bool(if op == Eq { eq } else { !eq })
-        }
-        Lt | Le | Gt | Ge => {
-            let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
-                return Abs::Top;
-            };
-            Abs::Bool(match op {
-                Lt => a < b,
-                Le => a <= b,
-                Gt => a > b,
-                Ge => a >= b,
-                _ => unreachable!(),
-            })
-        }
-        And | Or => match (l, r) {
-            (Abs::Bool(a), Abs::Bool(b)) => Abs::Bool(if op == And { a && b } else { a || b }),
-            _ => Abs::Top,
-        },
-    }
+    scalar::binop(op, l?, r?).ok()
 }
 
 #[cfg(test)]
@@ -613,6 +522,85 @@ mod tests {
         want.push(Ev::Recv(1, 0, 5, 2));
         assert_eq!(evs, want, "three unrolled sends from P0, one receive on P1");
         assert!(notes.is_empty(), "{notes:?}");
+    }
+
+    /// The walk takes the branch and the trip count the VM takes: 2^53 + 1
+    /// and 2^53 are one `f64` but two integers.
+    #[test]
+    fn integers_beyond_2_pow_53_compare_exactly() {
+        let send = |tag| SStmt::Send {
+            to: SExpr::int(1),
+            tag,
+            values: vec![],
+        };
+        let prog = SpmdProgram::new(vec![
+            vec![
+                SStmt::Let {
+                    var: "big".into(),
+                    value: SExpr::int(9007199254740993),
+                },
+                SStmt::Let {
+                    var: "edge".into(),
+                    value: SExpr::int(9007199254740992),
+                },
+                SStmt::If {
+                    cond: SExpr::var("big").eq(SExpr::var("edge")),
+                    then: vec![send(1)],
+                    els: vec![send(2)],
+                },
+                SStmt::For {
+                    var: "i".into(),
+                    lo: SExpr::var("big"),
+                    hi: SExpr::var("edge"),
+                    step: SExpr::int(1),
+                    body: vec![send(3)],
+                },
+            ],
+            vec![],
+        ]);
+        let (evs, _, notes) = record(&prog);
+        let sends: Vec<_> = evs.iter().filter(|e| matches!(e, Ev::Send(..))).collect();
+        assert_eq!(
+            sends,
+            vec![&Ev::Send(0, 1, 2, 0)],
+            "the else branch, no trip"
+        );
+        assert!(notes.is_empty(), "{notes:?}");
+    }
+
+    /// A loop whose step overflows faults in the VM after the body ran;
+    /// the walk counts that iteration, then notes the loop and leaves it,
+    /// as it does for a zero step (a note makes every sink inexact).
+    #[test]
+    fn step_overflow_is_noted() {
+        let prog = SpmdProgram::new(vec![
+            vec![
+                SStmt::For {
+                    var: "i".into(),
+                    lo: SExpr::int(i64::MAX - 1),
+                    hi: SExpr::int(i64::MAX),
+                    step: SExpr::int(3),
+                    body: vec![SStmt::Send {
+                        to: SExpr::int(1),
+                        tag: 1,
+                        values: vec![],
+                    }],
+                },
+                SStmt::Send {
+                    to: SExpr::int(1),
+                    tag: 2,
+                    values: vec![],
+                },
+            ],
+            vec![],
+        ]);
+        let (evs, _, notes) = record(&prog);
+        assert_eq!(evs[0], Ev::Send(0, 1, 1, 0));
+        assert!(!evs[1..].contains(&Ev::Send(0, 1, 1, 0)), "{evs:?}");
+        assert_eq!(
+            notes,
+            vec!["P0: step of loop over `i` overflows".to_string()]
+        );
     }
 
     #[test]

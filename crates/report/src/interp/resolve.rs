@@ -9,8 +9,10 @@
 //! shrinks to the list of reads it makes.
 
 use super::{binop, unop, Abs, ArrayId, BufId, Names, Target, VarId, Work};
+use pdc_lang::Scalar::{Bool, Float, Int};
+use pdc_lang::{BinOp, UnOp};
 use pdc_mapping::{Dist, DistInstance};
-use pdc_spmd::ir::{RecvTarget, SBinOp, SExpr, SStmt, SUnOp, SpmdProgram};
+use pdc_spmd::ir::{RecvTarget, SExpr, SStmt, SpmdProgram};
 use std::collections::{BTreeMap, HashMap};
 
 /// One scalar or buffer read, as [`Events`](super::Events) reports it.
@@ -29,8 +31,8 @@ pub(super) type Reads = Box<[Read]>;
 pub(super) enum Expr {
     Const(Abs),
     Var(VarId),
-    Bin(SBinOp, Box<Expr>, Box<Expr>),
-    Un(SUnOp, Box<Expr>),
+    Bin(BinOp, Box<Expr>, Box<Expr>),
+    Un(UnOp, Box<Expr>),
     /// Statically ⊤: array and buffer contents are opaque to the walk,
     /// and so is whatever is computed from them.
     Opaque(Reads),
@@ -187,7 +189,7 @@ pub fn resolve<'a>(
         env: names
             .vars
             .iter()
-            .map(|v| env.get(v).map_or(Abs::Top, |v| Abs::Int(*v)))
+            .map(|v| env.get(v).map(|v| Int(*v)))
             .collect(),
         arrays: names.arrays.iter().map(|a| arrays.get(a)).collect(),
         names,
@@ -297,7 +299,7 @@ fn reads_of(e: &Expr, out: &mut Vec<Read>) {
 
 /// Does `e` evaluate to ⊤ whatever the environment?
 fn is_top(e: &Expr) -> bool {
-    matches!(e, Expr::Opaque(_) | Expr::Const(Abs::Top))
+    matches!(e, Expr::Opaque(_) | Expr::Const(None))
 }
 
 impl<'s> Resolver<'s> {
@@ -539,11 +541,11 @@ impl<'s> Resolver<'s> {
 
     fn expr(&mut self, e: &'s SExpr) -> Expr {
         let out = match e {
-            SExpr::Int(v) => Expr::Const(Abs::Int(*v)),
-            SExpr::Float(v) => Expr::Const(Abs::Float(*v)),
-            SExpr::Bool(v) => Expr::Const(Abs::Bool(*v)),
-            SExpr::MyNode => Expr::Const(Abs::Int(self.p as i64)),
-            SExpr::NProcs => Expr::Const(Abs::Int(self.nprocs as i64)),
+            SExpr::Int(v) => Expr::Const(Some(Int(*v))),
+            SExpr::Float(v) => Expr::Const(Some(Float(*v))),
+            SExpr::Bool(v) => Expr::Const(Some(Bool(*v))),
+            SExpr::MyNode => Expr::Const(Some(Int(self.p as i64))),
+            SExpr::NProcs => Expr::Const(Some(Int(self.nprocs as i64))),
             SExpr::Var(v) => Expr::Var(self.var(v)),
             SExpr::Bin(op, a, b) => match (self.expr(a), self.expr(b)) {
                 (Expr::Const(a), Expr::Const(b)) => Expr::Const(binop(*op, a, b)),

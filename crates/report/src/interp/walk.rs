@@ -2,6 +2,8 @@
 
 use super::resolve::{Expr, Idx, Read, Resolved, Stmt};
 use super::{binop, unop, Abs, ArrayId, Events, Names, RecvSink, Target, Work, FUEL};
+use pdc_lang::BinOp;
+use pdc_lang::Scalar::{Bool, Int};
 use pdc_mapping::{DistInstance, OwnerSet};
 use std::borrow::Cow;
 
@@ -68,7 +70,7 @@ impl<E: Events> Interp<'_, E> {
     /// A processor id the machine has?
     fn peer(&self, v: Abs) -> Option<usize> {
         match v {
-            Abs::Int(q) if q >= 0 && (q as usize) < self.nprocs => Some(q as usize),
+            Some(Int(q)) if q >= 0 && (q as usize) < self.nprocs => Some(q as usize),
             _ => None,
         }
     }
@@ -99,7 +101,7 @@ impl<E: Events> Interp<'_, E> {
                 work,
             } => {
                 let inst = match (self.eval(rows), self.eval(cols)) {
-                    (Abs::Int(r), Abs::Int(c)) => Some(Cow::Owned(DistInstance::new(
+                    (Some(Int(r)), Some(Int(c))) => Some(Cow::Owned(DistInstance::new(
                         dist.clone(),
                         r.max(0) as usize,
                         c.max(0) as usize,
@@ -170,7 +172,7 @@ impl<E: Events> Interp<'_, E> {
                 self.pending += *work;
                 let dst = self.eval(to);
                 match (self.peer(dst), self.eval(lo), self.eval(hi)) {
-                    (Some(dst), Abs::Int(l), Abs::Int(h)) if h >= l => {
+                    (Some(dst), Some(Int(l)), Some(Int(h))) if h >= l => {
                         self.flush_work();
                         self.events.send(self.p, dst, *tag, 2 * (h - l + 1) as u64);
                     }
@@ -228,7 +230,7 @@ impl<E: Events> Interp<'_, E> {
                 self.pending += *work;
                 let src = self.eval(from);
                 match (self.peer(src), self.eval(lo), self.eval(hi)) {
-                    (Some(src), Abs::Int(l), Abs::Int(h)) if h >= l => {
+                    (Some(src), Some(Int(l)), Some(Int(h))) if h >= l => {
                         self.flush_work();
                         self.events.recv(
                             self.p,
@@ -258,7 +260,7 @@ impl<E: Events> Interp<'_, E> {
                 let lo_v = self.eval(lo);
                 let hi_v = self.eval(hi);
                 let step_v = self.eval(step);
-                let (Abs::Int(lo_v), Abs::Int(hi_v), Abs::Int(step_v)) = (lo_v, hi_v, step_v)
+                let (Some(Int(lo_v)), Some(Int(hi_v)), Some(Int(step_v))) = (lo_v, hi_v, step_v)
                 else {
                     self.note(format!(
                         "P{}: bounds of loop over `{}` are not statically known",
@@ -266,7 +268,7 @@ impl<E: Events> Interp<'_, E> {
                         self.names.var(*var)
                     ));
                     self.havoc_block(body);
-                    self.env[var.index()] = Abs::Top;
+                    self.env[var.index()] = None;
                     return;
                 };
                 if step_v == 0 {
@@ -291,15 +293,23 @@ impl<E: Events> Interp<'_, E> {
                         self.note(format!("P{}: fuel exhausted, prediction truncated", self.p));
                         return;
                     }
-                    self.env[var.index()] = Abs::Int(v);
+                    self.env[var.index()] = Some(Int(v));
                     self.block(body);
                     self.pending += *incr;
-                    match v.checked_add(step_v) {
-                        Some(next) => v = next,
-                        None => break,
+                    match binop(BinOp::Add, Some(Int(v)), Some(Int(step_v))) {
+                        Some(Int(next)) => v = next,
+                        _ => {
+                            // The VM faults here; nothing further executes.
+                            self.note(format!(
+                                "P{}: step of loop over `{}` overflows",
+                                self.p,
+                                self.names.var(*var)
+                            ));
+                            return;
+                        }
                     }
                 }
-                self.env[var.index()] = Abs::Int(v);
+                self.env[var.index()] = Some(Int(v));
             }
             Stmt::If {
                 cond,
@@ -310,8 +320,8 @@ impl<E: Events> Interp<'_, E> {
                 let c = self.eval(cond);
                 self.pending += *work;
                 match c {
-                    Abs::Bool(true) => self.block(then),
-                    Abs::Bool(false) => self.block(els),
+                    Some(Bool(true)) => self.block(then),
+                    Some(Bool(false)) => self.block(els),
                     _ => {
                         self.note(format!(
                             "P{}: branch condition is not statically known",
@@ -327,7 +337,7 @@ impl<E: Events> Interp<'_, E> {
 
     fn havoc_target(&mut self, t: &Target) {
         if let Target::Var(v) = t {
-            self.env[v.index()] = Abs::Top;
+            self.env[v.index()] = None;
         }
     }
 
@@ -336,7 +346,7 @@ impl<E: Events> Interp<'_, E> {
     fn havoc_block(&mut self, body: &[Stmt]) {
         for s in body {
             match s {
-                Stmt::Let { var, .. } => self.env[var.index()] = Abs::Top,
+                Stmt::Let { var, .. } => self.env[var.index()] = None,
                 Stmt::AllocDist { array, .. } => self.arrays[array.index()] = None,
                 // A write we cannot place: the sink loses single-
                 // assignment coverage for this array.
@@ -359,7 +369,7 @@ impl<E: Events> Interp<'_, E> {
                     self.p
                 )),
                 Stmt::For { var, body, .. } => {
-                    self.env[var.index()] = Abs::Top;
+                    self.env[var.index()] = None;
                     self.havoc_block(body);
                 }
                 Stmt::If { then, els, .. } => {
@@ -387,11 +397,11 @@ impl<E: Events> Interp<'_, E> {
     fn indices(&mut self, idx: &Idx) -> Option<(i64, i64)> {
         match idx {
             Idx::One(j) => match self.eval(j) {
-                Abs::Int(j) => Some((1, j)),
+                Some(Int(j)) => Some((1, j)),
                 _ => None,
             },
             Idx::Two(i, j) => match (self.eval(i), self.eval(j)) {
-                (Abs::Int(i), Abs::Int(j)) => Some((i, j)),
+                (Some(Int(i)), Some(Int(j))) => Some((i, j)),
                 _ => None,
             },
             Idx::Other => None,
@@ -416,32 +426,21 @@ impl<E: Events> Interp<'_, E> {
             }
             Expr::Opaque(reads) => {
                 self.replay(reads);
-                Abs::Top
+                None
             }
             Expr::OwnerOf(array, idx) => {
-                let Some((i, j)) = self.indices(idx) else {
-                    return Abs::Top;
-                };
-                match self.arrays[array.index()].as_deref() {
-                    Some(inst) => match inst.owner(i, j) {
-                        OwnerSet::One(q) => Abs::Int(q as i64),
-                        // Replicated data is owned locally (VM rule).
-                        OwnerSet::All => Abs::Int(self.p as i64),
-                    },
-                    None => Abs::Top,
+                let (i, j) = self.indices(idx)?;
+                let inst = self.arrays[array.index()].as_deref()?;
+                match inst.owner(i, j) {
+                    OwnerSet::One(q) => Some(Int(q as i64)),
+                    // Replicated data is owned locally (VM rule).
+                    OwnerSet::All => Some(Int(self.p as i64)),
                 }
             }
             Expr::LocalOf(array, idx, dim) => {
-                let Some((i, j)) = self.indices(idx) else {
-                    return Abs::Top;
-                };
-                match self.arrays[array.index()].as_deref() {
-                    Some(inst) => {
-                        let (li, lj) = inst.local(i, j);
-                        Abs::Int(if *dim == 0 { li } else { lj })
-                    }
-                    None => Abs::Top,
-                }
+                let (i, j) = self.indices(idx)?;
+                let (li, lj) = self.arrays[array.index()].as_deref()?.local(i, j);
+                Some(Int(if *dim == 0 { li } else { lj }))
             }
         }
     }

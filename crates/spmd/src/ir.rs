@@ -6,78 +6,9 @@
 //! language, the target is imperative: locals are mutable, buffers are
 //! ordinary arrays, and communication is explicit.
 
+use pdc_lang::{BinOp, UnOp};
 use pdc_mapping::Dist;
 use std::fmt;
-
-/// Binary operators of the target language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SBinOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division (float on floats, Euclidean on ints).
-    Div,
-    /// Euclidean integer division (`div`).
-    FloorDiv,
-    /// Euclidean remainder (`mod`).
-    Mod,
-    /// Equality.
-    Eq,
-    /// Inequality.
-    Ne,
-    /// Less-than.
-    Lt,
-    /// Less-or-equal.
-    Le,
-    /// Greater-than.
-    Gt,
-    /// Greater-or-equal.
-    Ge,
-    /// Conjunction (strict).
-    And,
-    /// Disjunction (strict).
-    Or,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-}
-
-impl fmt::Display for SBinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            SBinOp::Add => "+",
-            SBinOp::Sub => "-",
-            SBinOp::Mul => "*",
-            SBinOp::Div => "/",
-            SBinOp::FloorDiv => "div",
-            SBinOp::Mod => "mod",
-            SBinOp::Eq => "==",
-            SBinOp::Ne => "!=",
-            SBinOp::Lt => "<",
-            SBinOp::Le => "<=",
-            SBinOp::Gt => ">",
-            SBinOp::Ge => ">=",
-            SBinOp::And => "and",
-            SBinOp::Or => "or",
-            SBinOp::Min => "min",
-            SBinOp::Max => "max",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SUnOp {
-    /// Negation.
-    Neg,
-    /// Boolean not.
-    Not,
-}
 
 /// Target expressions.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,9 +22,9 @@ pub enum SExpr {
     /// Local variable.
     Var(String),
     /// Binary operation.
-    Bin(SBinOp, Box<SExpr>, Box<SExpr>),
+    Bin(BinOp, Box<SExpr>, Box<SExpr>),
     /// Unary operation.
-    Un(SUnOp, Box<SExpr>),
+    Un(UnOp, Box<SExpr>),
     /// `mynode()` — the executing processor's id.
     MyNode,
     /// Number of processors.
@@ -158,72 +89,72 @@ impl SExpr {
 
     /// `self + rhs`.
     pub fn add(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Add, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Add, Box::new(self), Box::new(rhs))
     }
 
     /// `self - rhs`.
     pub fn sub(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Sub, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Sub, Box::new(self), Box::new(rhs))
     }
 
     /// `self * rhs`.
     pub fn mul(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Mul, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Mul, Box::new(self), Box::new(rhs))
     }
 
     /// `self mod rhs`.
     pub fn imod(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Mod, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Mod, Box::new(self), Box::new(rhs))
     }
 
     /// `self div rhs`.
     pub fn idiv(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::FloorDiv, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::FloorDiv, Box::new(self), Box::new(rhs))
     }
 
     /// `self == rhs`.
     pub fn eq(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Eq, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Eq, Box::new(self), Box::new(rhs))
     }
 
     /// `self != rhs`.
     pub fn ne(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Ne, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Ne, Box::new(self), Box::new(rhs))
     }
 
     /// `self <= rhs`.
     pub fn le(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Le, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Le, Box::new(self), Box::new(rhs))
     }
 
     /// `self < rhs`.
     pub fn lt(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Lt, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Lt, Box::new(self), Box::new(rhs))
     }
 
     /// `self >= rhs`.
     pub fn ge(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Ge, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Ge, Box::new(self), Box::new(rhs))
     }
 
     /// `self > rhs`.
     pub fn gt(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Gt, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Gt, Box::new(self), Box::new(rhs))
     }
 
     /// `self or rhs`.
     pub fn or(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Or, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Or, Box::new(self), Box::new(rhs))
     }
 
     /// `min(self, rhs)`.
     pub fn min(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::Min, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::Min, Box::new(self), Box::new(rhs))
     }
 
     /// `self and rhs`.
     pub fn and(self, rhs: SExpr) -> SExpr {
-        SExpr::Bin(SBinOp::And, Box::new(self), Box::new(rhs))
+        SExpr::Bin(BinOp::And, Box::new(self), Box::new(rhs))
     }
 }
 
@@ -454,11 +385,11 @@ mod pretty {
             SExpr::Bool(v) => v.to_string(),
             SExpr::Var(n) => n.clone(),
             SExpr::Bin(op, a, b) => match op {
-                SBinOp::Min | SBinOp::Max => format!("{op}({}, {})", expr(a), expr(b)),
+                BinOp::Min | BinOp::Max => format!("{op}({}, {})", expr(a), expr(b)),
                 _ => format!("({} {op} {})", expr(a), expr(b)),
             },
-            SExpr::Un(SUnOp::Neg, a) => format!("(-{})", expr(a)),
-            SExpr::Un(SUnOp::Not, a) => format!("(not {})", expr(a)),
+            SExpr::Un(UnOp::Neg, a) => format!("(-{})", expr(a)),
+            SExpr::Un(UnOp::Not, a) => format!("(not {})", expr(a)),
             SExpr::MyNode => "mynode()".into(),
             SExpr::NProcs => "nprocs()".into(),
             SExpr::ARead { array, idx } => format!("is_read({array}, [{}])", idx_list(idx)),

@@ -6,8 +6,9 @@
 //! receive that finds no message simply leaves the machine state untouched
 //! and reports itself blocked; the next step retries the same instruction.
 
-use crate::ir::{RecvTarget, SBinOp, SExpr, SStmt, SUnOp};
+use crate::ir::{RecvTarget, SExpr, SStmt};
 use crate::SpmdError;
+use pdc_lang::{BinOp, UnOp};
 use pdc_mapping::Dist;
 use std::collections::HashMap;
 
@@ -29,9 +30,9 @@ pub enum Instr {
     /// Pop into a local slot.
     Store(u32),
     /// Pop two operands, push the result.
-    Bin(SBinOp),
+    Bin(BinOp),
     /// Pop one operand, push the result.
-    Un(SUnOp),
+    Un(UnOp),
     /// Unconditional jump.
     Jump(usize),
     /// Pop a boolean; jump when false.
@@ -459,26 +460,26 @@ impl Lowerer {
                 self.instrs.push(Instr::Load(vslot));
                 self.instrs.push(Instr::Load(hi_slot));
                 self.instrs
-                    .push(Instr::Bin(if k > 0 { SBinOp::Le } else { SBinOp::Ge }));
+                    .push(Instr::Bin(if k > 0 { BinOp::Le } else { BinOp::Ge }));
             }
             None => {
                 // (step > 0 and var <= hi) or (step < 0 and var >= hi)
                 let s = step_slot.unwrap();
                 self.instrs.push(Instr::Load(s));
                 self.instrs.push(Instr::PushInt(0));
-                self.instrs.push(Instr::Bin(SBinOp::Gt));
+                self.instrs.push(Instr::Bin(BinOp::Gt));
                 self.instrs.push(Instr::Load(vslot));
                 self.instrs.push(Instr::Load(hi_slot));
-                self.instrs.push(Instr::Bin(SBinOp::Le));
-                self.instrs.push(Instr::Bin(SBinOp::And));
+                self.instrs.push(Instr::Bin(BinOp::Le));
+                self.instrs.push(Instr::Bin(BinOp::And));
                 self.instrs.push(Instr::Load(s));
                 self.instrs.push(Instr::PushInt(0));
-                self.instrs.push(Instr::Bin(SBinOp::Lt));
+                self.instrs.push(Instr::Bin(BinOp::Lt));
                 self.instrs.push(Instr::Load(vslot));
                 self.instrs.push(Instr::Load(hi_slot));
-                self.instrs.push(Instr::Bin(SBinOp::Ge));
-                self.instrs.push(Instr::Bin(SBinOp::And));
-                self.instrs.push(Instr::Bin(SBinOp::Or));
+                self.instrs.push(Instr::Bin(BinOp::Ge));
+                self.instrs.push(Instr::Bin(BinOp::And));
+                self.instrs.push(Instr::Bin(BinOp::Or));
             }
         }
         let exit_jump = self.instrs.len();
@@ -490,7 +491,7 @@ impl Lowerer {
             Some(k) => self.instrs.push(Instr::PushInt(k)),
             None => self.instrs.push(Instr::Load(step_slot.unwrap())),
         }
-        self.instrs.push(Instr::Bin(SBinOp::Add));
+        self.instrs.push(Instr::Bin(BinOp::Add));
         self.instrs.push(Instr::Store(vslot));
         self.instrs.push(Instr::Jump(head));
         let end = self.instrs.len();
@@ -592,7 +593,7 @@ mod tests {
             vec![
                 Instr::PushInt(2),
                 Instr::PushInt(3),
-                Instr::Bin(SBinOp::Add),
+                Instr::Bin(BinOp::Add),
                 Instr::Store(0),
                 Instr::Halt
             ]
@@ -611,8 +612,8 @@ mod tests {
         }])
         .unwrap();
         // Head compares Le once (positive step).
-        assert!(code.instrs.contains(&Instr::Bin(SBinOp::Le)));
-        assert!(!code.instrs.contains(&Instr::Bin(SBinOp::Or)));
+        assert!(code.instrs.contains(&Instr::Bin(BinOp::Le)));
+        assert!(!code.instrs.contains(&Instr::Bin(BinOp::Or)));
     }
 
     #[test]
@@ -625,7 +626,7 @@ mod tests {
             body: vec![],
         }])
         .unwrap();
-        assert!(code.instrs.contains(&Instr::Bin(SBinOp::Or)));
+        assert!(code.instrs.contains(&Instr::Bin(BinOp::Or)));
     }
 
     #[test]

@@ -1,83 +1,9 @@
-//! Scalar values of the SPMD machine and their wire encoding.
+//! The wire encoding of scalars. [`Scalar`] itself, and what the
+//! operators compute on it, live in `pdc-lang`.
 
 use pdc_machine::Word;
-use std::fmt;
 
-/// A scalar value: what locals hold, what I-structure cells store, and
-/// what messages carry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scalar {
-    /// 64-bit integer.
-    Int(i64),
-    /// 64-bit float.
-    Float(f64),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl Scalar {
-    /// Integer view.
-    pub fn as_int(self) -> Option<i64> {
-        match self {
-            Scalar::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Numeric view.
-    pub fn as_f64(self) -> Option<f64> {
-        match self {
-            Scalar::Int(v) => Some(v as f64),
-            Scalar::Float(v) => Some(v),
-            Scalar::Bool(_) => None,
-        }
-    }
-
-    /// Boolean view.
-    pub fn as_bool(self) -> Option<bool> {
-        match self {
-            Scalar::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Short type name for diagnostics.
-    pub fn type_name(self) -> &'static str {
-        match self {
-            Scalar::Int(_) => "int",
-            Scalar::Float(_) => "float",
-            Scalar::Bool(_) => "bool",
-        }
-    }
-}
-
-impl fmt::Display for Scalar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Scalar::Int(v) => write!(f, "{v}"),
-            Scalar::Float(v) => write!(f, "{v}"),
-            Scalar::Bool(v) => write!(f, "{v}"),
-        }
-    }
-}
-
-impl From<i64> for Scalar {
-    fn from(v: i64) -> Self {
-        Scalar::Int(v)
-    }
-}
-
-impl From<f64> for Scalar {
-    fn from(v: f64) -> Self {
-        Scalar::Float(v)
-    }
-}
-
-impl From<bool> for Scalar {
-    fn from(v: bool) -> Self {
-        Scalar::Bool(v)
-    }
-}
+pub use pdc_lang::Scalar;
 
 const TAG_INT: Word = 0;
 const TAG_FLOAT: Word = 1;
@@ -159,20 +85,5 @@ mod tests {
     fn malformed_streams_rejected() {
         assert!(decode(&[0]).is_none()); // odd length
         assert!(decode(&[99, 0]).is_none()); // unknown tag
-    }
-
-    #[test]
-    fn views() {
-        assert_eq!(Scalar::Int(3).as_f64(), Some(3.0));
-        assert_eq!(Scalar::Float(2.5).as_int(), None);
-        assert_eq!(Scalar::Bool(true).as_bool(), Some(true));
-        assert_eq!(Scalar::Int(1).type_name(), "int");
-    }
-
-    #[test]
-    fn conversions() {
-        assert_eq!(Scalar::from(5i64), Scalar::Int(5));
-        assert_eq!(Scalar::from(1.5f64), Scalar::Float(1.5));
-        assert_eq!(Scalar::from(true), Scalar::Bool(true));
     }
 }

@@ -1,9 +1,9 @@
 //! The per-processor virtual machine.
 
-use crate::ir::{SBinOp, SUnOp};
 use crate::lower::{Code, Instr, Symbols};
 use crate::scalar::{decode_into, encode_into, Scalar};
 use pdc_istructure::IMatrix;
+use pdc_lang::{binop, unop};
 use pdc_machine::{CostModel, Ctr, Fabric, MachineError, ProcId, Process, Step, Tag, Word};
 use pdc_mapping::{Dist, DistInstance, OwnerSet};
 use std::sync::Arc;
@@ -530,88 +530,6 @@ fn instr_cost(instr: &Instr, c: &CostModel) -> u64 {
     }
 }
 
-/// Apply a strict binary operator to machine scalars.
-pub(crate) fn scalar_binop(op: SBinOp, l: Scalar, r: Scalar) -> Result<Scalar, String> {
-    use SBinOp::*;
-    use Scalar::*;
-    let type_err = || {
-        format!(
-            "cannot apply `{op}` to {} and {}",
-            l.type_name(),
-            r.type_name()
-        )
-    };
-    match op {
-        Add | Sub | Mul | Div | FloorDiv | Mod | Min | Max => match (l, r) {
-            (Int(a), Int(b)) => {
-                let v = match op {
-                    Add => a.checked_add(b).ok_or("integer overflow")?,
-                    Sub => a.checked_sub(b).ok_or("integer overflow")?,
-                    Mul => a.checked_mul(b).ok_or("integer overflow")?,
-                    Div | FloorDiv => {
-                        if b == 0 {
-                            return Err("division by zero".into());
-                        }
-                        a.div_euclid(b)
-                    }
-                    Mod => {
-                        if b == 0 {
-                            return Err("division by zero".into());
-                        }
-                        a.rem_euclid(b)
-                    }
-                    Min => a.min(b),
-                    Max => a.max(b),
-                    _ => unreachable!(),
-                };
-                Ok(Int(v))
-            }
-            _ => {
-                let a = l.as_f64().ok_or_else(type_err)?;
-                let b = r.as_f64().ok_or_else(type_err)?;
-                let v = match op {
-                    Add => a + b,
-                    Sub => a - b,
-                    Mul => a * b,
-                    Div => a / b,
-                    FloorDiv => (a / b).floor(),
-                    Mod => a - b * (a / b).floor(),
-                    Min => a.min(b),
-                    Max => a.max(b),
-                    _ => unreachable!(),
-                };
-                Ok(Float(v))
-            }
-        },
-        Eq | Ne => {
-            let eq = match (l, r) {
-                (Bool(a), Bool(b)) => a == b,
-                _ => {
-                    let a = l.as_f64().ok_or_else(type_err)?;
-                    let b = r.as_f64().ok_or_else(type_err)?;
-                    a == b
-                }
-            };
-            Ok(Bool(if op == Eq { eq } else { !eq }))
-        }
-        Lt | Le | Gt | Ge => {
-            let a = l.as_f64().ok_or_else(type_err)?;
-            let b = r.as_f64().ok_or_else(type_err)?;
-            Ok(Bool(match op {
-                Lt => a < b,
-                Le => a <= b,
-                Gt => a > b,
-                Ge => a >= b,
-                _ => unreachable!(),
-            }))
-        }
-        And | Or => match (l, r) {
-            (Bool(a), Bool(b)) => Ok(Bool(if op == And { a && b } else { a || b })),
-            _ => Err(type_err()),
-        },
-    }
-}
-
 /// Compute charges a run of instructions has earned and not yet handed
 /// to the fabric. They are handed over before every fabric operation and
 /// before control returns to the driver, which is what keeps logical time
@@ -677,22 +595,13 @@ impl State {
             Instr::Bin(op) => {
                 let r = self.pop(me)?;
                 let l = self.pop(me)?;
-                let v = scalar_binop(*op, l, r).map_err(|m| self.fault(me, m))?;
+                let v = binop(*op, l, r).map_err(|e| self.fault(me, e.to_string()))?;
                 self.stack.push(v);
             }
             Instr::Un(op) => {
                 let v = self.pop(me)?;
-                let out = match (*op, v) {
-                    (SUnOp::Neg, Scalar::Int(x)) => Scalar::Int(-x),
-                    (SUnOp::Neg, Scalar::Float(x)) => Scalar::Float(-x),
-                    (SUnOp::Not, Scalar::Bool(b)) => Scalar::Bool(!b),
-                    (op, v) => {
-                        return Err(
-                            self.fault(me, format!("cannot apply {op:?} to {}", v.type_name()))
-                        )
-                    }
-                };
-                self.stack.push(out);
+                let v = unop(*op, v).map_err(|e| self.fault(me, e.to_string()))?;
+                self.stack.push(v);
             }
             Instr::Jump(t) => next = *t,
             Instr::JumpIfFalse(t) => {

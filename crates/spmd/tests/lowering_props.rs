@@ -1,35 +1,49 @@
 //! Property test: lowering is semantics-preserving. A random expression
 //! evaluated directly over the tree IR gives the same value as running
 //! the lowered bytecode on the VM. (Deterministic `pdc-testkit` cases;
-//! a failing case prints its seed for replay.)
+//! a failing case prints its seed for replay.) The reference evaluator
+//! here is written on `i64` alone, independently of `pdc_lang::binop`.
 
+use pdc_lang::{BinOp, UnOp};
 use pdc_machine::{CostModel, Machine, ProcId, Process, Step};
-use pdc_spmd::ir::{SBinOp, SExpr, SStmt, SUnOp};
+use pdc_spmd::ir::{SExpr, SStmt};
 use pdc_spmd::lower::lower;
 use pdc_spmd::vm::ProcVm;
 use pdc_spmd::Scalar;
 use pdc_testkit::{cases, Rng};
 use std::sync::Arc;
 
+/// Integers where `i64` and `f64` disagree, or where arithmetic
+/// overflows: ±2^53, ±(2^53 + 1), `i64::MIN`, `i64::MAX`.
+const EDGES: [i64; 6] = [
+    9007199254740992,
+    -9007199254740992,
+    9007199254740993,
+    -9007199254740993,
+    i64::MIN,
+    i64::MAX,
+];
+
 fn leaf(rng: &mut Rng) -> SExpr {
-    match rng.range_usize(0, 5) {
+    match rng.range_usize(0, 7) {
         0 => SExpr::Int(rng.range_i64(-50, 50)),
         1 => SExpr::var("x"),
         2 => SExpr::var("y"),
         3 => SExpr::MyNode,
-        _ => SExpr::NProcs,
+        4 => SExpr::NProcs,
+        _ => SExpr::Int(*rng.pick(&EDGES)),
     }
 }
 
-fn arith(rng: &mut Rng) -> SBinOp {
+fn arith(rng: &mut Rng) -> BinOp {
     *rng.pick(&[
-        SBinOp::Add,
-        SBinOp::Sub,
-        SBinOp::Mul,
-        SBinOp::FloorDiv,
-        SBinOp::Mod,
-        SBinOp::Min,
-        SBinOp::Max,
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::FloorDiv,
+        BinOp::Mod,
+        BinOp::Min,
+        BinOp::Max,
     ])
 }
 
@@ -44,8 +58,50 @@ fn expr(rng: &mut Rng, depth: usize) -> SExpr {
             Box::new(expr(rng, depth - 1)),
         )
     } else {
-        SExpr::Un(SUnOp::Neg, Box::new(expr(rng, depth - 1)))
+        SExpr::Un(UnOp::Neg, Box::new(expr(rng, depth - 1)))
     }
+}
+
+/// A comparison over two random expressions. Half the sides are `b + d`,
+/// with one base `b` per comparison (2^53 or -(2^53 + 1)) and `d` 0 or 1:
+/// distinct integers that round to one `f64`.
+fn comparison(rng: &mut Rng, depth: usize) -> SExpr {
+    let op = *rng.pick(&[
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+    ]);
+    let base = *rng.pick(&[9007199254740992, -9007199254740993]);
+    let side = |rng: &mut Rng| match rng.range_usize(0, 4) {
+        0 => leaf(rng),
+        1 => expr(rng, depth),
+        _ => SExpr::Int(base).add(SExpr::Int(rng.range_i64(0, 2))),
+    };
+    let l = side(rng);
+    let r = side(rng);
+    SExpr::Bin(op, Box::new(l), Box::new(r))
+}
+
+/// Reference evaluation of a whole expression: a comparison at the root
+/// compares the two `i64`s; anything else is [`eval`].
+fn eval_root(e: &SExpr, x: i64, y: i64, me: i64, nprocs: i64) -> Option<Scalar> {
+    if let SExpr::Bin(op, a, b) = e {
+        let cmp = match op {
+            BinOp::Eq => i64::eq,
+            BinOp::Ne => i64::ne,
+            BinOp::Lt => i64::lt,
+            BinOp::Le => i64::le,
+            BinOp::Gt => i64::gt,
+            BinOp::Ge => i64::ge,
+            _ => return eval(e, x, y, me, nprocs).map(Scalar::Int),
+        };
+        let (l, r) = (eval(a, x, y, me, nprocs)?, eval(b, x, y, me, nprocs)?);
+        return Some(Scalar::Bool(cmp(&l, &r)));
+    }
+    eval(e, x, y, me, nprocs).map(Scalar::Int)
 }
 
 /// Direct reference evaluation over the tree.
@@ -56,27 +112,20 @@ fn eval(e: &SExpr, x: i64, y: i64, me: i64, nprocs: i64) -> Option<i64> {
         SExpr::Var(v) if v == "y" => y,
         SExpr::MyNode => me,
         SExpr::NProcs => nprocs,
-        SExpr::Un(SUnOp::Neg, a) => -eval(a, x, y, me, nprocs)?,
+        SExpr::Un(UnOp::Neg, a) => eval(a, x, y, me, nprocs)?.checked_neg()?,
         SExpr::Bin(op, a, b) => {
             let (l, r) = (eval(a, x, y, me, nprocs)?, eval(b, x, y, me, nprocs)?);
             match op {
-                SBinOp::Add => l.checked_add(r)?,
-                SBinOp::Sub => l.checked_sub(r)?,
-                SBinOp::Mul => l.checked_mul(r)?,
-                SBinOp::FloorDiv => {
-                    if r == 0 {
-                        return None;
-                    }
-                    l.div_euclid(r)
-                }
-                SBinOp::Mod => {
-                    if r == 0 {
-                        return None;
-                    }
-                    l.rem_euclid(r)
-                }
-                SBinOp::Min => l.min(r),
-                SBinOp::Max => l.max(r),
+                BinOp::Add => l.checked_add(r)?,
+                BinOp::Sub => l.checked_sub(r)?,
+                BinOp::Mul => l.checked_mul(r)?,
+                BinOp::FloorDiv => l.checked_div_euclid(r)?,
+                BinOp::Mod if r == 0 => return None,
+                // `i64::MIN mod -1` is 0, though `i64::MIN div -1` overflows.
+                BinOp::Mod if r == -1 => 0,
+                BinOp::Mod => l.rem_euclid(r),
+                BinOp::Min => l.min(r),
+                BinOp::Max => l.max(r),
                 _ => return None,
             }
         }
@@ -103,7 +152,11 @@ fn run_vm(body: Vec<SStmt>) -> Result<Option<Scalar>, String> {
 #[test]
 fn lowered_expressions_match_reference_eval() {
     cases(256, "lowered_expressions_match_reference_eval", |rng| {
-        let e = expr(rng, 4);
+        let e = if rng.chance(1, 3) {
+            comparison(rng, 3)
+        } else {
+            expr(rng, 4)
+        };
         let x = rng.range_i64(-20, 20);
         let y = rng.range_i64(-20, 20);
         let body = vec![
@@ -121,8 +174,8 @@ fn lowered_expressions_match_reference_eval() {
             },
         ];
         // me = 1, nprocs = 3 per run_vm.
-        match (eval(&e, x, y, 1, 3), run_vm(body)) {
-            (Some(want), Ok(Some(Scalar::Int(got)))) => assert_eq!(got, want),
+        match (eval_root(&e, x, y, 1, 3), run_vm(body)) {
+            (Some(want), Ok(Some(got))) => assert_eq!(got, want, "{e:?}"),
             // Reference says the expression faults (division by zero or
             // overflow): the VM must fault too, not produce a value.
             (None, Err(_)) => {}

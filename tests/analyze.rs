@@ -11,9 +11,10 @@
 use pdc_analyze::{analyze, DiagKind, Severity};
 use pdc_core::driver::{self, Compiled, Job, Strategy};
 use pdc_core::{programs, CoreError};
+use pdc_lang::BinOp;
 use pdc_mapping::DistInstance;
 use pdc_opt::OptLevel;
-use pdc_spmd::ir::{SBinOp, SExpr, SStmt};
+use pdc_spmd::ir::{SExpr, SStmt};
 use std::collections::{BTreeMap, HashMap};
 
 const N: i64 = 6;
@@ -135,7 +136,7 @@ fn shrink_first_send_loop(body: &mut Vec<SStmt>) -> bool {
     for s in body {
         if let SStmt::For { hi, body: b, .. } = s {
             if has_send(b) {
-                *hi = SExpr::Bin(SBinOp::Sub, Box::new(hi.clone()), Box::new(SExpr::Int(1)));
+                *hi = SExpr::Bin(BinOp::Sub, Box::new(hi.clone()), Box::new(SExpr::Int(1)));
                 return true;
             }
             if shrink_first_send_loop(b) {

@@ -278,3 +278,57 @@ fn invalid_configurations_are_typed_errors_on_both_backends() {
         );
     });
 }
+
+/// Integers compare as integers. 2^53 + 1 and 2^53 are one `f64`, yet
+/// `2^53 + 1 == 2^53` takes the `else` branch and `for i = 2^53 + 1 to
+/// 2^53` runs no iteration, on the sequential interpreter and on both
+/// backends, under both resolution strategies. (An iteration of that
+/// loop would write `New[1, j]` twice.)
+#[test]
+fn integers_beyond_2_pow_53_compare_exactly_everywhere() {
+    const SRC: &str = r#"
+procedure main(Old, n) {
+    let New = matrix(n, n);
+    for j = 1 to n do {
+        for i = 9007199254740993 to 9007199254740992 do { New[1, j] = 0; }
+        for i = 1 to n do {
+            if 9007199254740993 == 9007199254740992 then { New[i, j] = 1; }
+            else { New[i, j] = 2 + 0 * Old[i, j]; }
+        }
+    }
+    return New;
+}
+"#;
+    within(THREADS_DEADLINE, || {
+        for strategy in [Strategy::Runtime, Strategy::CompileTime] {
+            let dist = Dist::ColumnCyclic;
+            let decomp = Decomposition::new(2)
+                .array("New", dist.clone())
+                .array("Old", dist);
+            let program = pdc_lang::parse(SRC).expect("parses");
+            let sc = Scenario::new("beyond 2^53", program, "main", decomp)
+                .n(4)
+                .strategy(strategy);
+            let Value::Matrix(oracle) = sc.oracle() else {
+                panic!("{sc}: the oracle returns a matrix");
+            };
+            for i in 1..=4 {
+                for j in 1..=4 {
+                    let v = oracle.borrow_mut().read(i, j).cloned();
+                    assert_eq!(v, Ok(Value::Int(2)), "{sc}: oracle at ({i}, {j})");
+                }
+            }
+            // Both backends gather the oracle's matrix, and say so alone.
+            let (sim, thr) = sc.on_both(&Point::default(), Ignoring::Schedule);
+            for (backend, run) in [("simulator", sim), ("threads", thr)] {
+                let gathered = run.gathered.expect("gathers `New`");
+                for i in 1..=4 {
+                    for j in 1..=4 {
+                        let v = gathered.peek(i, j).copied();
+                        assert_eq!(v, Some(Scalar::Int(2)), "{sc} on {backend} at ({i}, {j})");
+                    }
+                }
+            }
+        }
+    });
+}
